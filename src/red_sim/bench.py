@@ -41,6 +41,9 @@ __all__ = [
     "Lcg64",
     "builtin_benchmarks",
     "load_config",
+    "parse_design",
+    "parse_designs",
+    "parse_channel_scale",
     "scale_channels",
     "run_suite",
     "ALL_DESIGNS",
@@ -171,6 +174,31 @@ class RunOptions:
     params_label: str = DEFAULT_PARAMS_LABEL
 
 
+def parse_design(name) -> DesignKind:
+    try:
+        return DesignKind(name)
+    except ValueError:
+        valid = ", ".join(k.value for k in ALL_DESIGNS)
+        raise ConfigError(f"unknown design '{name}' (valid: {valid})") from None
+
+
+def parse_designs(names) -> tuple[DesignKind, ...]:
+    """Distinct design names, from a config's `designs` or `--designs`."""
+    if not isinstance(names, list) or not names:
+        raise ConfigError("designs must be a non-empty array")
+    designs = tuple(parse_design(d) for d in names)
+    for d in designs:
+        if designs.count(d) > 1:
+            raise ConfigError(f"design '{d.value}' is listed more than once")
+    return designs
+
+
+def parse_channel_scale(value) -> float:
+    if not isinstance(value, (int, float)) or not 0 < value <= 1:
+        raise ConfigError("channel_scale must be in (0, 1]")
+    return float(value)
+
+
 _TOP_KEYS = {"layers", "cost_params", "seed", "channel_scale", "designs",
              "critical_path_mode", "notes"}
 _LAYER_KEYS = {"name", "input", "kernel", "stride", "crop"}
@@ -258,22 +286,9 @@ def load_config(path) -> tuple[list[BenchmarkEntry], CostParams, RunOptions]:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         opts.seed = seed
     if "channel_scale" in raw:
-        f = raw["channel_scale"]
-        if not isinstance(f, (int, float)) or not 0 < f <= 1:
-            raise ConfigError("channel_scale must be in (0, 1]")
-        opts.channel_scale = float(f)
+        opts.channel_scale = parse_channel_scale(raw["channel_scale"])
     if "designs" in raw:
-        designs = raw["designs"]
-        if not isinstance(designs, list) or not designs:
-            raise ConfigError("designs must be a non-empty array")
-        parsed = []
-        for d in designs:
-            try:
-                parsed.append(DesignKind(d))
-            except ValueError:
-                valid = ", ".join(k.value for k in ALL_DESIGNS)
-                raise ConfigError(f"unknown design '{d}' (valid: {valid})") from None
-        opts.designs = tuple(parsed)
+        opts.designs = parse_designs(raw["designs"])
     if "critical_path_mode" in raw:
         mode = raw["critical_path_mode"]
         if mode not in ("max", "sum"):
@@ -328,6 +343,8 @@ def run_suite(
     evaluated analytically at the full declared dimensions.  Entry i uses
     generator seed (seed + i); the kernel is drawn before the inputs.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     params = params or CostParams()
     designs = tuple(DesignKind(d) for d in designs)
     baseline = DesignKind.ZERO_PADDING if DesignKind.ZERO_PADDING in designs else None

@@ -28,6 +28,9 @@ from .bench import (
     RunOptions,
     builtin_benchmarks,
     load_config,
+    parse_channel_scale,
+    parse_design,
+    parse_designs,
     run_suite,
 )
 from .costmodel import (
@@ -37,7 +40,6 @@ from .costmodel import (
     summary_csv_rows,
 )
 from .dataflow import build_schedule, dump_schedule_lines
-from .mapping import DesignKind
 from .tensor import DeconvLayerSpec, output_shape, zero_redundancy_ratio
 
 ENV_CONFIG = "RED_SIM_CONFIG"
@@ -75,15 +77,9 @@ def _resolve_config(args) -> tuple[list, CostParams, RunOptions]:
     if getattr(args, "seed", None) is not None:
         opts.seed = args.seed
     if getattr(args, "channel_scale", None) is not None:
-        if not 0 < args.channel_scale <= 1:
-            raise ConfigError("channel_scale must be in (0, 1]")
-        opts.channel_scale = args.channel_scale
+        opts.channel_scale = parse_channel_scale(args.channel_scale)
     if getattr(args, "designs", None):
-        try:
-            opts.designs = tuple(DesignKind(d) for d in args.designs.split(","))
-        except ValueError:
-            valid = ", ".join(k.value for k in ALL_DESIGNS)
-            raise ConfigError(f"unknown design in --designs (valid: {valid})") from None
+        opts.designs = parse_designs(args.designs.split(","))
     return entries, params, opts
 
 
@@ -133,6 +129,8 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     entries, params, opts = _resolve_config(args)
     reports = run_suite(
         entries,
@@ -234,12 +232,7 @@ def _find_layer(name: str, entries) -> DeconvLayerSpec:
 def cmd_dump_schedule(args) -> int:
     entries, _, _ = _resolve_config(args)
     spec = _find_layer(args.layer, entries)
-    try:
-        design = DesignKind(args.design)
-    except ValueError:
-        valid = ", ".join(k.value for k in ALL_DESIGNS)
-        raise ConfigError(f"unknown design '{args.design}' (valid: {valid})") from None
-    schedule = build_schedule(spec, design)
+    schedule = build_schedule(spec, parse_design(args.design))
     text = "\n".join(dump_schedule_lines(schedule)) + "\n"
     _write_text(args.out, text)
     return EXIT_OK

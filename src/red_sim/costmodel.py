@@ -28,7 +28,7 @@ comparison ranges next to the computed values so the trends can be eyeballed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 
 from .dataflow import ExecutionTrace
 from .mapping import DesignKind, MappingPlan
@@ -37,9 +37,7 @@ from .tensor import DeconvLayerSpec
 __all__ = [
     "CostParams",
     "DEFAULT_PARAMS_LABEL",
-    "LatencyBreakdown",
-    "EnergyBreakdown",
-    "AreaBreakdown",
+    "Breakdown",
     "CostBreakdown",
     "DesignComparison",
     "ComparisonReport",
@@ -127,95 +125,60 @@ class CostParams:
                 raise ValueError(f"unknown cost parameter: '{key}'")
         return cls(**overrides)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _lg(x: int) -> int:
     """Logic-depth proxy: max(1, ceil(log2(x)))."""
     return max(1, math.ceil(math.log2(x))) if x > 1 else 1
 
 
-_LAT_KEYS = ("wd", "bd", "dec", "mux", "rc", "sa")
-_EN_KEYS = ("c", "wd", "bd", "dec", "mux", "rc", "sa")
-_AREA_KEYS = ("array", "wd", "bd", "dec", "mux", "rc", "sa")
+# one of each per physical crossbar: wordline and bitline drivers, decoder,
+# mux, read circuits, shift-adders
+_CIRCUITS = ("wd", "bd", "dec", "mux", "rc", "sa")
+
+# Array-part membership per metric; every other component is periphery.
+# Driving the lines costs latency and energy inside the array, but the
+# driver circuits themselves are periphery area.
+_ARRAY_PART = {
+    "latency": ("wd", "bd"),
+    "energy": ("c", "wd", "bd"),
+    "area": ("array",),
+}
+METRICS = tuple(_ARRAY_PART)
 
 
 @dataclass(frozen=True)
-class LatencyBreakdown:
-    wd: float
-    bd: float
-    dec: float
-    mux: float
-    rc: float
-    sa: float
+class Breakdown:
+    """One metric split into named components, in report order.
+
+    Components read as attributes (`b.wd`).  The array and periphery parts
+    and the total are left-to-right sums in component order, so they add up
+    exactly the same way in every report.
+    """
+
+    metric: str
+    components: dict[str, float]
+
+    def __getattr__(self, name):
+        comps = self.__dict__.get("components", {})
+        if name in comps:
+            return comps[name]
+        raise AttributeError(name)
 
     @property
     def array_part(self) -> float:
-        return self.wd + self.bd
+        return sum(v for k, v in self.components.items() if k in _ARRAY_PART[self.metric])
 
     @property
     def periphery_part(self) -> float:
-        return self.dec + self.mux + self.rc + self.sa
+        return sum(v for k, v in self.components.items() if k not in _ARRAY_PART[self.metric])
 
     @property
     def total(self) -> float:
         return self.array_part + self.periphery_part
 
-    def components(self) -> dict[str, float]:
-        return {k: getattr(self, k) for k in _LAT_KEYS}
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    c: float
-    wd: float
-    bd: float
-    dec: float
-    mux: float
-    rc: float
-    sa: float
-
-    @property
-    def array_part(self) -> float:
-        return self.c + self.wd + self.bd
-
-    @property
-    def periphery_part(self) -> float:
-        return self.dec + self.mux + self.rc + self.sa
-
-    @property
-    def total(self) -> float:
-        return self.array_part + self.periphery_part
-
-    def components(self) -> dict[str, float]:
-        return {k: getattr(self, k) for k in _EN_KEYS}
-
-
-@dataclass(frozen=True)
-class AreaBreakdown:
-    array: float
-    wd: float
-    bd: float
-    dec: float
-    mux: float
-    rc: float
-    sa: float
-
-    @property
-    def array_part(self) -> float:
-        return self.array
-
-    @property
-    def periphery_part(self) -> float:
-        return self.wd + self.bd + self.dec + self.mux + self.rc + self.sa
-
-    @property
-    def total(self) -> float:
-        return self.array_part + self.periphery_part
-
-    def components(self) -> dict[str, float]:
-        return {k: getattr(self, k) for k in _AREA_KEYS}
+    def as_dict(self) -> dict[str, float]:
+        return {**self.components, "array_part": self.array_part,
+                "periphery_part": self.periphery_part, "total": self.total}
 
 
 @dataclass(frozen=True)
@@ -224,9 +187,9 @@ class CostBreakdown:
     layer: str
     spec: DeconvLayerSpec
     cycle_count: int
-    latency: LatencyBreakdown
-    energy: EnergyBreakdown
-    area: AreaBreakdown
+    latency: Breakdown
+    energy: Breakdown
+    area: Breakdown
     notes: str = "ideal signed cells; negative weights stored directly"
 
 
@@ -246,7 +209,7 @@ def latency_of(
     plan: MappingPlan,
     params: CostParams,
     critical_path_mode: str = "max",
-) -> LatencyBreakdown:
+) -> Breakdown:
     """Total latency per the two-part breakdown.
 
     In "max" mode each active cycle costs the critical path over the active
@@ -256,7 +219,7 @@ def latency_of(
     if critical_path_mode not in ("max", "sum"):
         raise ValueError(f"critical_path_mode must be 'max' or 'sum', got {critical_path_mode!r}")
 
-    comp = {k: 0.0 for k in _LAT_KEYS}
+    comp = {k: 0.0 for k in _CIRCUITS}
     if critical_path_mode == "max":
         # every design here activates identically shaped arrays in a cycle,
         # so the per-cycle critical path is the costliest array in the plan
@@ -268,7 +231,7 @@ def latency_of(
             if total > best_total:
                 best, best_total = cand, total
         if best is not None:
-            for k in _LAT_KEYS:
+            for k in _CIRCUITS:
                 comp[k] = best[k] * trace.active_cycle_count
     else:
         acts = trace.vmm_activations_per_crossbar
@@ -279,7 +242,7 @@ def latency_of(
                 continue
             logical = int(acts[n]) // tiles
             cand = _per_activation_latency(max(row_sizes), max(col_sizes), params)
-            for k in _LAT_KEYS:
+            for k in _CIRCUITS:
                 comp[k] += cand[k] * logical
 
     post = trace.post_ops.total_values
@@ -287,10 +250,10 @@ def latency_of(
     comp["sa"] += params.t_sa * post
 
     bs = params.bit_serial_cycles
-    return LatencyBreakdown(**{k: v * bs for k, v in comp.items()})
+    return Breakdown("latency", {k: v * bs for k, v in comp.items()})
 
 
-def energy_of(trace: ExecutionTrace, plan: MappingPlan, params: CostParams) -> EnergyBreakdown:
+def energy_of(trace: ExecutionTrace, plan: MappingPlan, params: CostParams) -> Breakdown:
     """Total energy per the two-part breakdown; zero-vector assignments
     contribute nothing."""
     wd = bd = 0.0
@@ -312,30 +275,24 @@ def energy_of(trace: ExecutionTrace, plan: MappingPlan, params: CostParams) -> E
 
     post = trace.post_ops.total_values
     bs = params.bit_serial_cycles
-    return EnergyBreakdown(
-        c=params.e_cell * trace.cell_activations * bs,
-        wd=wd * bs,
-        bd=bd * bs,
-        dec=params.e_dec * trace.input_bits_driven * bs,
-        mux=params.e_mux * trace.output_values_read * bs,
-        rc=params.e_rc * (trace.output_values_read + post) * bs,
-        sa=params.e_sa * (trace.output_values_read + trace.adds_performed + post) * bs,
-    )
+    return Breakdown("energy", {
+        "c": params.e_cell * trace.cell_activations * bs,
+        "wd": wd * bs,
+        "bd": bd * bs,
+        "dec": params.e_dec * trace.input_bits_driven * bs,
+        "mux": params.e_mux * trace.output_values_read * bs,
+        "rc": params.e_rc * (trace.output_values_read + post) * bs,
+        "sa": params.e_sa * (trace.output_values_read + trace.adds_performed + post) * bs,
+    })
 
 
-def area_of(plan: MappingPlan, params: CostParams) -> AreaBreakdown:
+def area_of(plan: MappingPlan, params: CostParams) -> Breakdown:
     """Array area from physical cells (design-invariant for a fixed kernel),
     periphery area from the plan's instance inventory port counts."""
-    inv = plan.periphery_inventory
-    return AreaBreakdown(
-        array=params.a_cell * plan.cell_count,
-        wd=params.a_wd * inv["wd"].ports,
-        bd=params.a_bd * inv["bd"].ports,
-        dec=params.a_dec * inv["dec"].ports,
-        mux=params.a_mux * inv["mux"].ports,
-        rc=params.a_rc * inv["rc"].ports,
-        sa=params.a_sa * inv["sa"].ports,
-    )
+    comp = {"array": params.a_cell * plan.cell_count}
+    for k in _CIRCUITS:
+        comp[k] = getattr(params, f"a_{k}") * plan.periphery_inventory[k].ports
+    return Breakdown("area", comp)
 
 
 def cost_breakdown(
@@ -462,21 +419,11 @@ def breakdown_csv_rows(reports: list[ComparisonReport]) -> list[list[str]]:
     rows = [["design", "layer", "metric", "component", "value", "normalized"]]
     for report in reports:
         base = report.entries.get(report.baseline.value) if report.baseline else None
-        base_totals = (
-            {
-                "latency": base.breakdown.latency.total,
-                "energy": base.breakdown.energy.total,
-                "area": base.breakdown.area.total,
-            }
-            if base
-            else {}
-        )
         for name, entry in report.entries.items():
-            b = entry.breakdown
-            for metric, part in (("latency", b.latency), ("energy", b.energy), ("area", b.area)):
-                items = list(part.components().items()) + [("total", part.total)]
-                for component, value in items:
-                    denom = base_totals.get(metric)
+            for metric in METRICS:
+                part = getattr(entry.breakdown, metric)
+                denom = getattr(base.breakdown, metric).total if base else None
+                for component, value in [*part.components.items(), ("total", part.total)]:
                     norm = None if not denom else value / denom
                     rows.append([name, report.layer, metric, component, str(value), _fmt(norm)])
     return rows
@@ -526,12 +473,7 @@ def report_to_dict(report: ComparisonReport) -> dict:
         b = entry.breakdown
         out["designs"][name] = {
             "cycle_count": entry.cycle_count,
-            "latency": {**b.latency.components(), "array_part": b.latency.array_part,
-                        "periphery_part": b.latency.periphery_part, "total": b.latency.total},
-            "energy": {**b.energy.components(), "array_part": b.energy.array_part,
-                       "periphery_part": b.energy.periphery_part, "total": b.energy.total},
-            "area": {**b.area.components(), "array_part": b.area.array_part,
-                     "periphery_part": b.area.periphery_part, "total": b.area.total},
+            **{metric: getattr(b, metric).as_dict() for metric in METRICS},
             "normalized": {
                 "latency": entry.normalized_latency,
                 "energy": entry.normalized_energy,

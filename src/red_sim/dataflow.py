@@ -28,11 +28,13 @@ Cycles advance row-major over output tiles, so traces are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .mapping import DesignKind, MappingPlan
-from .tensor import DeconvLayerSpec, Tensor3, dilate_and_pad, output_shape
+from .tensor import (DeconvLayerSpec, Tensor3, _check_input, check_int64_bound,
+                     dilate_and_pad, output_shape, overlap_add_crop)
 
 __all__ = [
     "InputKind",
@@ -280,12 +282,7 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
 
 
 def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSchedule:
-    design = DesignKind(design)
-    if design is DesignKind.ZERO_PADDING:
-        return schedule_zero_padding(spec)
-    if design is DesignKind.PADDING_FREE:
-        return schedule_padding_free(spec)
-    return schedule_zero_skipping(spec, folded=design is DesignKind.RED_FOLDED)
+    return _DESIGNS[DesignKind(design)][0](spec)
 
 
 def validate_schedule(schedule: CycleSchedule):
@@ -434,21 +431,10 @@ def execute(
     """
     _check_pair(plan, schedule)
     spec = schedule.layer
-    if input.shape != (spec.input_h, spec.input_w, spec.channels):
-        raise ValueError(
-            f"input shape {input.shape} does not match layer "
-            f"({spec.input_h}, {spec.input_w}, {spec.channels})"
-        )
-
-    design = plan.design
-    if design is DesignKind.ZERO_PADDING:
-        out = _run_zero_padding(plan, schedule, input)
-    elif design is DesignKind.PADDING_FREE:
-        out = _run_padding_free(plan, schedule, input)
-    elif design is DesignKind.RED:
-        out = _run_pixel_wise(plan, schedule, input, folded=False)
-    else:
-        out = _run_pixel_wise(plan, schedule, input, folded=True)
+    _check_input(input, spec)
+    check_int64_bound(input.data, [x.weights for x in plan.crossbars],
+                      spec.kh * spec.kw * spec.channels)
+    out = _DESIGNS[plan.design][1](plan, schedule, input)
     return Tensor3(out), trace_of_schedule(schedule, plan)
 
 
@@ -479,25 +465,14 @@ def _run_zero_padding(plan, schedule, input, gather_budget=4_000_000):
 
 def _run_padding_free(plan, schedule, input):
     spec = schedule.layer
-    s = spec.stride
-    oh, ow, m = output_shape(spec)
-    kh, kw = spec.kh, spec.kw
+    # one cycle per input pixel in row-major order drives the wide array,
+    # whose columns are laid out as overlap_add_crop expects
     flat = input.data.reshape(spec.input_h * spec.input_w, spec.channels)
-    w = plan.crossbars[0].weights
-    res = (flat @ w).reshape(spec.input_h, spec.input_w, kh * kw, m)
-    canvas = np.zeros((spec.full_h, spec.full_w, m), dtype=res.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            canvas[
-                i : i + spec.dilated_h : s,
-                j : j + spec.dilated_w : s,
-                :,
-            ] += res[:, :, i * kw + j, :]
-    out = canvas[spec.crop_top : spec.crop_top + oh, spec.crop_left : spec.crop_left + ow, :]
-    return np.ascontiguousarray(out)
+    return overlap_add_crop(flat @ plan.crossbars[0].weights, spec)
 
 
-def _run_pixel_wise(plan, schedule, input, folded: bool):
+def _run_pixel_wise(plan, schedule, input):
+    folded = plan.design is DesignKind.RED_FOLDED
     spec = schedule.layer
     oh, ow, m = output_shape(spec)
     c = spec.channels
@@ -539,6 +514,15 @@ def _run_pixel_wise(plan, schedule, input, folded: bool):
             # tiles produce distinct pixels, so these group ids are unique
             acc[gids] += out
     return acc.reshape(oh, ow, m)
+
+
+# per design: schedule builder, runner
+_DESIGNS = {
+    DesignKind.ZERO_PADDING: (schedule_zero_padding, _run_zero_padding),
+    DesignKind.PADDING_FREE: (schedule_padding_free, _run_padding_free),
+    DesignKind.RED: (schedule_zero_skipping, _run_pixel_wise),
+    DesignKind.RED_FOLDED: (partial(schedule_zero_skipping, folded=True), _run_pixel_wise),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor import DeconvLayerSpec, Kernel4, rotate180
+from .tensor import DeconvLayerSpec, Kernel4, _check_kernel, rotate180
 
 __all__ = [
     "DesignKind",
@@ -50,9 +50,6 @@ class DesignKind(str, Enum):
 
     def __str__(self):
         return self.value
-
-
-PERIPHERY_COMPONENTS = ("wd", "bd", "dec", "mux", "rc", "sa")
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class SubCrossbarTensor:
     filters: int
     subs: list[CrossbarMatrix]
     folded: bool = False
-    layer_spec: DeconvLayerSpec | None = None
 
     def __post_init__(self):
         kk = self.kh * self.kw
@@ -161,8 +157,6 @@ class MappingPlan:
 
     design: DesignKind
     crossbars: list[CrossbarMatrix]
-    row_semantics: str
-    col_semantics: str
     kernel_dims: tuple[int, int, int, int]
     sct: SubCrossbarTensor | None = None
     max_rows: int | None = None
@@ -202,16 +196,6 @@ class MappingPlan:
     def col_tiles(self, index: int) -> int:
         return len(self.tile_grids[index][1])
 
-    def largest_tile(self) -> tuple[int, int]:
-        best = (0, 0)
-        best_key = -1
-        for xbar, (row_sizes, col_sizes) in zip(self.crossbars, self.tile_grids):
-            r, c = max(row_sizes), max(col_sizes)
-            if r * c > best_key:
-                best_key = r * c
-                best = (r, c)
-        return best
-
     def stored_values(self) -> np.ndarray:
         """All meaningful stored weight values (fold padding excluded)."""
         if self.sct is not None and self.sct.folded:
@@ -236,8 +220,6 @@ def map_zero_padding(kernel: Kernel4, max_rows: int | None = None,
     return MappingPlan(
         design=DesignKind.ZERO_PADDING,
         crossbars=[xbar],
-        row_semantics="row = i*kw*C + j*C + c over kernel position (i, j) and channel c",
-        col_semantics="col = m (filter index)",
         kernel_dims=(kh, kw, c, m),
         max_rows=max_rows,
         max_cols=max_cols,
@@ -254,16 +236,13 @@ def map_padding_free(kernel: Kernel4, max_rows: int | None = None,
     return MappingPlan(
         design=DesignKind.PADDING_FREE,
         crossbars=[xbar],
-        row_semantics="row = c (channel index)",
-        col_semantics="col = (i*kw + j)*M + m over rotated-kernel position (i, j) and filter m",
         kernel_dims=(kh, kw, c, m),
         max_rows=max_rows,
         max_cols=max_cols,
     )
 
 
-def map_pixel_wise(kernel: Kernel4,
-                   layer_spec: DeconvLayerSpec | None = None) -> SubCrossbarTensor:
+def map_pixel_wise(kernel: Kernel4) -> SubCrossbarTensor:
     """Pixel-wise layout: sub-crossbar i*kw + j holds kernel slice (i, j)."""
     kh, kw, c, m = kernel.shape
     subs = [
@@ -271,7 +250,7 @@ def map_pixel_wise(kernel: Kernel4,
         for i in range(kh)
         for j in range(kw)
     ]
-    return SubCrossbarTensor(kh, kw, c, m, subs, folded=False, layer_spec=layer_spec)
+    return SubCrossbarTensor(kh, kw, c, m, subs, folded=False)
 
 
 def fold_area_efficient(sct: SubCrossbarTensor) -> SubCrossbarTensor:
@@ -292,23 +271,14 @@ def fold_area_efficient(sct: SubCrossbarTensor) -> SubCrossbarTensor:
         else:
             bottom = np.zeros_like(top)
         subs.append(CrossbarMatrix(2 * c, m, np.vstack([top, bottom])))
-    return SubCrossbarTensor(
-        sct.kh, sct.kw, c, m, subs, folded=True, layer_spec=sct.layer_spec
-    )
+    return SubCrossbarTensor(sct.kh, sct.kw, c, m, subs, folded=True)
 
 
 def plan_from_sct(sct: SubCrossbarTensor, max_rows: int | None = None,
                   max_cols: int | None = None) -> MappingPlan:
-    design = DesignKind.RED_FOLDED if sct.folded else DesignKind.RED
-    if sct.folded:
-        rows = "row = c for original sub 2n, C + c for original sub 2n+1"
-    else:
-        rows = "row = c (channel index); sub n = i*kw + j selects kernel position"
     return MappingPlan(
-        design=design,
+        design=DesignKind.RED_FOLDED if sct.folded else DesignKind.RED,
         crossbars=list(sct.subs),
-        row_semantics=rows,
-        col_semantics="col = m (filter index)",
         kernel_dims=(sct.kh, sct.kw, sct.channels, sct.filters),
         sct=sct,
         max_rows=max_rows,
@@ -320,13 +290,17 @@ def build_plan(kernel: Kernel4, design: DesignKind | str,
                layer_spec: DeconvLayerSpec | None = None,
                max_rows: int | None = None,
                max_cols: int | None = None) -> MappingPlan:
-    """Construct the weight layout for any of the four design variants."""
+    """Construct the weight layout for any of the four design variants.
+
+    A given `layer_spec` must match the kernel's shape."""
+    if layer_spec is not None:
+        _check_kernel(kernel, layer_spec)
     design = DesignKind(design)
     if design is DesignKind.ZERO_PADDING:
         return map_zero_padding(kernel, max_rows, max_cols)
     if design is DesignKind.PADDING_FREE:
         return map_padding_free(kernel, max_rows, max_cols)
-    sct = map_pixel_wise(kernel, layer_spec)
+    sct = map_pixel_wise(kernel)
     if design is DesignKind.RED_FOLDED:
         sct = fold_area_efficient(sct)
     return plan_from_sct(sct, max_rows, max_cols)

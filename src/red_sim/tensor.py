@@ -32,6 +32,8 @@ __all__ = [
     "rotate180",
     "deconv_oracle_zero_padding",
     "deconv_oracle_padding_free",
+    "overlap_add_crop",
+    "check_int64_bound",
     "zero_redundancy_ratio",
 ]
 
@@ -209,16 +211,10 @@ class DeconvLayerSpec:
     def full_w(self) -> int:
         return self.stride * (self.input_w - 1) + self.kw
 
-    def is_upsampling(self) -> bool:
-        return self.output_h >= self.input_h and self.output_w >= self.input_w
-
 
 def output_shape(spec: DeconvLayerSpec) -> tuple[int, int, int]:
     """(output_h, output_w, filters) implied by the layer hyper-parameters."""
-    oh, ow = spec.output_h, spec.output_w
-    if oh < 1 or ow < 1:
-        raise ValueError(f"computed output size {oh}x{ow} must be >= 1x1")
-    return oh, ow, spec.filters
+    return spec.output_h, spec.output_w, spec.filters
 
 
 def _check_input(input: Tensor3, spec: DeconvLayerSpec):
@@ -234,6 +230,27 @@ def _check_kernel(kernel: Kernel4, spec: DeconvLayerSpec):
         raise ValueError(
             f"kernel shape {kernel.shape} does not match layer "
             f"({spec.kh}, {spec.kw}, {spec.channels}, {spec.filters})"
+        )
+
+
+def _abs_max(a: np.ndarray) -> int:
+    # max and min instead of np.abs: no array-sized temporary
+    return max(int(a.max()), -int(a.min()))
+
+
+def check_int64_bound(data: np.ndarray, weights: list[np.ndarray], terms: int):
+    """Refuse integer operands whose sums of `terms` products could wrap.
+
+    max|x| * max|w| * terms <= 2^63 - 1 bounds every partial sum, so int64
+    results are exact; a silent wrap could otherwise pass as agreement
+    between two equally wrong routes.  Float data is not checked.
+    """
+    if data.dtype.kind != "i" or any(w.dtype.kind != "i" for w in weights):
+        return
+    bound = _abs_max(data) * max(_abs_max(w) for w in weights) * terms
+    if bound > np.iinfo(np.int64).max:
+        raise OverflowError(
+            f"int64 overflow possible: max|x| * max|w| * {terms} = {bound} > 2^63 - 1"
         )
 
 
@@ -272,6 +289,7 @@ def conv2d_valid(image: Tensor3, kernel: Kernel4) -> Tensor3:
     oh = image.height - kernel.kh + 1
     ow = image.width - kernel.kw + 1
     img, w = image.data, kernel.data
+    check_int64_bound(img, [w], kernel.kh * kernel.kw * kernel.channels)
     out = np.zeros((oh * ow, kernel.filters), dtype=np.result_type(img, w))
     for i in range(kernel.kh):
         for j in range(kernel.kw):
@@ -296,6 +314,24 @@ def deconv_oracle_zero_padding(
     return out
 
 
+def overlap_add_crop(products: np.ndarray, spec: DeconvLayerSpec) -> np.ndarray:
+    """The padding-free route's post pass.
+
+    Row a*input_w + b of `products` holds input pixel (a, b)'s products,
+    column (i*kw + j)*filters + m for kernel position (i, j) and filter m.
+    Each kernel position's block is added onto full-canvas position
+    (a*stride + i, b*stride + j), and the canvas is then cropped.
+    """
+    s = spec.stride
+    blocks = products.reshape(spec.input_h, spec.input_w, spec.kh, spec.kw, spec.filters)
+    canvas = np.zeros((spec.full_h, spec.full_w, spec.filters), dtype=products.dtype)
+    for i in range(spec.kh):
+        for j in range(spec.kw):
+            canvas[i : i + spec.dilated_h : s, j : j + spec.dilated_w : s] += blocks[:, :, i, j]
+    top, left = spec.crop_top, spec.crop_left
+    return np.ascontiguousarray(canvas[top : top + spec.output_h, left : left + spec.output_w])
+
+
 def deconv_oracle_padding_free(
     input: Tensor3, kernel: Kernel4, spec: DeconvLayerSpec
 ) -> Tensor3:
@@ -309,27 +345,11 @@ def deconv_oracle_padding_free(
     """
     _check_input(input, spec)
     _check_kernel(kernel, spec)
-    s = spec.stride
     rot = rotate180(kernel).data
     flat = input.data.reshape(spec.input_h * spec.input_w, spec.channels)
-    full = np.zeros(
-        (spec.full_h, spec.full_w, spec.filters), dtype=np.result_type(flat, rot)
-    )
-    for i in range(spec.kh):
-        for j in range(spec.kw):
-            block = (flat @ rot[i, j]).reshape(spec.input_h, spec.input_w, spec.filters)
-            full[
-                i : i + spec.dilated_h : s,
-                j : j + spec.dilated_w : s,
-                :,
-            ] += block
-    oh, ow, _ = output_shape(spec)
-    cropped = full[
-        spec.crop_top : spec.crop_top + oh,
-        spec.crop_left : spec.crop_left + ow,
-        :,
-    ]
-    return Tensor3(np.ascontiguousarray(cropped))
+    check_int64_bound(flat, [rot], spec.kh * spec.kw * spec.channels)
+    products = flat @ rot.transpose(2, 0, 1, 3).reshape(spec.channels, -1)
+    return Tensor3(overlap_add_crop(products, spec))
 
 
 # ---------------------------------------------------------------------------

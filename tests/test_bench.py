@@ -153,6 +153,8 @@ def test_config_validates_options(tmp_path):
         load_config(write_config(tmp_path, {"channel_scale": 0}))
     with pytest.raises(ConfigError, match="unknown design"):
         load_config(write_config(tmp_path, {"designs": ["reds"]}, name="c2.json"))
+    with pytest.raises(ConfigError, match="'red' is listed more than once"):
+        load_config(write_config(tmp_path, {"designs": ["red", "red"]}, name="c4.json"))
     with pytest.raises(ConfigError, match="kernel channel count"):
         load_config(write_config(tmp_path, {
             "layers": [{"name": "x", "input": [2, 2, 3], "kernel": [2, 2, 4, 1], "stride": 2}],
@@ -253,3 +255,9 @@ def test_run_suite_catches_broken_design(monkeypatch):
 def test_run_suite_invalid_channel_scale():
     with pytest.raises(ValueError, match="channel_scale"):
         run_suite(builtin_benchmarks()[:1], channel_scale=0.0, trials=1)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_suite_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_suite(builtin_benchmarks()[:1], channel_scale=1 / 128, trials=trials)

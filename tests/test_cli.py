@@ -115,6 +115,21 @@ def test_run_corrupt_config_exit_2(tmp_path, capsys):
     assert "stride" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_run_rejects_nonpositive_trials_exit_2(toy_config, trials, capsys):
+    assert main(["run", "--config", toy_config, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "--trials must be >= 1" in captured.err
+    assert "all checks passed" not in captured.out
+
+
+def test_run_rejects_repeated_design_exit_2(toy_config, capsys):
+    assert main(["run", "--config", toy_config, "--trials", "1", "--designs", "red,red"]) == 2
+    captured = capsys.readouterr()
+    assert "'red' is listed more than once" in captured.err
+    assert "all checks passed" not in captured.out
+
+
 def test_run_env_var_config(toy_config, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RED_SIM_CONFIG", toy_config)
     assert main(["run", "--trials", "1"]) == 0

@@ -2,7 +2,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from red_sim.dataflow import (
     Half,
@@ -22,9 +22,11 @@ from red_sim.tensor import (
     DeconvLayerSpec,
     Kernel4,
     Tensor3,
+    deconv_oracle_padding_free,
     deconv_oracle_zero_padding,
     output_shape,
     rotate180,
+    zero_redundancy_ratio,
 )
 
 RNG = np.random.default_rng(99)
@@ -264,6 +266,15 @@ def test_execute_rejects_mismatches():
         execute(plan, good_sched, Tensor3(np.zeros((4, 4, 3))))
 
 
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_execute_refuses_int64_overflow(design):
+    # 2^40 * 2^30 = 2^70 wraps to 0 in int64, which the oracles would match
+    spec = DeconvLayerSpec(1, 1, 1, 1, 1, 1, 1)
+    plan = build_plan(Kernel4(np.full((1, 1, 1, 1), 2**30)), design, spec)
+    with pytest.raises(OverflowError, match="int64"):
+        execute(plan, build_schedule(spec, design), Tensor3(np.full((1, 1, 1), 2**40)))
+
+
 def test_execute_with_tiled_plan():
     spec = DeconvLayerSpec(4, 4, 6, 3, 3, 5, 2)
     t, k = rand_pair(spec, seed=31)
@@ -371,26 +382,44 @@ def test_dump_deterministic():
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def layer_specs(draw, max_channels=3):
+    """Valid layers over the whole crop space, strides up to 7."""
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    crops = [draw(st.integers(0, k - 1)) for k in (kh, kh, kw, kw)]
+    c, m = draw(st.integers(1, max_channels)), draw(st.integers(1, max_channels))
+    ih, iw, s = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    try:
+        return DeconvLayerSpec(ih, iw, c, kh, kw, m, s, *crops)
+    except ValueError:
+        assume(False)  # vanishing output, not a valid layer
+
+
 @settings(max_examples=50, deadline=None)
 @given(
-    ih=st.integers(1, 4), iw=st.integers(1, 4),
-    kh=st.integers(1, 4), kw=st.integers(1, 4),
-    s=st.integers(1, 3), c=st.integers(1, 3), m=st.integers(1, 3),
-    ct=st.integers(0, 3), cl=st.integers(0, 3),
+    spec=layer_specs(),
     design=st.sampled_from(list(DesignKind)),
     seed=st.integers(0, 2**31),
 )
-def test_execute_equivalence_property(ih, iw, kh, kw, s, c, m, ct, cl, design, seed):
-    ct, cl = min(ct, kh - 1), min(cl, kw - 1)
-    try:
-        spec = DeconvLayerSpec(ih, iw, c, kh, kw, m, s, ct, 0, cl, 0)
-    except ValueError:
-        return
+def test_execute_equivalence_property(spec, design, seed):
     rng = np.random.default_rng(seed)
-    t = Tensor3(rng.integers(-8, 9, (ih, iw, c)))
-    k = Kernel4(rng.integers(-8, 9, (kh, kw, c, m)))
+    t = Tensor3(rng.integers(-8, 9, (spec.input_h, spec.input_w, spec.channels)))
+    k = Kernel4(rng.integers(-8, 9, (spec.kh, spec.kw, spec.channels, spec.filters)))
     plan = build_plan(k, design, spec)
     sched = build_schedule(spec, design)
     validate_schedule(sched)
     got, _ = execute(plan, sched, t)
     assert np.array_equal(got.data, deconv_oracle_zero_padding(t, k, spec).data)
+    assert np.array_equal(got.data, deconv_oracle_padding_free(t, k, spec).data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=layer_specs(max_channels=1),
+       design=st.sampled_from([DesignKind.RED, DesignKind.RED_FOLDED]))
+def test_live_assignments_match_redundancy_property(spec, design):
+    # zero skipping drives exactly the kernel slots that the zero-padding
+    # route would feed an original pixel
+    sched = build_schedule(spec, design)
+    live = int((sched.kind != InputKind.ZERO).sum())
+    slots = spec.output_h * spec.output_w * spec.kh * spec.kw
+    assert live == round((1 - zero_redundancy_ratio(spec)) * slots)

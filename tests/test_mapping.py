@@ -11,7 +11,7 @@ from red_sim.mapping import (
     map_zero_padding,
     vmm,
 )
-from red_sim.tensor import Kernel4, rotate180
+from red_sim.tensor import DeconvLayerSpec, Kernel4, rotate180
 
 RNG = np.random.default_rng(77)
 
@@ -253,3 +253,10 @@ def test_tiling_partitions_cells_and_inventory():
     tiles = list(plan.physical_arrays())
     assert sum(t.cells for t in tiles) == plan.cell_count
     assert max(t.rows for t in tiles) <= 128 and max(t.cols for t in tiles) <= 32
+
+
+def test_build_plan_checks_kernel_against_layer():
+    spec = DeconvLayerSpec(4, 4, 3, 3, 3, 2, 2)
+    build_plan(rand_kernel(3, 3, 3, 2), DesignKind.RED, spec)
+    with pytest.raises(ValueError, match="kernel shape"):
+        build_plan(rand_kernel(3, 3, 2, 2), DesignKind.RED, spec)

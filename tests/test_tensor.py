@@ -6,6 +6,7 @@ from red_sim.tensor import (
     DeconvLayerSpec,
     Kernel4,
     Tensor3,
+    check_int64_bound,
     conv2d_valid,
     deconv_oracle_padding_free,
     deconv_oracle_zero_padding,
@@ -252,6 +253,29 @@ def test_impulse_offset_property():
     want = np.zeros(out.shape, dtype=np.int64)
     want[3 * a : 3 * a + 2, 3 * b : 3 * b + 2, :] = rotate180(k).data[:, :, ch, :]
     assert np.array_equal(out.data, want)
+
+
+def test_oracles_refuse_int64_overflow():
+    # 2^40 * 2^30 = 2^70 wraps to 0 in int64, on which both routes would agree
+    spec = DeconvLayerSpec(1, 1, 1, 1, 1, 1, 1)
+    t = Tensor3(np.full((1, 1, 1), 2**40))
+    k = Kernel4(np.full((1, 1, 1, 1), 2**30))
+    for oracle in (deconv_oracle_zero_padding, deconv_oracle_padding_free):
+        with pytest.raises(OverflowError, match="int64"):
+            oracle(t, k, spec)
+
+
+def test_int64_bound_edges():
+    top = np.iinfo(np.int64).max
+    check_int64_bound(np.array([top]), [np.array([-1])], 1)
+    check_int64_bound(np.array([2**31]), [np.array([2**31 - 1])], 2)
+    with pytest.raises(OverflowError):
+        check_int64_bound(np.array([2**31]), [np.array([2**31])], 2)
+    with pytest.raises(OverflowError):  # |int64 min| itself exceeds the bound
+        check_int64_bound(np.array([np.iinfo(np.int64).min]), [np.array([1])], 1)
+    with pytest.raises(OverflowError):  # largest magnitude in any weight array
+        check_int64_bound(np.array([2**40]), [np.array([1]), np.array([-2**30])], 1)
+    check_int64_bound(np.array([2.0**40]), [np.array([2.0**30])], 1)  # floats not checked
 
 
 def test_padding_free_1x1_kernel_channel_mixing():
