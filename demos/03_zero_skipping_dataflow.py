@@ -20,6 +20,7 @@ from red_sim import (
     execute,
     partition_modes,
     schedule_zero_skipping,
+    trace_of_schedule,
 )
 from red_sim.dataflow import InputKind
 
@@ -52,7 +53,9 @@ for cycle in (0, 1):
 rng = np.random.default_rng(11)
 x = Tensor3(rng.integers(-4, 5, (4, 4, 2)))
 k = Kernel4(rng.integers(-4, 5, (3, 3, 2, 2)))
-out, trace = execute(build_plan(k, "red", spec), sched, x)
+plan = build_plan(k, "red", spec)
+out = execute(plan, sched, x)
+trace = trace_of_schedule(sched, plan)
 want = deconv_oracle_zero_padding(x, k, spec)
 print(f"\nmatches oracle: {np.array_equal(out.data, want.data)}")
 print(f"activations: {trace.vmm_activations} of {9 * trace.cycle_count} slots "

@@ -26,8 +26,6 @@ from .mapping import (
     SubCrossbarTensor,
     MappingPlan,
     vmm,
-    map_zero_padding,
-    map_padding_free,
     map_pixel_wise,
     fold_area_efficient,
     build_plan,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .costmodel import (
     compare,
     cost_breakdown,
 )
-from .dataflow import build_schedule, execute, trace_of_schedule
-from .mapping import DesignKind, build_plan
+from .dataflow import build_schedule, execute, trace_of_schedule, validate_schedule
+from .mapping import DesignKind, MappingPlan, build_plan
 from .tensor import DeconvLayerSpec, Kernel4, Tensor3, deconv_oracle_zero_padding, output_shape
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "parse_design",
     "parse_designs",
     "parse_channel_scale",
+    "parse_seed",
     "scale_channels",
     "run_suite",
     "ALL_DESIGNS",
@@ -199,6 +200,13 @@ def parse_channel_scale(value) -> float:
     return float(value)
 
 
+def parse_seed(value) -> int:
+    """A seed from a config's `seed` or `--seed`: an unsigned 64-bit integer."""
+    if not isinstance(value, int) or not 0 <= value <= _MASK64:
+        raise ConfigError("seed must be an unsigned 64-bit integer")
+    return value
+
+
 _TOP_KEYS = {"layers", "cost_params", "seed", "channel_scale", "designs",
              "critical_path_mode", "notes"}
 _LAYER_KEYS = {"name", "input", "kernel", "stride", "crop"}
@@ -281,10 +289,7 @@ def load_config(path) -> tuple[list[BenchmarkEntry], CostParams, RunOptions]:
 
     opts = RunOptions(params_label=label)
     if "seed" in raw:
-        seed = raw["seed"]
-        if not isinstance(seed, int) or seed < 0 or seed > _MASK64:
-            raise ConfigError("seed must be an unsigned 64-bit integer")
-        opts.seed = seed
+        opts.seed = parse_seed(raw["seed"])
     if "channel_scale" in raw:
         opts.channel_scale = parse_channel_scale(raw["channel_scale"])
     if "designs" in raw:
@@ -306,15 +311,8 @@ def scale_channels(spec: DeconvLayerSpec, factor: float) -> DeconvLayerSpec:
     """Shrink channel and filter counts by `factor` (ceil, minimum 1)."""
     if not 0 < factor <= 1:
         raise ValueError("channel_scale must be in (0, 1]")
-    return DeconvLayerSpec(
-        input_h=spec.input_h, input_w=spec.input_w,
-        channels=max(1, math.ceil(spec.channels * factor)),
-        kh=spec.kh, kw=spec.kw,
-        filters=max(1, math.ceil(spec.filters * factor)),
-        stride=spec.stride,
-        crop_top=spec.crop_top, crop_bottom=spec.crop_bottom,
-        crop_left=spec.crop_left, crop_right=spec.crop_right,
-    )
+    return replace(spec, channels=max(1, math.ceil(spec.channels * factor)),
+                   filters=max(1, math.ceil(spec.filters * factor)))
 
 
 def _diff_summary(got: np.ndarray, want: np.ndarray, limit: int = 3) -> str:
@@ -342,6 +340,10 @@ def run_suite(
     match the zero-padding oracle element-exactly, and cost breakdowns are
     evaluated analytically at the full declared dimensions.  Entry i uses
     generator seed (seed + i); the kernel is drawn before the inputs.
+
+    Each (entry, design) gets one validated schedule.  It depends on the
+    spatial geometry only, so it serves every trial and, traced once on a
+    full-size geometry-only plan, the cost side.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -362,23 +364,19 @@ def run_suite(
 
         breakdowns = {}
         for design in designs:
-            plan = build_plan(kernel, design, scaled)
             schedule = build_schedule(scaled, design)
+            validate_schedule(schedule)
+            plan = build_plan(kernel, design, scaled)
             for t, (tensor, want) in enumerate(zip(inputs, oracles)):
-                got, _ = execute(plan, schedule, tensor)
+                got = execute(plan, schedule, tensor)
                 if not np.array_equal(got.data, want.data):
                     raise EquivalenceError(
                         f"{entry.name} / {design.value} / trial {t}: "
                         + _diff_summary(got.data, want.data)
                     )
-            # cost side: full declared dimensions, weights irrelevant to counts
-            full_kernel = Kernel4(
-                np.zeros((entry.spec.kh, entry.spec.kw, entry.spec.channels,
-                          entry.spec.filters), dtype=np.int64)
-            )
-            full_plan = build_plan(full_kernel, design, entry.spec)
-            full_schedule = build_schedule(entry.spec, design)
-            trace = trace_of_schedule(full_schedule, full_plan)
+            # cost side: full declared dimensions, which need no weights
+            full_plan = MappingPlan(design, entry.spec.kernel_shape)
+            trace = trace_of_schedule(schedule, full_plan)
             breakdowns[design] = cost_breakdown(
                 trace, full_plan, params, layer=entry.name, spec=entry.spec,
                 critical_path_mode=critical_path_mode,

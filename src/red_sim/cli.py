@@ -31,6 +31,7 @@ from .bench import (
     parse_channel_scale,
     parse_design,
     parse_designs,
+    parse_seed,
     run_suite,
 )
 from .costmodel import (
@@ -75,7 +76,7 @@ def _resolve_config(args) -> tuple[list, CostParams, RunOptions]:
     else:
         entries, params, opts = builtin_benchmarks(), CostParams(), RunOptions()
     if getattr(args, "seed", None) is not None:
-        opts.seed = args.seed
+        opts.seed = parse_seed(args.seed)
     if getattr(args, "channel_scale", None) is not None:
         opts.channel_scale = parse_channel_scale(args.channel_scale)
     if getattr(args, "designs", None):

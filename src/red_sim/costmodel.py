@@ -1,7 +1,8 @@
 """Latency / energy / area aggregation and design comparison.
 
-Costs aggregate an execution trace and a mapping plan into per-component
-breakdowns:
+Costs aggregate an execution trace and a mapping plan's geometry (array
+shapes, tile grids, periphery inventory; never its weights) into
+per-component breakdowns:
 
     L_total = (L_wd + L_bd)_array + (L_dec + L_mux + L_rc + L_sa)_periphery
     E_total = (E_c + E_wd + E_bd)_array + (E_dec + E_mux + E_rc + E_sa)_periphery
@@ -224,8 +225,7 @@ def latency_of(
         # every design here activates identically shaped arrays in a cycle,
         # so the per-cycle critical path is the costliest array in the plan
         best, best_total = None, -1.0
-        for n in range(len(plan.crossbars)):
-            row_sizes, col_sizes = plan.tile_grids[n]
+        for row_sizes, col_sizes in plan.tile_grids:
             cand = _per_activation_latency(max(row_sizes), max(col_sizes), params)
             total = sum(cand.values())
             if total > best_total:
@@ -235,8 +235,7 @@ def latency_of(
                 comp[k] = best[k] * trace.active_cycle_count
     else:
         acts = trace.vmm_activations_per_crossbar
-        for n in range(len(plan.crossbars)):
-            row_sizes, col_sizes = plan.tile_grids[n]
+        for n, (row_sizes, col_sizes) in enumerate(plan.tile_grids):
             tiles = len(row_sizes) * len(col_sizes)
             if tiles == 0 or acts[n] == 0:
                 continue
@@ -258,8 +257,7 @@ def energy_of(trace: ExecutionTrace, plan: MappingPlan, params: CostParams) -> B
     contribute nothing."""
     wd = bd = 0.0
     acts = trace.vmm_activations_per_crossbar
-    for n in range(len(plan.crossbars)):
-        row_sizes, col_sizes = plan.tile_grids[n]
+    for n, (row_sizes, col_sizes) in enumerate(plan.tile_grids):
         tiles = len(row_sizes) * len(col_sizes)
         if tiles == 0 or acts[n] == 0:
             continue

@@ -23,6 +23,11 @@ C..2C-1 with the odd original sub's input.
 Output pixels are produced once each; the members of an output pixel's
 accumulation group are exactly the sub-crossbars of its computation mode.
 Cycles advance row-major over output tiles, so traces are reproducible.
+
+A schedule depends on the spatial geometry only, never on C, M or data, so
+one schedule per layer and design serves every input (`execute`, which
+returns the output alone) and the activity counts (`trace_of_schedule`,
+taken once per plan and schedule).
 """
 
 from __future__ import annotations
@@ -286,14 +291,16 @@ def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSche
 
 
 def validate_schedule(schedule: CycleSchedule):
-    """Schema checks: one VMM per crossbar per cycle, sane cycle indices,
-    one accumulation group per output pixel."""
-    if len(schedule.cycle):
-        if schedule.cycle.min() < 0 or schedule.cycle.max() >= schedule.cycle_count:
-            raise ValueError("assignment cycle index out of range")
-        pair = schedule.cycle * (schedule.crossbar.max() + 1) + schedule.crossbar
-        if len(np.unique(pair)) != len(pair):
-            raise ValueError("a crossbar is assigned more than once in a cycle")
+    """Schema checks in O(n): assignments strictly ordered by (cycle,
+    crossbar), so one VMM per crossbar per cycle; sane cycle and crossbar
+    indices; one accumulation group per output pixel."""
+    cycle, crossbar = schedule.cycle, schedule.crossbar
+    if len(cycle):
+        if cycle.min() < 0 or cycle.max() >= schedule.cycle_count or crossbar.min() < 0:
+            raise ValueError("assignment cycle or crossbar index out of range")
+        pair = cycle * (int(crossbar.max()) + 1) + crossbar
+        if (np.diff(pair) <= 0).any():
+            raise ValueError("assignments not in strictly increasing (cycle, crossbar) order")
     oh, ow, _ = output_shape(schedule.layer)
     if schedule.has_post_ops:
         if schedule.group_count != 0:
@@ -303,8 +310,10 @@ def validate_schedule(schedule: CycleSchedule):
         raise ValueError(
             f"expected one group per output pixel ({oh * ow}), got {schedule.group_count}"
         )
-    coords = schedule.group_y.astype(np.int64) * ow + schedule.group_x
-    if len(np.unique(coords)) != len(coords):
+    gy, gx = schedule.group_y, schedule.group_x
+    if gy.min() < 0 or gy.max() >= oh or gx.min() < 0 or gx.max() >= ow:
+        raise ValueError("group output pixel out of range")
+    if np.bincount(gy.astype(np.int64) * ow + gx, minlength=oh * ow).max() > 1:
         raise ValueError("an output pixel appears in more than one group")
 
 
@@ -345,14 +354,19 @@ class ExecutionTrace:
 
 
 def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTrace:
-    """Activity counts implied by a schedule on a plan, independent of data."""
-    _check_pair(plan, schedule)
+    """Activity counts implied by a schedule on a plan, independent of data.
+
+    The schedule supplies the spatial geometry and the plan C, M and the
+    array shapes, so a schedule built at scaled channels traces the
+    full-size plan exactly like one built at full channels; a geometry-only
+    plan suffices.
+    """
+    _check_pair(plan, schedule, dims=2)
     c = plan.kernel_dims[2]
-    n_xbar = len(plan.crossbars)
-    rows = np.array([x.rows for x in plan.crossbars], dtype=np.int64)
-    cols = np.array([x.cols for x in plan.crossbars], dtype=np.int64)
-    row_tiles = np.array([plan.row_tiles(n) for n in range(n_xbar)], dtype=np.int64)
-    col_tiles = np.array([plan.col_tiles(n) for n in range(n_xbar)], dtype=np.int64)
+    n_xbar = len(plan.shapes)
+    rows, cols = np.array(plan.shapes, dtype=np.int64).T
+    row_tiles, col_tiles = np.array([(len(r), len(k)) for r, k in plan.tile_grids],
+                                    dtype=np.int64).T
 
     live = schedule.kind != InputKind.ZERO
     xb = schedule.crossbar[live]
@@ -374,7 +388,7 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
         m_cols = plan.kernel_dims[3]
         group_adds = int(np.maximum(members - 1, 0).sum()) * m_cols
 
-    active_cycles = int(len(np.unique(schedule.cycle[live])))
+    active_cycles = int(np.count_nonzero(np.bincount(schedule.cycle[live])))
 
     post = PostOpCounts()
     if schedule.has_post_ops:
@@ -404,38 +418,37 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
 # ---------------------------------------------------------------------------
 
 
-def _check_pair(plan: MappingPlan, schedule: CycleSchedule):
+def _check_pair(plan: MappingPlan, schedule: CycleSchedule, dims: int):
+    """Same design, and the first `dims` kernel dimensions of plan and layer
+    agree: (kh, kw) for a trace, which takes C and M from the plan; all
+    four for execution."""
     if plan.design is not schedule.design:
         raise ValueError(
             f"plan design {plan.design} does not match schedule design {schedule.design}"
         )
-    kh, kw, c, m = plan.kernel_dims
-    spec = schedule.layer
-    if (kh, kw, c, m) != (spec.kh, spec.kw, spec.channels, spec.filters):
-        raise ValueError(
-            f"plan kernel dims {(kh, kw, c, m)} do not match layer "
-            f"{(spec.kh, spec.kw, spec.channels, spec.filters)}"
-        )
+    have, want = plan.kernel_dims[:dims], schedule.layer.kernel_shape[:dims]
+    if have != want:
+        raise ValueError(f"plan kernel dims {have} do not match layer {want}")
 
 
-def execute(
-    plan: MappingPlan, schedule: CycleSchedule, input: Tensor3
-) -> tuple[Tensor3, ExecutionTrace]:
+def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tensor3:
     """Run every cycle's VMMs and sum the accumulation groups.
 
     The functional result equals the zero-padding oracle element-exactly in
     integer mode.  VMMs are evaluated in batched form per crossbar, which is
     arithmetic-identical to cycle order (integer adds commute); an array
     size cap changes only the trace accounting, since row/column tiles of a
-    matrix partition its product exactly.
+    matrix partition its product exactly.  Activity counts do not depend on
+    the input: take them once per (plan, schedule) with `trace_of_schedule`.
     """
-    _check_pair(plan, schedule)
+    _check_pair(plan, schedule, dims=4)
     spec = schedule.layer
+    if plan.crossbars is None:
+        raise ValueError("a geometry-only plan holds no weights to execute")
     _check_input(input, spec)
     check_int64_bound(input.data, [x.weights for x in plan.crossbars],
                       spec.kh * spec.kw * spec.channels)
-    out = _DESIGNS[plan.design][1](plan, schedule, input)
-    return Tensor3(out), trace_of_schedule(schedule, plan)
+    return Tensor3(_DESIGNS[plan.design][1](plan, schedule, input))
 
 
 def _run_zero_padding(plan, schedule, input, gather_budget=4_000_000):
@@ -465,10 +478,15 @@ def _run_zero_padding(plan, schedule, input, gather_budget=4_000_000):
 
 def _run_padding_free(plan, schedule, input):
     spec = schedule.layer
-    # one cycle per input pixel in row-major order drives the wide array,
-    # whose columns are laid out as overlap_add_crop expects
+    # each cycle drives the wide array, whose columns are laid out as
+    # overlap_add_crop expects, with input pixel (a, b); its product row
+    # lands on row a*input_w + b
+    w = plan.crossbars[0].weights
     flat = input.data.reshape(spec.input_h * spec.input_w, spec.channels)
-    return overlap_add_crop(flat @ plan.crossbars[0].weights, spec)
+    src = schedule.src_a.astype(np.int64) * spec.input_w + schedule.src_b
+    products = np.zeros((len(flat), w.shape[1]), dtype=np.result_type(flat, w))
+    products[src] = flat[src] @ w
+    return overlap_add_crop(products, spec)
 
 
 def _run_pixel_wise(plan, schedule, input):

@@ -15,6 +15,11 @@ trading time for periphery area.
 
 Cells store signed values exactly; differential-pair or bit-sliced cell
 encodings are left to the cost model's coefficients.
+
+The array shapes, and so tile grids, cell count and periphery inventory,
+follow from the design and (kh, kw, C, M) alone: one table holds each
+design's shapes and weight layout, and a plan built without weights is
+all that costing needs.
 """
 
 from __future__ import annotations
@@ -33,11 +38,8 @@ __all__ = [
     "PortCount",
     "MappingPlan",
     "vmm",
-    "map_zero_padding",
-    "map_padding_free",
     "map_pixel_wise",
     "fold_area_efficient",
-    "plan_from_sct",
     "build_plan",
 ]
 
@@ -65,10 +67,6 @@ class CrossbarMatrix:
             raise ValueError(
                 f"weights shape {self.weights.shape} != ({self.rows}, {self.cols})"
             )
-
-    @property
-    def cells(self) -> int:
-        return self.rows * self.cols
 
 
 def vmm(xbar: CrossbarMatrix, input: np.ndarray) -> np.ndarray:
@@ -120,13 +118,15 @@ class PortCount:
     ports: int
 
 
-def _inventory(crossbars: list[CrossbarMatrix]) -> dict[str, PortCount]:
+def _inventory(tile_grids) -> dict[str, PortCount]:
     """One driver bank, decoder, mux, read-circuit bank and shift-adder bank
-    per physical crossbar; input-side ports scale with rows, output-side
-    with columns."""
-    n = len(crossbars)
-    rows = sum(x.rows for x in crossbars)
-    cols = sum(x.cols for x in crossbars)
+    per physical tile; input-side ports scale with rows, output-side with
+    columns."""
+    n = rows = cols = 0
+    for row_sizes, col_sizes in tile_grids:
+        n += len(row_sizes) * len(col_sizes)
+        rows += sum(row_sizes) * len(col_sizes)
+        cols += sum(col_sizes) * len(row_sizes)
     return {
         "wd": PortCount(n, rows),
         "dec": PortCount(n, rows),
@@ -148,98 +148,68 @@ def _split_sizes(total: int, cap: int | None) -> list[int]:
 class MappingPlan:
     """How one design's weights occupy crossbar cells.
 
-    `crossbars` are the logical arrays the schedules address.  When an
-    optional physical array size cap is applied, each logical array splits
-    into a grid of tiles; a logical activation then activates every tile,
-    column tiles concatenate and row tiles contribute partial sums.  The
-    default leaves arrays at their logical size.
+    `shapes` are the (rows, cols) of the logical arrays the schedules
+    address; the design and `kernel_dims` fix them.  `crossbars` holds
+    their weights, or is None in a geometry-only plan, which is all the
+    trace and the cost model read.  When an optional physical array size
+    cap is applied, each logical array splits into a grid of tiles
+    (`tile_grids`); a logical activation then activates every tile, column
+    tiles concatenate and row tiles contribute partial sums.  The default
+    leaves arrays at their logical size.
     """
 
     design: DesignKind
-    crossbars: list[CrossbarMatrix]
     kernel_dims: tuple[int, int, int, int]
-    sct: SubCrossbarTensor | None = None
+    crossbars: list[CrossbarMatrix] | None = None
     max_rows: int | None = None
     max_cols: int | None = None
-    tile_grids: list[tuple[list[int], list[int]]] = field(default_factory=list)
-    periphery_inventory: dict[str, PortCount] = field(default_factory=dict)
+    shapes: list[tuple[int, int]] = field(init=False)
+    tile_grids: list[tuple[list[int], list[int]]] = field(init=False)
+    periphery_inventory: dict[str, PortCount] = field(init=False)
 
     def __post_init__(self):
+        self.design = DesignKind(self.design)
         if self.max_rows is not None and self.max_rows < 1:
             raise ValueError("max_rows must be >= 1")
         if self.max_cols is not None and self.max_cols < 1:
             raise ValueError("max_cols must be >= 1")
+        self.shapes = _DESIGNS[self.design][0](*self.kernel_dims)
+        if (self.crossbars is not None
+                and [(x.rows, x.cols) for x in self.crossbars] != self.shapes):
+            raise ValueError(f"layout arrays do not match the {self.design} shapes "
+                             f"of kernel {self.kernel_dims}")
         self.tile_grids = [
-            (_split_sizes(x.rows, self.max_rows), _split_sizes(x.cols, self.max_cols))
-            for x in self.crossbars
+            (_split_sizes(rows, self.max_rows), _split_sizes(cols, self.max_cols))
+            for rows, cols in self.shapes
         ]
-        self.periphery_inventory = _inventory(list(self.physical_arrays()))
-
-    def physical_arrays(self):
-        """Yield (rows, cols) of every physical tile as lightweight crossbars."""
-        for xbar, (row_sizes, col_sizes) in zip(self.crossbars, self.tile_grids):
-            r0 = 0
-            for rs in row_sizes:
-                c0 = 0
-                for cs in col_sizes:
-                    yield CrossbarMatrix(rs, cs, xbar.weights[r0 : r0 + rs, c0 : c0 + cs])
-                    c0 += cs
-                r0 += rs
+        self.periphery_inventory = _inventory(self.tile_grids)
 
     @property
     def cell_count(self) -> int:
-        return sum(x.cells for x in self.crossbars)
-
-    def row_tiles(self, index: int) -> int:
-        return len(self.tile_grids[index][0])
-
-    def col_tiles(self, index: int) -> int:
-        return len(self.tile_grids[index][1])
+        return sum(rows * cols for rows, cols in self.shapes)
 
     def stored_values(self) -> np.ndarray:
         """All meaningful stored weight values (fold padding excluded)."""
-        if self.sct is not None and self.sct.folded:
-            c = self.sct.channels
-            kk = self.sct.kh * self.sct.kw
-            halves = []
-            for n, sub in enumerate(self.sct.subs):
-                halves.append(sub.weights[:c])
-                if 2 * n + 1 < kk:
-                    halves.append(sub.weights[c:])
-            return np.concatenate([h.ravel() for h in halves])
-        return np.concatenate([x.weights.ravel() for x in self.crossbars])
+        values = np.concatenate([x.weights.ravel() for x in self.crossbars])
+        kh, kw, c, m = self.kernel_dims
+        if self.design is DesignKind.RED_FOLDED and kh * kw % 2:
+            return values[: -c * m]  # the last folded sub's zero high half
+        return values
 
 
-def map_zero_padding(kernel: Kernel4, max_rows: int | None = None,
-                     max_cols: int | None = None) -> MappingPlan:
-    """Spread each filter into one column: (kh*kw*C) rows x M columns,
-    row index i*kw*C + j*C + c."""
+def _zero_padding_layout(kernel: Kernel4) -> list[CrossbarMatrix]:
+    """Each filter spread into one column: (kh*kw*C) rows x M columns, row
+    index i*kw*C + j*C + c."""
     kh, kw, c, m = kernel.shape
-    weights = kernel.data.reshape(kh * kw * c, m)
-    xbar = CrossbarMatrix(kh * kw * c, m, weights)
-    return MappingPlan(
-        design=DesignKind.ZERO_PADDING,
-        crossbars=[xbar],
-        kernel_dims=(kh, kw, c, m),
-        max_rows=max_rows,
-        max_cols=max_cols,
-    )
+    return [CrossbarMatrix(kh * kw * c, m, kernel.data.reshape(kh * kw * c, m))]
 
 
-def map_padding_free(kernel: Kernel4, max_rows: int | None = None,
-                     max_cols: int | None = None) -> MappingPlan:
+def _padding_free_layout(kernel: Kernel4) -> list[CrossbarMatrix]:
     """One wide array of C rows x (kh*kw*M) columns holding the rotated
     kernel, column index (i*kw + j)*M + m."""
     kh, kw, c, m = kernel.shape
     weights = rotate180(kernel).data.transpose(2, 0, 1, 3).reshape(c, kh * kw * m)
-    xbar = CrossbarMatrix(c, kh * kw * m, np.ascontiguousarray(weights))
-    return MappingPlan(
-        design=DesignKind.PADDING_FREE,
-        crossbars=[xbar],
-        kernel_dims=(kh, kw, c, m),
-        max_rows=max_rows,
-        max_cols=max_cols,
-    )
+    return [CrossbarMatrix(c, kh * kw * m, np.ascontiguousarray(weights))]
 
 
 def map_pixel_wise(kernel: Kernel4) -> SubCrossbarTensor:
@@ -274,33 +244,26 @@ def fold_area_efficient(sct: SubCrossbarTensor) -> SubCrossbarTensor:
     return SubCrossbarTensor(sct.kh, sct.kw, c, m, subs, folded=True)
 
 
-def plan_from_sct(sct: SubCrossbarTensor, max_rows: int | None = None,
-                  max_cols: int | None = None) -> MappingPlan:
-    return MappingPlan(
-        design=DesignKind.RED_FOLDED if sct.folded else DesignKind.RED,
-        crossbars=list(sct.subs),
-        kernel_dims=(sct.kh, sct.kw, sct.channels, sct.filters),
-        sct=sct,
-        max_rows=max_rows,
-        max_cols=max_cols,
-    )
+# per design: logical crossbar shapes from (kh, kw, C, M), weight layout
+_DESIGNS = {
+    DesignKind.ZERO_PADDING: (lambda kh, kw, c, m: [(kh * kw * c, m)], _zero_padding_layout),
+    DesignKind.PADDING_FREE: (lambda kh, kw, c, m: [(c, kh * kw * m)], _padding_free_layout),
+    DesignKind.RED: (lambda kh, kw, c, m: [(c, m)] * (kh * kw),
+                     lambda kernel: map_pixel_wise(kernel).subs),
+    DesignKind.RED_FOLDED: (lambda kh, kw, c, m: [(2 * c, m)] * ((kh * kw + 1) // 2),
+                            lambda kernel: fold_area_efficient(map_pixel_wise(kernel)).subs),
+}
 
 
 def build_plan(kernel: Kernel4, design: DesignKind | str,
                layer_spec: DeconvLayerSpec | None = None,
                max_rows: int | None = None,
                max_cols: int | None = None) -> MappingPlan:
-    """Construct the weight layout for any of the four design variants.
+    """Lay the kernel's weights out for any of the four design variants.
 
-    A given `layer_spec` must match the kernel's shape."""
+    A given `layer_spec` must match the kernel's shape.  For the geometry
+    alone, build `MappingPlan(design, spec.kernel_shape)`."""
     if layer_spec is not None:
         _check_kernel(kernel, layer_spec)
     design = DesignKind(design)
-    if design is DesignKind.ZERO_PADDING:
-        return map_zero_padding(kernel, max_rows, max_cols)
-    if design is DesignKind.PADDING_FREE:
-        return map_padding_free(kernel, max_rows, max_cols)
-    sct = map_pixel_wise(kernel)
-    if design is DesignKind.RED_FOLDED:
-        sct = fold_area_efficient(sct)
-    return plan_from_sct(sct, max_rows, max_cols)
+    return MappingPlan(design, kernel.shape, _DESIGNS[design][1](kernel), max_rows, max_cols)

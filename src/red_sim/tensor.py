@@ -39,12 +39,16 @@ __all__ = [
 
 
 def _canonical(data, ndim: int, what: str) -> np.ndarray:
-    """Validate rank and dims >= 1; coerce to int64 (default) or float64."""
+    """Validate rank and dims >= 1; coerce to int64 (default) or float64.
+
+    Unsigned values int64 cannot hold are refused, not wrapped."""
     arr = np.asarray(data)
     if arr.ndim != ndim:
         raise ValueError(f"{what} must have {ndim} dimensions, got shape {arr.shape}")
     if any(d < 1 for d in arr.shape):
         raise ValueError(f"{what} dimensions must all be >= 1, got shape {arr.shape}")
+    if arr.dtype.kind == "u" and int(arr.max()) > np.iinfo(np.int64).max:
+        raise OverflowError(f"{what} holds unsigned values above 2^63 - 1")
     if arr.dtype.kind in "iub":
         return arr.astype(np.int64, copy=False)
     if arr.dtype.kind == "f":
@@ -163,6 +167,11 @@ class DeconvLayerSpec:
     # --- derived geometry -------------------------------------------------
 
     @property
+    def kernel_shape(self) -> tuple[int, int, int, int]:
+        """(kh, kw, channels, filters), the shape of the layer's kernel."""
+        return self.kh, self.kw, self.channels, self.filters
+
+    @property
     def output_h(self) -> int:
         return self.stride * (self.input_h - 1) + self.kh - self.crop_top - self.crop_bottom
 
@@ -226,11 +235,8 @@ def _check_input(input: Tensor3, spec: DeconvLayerSpec):
 
 
 def _check_kernel(kernel: Kernel4, spec: DeconvLayerSpec):
-    if kernel.shape != (spec.kh, spec.kw, spec.channels, spec.filters):
-        raise ValueError(
-            f"kernel shape {kernel.shape} does not match layer "
-            f"({spec.kh}, {spec.kw}, {spec.channels}, {spec.filters})"
-        )
+    if kernel.shape != spec.kernel_shape:
+        raise ValueError(f"kernel shape {kernel.shape} does not match layer {spec.kernel_shape}")
 
 
 def _abs_max(a: np.ndarray) -> int:

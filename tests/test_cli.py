@@ -130,6 +130,20 @@ def test_run_rejects_repeated_design_exit_2(toy_config, capsys):
     assert "all checks passed" not in captured.out
 
 
+@pytest.mark.parametrize("seed", ["-5", "18446744073709551616"])
+def test_run_rejects_seed_outside_uint64_exit_2(toy_config, seed, capsys):
+    assert main(["run", "--config", toy_config, "--trials", "1", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be an unsigned 64-bit integer" in captured.err
+    assert "all checks passed" not in captured.out
+
+
+def test_run_accepts_largest_seed(toy_config, capsys):
+    assert main(["run", "--config", toy_config, "--trials", "1",
+                 "--seed", "18446744073709551615"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_run_env_var_config(toy_config, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RED_SIM_CONFIG", toy_config)
     assert main(["run", "--trials", "1"]) == 0
@@ -142,10 +156,10 @@ def test_run_equivalence_failure_exit_1(toy_config, monkeypatch, capsys):
     real = bench_mod.execute
 
     def broken(plan, schedule, tensor):
-        out, trace = real(plan, schedule, tensor)
+        out = real(plan, schedule, tensor)
         bad = out.data.copy()
         bad.flat[0] += 1
-        return type(out)(bad), trace
+        return type(out)(bad)
 
     monkeypatch.setattr(bench_mod, "execute", broken)
     assert main(["run", "--config", toy_config, "--trials", "1"]) == 1

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from red_sim.bench import builtin_benchmarks
+from red_sim.bench import builtin_benchmarks, scale_channels
 from red_sim.costmodel import (
     CostParams,
     REFERENCE_COMPARISONS,
@@ -14,8 +14,8 @@ from red_sim.costmodel import (
     report_to_dict,
     summary_csv_rows,
 )
-from red_sim.dataflow import build_schedule, trace_of_schedule
-from red_sim.mapping import DesignKind, build_plan
+from red_sim.dataflow import ExecutionTrace, build_schedule, trace_of_schedule
+from red_sim.mapping import DesignKind, MappingPlan, build_plan
 from red_sim.tensor import DeconvLayerSpec, Kernel4
 
 RNG = np.random.default_rng(5)
@@ -44,6 +44,24 @@ def make(design, spec, params=None, mode="max"):
         trace, plan, params or CostParams(), layer="L", spec=spec,
         critical_path_mode=mode,
     )
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+@pytest.mark.parametrize("entry", builtin_benchmarks(), ids=lambda e: e.name)
+def test_scaled_schedule_on_geometry_plan_costs_like_full_size(entry, design):
+    # run_suite's cost path against the full-size schedule on a weighted plan
+    spec = entry.spec
+    scaled = trace_of_schedule(build_schedule(scale_channels(spec, 1 / 64), design),
+                               MappingPlan(design, spec.kernel_shape))
+    zero_plan = build_plan(Kernel4(np.zeros(spec.kernel_shape, dtype=np.int64)), design, spec)
+    full = trace_of_schedule(build_schedule(spec, design), zero_plan)
+    for f in dataclasses.fields(ExecutionTrace):
+        a, b = getattr(scaled, f.name), getattr(full, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+    for mode in ("max", "sum"):
+        assert (cost_breakdown(scaled, MappingPlan(design, spec.kernel_shape), CostParams(),
+                               entry.name, spec, mode)
+                == cost_breakdown(full, zero_plan, CostParams(), entry.name, spec, mode))
 
 
 def test_params_validation():

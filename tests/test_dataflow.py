@@ -1,3 +1,4 @@
+import dataclasses
 from collections import defaultdict
 
 import numpy as np
@@ -17,7 +18,7 @@ from red_sim.dataflow import (
     trace_of_schedule,
     validate_schedule,
 )
-from red_sim.mapping import DesignKind, build_plan
+from red_sim.mapping import DesignKind, MappingPlan, build_plan
 from red_sim.tensor import (
     DeconvLayerSpec,
     Kernel4,
@@ -159,6 +160,51 @@ def test_schedules_validate(design):
         validate_schedule(build_schedule(spec, design))
 
 
+def _swap_first_two(sched):
+    # cycle 0, crossbars 0 and 1 change places: no crossbar repeats, but the
+    # documented (cycle, crossbar) order is broken
+    order = np.arange(len(sched.cycle))
+    order[:2] = [1, 0]
+    cols = ("cycle", "crossbar", "kind", "src_a", "src_b", "half", "group_id")
+    return dataclasses.replace(sched, **{k: getattr(sched, k)[order] for k in cols})
+
+
+def _with_group_pixel(sched, column, index, value):
+    coords = getattr(sched, column).copy()
+    coords[index] = value
+    return dataclasses.replace(sched, **{column: coords})
+
+
+@pytest.mark.parametrize("design,corrupt,message", [
+    (DesignKind.RED, lambda s: dataclasses.replace(s, cycle=s.cycle - 1),
+     "index out of range"),
+    (DesignKind.RED, lambda s: dataclasses.replace(s, cycle_count=s.cycle_count - 1),
+     "index out of range"),
+    (DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=s.crossbar - 1),
+     "index out of range"),
+    (DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=np.zeros_like(s.crossbar)),
+     "strictly increasing"),
+    (DesignKind.RED_FOLDED, _swap_first_two, "strictly increasing"),
+    (DesignKind.PADDING_FREE,
+     lambda s: dataclasses.replace(s, group_cycle=np.zeros(1, dtype=np.int64)),
+     "must not carry accumulation groups"),
+    (DesignKind.ZERO_PADDING,
+     lambda s: dataclasses.replace(s, group_cycle=s.group_cycle[:-1]),
+     "one group per output pixel"),
+    (DesignKind.RED, lambda s: _with_group_pixel(s, "group_y", -1, TOY.output_h),
+     "group output pixel out of range"),
+    (DesignKind.RED, lambda s: _with_group_pixel(s, "group_x", 0, -1),
+     "group output pixel out of range"),
+    (DesignKind.RED, lambda s: _with_group_pixel(s, "group_x", 1, 0),
+     "more than one group"),
+])
+def test_validate_schedule_rejects(design, corrupt, message):
+    sched = build_schedule(TOY, design)
+    validate_schedule(sched)
+    with pytest.raises(ValueError, match=message):
+        validate_schedule(corrupt(sched))
+
+
 def test_zero_padding_schedule_structure():
     sched = schedule_zero_padding(TOY)
     oh, ow, _ = output_shape(TOY)
@@ -208,9 +254,9 @@ def test_execute_matches_oracle(design, name, spec):
     want = deconv_oracle_zero_padding(t, k, spec)
     plan = build_plan(k, design, spec)
     sched = build_schedule(spec, design)
-    got, trace = execute(plan, sched, t)
+    got = execute(plan, sched, t)
     assert np.array_equal(got.data, want.data)
-    assert trace.cycle_count == sched.cycle_count
+    assert trace_of_schedule(sched, plan).cycle_count == sched.cycle_count
 
 
 def test_impulse_through_red_schedule():
@@ -220,7 +266,7 @@ def test_impulse_through_red_schedule():
     t = Tensor3(data)
     _, k = rand_pair(spec, seed=5)
     plan = build_plan(k, DesignKind.RED, spec)
-    got, _ = execute(plan, schedule_zero_skipping(spec), t)
+    got = execute(plan, schedule_zero_skipping(spec), t)
     want = deconv_oracle_zero_padding(t, k, spec)
     assert np.array_equal(got.data, want.data)
     # placement: rotated slice for channel 0 at offset (2, 2) on the canvas
@@ -237,8 +283,10 @@ def test_folded_equals_unfolded_with_double_cycles():
     fold_plan = build_plan(k, DesignKind.RED_FOLDED, spec)
     plain_sched = schedule_zero_skipping(spec)
     fold_sched = schedule_zero_skipping(spec, folded=True)
-    a, tr_a = execute(plain_plan, plain_sched, t)
-    b, tr_b = execute(fold_plan, fold_sched, t)
+    a = execute(plain_plan, plain_sched, t)
+    b = execute(fold_plan, fold_sched, t)
+    tr_a = trace_of_schedule(plain_sched, plain_plan)
+    tr_b = trace_of_schedule(fold_sched, fold_plan)
     assert np.array_equal(a.data, b.data)
     assert tr_b.cycle_count == 2 * tr_a.cycle_count
     assert tr_b.vmm_activations == tr_a.vmm_activations
@@ -251,8 +299,43 @@ def test_execute_stride1_folded():
     t, k = rand_pair(spec, seed=21)
     want = deconv_oracle_zero_padding(t, k, spec)
     plan = build_plan(k, DesignKind.RED_FOLDED, spec)
-    got, _ = execute(plan, schedule_zero_skipping(spec, folded=True), t)
+    got = execute(plan, schedule_zero_skipping(spec, folded=True), t)
     assert np.array_equal(got.data, want.data)
+
+
+def test_padding_free_execution_follows_its_schedule():
+    spec = DeconvLayerSpec(3, 2, 2, 3, 3, 2, 2)  # non-square input
+    t, k = rand_pair(spec, seed=41)
+    plan = build_plan(k, DesignKind.PADDING_FREE, spec)
+    sched = schedule_padding_free(spec)
+    want = deconv_oracle_zero_padding(t, k, spec).data
+    assert np.array_equal(execute(plan, sched, t).data, want)
+    # visiting the pixels in another order gives the same output
+    perm = np.random.default_rng(0).permutation(len(sched.cycle))
+    shuffled = dataclasses.replace(sched, src_a=sched.src_a[perm], src_b=sched.src_b[perm])
+    assert np.array_equal(execute(plan, shuffled, t).data, want)
+    # swapped coordinates visit pixel (1, 0) twice and pixel (2, 1) never
+    swapped = dataclasses.replace(sched, src_a=sched.src_b, src_b=sched.src_a)
+    assert not np.array_equal(execute(plan, swapped, t).data, want)
+
+
+def test_trace_checks_design_and_kernel_extent_only():
+    # the trace takes C and M from the plan, so a schedule of any channel
+    # count traces a plan of the same design and kernel extent
+    sched = schedule_zero_skipping(TOY)
+    trace = trace_of_schedule(sched, MappingPlan(DesignKind.RED, (3, 3, 5, 7)))
+    assert trace.cell_activations == int((sched.kind != InputKind.ZERO).sum()) * 5 * 7
+    with pytest.raises(ValueError, match="design"):
+        trace_of_schedule(sched, MappingPlan(DesignKind.RED_FOLDED, (3, 3, 2, 2)))
+    with pytest.raises(ValueError, match="kernel dims"):
+        trace_of_schedule(sched, MappingPlan(DesignKind.RED, (3, 2, 2, 2)))
+    # execution still needs the layer's exact kernel and real weights
+    t, _ = rand_pair(TOY, seed=3)
+    wide = build_plan(Kernel4(np.zeros((3, 3, 5, 7), dtype=np.int64)), DesignKind.RED)
+    with pytest.raises(ValueError, match="kernel dims"):
+        execute(wide, sched, t)
+    with pytest.raises(ValueError, match="geometry-only"):
+        execute(MappingPlan(DesignKind.RED, TOY.kernel_shape), sched, t)
 
 
 def test_execute_rejects_mismatches():
@@ -280,7 +363,9 @@ def test_execute_with_tiled_plan():
     t, k = rand_pair(spec, seed=31)
     want = deconv_oracle_zero_padding(t, k, spec)
     plan = build_plan(k, DesignKind.ZERO_PADDING, spec, max_rows=16, max_cols=2)
-    got, trace = execute(plan, schedule_zero_padding(spec), t)
+    sched = schedule_zero_padding(spec)
+    got = execute(plan, sched, t)
+    trace = trace_of_schedule(sched, plan)
     assert np.array_equal(got.data, want.data)
     # 54 rows -> 4 row tiles, 5 cols -> 3 col tiles: 12 tiles per cycle
     assert trace.vmm_activations == trace.cycle_count * 12
@@ -408,7 +493,7 @@ def test_execute_equivalence_property(spec, design, seed):
     plan = build_plan(k, design, spec)
     sched = build_schedule(spec, design)
     validate_schedule(sched)
-    got, _ = execute(plan, sched, t)
+    got = execute(plan, sched, t)
     assert np.array_equal(got.data, deconv_oracle_zero_padding(t, k, spec).data)
     assert np.array_equal(got.data, deconv_oracle_padding_free(t, k, spec).data)
 

@@ -4,11 +4,10 @@ import pytest
 from red_sim.mapping import (
     CrossbarMatrix,
     DesignKind,
+    MappingPlan,
     build_plan,
     fold_area_efficient,
-    map_padding_free,
     map_pixel_wise,
-    map_zero_padding,
     vmm,
 )
 from red_sim.tensor import DeconvLayerSpec, Kernel4, rotate180
@@ -53,25 +52,25 @@ def test_vmm_length_mismatch():
 
 
 def test_map_zero_padding_trivial():
-    plan = map_zero_padding(Kernel4(np.array([[[[7]]]], dtype=np.int64)))
+    plan = build_plan(Kernel4(np.array([[[[7]]]], dtype=np.int64)), DesignKind.ZERO_PADDING)
     xbar = plan.crossbars[0]
     assert (xbar.rows, xbar.cols) == (1, 1)
     assert xbar.weights[0, 0] == 7
 
 
 def test_map_zero_padding_gan_like_dims():
-    plan = map_zero_padding(Kernel4(np.zeros((3, 3, 512, 256), dtype=np.int64)))
+    plan = build_plan(Kernel4(np.zeros((3, 3, 512, 256), dtype=np.int64)), DesignKind.ZERO_PADDING)
     assert (plan.crossbars[0].rows, plan.crossbars[0].cols) == (4608, 256)
 
 
 def test_map_zero_padding_gan_deconv1_dims():
-    plan = map_zero_padding(Kernel4(np.zeros((5, 5, 512, 256), dtype=np.int64)))
+    plan = build_plan(Kernel4(np.zeros((5, 5, 512, 256), dtype=np.int64)), DesignKind.ZERO_PADDING)
     assert (plan.crossbars[0].rows, plan.crossbars[0].cols) == (12800, 256)
 
 
 def test_map_zero_padding_row_layout():
     k = rand_kernel(2, 3, 4, 2)
-    w = map_zero_padding(k).crossbars[0].weights
+    w = build_plan(k, DesignKind.ZERO_PADDING).crossbars[0].weights
     for i in range(2):
         for j in range(3):
             for c in range(4):
@@ -85,21 +84,21 @@ def test_map_zero_padding_row_layout():
 
 
 def test_map_padding_free_fcn2_dims():
-    plan = map_padding_free(Kernel4(np.zeros((16, 16, 21, 21), dtype=np.int64)))
+    plan = build_plan(Kernel4(np.zeros((16, 16, 21, 21), dtype=np.int64)), DesignKind.PADDING_FREE)
     assert (plan.crossbars[0].rows, plan.crossbars[0].cols) == (21, 5376)
 
 
 def test_map_padding_free_equals_zero_padding_for_1x1():
     k = rand_kernel(1, 1, 5, 3)
     assert np.array_equal(
-        map_padding_free(k).crossbars[0].weights,
-        map_zero_padding(k).crossbars[0].weights,
+        build_plan(k, DesignKind.PADDING_FREE).crossbars[0].weights,
+        build_plan(k, DesignKind.ZERO_PADDING).crossbars[0].weights,
     )
 
 
 def test_map_padding_free_holds_rotated_kernel():
     k = rand_kernel(3, 2, 4, 3)
-    w = map_padding_free(k).crossbars[0].weights
+    w = build_plan(k, DesignKind.PADDING_FREE).crossbars[0].weights
     rot = rotate180(k).data
     for i in range(3):
         for j in range(2):
@@ -110,7 +109,8 @@ def test_map_padding_free_holds_rotated_kernel():
 
 def test_cell_count_equality():
     k = rand_kernel(3, 4, 5, 6)
-    assert map_zero_padding(k).cell_count == map_padding_free(k).cell_count == 3 * 4 * 5 * 6
+    zp = build_plan(k, DesignKind.ZERO_PADDING)
+    assert zp.cell_count == build_plan(k, DesignKind.PADDING_FREE).cell_count == 3 * 4 * 5 * 6
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +248,34 @@ def test_tiling_partitions_cells_and_inventory():
     k = rand_kernel(3, 3, 50, 40)
     plan = build_plan(k, DesignKind.ZERO_PADDING, max_rows=128, max_cols=32)
     assert plan.cell_count == 3 * 3 * 50 * 40
-    assert plan.row_tiles(0) == 4 and plan.col_tiles(0) == 2  # 450 rows, 40 cols
+    row_sizes, col_sizes = plan.tile_grids[0]
+    assert len(row_sizes) == 4 and len(col_sizes) == 2  # 450 rows, 40 cols
     assert plan.periphery_inventory["wd"].instances == 8
-    tiles = list(plan.physical_arrays())
-    assert sum(t.cells for t in tiles) == plan.cell_count
-    assert max(t.rows for t in tiles) <= 128 and max(t.cols for t in tiles) <= 32
+    assert sum(r * c for r in row_sizes for c in col_sizes) == plan.cell_count
+    assert max(row_sizes) <= 128 and max(col_sizes) <= 32
+
+
+@pytest.mark.parametrize("caps", [(None, None), (4, 3)])
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_geometry_plan_matches_weighted_plan(design, caps):
+    weighted = build_plan(rand_kernel(3, 3, 6, 4), design, None, *caps)
+    geometry = MappingPlan(design, (3, 3, 6, 4), None, *caps)
+    assert geometry.crossbars is None
+    assert geometry.shapes == weighted.shapes == [(x.rows, x.cols) for x in weighted.crossbars]
+    assert geometry.tile_grids == weighted.tile_grids
+    assert geometry.periphery_inventory == weighted.periphery_inventory
+    assert geometry.cell_count == weighted.cell_count
+    assert geometry.cell_count == sum(x.weights.size for x in weighted.crossbars)
+    if caps != (None, None):
+        assert any(len(r) * len(c) > 1 for r, c in geometry.tile_grids)
+
+
+def test_plan_rejects_layout_off_its_shapes():
+    subs = build_plan(rand_kernel(2, 2, 3, 4), DesignKind.RED).crossbars
+    with pytest.raises(ValueError, match="layout arrays"):
+        MappingPlan(DesignKind.RED_FOLDED, (2, 2, 3, 4), subs)
+    with pytest.raises(ValueError, match="layout arrays"):
+        MappingPlan(DesignKind.RED, (2, 2, 3, 4), subs[:-1])
 
 
 def test_build_plan_checks_kernel_against_layer():

@@ -278,6 +278,15 @@ def test_int64_bound_edges():
     check_int64_bound(np.array([2.0**40]), [np.array([2.0**30])], 1)  # floats not checked
 
 
+def test_unsigned_values_above_int64_refused():
+    # a uint64 2^63 would otherwise wrap to -2^63 in the int64 cast
+    top = np.iinfo(np.int64).max
+    for cls, ndim in ((Tensor3, 3), (Kernel4, 4)):
+        with pytest.raises(OverflowError, match="unsigned"):
+            cls(np.full((1,) * ndim, 2**63, dtype=np.uint64))
+        assert cls(np.full((1,) * ndim, top, dtype=np.uint64)).data.ravel()[0] == top
+
+
 def test_padding_free_1x1_kernel_channel_mixing():
     spec = DeconvLayerSpec(4, 4, 3, 1, 1, 2, 1)
     t = rand_tensor(4, 4, 3)
