@@ -8,7 +8,7 @@ periphery at the price of a second drive phase per cycle.
 
 import numpy as np
 
-from red_sim import Kernel4, build_plan, fold_area_efficient, map_pixel_wise, vmm
+from red_sim import Kernel4, build_plan, fold_area_efficient, map_pixel_wise
 from red_sim.mapping import DesignKind
 
 rng = np.random.default_rng(3)
@@ -20,22 +20,23 @@ print(f"kernel: {kh}x{kw}, {c} channels, {m} filters "
 
 for design in DesignKind:
     plan = build_plan(kernel, design)
-    shapes = {(x.rows, x.cols) for x in plan.crossbars}
+    shapes = {x.shape for x in plan.crossbars}
     inv = plan.periphery_inventory
     print(f"{design.value:13s} {len(plan.crossbars):3d} arrays of {shapes}, "
           f"{plan.cell_count} cells, "
           f"read ports {inv['rc'].ports}, wordline ports {inv['wd'].ports}")
 
-# the pixel-wise tensor is indexed by kernel position: sub n = i*kw + j
-sct = map_pixel_wise(kernel)
+# a crossbar is a plain weight array; the pixel-wise subs are indexed by
+# kernel position: sub n = i*kw + j
+subs = map_pixel_wise(kernel)
 print(f"\nsub-crossbar 5 holds kernel position (1, 2): "
-      f"{np.array_equal(sct.subs[1 * kw + 2].weights, kernel.data[1, 2])}")
+      f"{np.array_equal(subs[1 * kw + 2], kernel.data[1, 2])}")
 
 # folding stacks subs 2n and 2n+1; driving one half at a time reproduces
 # the original products (the second phase drives rows C..2C-1)
-folded = fold_area_efficient(sct)
+folded = fold_area_efficient(subs)
 x = rng.integers(-4, 5, c)
-lo = vmm(folded.subs[0], np.concatenate([x, np.zeros(c, dtype=np.int64)]))
+lo = np.concatenate([x, np.zeros(c, dtype=np.int64)]) @ folded[0]
 print(f"folded sub 0, low half driven == original sub 0 product: "
-      f"{np.array_equal(lo, vmm(sct.subs[0], x))}")
-print(f"9 subs fold into {folded.count} (odd count: last high half is zeros)")
+      f"{np.array_equal(lo, x @ subs[0])}")
+print(f"9 subs fold into {len(folded)} (odd count: last high half is zeros)")

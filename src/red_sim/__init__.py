@@ -22,10 +22,7 @@ from .tensor import (
 )
 from .mapping import (
     DesignKind,
-    CrossbarMatrix,
-    SubCrossbarTensor,
     MappingPlan,
-    vmm,
     map_pixel_wise,
     fold_area_efficient,
     build_plan,

@@ -194,15 +194,20 @@ def parse_designs(names) -> tuple[DesignKind, ...]:
     return designs
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: `bool` is an `int` in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_channel_scale(value) -> float:
-    if not isinstance(value, (int, float)) or not 0 < value <= 1:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
         raise ConfigError("channel_scale must be in (0, 1]")
     return float(value)
 
 
 def parse_seed(value) -> int:
     """A seed from a config's `seed` or `--seed`: an unsigned 64-bit integer."""
-    if not isinstance(value, int) or not 0 <= value <= _MASK64:
+    if not _is_int(value) or not 0 <= value <= _MASK64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
     return value
 
@@ -228,13 +233,17 @@ def _layer_from_config(i: int, raw: dict) -> BenchmarkEntry:
         raise ConfigError(f"{where}.input must be [h, w, c]")
     if not (isinstance(ker, list) and len(ker) == 4):
         raise ConfigError(f"{where}.kernel must be [kh, kw, c, m]")
+    crop = raw.get("crop", [0, 0, 0, 0])
+    if not (isinstance(crop, list) and len(crop) == 4):
+        raise ConfigError(f"{where}.crop must be [top, bottom, left, right]")
+    for key, values in (("input", inp), ("kernel", ker), ("stride", [raw["stride"]]),
+                        ("crop", crop)):
+        if not all(_is_int(v) for v in values):
+            raise ConfigError(f"{where}.{key} must hold integers")
     if ker[2] != inp[2]:
         raise ConfigError(
             f"{where}.kernel channel count {ker[2]} must match input channels {inp[2]}"
         )
-    crop = raw.get("crop", [0, 0, 0, 0])
-    if not (isinstance(crop, list) and len(crop) == 4):
-        raise ConfigError(f"{where}.crop must be [top, bottom, left, right]")
     try:
         spec = DeconvLayerSpec(
             input_h=inp[0], input_w=inp[1], channels=inp[2],

@@ -1,4 +1,4 @@
-"""Per-cycle schedules and execution for the three crossbar designs.
+"""Per-cycle schedules for the four crossbar designs, and their execution.
 
 Schedules are stored columnar (one numpy row per input assignment) so that
 large layers stay cheap to generate, execute and dump:
@@ -23,6 +23,11 @@ C..2C-1 with the odd original sub's input.
 Output pixels are produced once each; the members of an output pixel's
 accumulation group are exactly the sub-crossbars of its computation mode.
 Cycles advance row-major over output tiles, so traces are reproducible.
+
+A design is its weight layout (mapping) plus its schedule; one runner
+executes them all.  Every drive, whether a window, a pixel, a folded
+phase's idle half or a zero, is read from the same zero-inserted, padded
+image, so the runner only gathers, multiplies and accumulates.
 
 A schedule depends on the spatial geometry only, never on C, M or data, so
 one schedule per layer and design serves every input (`execute`, which
@@ -68,7 +73,8 @@ class InputKind:
 
 
 class Half:
-    """Which wordline half a folded-phase assignment drives."""
+    """Which wordline half a folded-phase assignment drives (its slot of C
+    wordlines is half - 1)."""
 
     FULL = 0
     LOW = 1   # rows 0..C-1
@@ -287,13 +293,20 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
 
 
 def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSchedule:
-    return _DESIGNS[DesignKind(design)][0](spec)
+    return _DESIGNS[DesignKind(design)](spec)
+
+
+def _outside(a: np.ndarray, b: np.ndarray, h: int, w: int) -> bool:
+    """Whether any coordinate pair (a, b) falls outside an h x w grid."""
+    return len(a) > 0 and bool(a.min() < 0 or a.max() >= h or b.min() < 0 or b.max() >= w)
 
 
 def validate_schedule(schedule: CycleSchedule):
     """Schema checks in O(n): assignments strictly ordered by (cycle,
     crossbar), so one VMM per crossbar per cycle; sane cycle and crossbar
-    indices; one accumulation group per output pixel."""
+    indices; known kind and half codes; pixel sources inside the input and
+    window origins inside the output grid (zero drives read nothing); one
+    accumulation group per output pixel, and every assignment in one."""
     cycle, crossbar = schedule.cycle, schedule.crossbar
     if len(cycle):
         if cycle.min() < 0 or cycle.max() >= schedule.cycle_count or crossbar.min() < 0:
@@ -301,7 +314,19 @@ def validate_schedule(schedule: CycleSchedule):
         pair = cycle * (int(crossbar.max()) + 1) + crossbar
         if (np.diff(pair) <= 0).any():
             raise ValueError("assignments not in strictly increasing (cycle, crossbar) order")
-    oh, ow, _ = output_shape(schedule.layer)
+        kind, half = schedule.kind, schedule.half
+        if (kind.min() < InputKind.WINDOW or kind.max() > InputKind.ZERO
+                or half.min() < Half.FULL or half.max() > Half.HIGH):
+            raise ValueError("unknown input kind or half code")
+    spec = schedule.layer
+    oh, ow, _ = output_shape(spec)
+    for kind, h, w, message in (
+        (InputKind.PIXEL, spec.input_h, spec.input_w, "pixel source outside the input"),
+        (InputKind.WINDOW, oh, ow, "window origin outside the output grid"),
+    ):
+        sel = schedule.kind == kind
+        if _outside(schedule.src_a[sel], schedule.src_b[sel], h, w):
+            raise ValueError(message)
     if schedule.has_post_ops:
         if schedule.group_count != 0:
             raise ValueError("post-op schedules must not carry accumulation groups")
@@ -310,8 +335,11 @@ def validate_schedule(schedule: CycleSchedule):
         raise ValueError(
             f"expected one group per output pixel ({oh * ow}), got {schedule.group_count}"
         )
+    gid = schedule.group_id
+    if len(gid) and (gid.min() < 0 or gid.max() >= schedule.group_count):
+        raise ValueError("assignment group id out of range")
     gy, gx = schedule.group_y, schedule.group_x
-    if gy.min() < 0 or gy.max() >= oh or gx.min() < 0 or gx.max() >= ow:
+    if _outside(gy, gx, oh, ow):
         raise ValueError("group output pixel out of range")
     if np.bincount(gy.astype(np.int64) * ow + gx, minlength=oh * ow).max() > 1:
         raise ValueError("an output pixel appears in more than one group")
@@ -431,115 +459,99 @@ def _check_pair(plan: MappingPlan, schedule: CycleSchedule, dims: int):
         raise ValueError(f"plan kernel dims {have} do not match layer {want}")
 
 
+# values gathered per chunk, so that the drive block stays in a core's cache
+_GATHER_BUDGET = 65536
+
+
 def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tensor3:
     """Run every cycle's VMMs and sum the accumulation groups.
 
-    The functional result equals the zero-padding oracle element-exactly in
-    integer mode.  VMMs are evaluated in batched form per crossbar, which is
-    arithmetic-identical to cycle order (integer adds commute); an array
-    size cap changes only the trace accounting, since row/column tiles of a
-    matrix partition its product exactly.  Activity counts do not depend on
-    the input: take them once per (plan, schedule) with `trace_of_schedule`.
+    One runner serves every design.  Each assignment drives its crossbar's
+    wordlines from the zero-inserted, padded image (`_wordlines`); per
+    crossbar, in chunks, the gathered drives are multiplied by the
+    crossbar's weights and added into their output pixel's group, or for
+    padding-free into the input pixel's product row, which the overlap-add
+    and crop post pass then places.  This is arithmetic-identical to cycle
+    order (integer adds commute), and the result equals the zero-padding
+    oracle element-exactly in integer mode.  An array size cap changes
+    only the trace accounting, since row/column tiles of a matrix
+    partition its product exactly.  Activity counts do not depend on the
+    input: take them once per (plan, schedule) with `trace_of_schedule`.
     """
     _check_pair(plan, schedule, dims=4)
     spec = schedule.layer
     if plan.crossbars is None:
         raise ValueError("a geometry-only plan holds no weights to execute")
     _check_input(input, spec)
-    check_int64_bound(input.data, [x.weights for x in plan.crossbars],
-                      spec.kh * spec.kw * spec.channels)
-    return Tensor3(_DESIGNS[plan.design][1](plan, schedule, input))
+    check_int64_bound(input.data, plan.crossbars, spec.kh * spec.kw * spec.channels)
 
-
-def _run_zero_padding(plan, schedule, input, gather_budget=4_000_000):
-    spec = schedule.layer
-    oh, ow, m = output_shape(spec)
-    pad = dilate_and_pad(input, spec)
     c = spec.channels
-    pw = spec.padded_w
-    flat = pad.data.reshape(-1)
-    w = plan.crossbars[0].weights
-
-    ii, jj, cc = np.meshgrid(
-        np.arange(spec.kh), np.arange(spec.kw), np.arange(c), indexing="ij"
-    )
-    offsets = ((ii * pw + jj) * c + cc).reshape(-1)  # window gather, row i*kw*C+j*C+c
-    base = (schedule.src_a.astype(np.int64) * pw + schedule.src_b) * c
-    chunk = max(1, min(8192, gather_budget // len(offsets)))
-
-    out = np.empty((oh * ow, m), dtype=np.result_type(flat, w))
-    for t0 in range(0, len(base), chunk):
-        t1 = min(t0 + chunk, len(base))
-        idx = base[t0:t1, None] + offsets[None, :]
-        out[t0:t1] = flat[idx] @ w
-    # cycle order is row-major over output pixels (group_id == cycle)
-    return out.reshape(oh, ow, m)
-
-
-def _run_padding_free(plan, schedule, input):
-    spec = schedule.layer
-    # each cycle drives the wide array, whose columns are laid out as
-    # overlap_add_crop expects, with input pixel (a, b); its product row
-    # lands on row a*input_w + b
-    w = plan.crossbars[0].weights
-    flat = input.data.reshape(spec.input_h * spec.input_w, spec.channels)
-    src = schedule.src_a.astype(np.int64) * spec.input_w + schedule.src_b
-    products = np.zeros((len(flat), w.shape[1]), dtype=np.result_type(flat, w))
-    products[src] = flat[src] @ w
-    return overlap_add_crop(products, spec)
-
-
-def _run_pixel_wise(plan, schedule, input):
-    folded = plan.design is DesignKind.RED_FOLDED
-    spec = schedule.layer
-    oh, ow, m = output_shape(spec)
-    c = spec.channels
-    flat = input.data.reshape(spec.input_h * spec.input_w, c)
-    dtype = np.result_type(flat, plan.crossbars[0].weights)
-    acc = np.zeros((oh * ow, m), dtype=dtype)
+    pixels = np.concatenate([dilate_and_pad(input, spec).data.reshape(-1, c),
+                             np.zeros((1, c), dtype=input.data.dtype)])
+    if schedule.has_post_ops:
+        dest = schedule.src_a.astype(np.int64) * spec.input_w + schedule.src_b
+        n_dest = spec.input_h * spec.input_w
+    else:
+        dest, n_dest = schedule.group_id, schedule.group_count
+    rows, cols = plan.shapes[0]  # the arrays of a plan share one shape and dtype
+    acc = np.zeros((n_dest, cols), dtype=np.result_type(pixels, plan.crossbars[0]))
 
     order = np.argsort(schedule.crossbar, kind="stable")
-    xb_sorted = schedule.crossbar[order]
-    bounds = np.searchsorted(xb_sorted, np.arange(len(plan.crossbars) + 1))
-
-    for n, xbar in enumerate(plan.crossbars):
-        rows = order[bounds[n] : bounds[n + 1]]
-        if len(rows) == 0:
-            continue
-        live = schedule.kind[rows] != InputKind.ZERO
-        src = (
-            schedule.src_a[rows][live].astype(np.int64) * spec.input_w
-            + schedule.src_b[rows][live]
-        )
-        gids = schedule.group_id[rows]
-        if folded:
-            vecs = np.zeros((len(rows), 2 * c), dtype=dtype)
-            halves = schedule.half[rows][live]
-            pix = flat[src]
-            lo = halves == Half.LOW
-            rows_live = np.flatnonzero(live)
-            vecs[rows_live[lo], :c] = pix[lo]
-            vecs[rows_live[~lo], c:] = pix[~lo]
-            out = vecs @ xbar.weights
-            # one folded sub can hit the same pixel twice (its two phases),
-            # so accumulate collision-safely
-            np.add.at(acc, gids, out)
-        else:
-            vecs = np.zeros((len(rows), c), dtype=dtype)
-            vecs[live] = flat[src]
-            out = vecs @ xbar.weights
-            # a sub serves at most one output pixel per cycle and distinct
-            # tiles produce distinct pixels, so these group ids are unique
-            acc[gids] += out
-    return acc.reshape(oh, ow, m)
+    bounds = np.searchsorted(schedule.crossbar[order], np.arange(len(plan.crossbars) + 1))
+    pixel, slot = (col[order] for col in _sources(schedule))
+    dest = dest[order]
+    slots = np.arange(rows // c)
+    offsets = (slots // spec.kw) * spec.padded_w + slots % spec.kw
+    chunk = max(1, _GATHER_BUDGET // rows)
+    for n, weights in enumerate(plan.crossbars):
+        for t0 in range(bounds[n], bounds[n + 1], chunk):
+            t1 = min(t0 + chunk, bounds[n + 1])
+            idx = _wordlines(pixel[t0:t1], slot[t0:t1], offsets, len(pixels) - 1)
+            drive = pixels.take(idx, axis=0).reshape(t1 - t0, rows)
+            # add.at: at stride 1 a folded sub serves one pixel in both phases
+            np.add.at(acc, dest[t0:t1], drive @ weights)
+    if schedule.has_post_ops:
+        return Tensor3(overlap_add_crop(acc, spec))
+    return Tensor3(acc.reshape(output_shape(spec)))
 
 
-# per design: schedule builder, runner
+def _sources(schedule: CycleSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Per assignment, the padded-image pixel it reads and the wordline
+    slot (C wordlines each) that the pixel drives.
+
+    A window (a, b) reads from its origin (a, b) and drives every slot
+    (slot -1).  A pixel (a, b) sits at (pad_top + a*s, pad_left + b*s) and
+    drives slot 0, or on a folded phase the slot of its half.  A zero
+    drive reads the zero pixel appended after the image.
+    """
+    spec = schedule.layer
+    s, pw = spec.stride, spec.padded_w
+    a = schedule.src_a.astype(np.int64)
+    b = schedule.src_b.astype(np.int64)
+    window = schedule.kind == InputKind.WINDOW
+    pixel = np.where(window, a * pw + b, (spec.pad_top + a * s) * pw + spec.pad_left + b * s)
+    pixel[schedule.kind == InputKind.ZERO] = spec.padded_h * pw
+    return pixel, np.where(window, -1, np.maximum(schedule.half - 1, 0))
+
+
+def _wordlines(pixel, slot, offsets, zero) -> np.ndarray:
+    """Index into the padded pixels for each slot of each assignment: a
+    window drives slot i*kw + j from `offsets[i*kw + j]` = i*pw + j past
+    its origin; a pixel drives its one slot, and every other slot reads
+    the zero pixel."""
+    idx = pixel[:, None] + offsets
+    single = np.flatnonzero(slot >= 0)
+    idx[single] = zero
+    idx[single, slot[single]] = pixel[single]
+    return idx
+
+
+# per design: schedule builder
 _DESIGNS = {
-    DesignKind.ZERO_PADDING: (schedule_zero_padding, _run_zero_padding),
-    DesignKind.PADDING_FREE: (schedule_padding_free, _run_padding_free),
-    DesignKind.RED: (schedule_zero_skipping, _run_pixel_wise),
-    DesignKind.RED_FOLDED: (partial(schedule_zero_skipping, folded=True), _run_pixel_wise),
+    DesignKind.ZERO_PADDING: schedule_zero_padding,
+    DesignKind.PADDING_FREE: schedule_padding_free,
+    DesignKind.RED: schedule_zero_skipping,
+    DesignKind.RED_FOLDED: partial(schedule_zero_skipping, folded=True),
 }
 
 

@@ -1,8 +1,8 @@
 """Crossbar weight layouts for the three deconvolution designs.
 
-A crossbar array is modeled as an ideal signed weight matrix: wordlines
-(rows) carry inputs, bitlines (columns) collect dot products.  Three
-layouts store the same kh*kw*C*M weight values:
+A crossbar array is a plain 2-D signed weight array: wordlines (rows)
+carry inputs, bitlines (columns) collect dot products.  Three layouts
+store the same kh*kw*C*M weight values:
 
 * zero-padding: one tall (kh*kw*C) x M matrix, one column per filter;
 * padding-free: one wide C x (kh*kw*M) matrix holding the rotated kernel;
@@ -18,8 +18,8 @@ encodings are left to the cost model's coefficients.
 
 The array shapes, and so tile grids, cell count and periphery inventory,
 follow from the design and (kh, kw, C, M) alone: one table holds each
-design's shapes and weight layout, and a plan built without weights is
-all that costing needs.
+design's shapes and weight layout (a list of arrays), and a plan built
+without weights is all that costing needs.
 """
 
 from __future__ import annotations
@@ -33,11 +33,8 @@ from .tensor import DeconvLayerSpec, Kernel4, _check_kernel, rotate180
 
 __all__ = [
     "DesignKind",
-    "CrossbarMatrix",
-    "SubCrossbarTensor",
     "PortCount",
     "MappingPlan",
-    "vmm",
     "map_pixel_wise",
     "fold_area_efficient",
     "build_plan",
@@ -52,64 +49,6 @@ class DesignKind(str, Enum):
 
     def __str__(self):
         return self.value
-
-
-@dataclass(frozen=True)
-class CrossbarMatrix:
-    """One physical crossbar: rows x cols ideal weight cells."""
-
-    rows: int
-    cols: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.shape != (self.rows, self.cols):
-            raise ValueError(
-                f"weights shape {self.weights.shape} != ({self.rows}, {self.cols})"
-            )
-
-
-def vmm(xbar: CrossbarMatrix, input: np.ndarray) -> np.ndarray:
-    """One crossbar activation: exact vector-matrix product of length cols."""
-    vec = np.asarray(input)
-    if vec.shape != (xbar.rows,):
-        raise ValueError(f"input length {vec.shape} != rows ({xbar.rows},)")
-    return vec @ xbar.weights
-
-
-@dataclass
-class SubCrossbarTensor:
-    """The ordered collection of pixel-wise sub-crossbars.
-
-    Unfolded, sub n = i*kw + j is C x M with entry (c, m) = kernel(i, j, c, m).
-    Folded, sub n is 2C x M stacking original subs 2n (rows 0..C-1) and 2n+1
-    (rows C..2C-1); an odd original count leaves the last second half zero.
-    """
-
-    kh: int
-    kw: int
-    channels: int
-    filters: int
-    subs: list[CrossbarMatrix]
-    folded: bool = False
-
-    def __post_init__(self):
-        kk = self.kh * self.kw
-        expect_count = (kk + 1) // 2 if self.folded else kk
-        if len(self.subs) != expect_count:
-            raise ValueError(
-                f"expected {expect_count} sub-crossbars, got {len(self.subs)}"
-            )
-        rows = 2 * self.channels if self.folded else self.channels
-        for n, sub in enumerate(self.subs):
-            if (sub.rows, sub.cols) != (rows, self.filters):
-                raise ValueError(
-                    f"sub {n} is {sub.rows}x{sub.cols}, expected {rows}x{self.filters}"
-                )
-
-    @property
-    def count(self) -> int:
-        return len(self.subs)
 
 
 @dataclass(frozen=True)
@@ -149,18 +88,18 @@ class MappingPlan:
     """How one design's weights occupy crossbar cells.
 
     `shapes` are the (rows, cols) of the logical arrays the schedules
-    address; the design and `kernel_dims` fix them.  `crossbars` holds
-    their weights, or is None in a geometry-only plan, which is all the
-    trace and the cost model read.  When an optional physical array size
-    cap is applied, each logical array splits into a grid of tiles
-    (`tile_grids`); a logical activation then activates every tile, column
-    tiles concatenate and row tiles contribute partial sums.  The default
-    leaves arrays at their logical size.
+    address; the design and `kernel_dims` fix them.  `crossbars` lists
+    their 2-D weight arrays, or is None in a geometry-only plan, which is
+    all the trace and the cost model read.  When an optional physical
+    array size cap is applied, each logical array splits into a grid of
+    tiles (`tile_grids`); a logical activation then activates every tile,
+    column tiles concatenate and row tiles contribute partial sums.  The
+    default leaves arrays at their logical size.
     """
 
     design: DesignKind
     kernel_dims: tuple[int, int, int, int]
-    crossbars: list[CrossbarMatrix] | None = None
+    crossbars: list[np.ndarray] | None = None
     max_rows: int | None = None
     max_cols: int | None = None
     shapes: list[tuple[int, int]] = field(init=False)
@@ -175,7 +114,7 @@ class MappingPlan:
             raise ValueError("max_cols must be >= 1")
         self.shapes = _DESIGNS[self.design][0](*self.kernel_dims)
         if (self.crossbars is not None
-                and [(x.rows, x.cols) for x in self.crossbars] != self.shapes):
+                and [x.shape for x in self.crossbars] != self.shapes):
             raise ValueError(f"layout arrays do not match the {self.design} shapes "
                              f"of kernel {self.kernel_dims}")
         self.tile_grids = [
@@ -190,68 +129,52 @@ class MappingPlan:
 
     def stored_values(self) -> np.ndarray:
         """All meaningful stored weight values (fold padding excluded)."""
-        values = np.concatenate([x.weights.ravel() for x in self.crossbars])
+        values = np.concatenate([x.ravel() for x in self.crossbars])
         kh, kw, c, m = self.kernel_dims
         if self.design is DesignKind.RED_FOLDED and kh * kw % 2:
             return values[: -c * m]  # the last folded sub's zero high half
         return values
 
 
-def _zero_padding_layout(kernel: Kernel4) -> list[CrossbarMatrix]:
+def _zero_padding_layout(kernel: Kernel4) -> list[np.ndarray]:
     """Each filter spread into one column: (kh*kw*C) rows x M columns, row
     index i*kw*C + j*C + c."""
     kh, kw, c, m = kernel.shape
-    return [CrossbarMatrix(kh * kw * c, m, kernel.data.reshape(kh * kw * c, m))]
+    return [kernel.data.reshape(kh * kw * c, m)]
 
 
-def _padding_free_layout(kernel: Kernel4) -> list[CrossbarMatrix]:
+def _padding_free_layout(kernel: Kernel4) -> list[np.ndarray]:
     """One wide array of C rows x (kh*kw*M) columns holding the rotated
     kernel, column index (i*kw + j)*M + m."""
     kh, kw, c, m = kernel.shape
     weights = rotate180(kernel).data.transpose(2, 0, 1, 3).reshape(c, kh * kw * m)
-    return [CrossbarMatrix(c, kh * kw * m, np.ascontiguousarray(weights))]
+    return [np.ascontiguousarray(weights)]
 
 
-def map_pixel_wise(kernel: Kernel4) -> SubCrossbarTensor:
-    """Pixel-wise layout: sub-crossbar i*kw + j holds kernel slice (i, j)."""
+def map_pixel_wise(kernel: Kernel4) -> list[np.ndarray]:
+    """Pixel-wise layout: C x M sub-crossbar i*kw + j holds kernel slice (i, j)."""
     kh, kw, c, m = kernel.shape
-    subs = [
-        CrossbarMatrix(c, m, np.ascontiguousarray(kernel.data[i, j]))
-        for i in range(kh)
-        for j in range(kw)
-    ]
-    return SubCrossbarTensor(kh, kw, c, m, subs, folded=False)
+    return list(kernel.data.reshape(kh * kw, c, m))
 
 
-def fold_area_efficient(sct: SubCrossbarTensor) -> SubCrossbarTensor:
+def fold_area_efficient(subs: list[np.ndarray]) -> list[np.ndarray]:
     """Halve the sub-crossbar count by stacking pairs into 2C x M arrays.
 
-    Folded sub n holds original sub 2n in rows 0..C-1 and original sub 2n+1
-    in rows C..2C-1.  An odd original count zero-fills the last second half.
+    Folded sub n holds sub 2n in rows 0..C-1 and sub 2n+1 in rows C..2C-1.
+    An odd count zero-fills the last second half.
     """
-    if sct.folded:
-        raise ValueError("sub-crossbar tensor is already folded")
-    c, m = sct.channels, sct.filters
-    kk = sct.kh * sct.kw
-    subs = []
-    for n in range((kk + 1) // 2):
-        top = sct.subs[2 * n].weights
-        if 2 * n + 1 < kk:
-            bottom = sct.subs[2 * n + 1].weights
-        else:
-            bottom = np.zeros_like(top)
-        subs.append(CrossbarMatrix(2 * c, m, np.vstack([top, bottom])))
-    return SubCrossbarTensor(sct.kh, sct.kw, c, m, subs, folded=True)
+    if len(subs) % 2:
+        subs = [*subs, np.zeros_like(subs[-1])]
+    return [np.vstack(pair) for pair in zip(subs[::2], subs[1::2])]
 
 
 # per design: logical crossbar shapes from (kh, kw, C, M), weight layout
 _DESIGNS = {
     DesignKind.ZERO_PADDING: (lambda kh, kw, c, m: [(kh * kw * c, m)], _zero_padding_layout),
     DesignKind.PADDING_FREE: (lambda kh, kw, c, m: [(c, kh * kw * m)], _padding_free_layout),
-    DesignKind.RED: (lambda kh, kw, c, m: [(c, m)] * (kh * kw),
-                     lambda kernel: map_pixel_wise(kernel).subs),
+    DesignKind.RED: (lambda kh, kw, c, m: [(c, m)] * (kh * kw), map_pixel_wise),
     DesignKind.RED_FOLDED: (lambda kh, kw, c, m: [(2 * c, m)] * ((kh * kw + 1) // 2),
-                            lambda kernel: fold_area_efficient(map_pixel_wise(kernel)).subs),
+                            lambda kernel: fold_area_efficient(map_pixel_wise(kernel))),
 }
 
 

@@ -159,6 +159,19 @@ def test_config_validates_options(tmp_path):
         load_config(write_config(tmp_path, {
             "layers": [{"name": "x", "input": [2, 2, 3], "kernel": [2, 2, 4, 1], "stride": 2}],
         }, name="c3.json"))
+    # JSON true is a Python int, and 2.0 == 2, but neither is a JSON integer
+    with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer"):
+        load_config(write_config(tmp_path, {"seed": True}, name="c5.json"))
+    with pytest.raises(ConfigError, match="channel_scale"):
+        load_config(write_config(tmp_path, {"channel_scale": True}, name="c6.json"))
+    layer = {"name": "x", "input": [2, 2, 1], "kernel": [2, 2, 1, 1], "stride": 2,
+             "crop": [0, 0, 0, 0]}
+    for key, index, value in [("input", 0, 2.0), ("kernel", 3, True), ("stride", None, "2"),
+                              ("crop", 1, 0.5)]:
+        bad = {**layer, key: value if index is None else
+               [value if i == index else v for i, v in enumerate(layer[key])]}
+        with pytest.raises(ConfigError, match=rf"layers\[0\]\.{key} must hold integers"):
+            load_config(write_config(tmp_path, {"layers": [bad]}, name=f"bad_{key}.json"))
 
 
 def test_shipped_default_params_file_matches_code():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,17 @@ def test_run_rejects_seed_outside_uint64_exit_2(toy_config, seed, capsys):
     assert "all checks passed" not in captured.out
 
 
+@pytest.mark.parametrize("change", [{"seed": True},
+                                    {"layers": [{**TOY_CONFIG["layers"][0], "input": [4, 4.0, 2]}]}])
+def test_run_rejects_non_integer_config_exit_2(tmp_path, change, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TOY_CONFIG, **change}), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "integer" in captured.err
+    assert "all checks passed" not in captured.out
+
+
 def test_run_accepts_largest_seed(toy_config, capsys):
     assert main(["run", "--config", toy_config, "--trials", "1",
                  "--seed", "18446744073709551615"]) == 0
@@ -252,3 +264,32 @@ def test_dump_schedule_unknown_design(capsys):
 def test_dump_schedule_unknown_layer(capsys):
     assert main(["dump-schedule", "--layer", "nope", "--design", "red"]) == 2
     assert "unknown layer" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+# ---------------------------------------------------------------------------
+
+# sha256 of the built-in reports (channel_scale 1/64, one trial) and of the
+# GAN_Deconv2 schedule dumps; a change that alters them must mean to and
+# record the new digests here
+GOLDEN = {
+    "csv/breakdown.csv": "a5b22f2762106e0a7ff2a70b0d36461d68b061980c1ec7981f50337685f1a2df",
+    "csv/summary.csv": "8afd966868f78b41a305b706e2f1ef4d6c6d4b79aeee430e0e40afe953037c45",
+    "json/report.json": "2868d032374a3a838f8d66f3ea1e302363a751e6bc5bcace82b7dba329345d70",
+    "dump_zero_padding.txt": "da0116c1b251cf4da58122ac9a01cf12ddbeca7f614c73795260b390c1254acd",
+    "dump_padding_free.txt": "9cd4b6cf82a190d68f6187a0e0dcee8b7295e40ca6e6686c02ec7be1c09fb16f",
+    "dump_red.txt": "7c514652129c46c3bbbf6b07268148d0bda3e673c0949e2affd9e983aa7bded3",
+    "dump_red_folded.txt": "b9478e3f4b113ed88ed27e586a7a2d985c75d0add0233581e8c813967310e013",
+}
+
+
+def test_reports_and_dumps_match_recorded_digests(tmp_path):
+    run = ["run", "--channel-scale", str(1 / 64), "--trials", "1"]
+    assert main([*run, "--out", str(tmp_path / "csv")]) == 0
+    assert main([*run, "--out", str(tmp_path / "json"), "--format", "json"]) == 0
+    for design in ("zero_padding", "padding_free", "red", "red_folded"):
+        assert main(["dump-schedule", "--layer", "GAN_Deconv2", "--design", design,
+                     "--out", str(tmp_path / f"dump_{design}.txt")]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
+    assert got == GOLDEN

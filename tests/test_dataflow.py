@@ -160,19 +160,33 @@ def test_schedules_validate(design):
         validate_schedule(build_schedule(spec, design))
 
 
+ASSIGNMENT_COLUMNS = ("cycle", "crossbar", "kind", "src_a", "src_b", "half", "group_id")
+
+
+def _reordered(sched, order):
+    return dataclasses.replace(sched, **{k: getattr(sched, k)[order] for k in ASSIGNMENT_COLUMNS})
+
+
 def _swap_first_two(sched):
     # cycle 0, crossbars 0 and 1 change places: no crossbar repeats, but the
     # documented (cycle, crossbar) order is broken
     order = np.arange(len(sched.cycle))
     order[:2] = [1, 0]
-    cols = ("cycle", "crossbar", "kind", "src_a", "src_b", "half", "group_id")
-    return dataclasses.replace(sched, **{k: getattr(sched, k)[order] for k in cols})
+    return _reordered(sched, order)
 
 
-def _with_group_pixel(sched, column, index, value):
+def _with_value(sched, column, index, value):
     coords = getattr(sched, column).copy()
     coords[index] = value
     return dataclasses.replace(sched, **{column: coords})
+
+
+def _pixels_one_column_right(_):
+    # on a 3x2 input, src_b + 1 moves a first-column pixel onto its
+    # neighbour and a second-column pixel onto the padded image's zero
+    # border: both reads stay inside the image and would fail silently
+    sched = build_schedule(DeconvLayerSpec(3, 2, 1, 3, 3, 1, 2), DesignKind.RED)
+    return dataclasses.replace(sched, src_b=sched.src_b + 1)
 
 
 @pytest.mark.parametrize("design,corrupt,message", [
@@ -191,12 +205,19 @@ def _with_group_pixel(sched, column, index, value):
     (DesignKind.ZERO_PADDING,
      lambda s: dataclasses.replace(s, group_cycle=s.group_cycle[:-1]),
      "one group per output pixel"),
-    (DesignKind.RED, lambda s: _with_group_pixel(s, "group_y", -1, TOY.output_h),
+    (DesignKind.RED, lambda s: _with_value(s, "group_y", -1, TOY.output_h),
      "group output pixel out of range"),
-    (DesignKind.RED, lambda s: _with_group_pixel(s, "group_x", 0, -1),
+    (DesignKind.RED, lambda s: _with_value(s, "group_x", 0, -1),
      "group output pixel out of range"),
-    (DesignKind.RED, lambda s: _with_group_pixel(s, "group_x", 1, 0),
+    (DesignKind.RED, lambda s: _with_value(s, "group_x", 1, 0),
      "more than one group"),
+    (DesignKind.RED, lambda s: _with_value(s, "group_id", 0, -1),
+     "assignment group id out of range"),
+    (DesignKind.RED, lambda s: _with_value(s, "kind", 0, 3), "unknown input kind"),
+    (DesignKind.RED_FOLDED, lambda s: _with_value(s, "half", 0, 3), "unknown input kind"),
+    (DesignKind.RED, _pixels_one_column_right, "pixel source outside the input"),
+    (DesignKind.ZERO_PADDING, lambda s: _with_value(s, "src_a", -1, TOY.output_h),
+     "window origin outside the output grid"),
 ])
 def test_validate_schedule_rejects(design, corrupt, message):
     sched = build_schedule(TOY, design)
@@ -303,18 +324,18 @@ def test_execute_stride1_folded():
     assert np.array_equal(got.data, want.data)
 
 
-def test_padding_free_execution_follows_its_schedule():
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_execution_follows_its_schedule(design):
     spec = DeconvLayerSpec(3, 2, 2, 3, 3, 2, 2)  # non-square input
     t, k = rand_pair(spec, seed=41)
-    plan = build_plan(k, DesignKind.PADDING_FREE, spec)
-    sched = schedule_padding_free(spec)
+    plan = build_plan(k, design, spec)
+    sched = build_schedule(spec, design)
     want = deconv_oracle_zero_padding(t, k, spec).data
     assert np.array_equal(execute(plan, sched, t).data, want)
-    # visiting the pixels in another order gives the same output
-    perm = np.random.default_rng(0).permutation(len(sched.cycle))
-    shuffled = dataclasses.replace(sched, src_a=sched.src_a[perm], src_b=sched.src_b[perm])
+    # the one runner reads assignments in any order
+    shuffled = _reordered(sched, np.random.default_rng(0).permutation(len(sched.cycle)))
     assert np.array_equal(execute(plan, shuffled, t).data, want)
-    # swapped coordinates visit pixel (1, 0) twice and pixel (2, 1) never
+    # swapped coordinates on a non-square input drive other pixels
     swapped = dataclasses.replace(sched, src_a=sched.src_b, src_b=sched.src_a)
     assert not np.array_equal(execute(plan, swapped, t).data, want)
 

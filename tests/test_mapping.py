@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from red_sim.mapping import (
-    CrossbarMatrix,
     DesignKind,
     MappingPlan,
     build_plan,
     fold_area_efficient,
     map_pixel_wise,
-    vmm,
 )
 from red_sim.tensor import DeconvLayerSpec, Kernel4, rotate180
 
@@ -20,57 +18,29 @@ def rand_kernel(kh, kw, c, m):
 
 
 # ---------------------------------------------------------------------------
-# vmm
-# ---------------------------------------------------------------------------
-
-
-def test_vmm_identity():
-    xbar = CrossbarMatrix(2, 2, np.eye(2, dtype=np.int64))
-    assert vmm(xbar, np.array([3, 5])).tolist() == [3, 5]
-
-
-def test_vmm_all_ones():
-    xbar = CrossbarMatrix(3, 2, np.ones((3, 2), dtype=np.int64))
-    assert vmm(xbar, np.array([1, 2, 3])).tolist() == [6, 6]
-
-
-def test_vmm_matches_dot_loop():
-    w = RNG.integers(-8, 9, (8, 4))
-    v = RNG.integers(-8, 9, 8)
-    want = [sum(int(v[r]) * int(w[r, c]) for r in range(8)) for c in range(4)]
-    assert vmm(CrossbarMatrix(8, 4, w), v).tolist() == want
-
-
-def test_vmm_length_mismatch():
-    with pytest.raises(ValueError, match="length"):
-        vmm(CrossbarMatrix(2, 2, np.eye(2, dtype=np.int64)), np.array([1, 2, 3]))
-
-
-# ---------------------------------------------------------------------------
 # zero-padding mapping
 # ---------------------------------------------------------------------------
 
 
 def test_map_zero_padding_trivial():
     plan = build_plan(Kernel4(np.array([[[[7]]]], dtype=np.int64)), DesignKind.ZERO_PADDING)
-    xbar = plan.crossbars[0]
-    assert (xbar.rows, xbar.cols) == (1, 1)
-    assert xbar.weights[0, 0] == 7
+    assert plan.crossbars[0].shape == (1, 1)
+    assert plan.crossbars[0][0, 0] == 7
 
 
 def test_map_zero_padding_gan_like_dims():
     plan = build_plan(Kernel4(np.zeros((3, 3, 512, 256), dtype=np.int64)), DesignKind.ZERO_PADDING)
-    assert (plan.crossbars[0].rows, plan.crossbars[0].cols) == (4608, 256)
+    assert plan.crossbars[0].shape == (4608, 256)
 
 
 def test_map_zero_padding_gan_deconv1_dims():
     plan = build_plan(Kernel4(np.zeros((5, 5, 512, 256), dtype=np.int64)), DesignKind.ZERO_PADDING)
-    assert (plan.crossbars[0].rows, plan.crossbars[0].cols) == (12800, 256)
+    assert plan.crossbars[0].shape == (12800, 256)
 
 
 def test_map_zero_padding_row_layout():
     k = rand_kernel(2, 3, 4, 2)
-    w = build_plan(k, DesignKind.ZERO_PADDING).crossbars[0].weights
+    w = build_plan(k, DesignKind.ZERO_PADDING).crossbars[0]
     for i in range(2):
         for j in range(3):
             for c in range(4):
@@ -85,20 +55,20 @@ def test_map_zero_padding_row_layout():
 
 def test_map_padding_free_fcn2_dims():
     plan = build_plan(Kernel4(np.zeros((16, 16, 21, 21), dtype=np.int64)), DesignKind.PADDING_FREE)
-    assert (plan.crossbars[0].rows, plan.crossbars[0].cols) == (21, 5376)
+    assert plan.crossbars[0].shape == (21, 5376)
 
 
 def test_map_padding_free_equals_zero_padding_for_1x1():
     k = rand_kernel(1, 1, 5, 3)
     assert np.array_equal(
-        build_plan(k, DesignKind.PADDING_FREE).crossbars[0].weights,
-        build_plan(k, DesignKind.ZERO_PADDING).crossbars[0].weights,
+        build_plan(k, DesignKind.PADDING_FREE).crossbars[0],
+        build_plan(k, DesignKind.ZERO_PADDING).crossbars[0],
     )
 
 
 def test_map_padding_free_holds_rotated_kernel():
     k = rand_kernel(3, 2, 4, 3)
-    w = build_plan(k, DesignKind.PADDING_FREE).crossbars[0].weights
+    w = build_plan(k, DesignKind.PADDING_FREE).crossbars[0]
     rot = rotate180(k).data
     for i in range(3):
         for j in range(2):
@@ -120,79 +90,70 @@ def test_cell_count_equality():
 
 def test_map_pixel_wise_k3():
     k = rand_kernel(3, 3, 4, 2)
-    sct = map_pixel_wise(k)
-    assert sct.count == 9 and not sct.folded
+    subs = map_pixel_wise(k)
+    assert len(subs) == 9
     for i in range(3):
         for j in range(3):
-            assert np.array_equal(sct.subs[i * 3 + j].weights, k.data[i, j])
+            assert np.array_equal(subs[i * 3 + j], k.data[i, j])
 
 
 def test_map_pixel_wise_1x1():
     k = rand_kernel(1, 1, 6, 4)
-    sct = map_pixel_wise(k)
-    assert sct.count == 1
-    assert np.array_equal(sct.subs[0].weights, k.data[0, 0])
+    subs = map_pixel_wise(k)
+    assert len(subs) == 1
+    assert np.array_equal(subs[0], k.data[0, 0])
 
 
 def test_map_pixel_wise_fcn2_count():
-    sct = map_pixel_wise(Kernel4(np.zeros((16, 16, 21, 21), dtype=np.int64)))
-    assert sct.count == 256
-    assert all((s.rows, s.cols) == (21, 21) for s in sct.subs)
+    subs = map_pixel_wise(Kernel4(np.zeros((16, 16, 21, 21), dtype=np.int64)))
+    assert len(subs) == 256
+    assert all(s.shape == (21, 21) for s in subs)
 
 
 def test_eq1_roundtrip_property():
     k = rand_kernel(4, 3, 3, 5)
-    sct = map_pixel_wise(k)
+    subs = map_pixel_wise(k)
     for i in range(4):
         for j in range(3):
             for c in range(3):
                 for m in range(5):
-                    assert sct.subs[i * 3 + j].weights[c, m] == k.data[i, j, c, m]
+                    assert subs[i * 3 + j][c, m] == k.data[i, j, c, m]
 
 
 def test_fold_fcn2():
-    sct = map_pixel_wise(Kernel4(np.zeros((16, 16, 21, 21), dtype=np.int64)))
-    folded = fold_area_efficient(sct)
-    assert folded.count == 128
-    assert all((s.rows, s.cols) == (42, 21) for s in folded.subs)
+    folded = fold_area_efficient(map_pixel_wise(Kernel4(np.zeros((16, 16, 21, 21), dtype=np.int64))))
+    assert len(folded) == 128
+    assert all(s.shape == (42, 21) for s in folded)
 
 
 def test_fold_odd_pads_last_half():
     k = rand_kernel(3, 3, 2, 2)
     folded = fold_area_efficient(map_pixel_wise(k))
-    assert folded.count == 5
-    assert (folded.subs[4].weights[2:] == 0).all()
-    assert np.array_equal(folded.subs[4].weights[:2], k.data[2, 2])
+    assert len(folded) == 5
+    assert (folded[4][2:] == 0).all()
+    assert np.array_equal(folded[4][:2], k.data[2, 2])
 
 
 def test_fold_unfold_roundtrip():
     k = rand_kernel(2, 2, 3, 4)
-    sct = map_pixel_wise(k)
-    folded = fold_area_efficient(sct)
+    subs = map_pixel_wise(k)
+    folded = fold_area_efficient(subs)
     for n in range(2):
-        assert np.array_equal(folded.subs[n].weights[:3], sct.subs[2 * n].weights)
-        assert np.array_equal(folded.subs[n].weights[3:], sct.subs[2 * n + 1].weights)
-
-
-def test_fold_rejects_refold():
-    folded = fold_area_efficient(map_pixel_wise(rand_kernel(2, 2, 2, 2)))
-    with pytest.raises(ValueError, match="already folded"):
-        fold_area_efficient(folded)
+        assert np.array_equal(folded[n][:3], subs[2 * n])
+        assert np.array_equal(folded[n][3:], subs[2 * n + 1])
 
 
 def test_fold_preserves_vmm_semantics():
     # two-phase half-row drive reproduces the original sub-crossbar products
     k = rand_kernel(2, 3, 4, 2)
-    sct = map_pixel_wise(k)
-    folded = fold_area_efficient(sct)
+    subs = map_pixel_wise(k)
+    folded = fold_area_efficient(subs)
     x = RNG.integers(-8, 9, 4)
     y = RNG.integers(-8, 9, 4)
     zero = np.zeros(4, dtype=np.int64)
     for n in range(3):
-        lo = vmm(folded.subs[n], np.concatenate([x, zero]))
-        hi = vmm(folded.subs[n], np.concatenate([zero, y]))
-        assert np.array_equal(lo, vmm(sct.subs[2 * n], x))
-        assert np.array_equal(hi, vmm(sct.subs[2 * n + 1], y))
+        assert np.array_equal(np.concatenate([x, zero]) @ folded[n], x @ subs[2 * n])
+        assert np.array_equal(np.concatenate([zero, y]) @ folded[n], y @ subs[2 * n + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +222,11 @@ def test_geometry_plan_matches_weighted_plan(design, caps):
     weighted = build_plan(rand_kernel(3, 3, 6, 4), design, None, *caps)
     geometry = MappingPlan(design, (3, 3, 6, 4), None, *caps)
     assert geometry.crossbars is None
-    assert geometry.shapes == weighted.shapes == [(x.rows, x.cols) for x in weighted.crossbars]
+    assert geometry.shapes == weighted.shapes == [x.shape for x in weighted.crossbars]
     assert geometry.tile_grids == weighted.tile_grids
     assert geometry.periphery_inventory == weighted.periphery_inventory
     assert geometry.cell_count == weighted.cell_count
-    assert geometry.cell_count == sum(x.weights.size for x in weighted.crossbars)
+    assert geometry.cell_count == sum(x.size for x in weighted.crossbars)
     if caps != (None, None):
         assert any(len(r) * len(c) > 1 for r, c in geometry.tile_grids)
 
