@@ -31,7 +31,8 @@ from .costmodel import (
 )
 from .dataflow import build_schedule, execute, trace_of_schedule, validate_schedule
 from .mapping import DesignKind, MappingPlan, build_plan
-from .tensor import DeconvLayerSpec, Kernel4, Tensor3, deconv_oracle_zero_padding, output_shape
+from .tensor import (DeconvLayerSpec, Kernel4, Tensor3, _is_int, deconv_oracle_zero_padding,
+                     output_shape)
 
 __all__ = [
     "BenchmarkEntry",
@@ -194,11 +195,6 @@ def parse_designs(names) -> tuple[DesignKind, ...]:
     return designs
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: `bool` is an `int` in Python but not here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_channel_scale(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
         raise ConfigError("channel_scale must be in (0, 1]")
@@ -293,7 +289,7 @@ def load_config(path) -> tuple[list[BenchmarkEntry], CostParams, RunOptions]:
         label = "user-supplied"
     try:
         params = CostParams.from_dict(given)
-    except (ValueError, TypeError) as err:
+    except ValueError as err:
         raise ConfigError(f"cost_params: {err}") from err
 
     opts = RunOptions(params_label=label)

@@ -1,7 +1,7 @@
 """Latency / energy / area aggregation and design comparison.
 
-Costs aggregate an execution trace and a mapping plan's geometry (array
-shapes, tile grids, periphery inventory; never its weights) into
+Costs aggregate an execution trace and a mapping plan's geometry (its one
+array shape and tile grid, periphery inventory; never its weights) into
 per-component breakdowns:
 
     L_total = (L_wd + L_bd)_array + (L_dec + L_mux + L_rc + L_sa)_periphery
@@ -29,11 +29,12 @@ comparison ranges next to the computed values so the trends can be eyeballed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 from .dataflow import ExecutionTrace
 from .mapping import DesignKind, MappingPlan
-from .tensor import DeconvLayerSpec
+from .tensor import DeconvLayerSpec, _is_int
 
 __all__ = [
     "CostParams",
@@ -73,12 +74,12 @@ class CostParams:
 
     Latencies are seconds, energies joules, areas square micrometers.  The
     defaults are order-of-magnitude placeholders (NON-CALIBRATED): use them
-    for cross-design trends, not absolute predictions.  `bit_serial_cycles`
-    models input bit streaming as a uniform multiplier on cycle-derived
-    latency and energy.
+    for cross-design trends, not absolute predictions.  Coefficients are
+    finite non-negative numbers (not booleans); `bit_serial_cycles`, an
+    integer >= 1, models input bit streaming as a uniform multiplier on
+    cycle-derived latency and energy.
     """
 
-    clock_hz: float = 2e9
     # latency
     t_wd: float = 2e-12   # per column
     t_bd: float = 1e-13   # per row
@@ -108,15 +109,14 @@ class CostParams:
     bit_serial_cycles: int = 1
 
     def __post_init__(self):
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be > 0")
-        if self.bit_serial_cycles < 1:
-            raise ValueError("bit_serial_cycles must be >= 1")
         for f in fields(self):
-            if f.name in ("clock_hz", "bit_serial_cycles"):
-                continue
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"coefficient {f.name} must be >= 0")
+            value = getattr(self, f.name)
+            if f.name == "bit_serial_cycles":
+                if not _is_int(value) or value < 1:
+                    raise ValueError("bit_serial_cycles must be an integer >= 1")
+            elif (isinstance(value, bool) or not isinstance(value, (int, float))
+                  or not 0 <= value <= sys.float_info.max):
+                raise ValueError(f"coefficient {f.name} must be a finite number >= 0")
 
     @classmethod
     def from_dict(cls, overrides: dict) -> "CostParams":
@@ -194,15 +194,16 @@ class CostBreakdown:
     notes: str = "ideal signed cells; negative weights stored directly"
 
 
-def _per_activation_latency(rows: int, cols: int, p: CostParams) -> dict[str, float]:
-    return {
-        "wd": p.t_wd * cols,
-        "bd": p.t_bd * rows,
-        "dec": p.t_dec * _lg(rows),
-        "mux": p.t_mux * _lg(cols),
-        "rc": p.t_rc * cols,
-        "sa": p.t_sa * _lg(cols),
-    }
+def _activation_sum(trace: ExecutionTrace, plan: MappingPlan,
+                    per_act: dict[str, float]) -> dict[str, float]:
+    """Per-activation costs times each crossbar's logical activations,
+    added crossbar by crossbar in crossbar order."""
+    tiles = len(plan.tiles[0]) * len(plan.tiles[1])
+    total = dict.fromkeys(per_act, 0.0)
+    for acts in trace.vmm_activations_per_crossbar.tolist():
+        for k, v in per_act.items():
+            total[k] += acts // tiles * v
+    return total
 
 
 def latency_of(
@@ -220,29 +221,21 @@ def latency_of(
     if critical_path_mode not in ("max", "sum"):
         raise ValueError(f"critical_path_mode must be 'max' or 'sum', got {critical_path_mode!r}")
 
-    comp = {k: 0.0 for k in _CIRCUITS}
+    rows, cols = (max(sizes) for sizes in plan.tiles)
+    per_act = {
+        "wd": params.t_wd * cols,
+        "bd": params.t_bd * rows,
+        "dec": params.t_dec * _lg(rows),
+        "mux": params.t_mux * _lg(cols),
+        "rc": params.t_rc * cols,
+        "sa": params.t_sa * _lg(cols),
+    }
     if critical_path_mode == "max":
-        # every design here activates identically shaped arrays in a cycle,
-        # so the per-cycle critical path is the costliest array in the plan
-        best, best_total = None, -1.0
-        for row_sizes, col_sizes in plan.tile_grids:
-            cand = _per_activation_latency(max(row_sizes), max(col_sizes), params)
-            total = sum(cand.values())
-            if total > best_total:
-                best, best_total = cand, total
-        if best is not None:
-            for k in _CIRCUITS:
-                comp[k] = best[k] * trace.active_cycle_count
+        # a plan's arrays share one shape, so every active cycle's critical
+        # path is one activation of that shape
+        comp = {k: v * trace.active_cycle_count for k, v in per_act.items()}
     else:
-        acts = trace.vmm_activations_per_crossbar
-        for n, (row_sizes, col_sizes) in enumerate(plan.tile_grids):
-            tiles = len(row_sizes) * len(col_sizes)
-            if tiles == 0 or acts[n] == 0:
-                continue
-            logical = int(acts[n]) // tiles
-            cand = _per_activation_latency(max(row_sizes), max(col_sizes), params)
-            for k in _CIRCUITS:
-                comp[k] += cand[k] * logical
+        comp = _activation_sum(trace, plan, per_act)
 
     post = trace.post_ops.total_values
     comp["rc"] += params.t_rc * post
@@ -255,28 +248,18 @@ def latency_of(
 def energy_of(trace: ExecutionTrace, plan: MappingPlan, params: CostParams) -> Breakdown:
     """Total energy per the two-part breakdown; zero-vector assignments
     contribute nothing."""
-    wd = bd = 0.0
-    acts = trace.vmm_activations_per_crossbar
-    for n, (row_sizes, col_sizes) in enumerate(plan.tile_grids):
-        tiles = len(row_sizes) * len(col_sizes)
-        if tiles == 0 or acts[n] == 0:
-            continue
-        logical = int(acts[n]) // tiles
-        per_act = len(row_sizes) * sum(
-            params.e_wd_base * cs + params.e_wd_quadratic * cs * cs for cs in col_sizes
-        )
-        wd += logical * per_act
-        per_act_bd = len(row_sizes) * sum(
-            params.e_bd_base * cs + params.e_bd_quadratic * cs * cs for cs in col_sizes
-        )
-        bd += logical * per_act_bd
-
+    row_sizes, col_sizes = plan.tiles
+    lines = _activation_sum(trace, plan, {
+        line: len(row_sizes) * sum(base * cs + quadratic * cs * cs for cs in col_sizes)
+        for line, base, quadratic in (("wd", params.e_wd_base, params.e_wd_quadratic),
+                                      ("bd", params.e_bd_base, params.e_bd_quadratic))
+    })
     post = trace.post_ops.total_values
     bs = params.bit_serial_cycles
     return Breakdown("energy", {
         "c": params.e_cell * trace.cell_activations * bs,
-        "wd": wd * bs,
-        "bd": bd * bs,
+        "wd": lines["wd"] * bs,
+        "bd": lines["bd"] * bs,
         "dec": params.e_dec * trace.input_bits_driven * bs,
         "mux": params.e_mux * trace.output_values_read * bs,
         "rc": params.e_rc * (trace.output_values_read + post) * bs,

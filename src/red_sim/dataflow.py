@@ -128,8 +128,9 @@ class CycleSchedule:
 
     Assignment columns are parallel arrays sorted by (cycle, crossbar); each
     crossbar appears at most once per cycle.  `group_id` indexes the group
-    table; every output pixel owns exactly one group (padding-free uses -1:
-    its outputs accumulate through the overlap-add post pass instead).
+    table, one group per output pixel: group g is output pixel
+    (g // output_w, g % output_w).  Padding-free has no groups and uses -1:
+    its outputs accumulate through the overlap-add post pass instead.
     A group's members are the assignments carrying its id; for folded
     schedules they span the two phase cycles of one tile and the group is
     recorded on the completing (odd) phase.
@@ -146,8 +147,6 @@ class CycleSchedule:
     half: np.ndarray
     group_id: np.ndarray
     group_cycle: np.ndarray
-    group_y: np.ndarray
-    group_x: np.ndarray
     has_post_ops: bool = False
 
     @property
@@ -183,8 +182,6 @@ def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
         half=np.zeros(n, dtype=np.int8),
         group_id=t.copy(),
         group_cycle=t.copy(),
-        group_y=y.copy(),
-        group_x=x.copy(),
     )
 
 
@@ -204,8 +201,6 @@ def schedule_padding_free(spec: DeconvLayerSpec) -> CycleSchedule:
         half=np.zeros(n, dtype=np.int8),
         group_id=np.full(n, -1, dtype=np.int64),
         group_cycle=np.empty(0, dtype=np.int64),
-        group_y=np.empty(0, dtype=np.int32),
-        group_x=np.empty(0, dtype=np.int32),
         has_post_ops=True,
     )
 
@@ -287,8 +282,6 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
         half=half,
         group_id=group,
         group_cycle=gcycle,
-        group_y=gy.astype(np.int32),
-        group_x=gx.astype(np.int32),
     )
 
 
@@ -296,17 +289,13 @@ def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSche
     return _DESIGNS[DesignKind(design)](spec)
 
 
-def _outside(a: np.ndarray, b: np.ndarray, h: int, w: int) -> bool:
-    """Whether any coordinate pair (a, b) falls outside an h x w grid."""
-    return len(a) > 0 and bool(a.min() < 0 or a.max() >= h or b.min() < 0 or b.max() >= w)
-
-
 def validate_schedule(schedule: CycleSchedule):
     """Schema checks in O(n): assignments strictly ordered by (cycle,
     crossbar), so one VMM per crossbar per cycle; sane cycle and crossbar
     indices; known kind and half codes; pixel sources inside the input and
     window origins inside the output grid (zero drives read nothing); one
-    accumulation group per output pixel, and every assignment in one."""
+    accumulation group per output pixel (its id names the pixel), and
+    every assignment in one."""
     cycle, crossbar = schedule.cycle, schedule.crossbar
     if len(cycle):
         if cycle.min() < 0 or cycle.max() >= schedule.cycle_count or crossbar.min() < 0:
@@ -325,7 +314,8 @@ def validate_schedule(schedule: CycleSchedule):
         (InputKind.WINDOW, oh, ow, "window origin outside the output grid"),
     ):
         sel = schedule.kind == kind
-        if _outside(schedule.src_a[sel], schedule.src_b[sel], h, w):
+        a, b = schedule.src_a[sel], schedule.src_b[sel]
+        if len(a) and (a.min() < 0 or a.max() >= h or b.min() < 0 or b.max() >= w):
             raise ValueError(message)
     if schedule.has_post_ops:
         if schedule.group_count != 0:
@@ -338,11 +328,6 @@ def validate_schedule(schedule: CycleSchedule):
     gid = schedule.group_id
     if len(gid) and (gid.min() < 0 or gid.max() >= schedule.group_count):
         raise ValueError("assignment group id out of range")
-    gy, gx = schedule.group_y, schedule.group_x
-    if _outside(gy, gx, oh, ow):
-        raise ValueError("group output pixel out of range")
-    if np.bincount(gy.astype(np.int64) * ow + gx, minlength=oh * ow).max() > 1:
-        raise ValueError("an output pixel appears in more than one group")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +356,6 @@ class ExecutionTrace:
     """
 
     cycle_count: int
-    vmm_activations: int
     vmm_activations_per_crossbar: np.ndarray
     input_bits_driven: int
     output_values_read: int
@@ -380,48 +364,47 @@ class ExecutionTrace:
     active_cycle_count: int
     post_ops: PostOpCounts = field(default_factory=PostOpCounts)
 
+    @property
+    def vmm_activations(self) -> int:
+        return int(self.vmm_activations_per_crossbar.sum())
+
 
 def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTrace:
     """Activity counts implied by a schedule on a plan, independent of data.
 
-    The schedule supplies the spatial geometry and the plan C, M and the
-    array shapes, so a schedule built at scaled channels traces the
-    full-size plan exactly like one built at full channels; a geometry-only
-    plan suffices.
+    The schedule supplies the spatial geometry and the plan C, M, the
+    array shape and the tile grid, so a schedule built at scaled channels
+    traces the full-size plan exactly like one built at full channels; a
+    geometry-only plan suffices.
     """
     _check_pair(plan, schedule, dims=2)
-    c = plan.kernel_dims[2]
-    n_xbar = len(plan.shapes)
-    rows, cols = np.array(plan.shapes, dtype=np.int64).T
-    row_tiles, col_tiles = np.array([(len(r), len(k)) for r, k in plan.tile_grids],
-                                    dtype=np.int64).T
+    kh, kw, c, m = plan.kernel_dims
+    rows, cols = plan.shape
+    row_tiles, col_tiles = (len(sizes) for sizes in plan.tiles)
 
     live = schedule.kind != InputKind.ZERO
-    xb = schedule.crossbar[live]
-    per_xbar_logical = np.bincount(xb, minlength=n_xbar).astype(np.int64)
+    n_live = int(np.count_nonzero(live))
+    per_xbar = np.bincount(schedule.crossbar[live], minlength=plan.count) * (row_tiles * col_tiles)
 
-    driven = np.where(
-        schedule.kind[live] == InputKind.WINDOW, rows[xb], np.int64(c)
-    ).astype(np.int64)
+    n_windows = int(np.count_nonzero(schedule.kind == InputKind.WINDOW))
+    driven = n_windows * rows + (n_live - n_windows) * c
     # every column tile of a split array re-drives its rows
-    input_bits = int((driven * col_tiles[xb]).sum())
-    output_values = int((cols[xb] * row_tiles[xb]).sum())
-    cells = int((driven * cols[xb]).sum())
-    tile_adds = int(((row_tiles[xb] - 1) * cols[xb]).sum())
+    input_bits = driven * col_tiles
+    output_values = n_live * cols * row_tiles
+    cells = driven * cols
+    tile_adds = n_live * (row_tiles - 1) * cols
 
     group_adds = 0
     if schedule.group_count:
         gids = schedule.group_id[live]
         members = np.bincount(gids[gids >= 0], minlength=schedule.group_count)
-        m_cols = plan.kernel_dims[3]
-        group_adds = int(np.maximum(members - 1, 0).sum()) * m_cols
+        group_adds = int(np.maximum(members - 1, 0).sum()) * m
 
     active_cycles = int(np.count_nonzero(np.bincount(schedule.cycle[live])))
 
     post = PostOpCounts()
     if schedule.has_post_ops:
         spec = schedule.layer
-        kh, kw, _, m = plan.kernel_dims
         oh, ow, _ = output_shape(spec)
         post = PostOpCounts(
             overlap_add_values=spec.input_h * spec.input_w * kh * kw * m,
@@ -430,8 +413,7 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
 
     return ExecutionTrace(
         cycle_count=schedule.cycle_count,
-        vmm_activations=int((per_xbar_logical * row_tiles * col_tiles).sum()),
-        vmm_activations_per_crossbar=per_xbar_logical * row_tiles * col_tiles,
+        vmm_activations_per_crossbar=per_xbar,
         input_bits_driven=input_bits,
         output_values_read=output_values,
         adds_performed=group_adds + tile_adds,
@@ -493,11 +475,11 @@ def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tenso
         n_dest = spec.input_h * spec.input_w
     else:
         dest, n_dest = schedule.group_id, schedule.group_count
-    rows, cols = plan.shapes[0]  # the arrays of a plan share one shape and dtype
+    rows, cols = plan.shape
     acc = np.zeros((n_dest, cols), dtype=np.result_type(pixels, plan.crossbars[0]))
 
     order = np.argsort(schedule.crossbar, kind="stable")
-    bounds = np.searchsorted(schedule.crossbar[order], np.arange(len(plan.crossbars) + 1))
+    bounds = np.searchsorted(schedule.crossbar[order], np.arange(plan.count + 1))
     pixel, slot = (col[order] for col in _sources(schedule))
     dest = dest[order]
     slots = np.arange(rows // c)
@@ -576,7 +558,8 @@ def dump_schedule_lines(schedule: CycleSchedule):
     Assignment: cycle,crossbar_index,input_kind,a,b
     Group:      cycle,group_id,output_y,output_x,member_crossbars...
     Coordinates are 0-based (row, col); window coordinates address the
-    padded image, pixel coordinates the original input feature map.
+    padded image, pixel coordinates the original input feature map, and a
+    group's output pixel is divmod(group_id, output_w).
     """
     yield f"# design={schedule.design.value} cycles={schedule.cycle_count}"
     yield "# assignment: cycle,crossbar,kind,a,b  group: cycle,group,out_y,out_x,members..."
@@ -600,8 +583,7 @@ def dump_schedule_lines(schedule: CycleSchedule):
     for gid, gc in enumerate(schedule.group_cycle.tolist()):
         by_cycle.setdefault(gc, []).append(gid)
 
-    gy = schedule.group_y.tolist()
-    gx = schedule.group_x.tolist()
+    ow = output_shape(schedule.layer)[1]
 
     n = len(cyc)
     pos = 0
@@ -611,4 +593,4 @@ def dump_schedule_lines(schedule: CycleSchedule):
             pos += 1
         for gid in sorted(by_cycle.get(t, ())):
             mem = ",".join(str(v) for v in members.get(gid, ()))
-            yield f"{t},{gid},{gy[gid]},{gx[gid]},{mem}"
+            yield f"{t},{gid},{gid // ow},{gid % ow},{mem}"

@@ -16,10 +16,10 @@ trading time for periphery area.
 Cells store signed values exactly; differential-pair or bit-sliced cell
 encodings are left to the cost model's coefficients.
 
-The array shapes, and so tile grids, cell count and periphery inventory,
-follow from the design and (kh, kw, C, M) alone: one table holds each
-design's shapes and weight layout (a list of arrays), and a plan built
-without weights is all that costing needs.
+A design's arrays share one shape: its count and shape, and so the one
+tile grid, cell count and periphery inventory, follow from (kh, kw, C, M)
+alone.  One table holds each design's count, shape and weight layout (a
+list of arrays), and a plan built without weights is all costing needs.
 """
 
 from __future__ import annotations
@@ -57,15 +57,14 @@ class PortCount:
     ports: int
 
 
-def _inventory(tile_grids) -> dict[str, PortCount]:
+def _inventory(count: int, tiles) -> dict[str, PortCount]:
     """One driver bank, decoder, mux, read-circuit bank and shift-adder bank
     per physical tile; input-side ports scale with rows, output-side with
     columns."""
-    n = rows = cols = 0
-    for row_sizes, col_sizes in tile_grids:
-        n += len(row_sizes) * len(col_sizes)
-        rows += sum(row_sizes) * len(col_sizes)
-        cols += sum(col_sizes) * len(row_sizes)
+    row_sizes, col_sizes = tiles
+    n = count * len(row_sizes) * len(col_sizes)
+    rows = count * sum(row_sizes) * len(col_sizes)
+    cols = count * sum(col_sizes) * len(row_sizes)
     return {
         "wd": PortCount(n, rows),
         "dec": PortCount(n, rows),
@@ -87,14 +86,15 @@ def _split_sizes(total: int, cap: int | None) -> list[int]:
 class MappingPlan:
     """How one design's weights occupy crossbar cells.
 
-    `shapes` are the (rows, cols) of the logical arrays the schedules
-    address; the design and `kernel_dims` fix them.  `crossbars` lists
+    The design and `kernel_dims` fix `count` identical logical arrays of
+    `shape` (rows, cols), which the schedules address.  `crossbars` lists
     their 2-D weight arrays, or is None in a geometry-only plan, which is
     all the trace and the cost model read.  When an optional physical
-    array size cap is applied, each logical array splits into a grid of
-    tiles (`tile_grids`); a logical activation then activates every tile,
-    column tiles concatenate and row tiles contribute partial sums.  The
-    default leaves arrays at their logical size.
+    array size cap is applied, every logical array splits into the same
+    grid of tiles, `tiles` = (row sizes, column sizes); a logical
+    activation then activates every tile, column tiles concatenate and row
+    tiles contribute partial sums.  The default leaves arrays at their
+    logical size.
     """
 
     design: DesignKind
@@ -102,8 +102,9 @@ class MappingPlan:
     crossbars: list[np.ndarray] | None = None
     max_rows: int | None = None
     max_cols: int | None = None
-    shapes: list[tuple[int, int]] = field(init=False)
-    tile_grids: list[tuple[list[int], list[int]]] = field(init=False)
+    count: int = field(init=False)
+    shape: tuple[int, int] = field(init=False)
+    tiles: tuple[list[int], list[int]] = field(init=False)
     periphery_inventory: dict[str, PortCount] = field(init=False)
 
     def __post_init__(self):
@@ -112,20 +113,19 @@ class MappingPlan:
             raise ValueError("max_rows must be >= 1")
         if self.max_cols is not None and self.max_cols < 1:
             raise ValueError("max_cols must be >= 1")
-        self.shapes = _DESIGNS[self.design][0](*self.kernel_dims)
-        if (self.crossbars is not None
-                and [x.shape for x in self.crossbars] != self.shapes):
+        self.count, self.shape = _DESIGNS[self.design][0](*self.kernel_dims)
+        if self.crossbars is not None and (
+                len(self.crossbars) != self.count
+                or any(x.shape != self.shape for x in self.crossbars)):
             raise ValueError(f"layout arrays do not match the {self.design} shapes "
                              f"of kernel {self.kernel_dims}")
-        self.tile_grids = [
-            (_split_sizes(rows, self.max_rows), _split_sizes(cols, self.max_cols))
-            for rows, cols in self.shapes
-        ]
-        self.periphery_inventory = _inventory(self.tile_grids)
+        rows, cols = self.shape
+        self.tiles = (_split_sizes(rows, self.max_rows), _split_sizes(cols, self.max_cols))
+        self.periphery_inventory = _inventory(self.count, self.tiles)
 
     @property
     def cell_count(self) -> int:
-        return sum(rows * cols for rows, cols in self.shapes)
+        return self.count * self.shape[0] * self.shape[1]
 
     def stored_values(self) -> np.ndarray:
         """All meaningful stored weight values (fold padding excluded)."""
@@ -168,12 +168,12 @@ def fold_area_efficient(subs: list[np.ndarray]) -> list[np.ndarray]:
     return [np.vstack(pair) for pair in zip(subs[::2], subs[1::2])]
 
 
-# per design: logical crossbar shapes from (kh, kw, C, M), weight layout
+# per design: (array count, logical array shape) from (kh, kw, C, M), weight layout
 _DESIGNS = {
-    DesignKind.ZERO_PADDING: (lambda kh, kw, c, m: [(kh * kw * c, m)], _zero_padding_layout),
-    DesignKind.PADDING_FREE: (lambda kh, kw, c, m: [(c, kh * kw * m)], _padding_free_layout),
-    DesignKind.RED: (lambda kh, kw, c, m: [(c, m)] * (kh * kw), map_pixel_wise),
-    DesignKind.RED_FOLDED: (lambda kh, kw, c, m: [(2 * c, m)] * ((kh * kw + 1) // 2),
+    DesignKind.ZERO_PADDING: (lambda kh, kw, c, m: (1, (kh * kw * c, m)), _zero_padding_layout),
+    DesignKind.PADDING_FREE: (lambda kh, kw, c, m: (1, (c, kh * kw * m)), _padding_free_layout),
+    DesignKind.RED: (lambda kh, kw, c, m: (kh * kw, (c, m)), map_pixel_wise),
+    DesignKind.RED_FOLDED: (lambda kh, kw, c, m: ((kh * kw + 1) // 2, (2 * c, m)),
                             lambda kernel: fold_area_efficient(map_pixel_wise(kernel))),
 }
 

@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: `bool` is an `int` in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _canonical(data, ndim: int, what: str) -> np.ndarray:
     """Validate rank and dims >= 1; coerce to int64 (default) or float64.
 

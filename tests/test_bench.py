@@ -172,6 +172,22 @@ def test_config_validates_options(tmp_path):
                [value if i == index else v for i, v in enumerate(layer[key])]}
         with pytest.raises(ConfigError, match=rf"layers\[0\]\.{key} must hold integers"):
             load_config(write_config(tmp_path, {"layers": [bad]}, name=f"bad_{key}.json"))
+    # json reads NaN and Infinity; a coefficient is a finite number, not a
+    # bool or string, and bit_serial_cycles an integer
+    for i, (key, value, message) in enumerate([
+        ("e_cell", True, "coefficient e_cell must be a finite number"),
+        ("e_cell", "x", "coefficient e_cell must be a finite number"),
+        ("t_wd", float("nan"), "coefficient t_wd must be a finite number"),
+        ("a_rc", float("inf"), "coefficient a_rc must be a finite number"),
+        ("a_rc", 10**400, "coefficient a_rc must be a finite number"),
+        ("a_sa", -1, "coefficient a_sa must be a finite number"),
+        ("bit_serial_cycles", 1.5, "bit_serial_cycles must be an integer"),
+        ("bit_serial_cycles", True, "bit_serial_cycles must be an integer"),
+        ("clock_hz", 2e9, "unknown cost parameter: 'clock_hz'"),
+    ]):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, {"cost_params": {key: value}},
+                                     name=f"bad_cost_{i}.json"))
 
 
 def test_shipped_default_params_file_matches_code():

@@ -150,6 +150,17 @@ def test_run_rejects_non_integer_config_exit_2(tmp_path, change, capsys):
     assert "all checks passed" not in captured.out
 
 
+@pytest.mark.parametrize("field,value", [("e_cell", True), ("t_wd", float("nan")),
+                                         ("bit_serial_cycles", 1.5)])
+def test_run_rejects_bad_cost_param_exit_2(tmp_path, field, value, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TOY_CONFIG, "cost_params": {field: value}}), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "cost_params:" in captured.err and f"{field} must be" in captured.err
+    assert "all checks passed" not in captured.out
+
+
 def test_run_accepts_largest_seed(toy_config, capsys):
     assert main(["run", "--config", toy_config, "--trials", "1",
                  "--seed", "18446744073709551615"]) == 0

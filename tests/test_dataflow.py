@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from red_sim.dataflow import (
     Half,
@@ -38,6 +38,19 @@ TOY = DeconvLayerSpec(4, 4, 2, 3, 3, 2, 2, 2, 0, 2, 0)
 
 GAN1 = DeconvLayerSpec(8, 8, 512, 5, 5, 256, 2, 1, 2, 1, 2)
 FCN2 = DeconvLayerSpec(70, 70, 21, 16, 16, 21, 8)
+
+
+@st.composite
+def layer_specs(draw, max_channels=3):
+    """Valid layers over the whole crop space, strides up to 7."""
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    crops = [draw(st.integers(0, k - 1)) for k in (kh, kh, kw, kw)]
+    c, m = draw(st.integers(1, max_channels)), draw(st.integers(1, max_channels))
+    ih, iw, s = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    try:
+        return DeconvLayerSpec(ih, iw, c, kh, kw, m, s, *crops)
+    except ValueError:
+        assume(False)  # vanishing output, not a valid layer
 
 
 def rand_pair(spec, seed=0):
@@ -136,17 +149,28 @@ def test_zero_skipping_first_cycle_pattern():
     assert by_pixel[(1, 1)] == {4, 5, 7, 8}
 
 
-def test_zero_skipping_groups_follow_modes():
-    sched = schedule_zero_skipping(TOY)
-    part = partition_modes(TOY)
-    oh, ow, _ = output_shape(TOY)
-    members = defaultdict(set)
-    for gid, xb in zip(sched.group_id, sched.crossbar):
-        members[int(gid)].add(int(xb))
-    for gid, subs in members.items():
-        y, x = divmod(gid, ow)
-        mode = part.modes[((TOY.pad_top - y) % 2, (TOY.pad_left - x) % 2)]
-        assert subs == {i * TOY.kw + j for i, j in mode}
+@settings(max_examples=50, deadline=None)
+@given(spec=layer_specs(max_channels=1),
+       design=st.sampled_from([DesignKind.RED, DesignKind.RED_FOLDED]))
+@example(spec=TOY, design=DesignKind.RED)
+def test_zero_skipping_groups_follow_modes(spec, design):
+    # each dumped group names output pixel divmod(group, ow) and lists the
+    # crossbars of that pixel's computation mode: sub n, or folded sub n // 2
+    part = partition_modes(spec)
+    s, ow = spec.stride, spec.output_w
+    fold = 2 if design is DesignKind.RED_FOLDED else 1
+    seen = []
+    for line in dump_schedule_lines(build_schedule(spec, design)):
+        fields = line.split(",")
+        if line.startswith("#") or not fields[2].isdigit():
+            continue  # header or assignment line
+        gid, y, x = (int(v) for v in fields[1:4])
+        assert (y, x) == divmod(gid, ow)
+        mode = part.modes[((spec.pad_top - y) % s, (spec.pad_left - x) % s)]
+        assert sorted(int(v) for v in fields[4:] if v) == sorted(
+            (i * spec.kw + j) // fold for i, j in mode)
+        seen.append(gid)
+    assert sorted(seen) == list(range(spec.output_h * ow))
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +229,6 @@ def _pixels_one_column_right(_):
     (DesignKind.ZERO_PADDING,
      lambda s: dataclasses.replace(s, group_cycle=s.group_cycle[:-1]),
      "one group per output pixel"),
-    (DesignKind.RED, lambda s: _with_value(s, "group_y", -1, TOY.output_h),
-     "group output pixel out of range"),
-    (DesignKind.RED, lambda s: _with_value(s, "group_x", 0, -1),
-     "group output pixel out of range"),
-    (DesignKind.RED, lambda s: _with_value(s, "group_x", 1, 0),
-     "more than one group"),
     (DesignKind.RED, lambda s: _with_value(s, "group_id", 0, -1),
      "assignment group id out of range"),
     (DesignKind.RED, lambda s: _with_value(s, "kind", 0, 3), "unknown input kind"),
@@ -486,19 +504,6 @@ def test_dump_deterministic():
 # ---------------------------------------------------------------------------
 # master equivalence property
 # ---------------------------------------------------------------------------
-
-
-@st.composite
-def layer_specs(draw, max_channels=3):
-    """Valid layers over the whole crop space, strides up to 7."""
-    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    crops = [draw(st.integers(0, k - 1)) for k in (kh, kh, kw, kw)]
-    c, m = draw(st.integers(1, max_channels)), draw(st.integers(1, max_channels))
-    ih, iw, s = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 7))
-    try:
-        return DeconvLayerSpec(ih, iw, c, kh, kw, m, s, *crops)
-    except ValueError:
-        assume(False)  # vanishing output, not a valid layer
 
 
 @settings(max_examples=50, deadline=None)

@@ -209,8 +209,9 @@ def test_tiling_partitions_cells_and_inventory():
     k = rand_kernel(3, 3, 50, 40)
     plan = build_plan(k, DesignKind.ZERO_PADDING, max_rows=128, max_cols=32)
     assert plan.cell_count == 3 * 3 * 50 * 40
-    row_sizes, col_sizes = plan.tile_grids[0]
-    assert len(row_sizes) == 4 and len(col_sizes) == 2  # 450 rows, 40 cols
+    assert (plan.count, plan.shape) == (1, (450, 40))
+    row_sizes, col_sizes = plan.tiles
+    assert len(row_sizes) == 4 and len(col_sizes) == 2
     assert plan.periphery_inventory["wd"].instances == 8
     assert sum(r * c for r in row_sizes for c in col_sizes) == plan.cell_count
     assert max(row_sizes) <= 128 and max(col_sizes) <= 32
@@ -222,13 +223,14 @@ def test_geometry_plan_matches_weighted_plan(design, caps):
     weighted = build_plan(rand_kernel(3, 3, 6, 4), design, None, *caps)
     geometry = MappingPlan(design, (3, 3, 6, 4), None, *caps)
     assert geometry.crossbars is None
-    assert geometry.shapes == weighted.shapes == [x.shape for x in weighted.crossbars]
-    assert geometry.tile_grids == weighted.tile_grids
+    assert (geometry.count, geometry.shape) == (weighted.count, weighted.shape)
+    assert [x.shape for x in weighted.crossbars] == [weighted.shape] * weighted.count
+    assert geometry.tiles == weighted.tiles
     assert geometry.periphery_inventory == weighted.periphery_inventory
     assert geometry.cell_count == weighted.cell_count
     assert geometry.cell_count == sum(x.size for x in weighted.crossbars)
     if caps != (None, None):
-        assert any(len(r) * len(c) > 1 for r, c in geometry.tile_grids)
+        assert len(geometry.tiles[0]) * len(geometry.tiles[1]) > 1
 
 
 def test_plan_rejects_layout_off_its_shapes():
