@@ -24,7 +24,7 @@ for design in DesignKind:
     inv = plan.periphery_inventory
     print(f"{design.value:13s} {len(plan.crossbars):3d} arrays of {shapes}, "
           f"{plan.cell_count} cells, "
-          f"read ports {inv['rc'].ports}, wordline ports {inv['wd'].ports}")
+          f"read ports {inv['rc']}, wordline ports {inv['wd']}")
 
 # a crossbar is a plain weight array; the pixel-wise subs are indexed by
 # kernel position: sub n = i*kw + j

@@ -283,9 +283,9 @@ def load_config(path) -> tuple[list[BenchmarkEntry], CostParams, RunOptions]:
 
     label = DEFAULT_PARAMS_LABEL
     given = raw.get("cost_params", {})
+    if not isinstance(given, dict):
+        raise ConfigError("cost_params must be an object")
     if given:
-        if not isinstance(given, dict):
-            raise ConfigError("cost_params must be an object")
         label = "user-supplied"
     try:
         params = CostParams.from_dict(given)

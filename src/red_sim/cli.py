@@ -6,15 +6,16 @@ Subcommands:
     redundancy     zero-redundancy ratio versus stride (plot-ready CSV)
     dump-schedule  per-cycle schedule of one layer/design, stable text format
 
-Exit codes: 0 success, 1 oracle-equivalence failure, 2 usage/config error.
-All file outputs are byte-deterministic given the same arguments, config
-and seed.  `RED_SIM_CONFIG` supplies the config path when --config is
-absent.
+Exit codes: 0 success, 1 oracle-equivalence failure, 2 usage/config error
+or an output that cannot be written.  All file outputs are
+byte-deterministic given the same arguments, config and seed.
+`RED_SIM_CONFIG` supplies the config path when --config is absent.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -50,12 +51,24 @@ EXIT_EQUIVALENCE = 1
 EXIT_USAGE = 2
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """A failure to write `path` is a usage error (exit 2); a closed pipe
+    still ends the command cleanly."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
+
+
 def _write_text(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    with _writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -133,6 +146,9 @@ def cmd_run(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     entries, params, opts = _resolve_config(args)
+    if args.out:
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
     reports = run_suite(
         entries,
         params=params,
@@ -145,7 +161,6 @@ def cmd_run(args) -> int:
     )
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         if args.format == "json":
             obj = {
                 "seed": opts.seed,

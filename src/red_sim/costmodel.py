@@ -1,7 +1,7 @@
 """Latency / energy / area aggregation and design comparison.
 
 Costs aggregate an execution trace and a mapping plan's geometry (its one
-array shape and tile grid, periphery inventory; never its weights) into
+array shape and periphery inventory; never its weights) into
 per-component breakdowns:
 
     L_total = (L_wd + L_bd)_array + (L_dec + L_mux + L_rc + L_sa)_periphery
@@ -132,7 +132,7 @@ def _lg(x: int) -> int:
     return max(1, math.ceil(math.log2(x))) if x > 1 else 1
 
 
-# one of each per physical crossbar: wordline and bitline drivers, decoder,
+# one of each per crossbar: wordline and bitline drivers, decoder,
 # mux, read circuits, shift-adders
 _CIRCUITS = ("wd", "bd", "dec", "mux", "rc", "sa")
 
@@ -194,15 +194,13 @@ class CostBreakdown:
     notes: str = "ideal signed cells; negative weights stored directly"
 
 
-def _activation_sum(trace: ExecutionTrace, plan: MappingPlan,
-                    per_act: dict[str, float]) -> dict[str, float]:
-    """Per-activation costs times each crossbar's logical activations,
-    added crossbar by crossbar in crossbar order."""
-    tiles = len(plan.tiles[0]) * len(plan.tiles[1])
+def _activation_sum(trace: ExecutionTrace, per_act: dict[str, float]) -> dict[str, float]:
+    """Per-activation costs times each crossbar's activations, added
+    crossbar by crossbar in crossbar order."""
     total = dict.fromkeys(per_act, 0.0)
     for acts in trace.vmm_activations_per_crossbar.tolist():
         for k, v in per_act.items():
-            total[k] += acts // tiles * v
+            total[k] += acts * v
     return total
 
 
@@ -221,7 +219,7 @@ def latency_of(
     if critical_path_mode not in ("max", "sum"):
         raise ValueError(f"critical_path_mode must be 'max' or 'sum', got {critical_path_mode!r}")
 
-    rows, cols = (max(sizes) for sizes in plan.tiles)
+    rows, cols = plan.shape
     per_act = {
         "wd": params.t_wd * cols,
         "bd": params.t_bd * rows,
@@ -235,7 +233,7 @@ def latency_of(
         # path is one activation of that shape
         comp = {k: v * trace.active_cycle_count for k, v in per_act.items()}
     else:
-        comp = _activation_sum(trace, plan, per_act)
+        comp = _activation_sum(trace, per_act)
 
     post = trace.post_ops.total_values
     comp["rc"] += params.t_rc * post
@@ -248,9 +246,9 @@ def latency_of(
 def energy_of(trace: ExecutionTrace, plan: MappingPlan, params: CostParams) -> Breakdown:
     """Total energy per the two-part breakdown; zero-vector assignments
     contribute nothing."""
-    row_sizes, col_sizes = plan.tiles
-    lines = _activation_sum(trace, plan, {
-        line: len(row_sizes) * sum(base * cs + quadratic * cs * cs for cs in col_sizes)
+    cols = plan.shape[1]
+    lines = _activation_sum(trace, {
+        line: base * cols + quadratic * cols * cols
         for line, base, quadratic in (("wd", params.e_wd_base, params.e_wd_quadratic),
                                       ("bd", params.e_bd_base, params.e_bd_quadratic))
     })
@@ -268,11 +266,11 @@ def energy_of(trace: ExecutionTrace, plan: MappingPlan, params: CostParams) -> B
 
 
 def area_of(plan: MappingPlan, params: CostParams) -> Breakdown:
-    """Array area from physical cells (design-invariant for a fixed kernel),
-    periphery area from the plan's instance inventory port counts."""
+    """Array area from cells (design-invariant for a fixed kernel),
+    periphery area from the plan's port count per circuit."""
     comp = {"array": params.a_cell * plan.cell_count}
     for k in _CIRCUITS:
-        comp[k] = getattr(params, f"a_{k}") * plan.periphery_inventory[k].ports
+        comp[k] = getattr(params, f"a_{k}") * plan.periphery_inventory[k]
     return Breakdown("area", comp)
 
 

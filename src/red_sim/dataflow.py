@@ -22,7 +22,7 @@ C..2C-1 with the odd original sub's input.
 
 Output pixels are produced once each; the members of an output pixel's
 accumulation group are exactly the sub-crossbars of its computation mode.
-Cycles advance row-major over output tiles, so traces are reproducible.
+Cycles advance row-major over s x s output blocks, so traces are reproducible.
 
 A design is its weight layout (mapping) plus its schedule; one runner
 executes them all.  Every drive, whether a window, a pixel, a folded
@@ -291,23 +291,29 @@ def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSche
 
 def validate_schedule(schedule: CycleSchedule):
     """Schema checks in O(n): assignments strictly ordered by (cycle,
-    crossbar), so one VMM per crossbar per cycle; sane cycle and crossbar
-    indices; known kind and half codes; pixel sources inside the input and
-    window origins inside the output grid (zero drives read nothing); one
-    accumulation group per output pixel (its id names the pixel), and
-    every assignment in one."""
+    crossbar), so one VMM per crossbar per cycle; cycles and crossbars
+    below the cycle and array counts; known kind and half codes, half FULL
+    on windows and off red_folded, LOW or HIGH on red_folded; pixel sources
+    inside the input and window origins inside the output grid (zero drives
+    read nothing); one accumulation group per output pixel (its id names
+    the pixel), and every assignment in one."""
     cycle, crossbar = schedule.cycle, schedule.crossbar
+    spec = schedule.layer
     if len(cycle):
-        if cycle.min() < 0 or cycle.max() >= schedule.cycle_count or crossbar.min() < 0:
-            raise ValueError("assignment cycle or crossbar index out of range")
-        pair = cycle * (int(crossbar.max()) + 1) + crossbar
-        if (np.diff(pair) <= 0).any():
+        n_arrays = MappingPlan(schedule.design, spec.kernel_shape).count
+        if (cycle.min() < 0 or cycle.max() >= schedule.cycle_count
+                or crossbar.min() < 0 or crossbar.max() >= n_arrays):
+            raise ValueError(f"cycle or crossbar index out of range ({n_arrays} arrays)")
+        if (np.diff(cycle * n_arrays + crossbar) <= 0).any():
             raise ValueError("assignments not in strictly increasing (cycle, crossbar) order")
         kind, half = schedule.kind, schedule.half
         if (kind.min() < InputKind.WINDOW or kind.max() > InputKind.ZERO
                 or half.min() < Half.FULL or half.max() > Half.HIGH):
             raise ValueError("unknown input kind or half code")
-    spec = schedule.layer
+        folded = schedule.design is DesignKind.RED_FOLDED
+        if (((half != Half.FULL) != folded).any()
+                or (half[kind == InputKind.WINDOW] != Half.FULL).any()):
+            raise ValueError(f"half code does not fit the {schedule.design} design")
     oh, ow, _ = output_shape(spec)
     for kind, h, w, message in (
         (InputKind.PIXEL, spec.input_h, spec.input_w, "pixel source outside the input"),
@@ -372,27 +378,21 @@ class ExecutionTrace:
 def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTrace:
     """Activity counts implied by a schedule on a plan, independent of data.
 
-    The schedule supplies the spatial geometry and the plan C, M, the
-    array shape and the tile grid, so a schedule built at scaled channels
-    traces the full-size plan exactly like one built at full channels; a
+    The schedule supplies the spatial geometry and the plan C, M and the
+    array shape, so a schedule built at scaled channels traces the
+    full-size plan exactly like one built at full channels; a
     geometry-only plan suffices.
     """
     _check_pair(plan, schedule, dims=2)
     kh, kw, c, m = plan.kernel_dims
     rows, cols = plan.shape
-    row_tiles, col_tiles = (len(sizes) for sizes in plan.tiles)
 
     live = schedule.kind != InputKind.ZERO
     n_live = int(np.count_nonzero(live))
-    per_xbar = np.bincount(schedule.crossbar[live], minlength=plan.count) * (row_tiles * col_tiles)
+    per_xbar = np.bincount(schedule.crossbar[live], minlength=plan.count)
 
     n_windows = int(np.count_nonzero(schedule.kind == InputKind.WINDOW))
     driven = n_windows * rows + (n_live - n_windows) * c
-    # every column tile of a split array re-drives its rows
-    input_bits = driven * col_tiles
-    output_values = n_live * cols * row_tiles
-    cells = driven * cols
-    tile_adds = n_live * (row_tiles - 1) * cols
 
     group_adds = 0
     if schedule.group_count:
@@ -414,10 +414,10 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
     return ExecutionTrace(
         cycle_count=schedule.cycle_count,
         vmm_activations_per_crossbar=per_xbar,
-        input_bits_driven=input_bits,
-        output_values_read=output_values,
-        adds_performed=group_adds + tile_adds,
-        cell_activations=cells,
+        input_bits_driven=driven,
+        output_values_read=n_live * cols,
+        adds_performed=group_adds,
+        cell_activations=driven * cols,
         active_cycle_count=active_cycles,
         post_ops=post,
     )
@@ -455,10 +455,9 @@ def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tenso
     padding-free into the input pixel's product row, which the overlap-add
     and crop post pass then places.  This is arithmetic-identical to cycle
     order (integer adds commute), and the result equals the zero-padding
-    oracle element-exactly in integer mode.  An array size cap changes
-    only the trace accounting, since row/column tiles of a matrix
-    partition its product exactly.  Activity counts do not depend on the
-    input: take them once per (plan, schedule) with `trace_of_schedule`.
+    oracle element-exactly in integer mode.  Activity counts do not depend
+    on the input: take them once per (plan, schedule) with
+    `trace_of_schedule`.
     """
     _check_pair(plan, schedule, dims=4)
     spec = schedule.layer

@@ -16,10 +16,11 @@ trading time for periphery area.
 Cells store signed values exactly; differential-pair or bit-sliced cell
 encodings are left to the cost model's coefficients.
 
-A design's arrays share one shape: its count and shape, and so the one
-tile grid, cell count and periphery inventory, follow from (kh, kw, C, M)
-alone.  One table holds each design's count, shape and weight layout (a
-list of arrays), and a plan built without weights is all costing needs.
+A design's arrays, modeled at their logical size, share one shape: its
+count and shape, and so its cell count and periphery inventory, follow
+from (kh, kw, C, M) alone.  One table holds each design's count, shape and
+weight layout (a list of arrays), and a plan built without weights is all
+costing needs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .tensor import DeconvLayerSpec, Kernel4, _check_kernel, rotate180
 
 __all__ = [
     "DesignKind",
-    "PortCount",
     "MappingPlan",
     "map_pixel_wise",
     "fold_area_efficient",
@@ -51,77 +51,37 @@ class DesignKind(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class PortCount:
-    instances: int
-    ports: int
-
-
-def _inventory(count: int, tiles) -> dict[str, PortCount]:
-    """One driver bank, decoder, mux, read-circuit bank and shift-adder bank
-    per physical tile; input-side ports scale with rows, output-side with
-    columns."""
-    row_sizes, col_sizes = tiles
-    n = count * len(row_sizes) * len(col_sizes)
-    rows = count * sum(row_sizes) * len(col_sizes)
-    cols = count * sum(col_sizes) * len(row_sizes)
-    return {
-        "wd": PortCount(n, rows),
-        "dec": PortCount(n, rows),
-        "bd": PortCount(n, cols),
-        "mux": PortCount(n, cols),
-        "rc": PortCount(n, cols),
-        "sa": PortCount(n, cols),
-    }
-
-
-def _split_sizes(total: int, cap: int | None) -> list[int]:
-    if cap is None or total <= cap:
-        return [total]
-    n = -(-total // cap)
-    return [cap] * (n - 1) + [total - cap * (n - 1)]
-
-
 @dataclass
 class MappingPlan:
     """How one design's weights occupy crossbar cells.
 
-    The design and `kernel_dims` fix `count` identical logical arrays of
-    `shape` (rows, cols), which the schedules address.  `crossbars` lists
-    their 2-D weight arrays, or is None in a geometry-only plan, which is
-    all the trace and the cost model read.  When an optional physical
-    array size cap is applied, every logical array splits into the same
-    grid of tiles, `tiles` = (row sizes, column sizes); a logical
-    activation then activates every tile, column tiles concatenate and row
-    tiles contribute partial sums.  The default leaves arrays at their
-    logical size.
+    The design and `kernel_dims` fix `count` identical arrays of `shape`
+    (rows, cols), which the schedules address.  `crossbars` lists their
+    2-D weight arrays, or is None in a geometry-only plan, which is all
+    the trace and the cost model read.  `periphery_inventory` maps each
+    periphery circuit to its port count over all arrays.
     """
 
     design: DesignKind
     kernel_dims: tuple[int, int, int, int]
     crossbars: list[np.ndarray] | None = None
-    max_rows: int | None = None
-    max_cols: int | None = None
     count: int = field(init=False)
     shape: tuple[int, int] = field(init=False)
-    tiles: tuple[list[int], list[int]] = field(init=False)
-    periphery_inventory: dict[str, PortCount] = field(init=False)
+    periphery_inventory: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         self.design = DesignKind(self.design)
-        if self.max_rows is not None and self.max_rows < 1:
-            raise ValueError("max_rows must be >= 1")
-        if self.max_cols is not None and self.max_cols < 1:
-            raise ValueError("max_cols must be >= 1")
         self.count, self.shape = _DESIGNS[self.design][0](*self.kernel_dims)
         if self.crossbars is not None and (
                 len(self.crossbars) != self.count
                 or any(x.shape != self.shape for x in self.crossbars)):
             raise ValueError(f"layout arrays do not match the {self.design} shapes "
                              f"of kernel {self.kernel_dims}")
+        # one instance of each periphery circuit per array: input-side ports
+        # scale with rows, output-side ports with columns
         rows, cols = self.shape
-        self.tiles = (_split_sizes(rows, self.max_rows), _split_sizes(cols, self.max_cols))
-        self.periphery_inventory = _inventory(self.count, self.tiles)
+        self.periphery_inventory = {**dict.fromkeys(("wd", "dec"), self.count * rows),
+                                    **dict.fromkeys(("bd", "mux", "rc", "sa"), self.count * cols)}
 
     @property
     def cell_count(self) -> int:
@@ -179,9 +139,7 @@ _DESIGNS = {
 
 
 def build_plan(kernel: Kernel4, design: DesignKind | str,
-               layer_spec: DeconvLayerSpec | None = None,
-               max_rows: int | None = None,
-               max_cols: int | None = None) -> MappingPlan:
+               layer_spec: DeconvLayerSpec | None = None) -> MappingPlan:
     """Lay the kernel's weights out for any of the four design variants.
 
     A given `layer_spec` must match the kernel's shape.  For the geometry
@@ -189,4 +147,4 @@ def build_plan(kernel: Kernel4, design: DesignKind | str,
     if layer_spec is not None:
         _check_kernel(kernel, layer_spec)
     design = DesignKind(design)
-    return MappingPlan(design, kernel.shape, _DESIGNS[design][1](kernel), max_rows, max_cols)
+    return MappingPlan(design, kernel.shape, _DESIGNS[design][1](kernel))

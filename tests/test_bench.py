@@ -188,6 +188,11 @@ def test_config_validates_options(tmp_path):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, {"cost_params": {key: value}},
                                      name=f"bad_cost_{i}.json"))
+    # falsy non-objects too, not only truthy ones
+    for i, value in enumerate([[], "", 0, False, None]):
+        with pytest.raises(ConfigError, match="cost_params must be an object"):
+            load_config(write_config(tmp_path, {"cost_params": value},
+                                     name=f"bad_cost_params_{i}.json"))
 
 
 def test_shipped_default_params_file_matches_code():

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,49 @@ def test_run_rejects_bad_cost_param_exit_2(tmp_path, field, value, capsys):
     captured = capsys.readouterr()
     assert "cost_params:" in captured.err and f"{field} must be" in captured.err
     assert "all checks passed" not in captured.out
+
+
+@pytest.mark.parametrize("value", [[], "", 0, False, None])
+def test_run_rejects_non_object_cost_params_exit_2(tmp_path, value, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TOY_CONFIG, "cost_params": value}), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "cost_params must be an object" in captured.err
+    assert "all checks passed" not in captured.out
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["list"], "missing/list.txt"),
+    (["dump-schedule", "--layer", "toy3x2", "--design", "red"], "missing/dump.txt"),
+    (["run", "--trials", "1"], "a_file"),
+])
+def test_unwritable_out_exit_2(toy_config, tmp_path, monkeypatch, argv, out, capsys):
+    # a missing parent directory, or a file where run's directory goes;
+    # run refuses before running the suite
+    import red_sim.cli as cli_mod
+
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    monkeypatch.setenv("RED_SIM_CONFIG", toy_config)
+    monkeypatch.setattr(cli_mod, "run_suite", lambda *a, **k: pytest.fail("suite ran"))
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {tmp_path / out}" in captured.err
+    assert "all checks passed" not in captured.out
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "/dev/stdout"]])
+def test_closed_pipe_exits_0(out):
+    # BrokenPipeError is an OSError, but a reader that stops early does not
+    # make the output unwritable; the 100 kB dump overfills the pipe buffer
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "red_sim.cli", "dump-schedule",
+                             "--layer", "FCN_Deconv1", "--design", "red", *out],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b"# design=r"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0, proc.stderr.read().decode()
+    proc.stderr.close()
 
 
 def test_run_accepts_largest_seed(toy_config, capsys):

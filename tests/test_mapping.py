@@ -188,49 +188,32 @@ def test_periphery_inventory_scaling():
     pf = build_plan(k, DesignKind.PADDING_FREE).periphery_inventory
     red = build_plan(k, DesignKind.RED).periphery_inventory
     # input-side ports: total wordlines
-    assert zp["wd"].ports == 12800 and red["wd"].ports == 25 * 512
-    assert pf["wd"].ports == 512
+    assert zp["wd"] == zp["dec"] == 12800 and red["wd"] == 25 * 512
+    assert pf["wd"] == 512
     # output-side ports blow up for the split and wide layouts
-    assert zp["rc"].ports == 256
-    assert red["rc"].ports == 25 * 256
-    assert pf["rc"].ports == 25 * 256
-    assert red["rc"].instances == 25 and zp["rc"].instances == 1
+    assert zp["rc"] == zp["bd"] == zp["mux"] == zp["sa"] == 256
+    assert red["rc"] == 25 * 256
+    assert pf["rc"] == 25 * 256
 
 
 def test_folding_halves_output_ports():
     k = rand_kernel(4, 4, 8, 6)
     red = build_plan(k, DesignKind.RED).periphery_inventory
     fold = build_plan(k, DesignKind.RED_FOLDED).periphery_inventory
-    assert fold["rc"].ports * 2 == red["rc"].ports
-    assert fold["wd"].ports == red["wd"].ports  # same total wordlines
+    assert fold["rc"] * 2 == red["rc"]
+    assert fold["wd"] == red["wd"]  # same total wordlines
 
 
-def test_tiling_partitions_cells_and_inventory():
-    k = rand_kernel(3, 3, 50, 40)
-    plan = build_plan(k, DesignKind.ZERO_PADDING, max_rows=128, max_cols=32)
-    assert plan.cell_count == 3 * 3 * 50 * 40
-    assert (plan.count, plan.shape) == (1, (450, 40))
-    row_sizes, col_sizes = plan.tiles
-    assert len(row_sizes) == 4 and len(col_sizes) == 2
-    assert plan.periphery_inventory["wd"].instances == 8
-    assert sum(r * c for r in row_sizes for c in col_sizes) == plan.cell_count
-    assert max(row_sizes) <= 128 and max(col_sizes) <= 32
-
-
-@pytest.mark.parametrize("caps", [(None, None), (4, 3)])
 @pytest.mark.parametrize("design", list(DesignKind))
-def test_geometry_plan_matches_weighted_plan(design, caps):
-    weighted = build_plan(rand_kernel(3, 3, 6, 4), design, None, *caps)
-    geometry = MappingPlan(design, (3, 3, 6, 4), None, *caps)
+def test_geometry_plan_matches_weighted_plan(design):
+    weighted = build_plan(rand_kernel(3, 3, 6, 4), design)
+    geometry = MappingPlan(design, (3, 3, 6, 4))
     assert geometry.crossbars is None
     assert (geometry.count, geometry.shape) == (weighted.count, weighted.shape)
     assert [x.shape for x in weighted.crossbars] == [weighted.shape] * weighted.count
-    assert geometry.tiles == weighted.tiles
     assert geometry.periphery_inventory == weighted.periphery_inventory
     assert geometry.cell_count == weighted.cell_count
     assert geometry.cell_count == sum(x.size for x in weighted.crossbars)
-    if caps != (None, None):
-        assert len(geometry.tiles[0]) * len(geometry.tiles[1]) > 1
 
 
 def test_plan_rejects_layout_off_its_shapes():
