@@ -29,7 +29,8 @@ from .costmodel import (
     compare,
     cost_breakdown,
 )
-from .dataflow import build_schedule, execute, trace_of_schedule, validate_schedule
+from .dataflow import (CycleSchedule, build_schedule, execute, trace_of_schedule,
+                       validate_schedule)
 from .mapping import DesignKind, MappingPlan, build_plan
 from .tensor import (DeconvLayerSpec, Kernel4, Tensor3, _is_int, deconv_oracle_zero_padding,
                      output_shape)
@@ -142,14 +143,14 @@ class Lcg64:
         out = np.empty(n, dtype=np.uint64)
         out[0] = (self.state * _LCG_MULT + _LCG_INC) & _MASK64
         have = 1
-        # affine composition of `have` generator steps
+        # affine composition of `have` generator steps, written in place
         a, c = _LCG_MULT, _LCG_INC
         while have < n:
             take = min(have, n - have)
+            step = out[have : have + take]
             with np.errstate(over="ignore"):
-                out[have : have + take] = (
-                    out[:take] * np.uint64(a) + np.uint64(c)
-                )
+                np.multiply(out[:take], np.uint64(a), out=step)
+                step += np.uint64(c)
             a, c = (a * a) & _MASK64, (a * c + c) & _MASK64
             have += take
         self.state = int(out[n - 1])
@@ -157,9 +158,13 @@ class Lcg64:
 
     def ints(self, shape: tuple[int, ...]) -> np.ndarray:
         """Small signed integers in [-8, 8], row-major draw order."""
-        n = int(np.prod(shape))
-        high = (self._states(n) >> np.uint64(32)).astype(np.int64)
-        return (high % 17 - 8).reshape(shape)
+        values = self._states(int(np.prod(shape)))
+        # in place: the high 32 bits mod 17 fit int64, so view, not copy
+        values >>= np.uint64(32)
+        values %= np.uint64(17)
+        values = values.view(np.int64)
+        values -= 8
+        return values.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +376,8 @@ def run_suite(
         for design in designs:
             schedule = build_schedule(scaled, design)
             validate_schedule(schedule)
-            plan = build_plan(kernel, design, scaled)
-            for t, (tensor, want) in enumerate(zip(inputs, oracles)):
-                got = execute(plan, schedule, tensor)
-                if not np.array_equal(got.data, want.data):
-                    raise EquivalenceError(
-                        f"{entry.name} / {design.value} / trial {t}: "
-                        + _diff_summary(got.data, want.data)
-                    )
+            _verify(f"{entry.name} / {design.value}", build_plan(kernel, design, scaled),
+                    schedule, inputs, oracles)
             # cost side: full declared dimensions, which need no weights
             full_plan = MappingPlan(design, entry.spec.kernel_shape)
             trace = trace_of_schedule(schedule, full_plan)
@@ -386,8 +385,20 @@ def run_suite(
                 trace, full_plan, params, layer=entry.name, spec=entry.spec,
                 critical_path_mode=critical_path_mode,
             )
+        # free this layer's data before the next layer's draw
+        del kernel, inputs, oracles
         reports.append(
             compare(breakdowns, baseline=baseline, params_label=params_label,
                     critical_path_mode=critical_path_mode)
         )
     return reports
+
+
+def _verify(where: str, plan: MappingPlan, schedule: CycleSchedule, inputs: list[Tensor3],
+            oracles: list[Tensor3]):
+    """Every trial's execution must equal its oracle.  The plan is freed on
+    return, before the next design's plan is built."""
+    for t, (tensor, want) in enumerate(zip(inputs, oracles)):
+        got = execute(plan, schedule, tensor)
+        if not np.array_equal(got.data, want.data):
+            raise EquivalenceError(f"{where} / trial {t}: " + _diff_summary(got.data, want.data))

@@ -43,8 +43,8 @@ from functools import partial
 import numpy as np
 
 from .mapping import DesignKind, MappingPlan
-from .tensor import (DeconvLayerSpec, Tensor3, _check_input, check_int64_bound,
-                     dilate_and_pad, output_shape, overlap_add_crop)
+from .tensor import (DeconvLayerSpec, Tensor3, _check_input, compute_dtype, dilate_and_pad,
+                     output_shape, overlap_add_crop)
 
 __all__ = [
     "InputKind",
@@ -441,8 +441,12 @@ def _check_pair(plan: MappingPlan, schedule: CycleSchedule, dims: int):
         raise ValueError(f"plan kernel dims {have} do not match layer {want}")
 
 
-# values gathered per chunk, so that the drive block stays in a core's cache
+# values per chunk of drives and of their products, so that both blocks stay
+# in a core's cache
 _GATHER_BUDGET = 65536
+# weights converted to the compute dtype at once: a tall crossbar is
+# converted in column blocks, so its converted copy stays small
+_WEIGHT_BUDGET = 1 << 20
 
 
 def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tensor3:
@@ -453,29 +457,30 @@ def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tenso
     crossbar, in chunks, the gathered drives are multiplied by the
     crossbar's weights and added into their output pixel's group, or for
     padding-free into the input pixel's product row, which the overlap-add
-    and crop post pass then places.  This is arithmetic-identical to cycle
-    order (integer adds commute), and the result equals the zero-padding
-    oracle element-exactly in integer mode.  Activity counts do not depend
-    on the input: take them once per (plan, schedule) with
-    `trace_of_schedule`.
+    and crop post pass then places.  Integer data is multiplied in the
+    dtype `compute_dtype` picks: float64 sums of integers below 2^53 are
+    exact, as are int64 sums, so the result does not depend on the order
+    of the adds and equals the zero-padding oracle element-exactly; it is
+    returned as int64.  Activity counts do not depend on the input: take
+    them once per (plan, schedule) with `trace_of_schedule`.
     """
     _check_pair(plan, schedule, dims=4)
     spec = schedule.layer
     if plan.crossbars is None:
         raise ValueError("a geometry-only plan holds no weights to execute")
     _check_input(input, spec)
-    check_int64_bound(input.data, plan.crossbars, spec.kh * spec.kw * spec.channels)
+    dtype = compute_dtype(input.data, plan.crossbars, spec.kh * spec.kw * spec.channels)
 
     c = spec.channels
     pixels = np.concatenate([dilate_and_pad(input, spec).data.reshape(-1, c),
-                             np.zeros((1, c), dtype=input.data.dtype)])
+                             np.zeros((1, c), dtype=input.data.dtype)], dtype=dtype)
     if schedule.has_post_ops:
         dest = schedule.src_a.astype(np.int64) * spec.input_w + schedule.src_b
         n_dest = spec.input_h * spec.input_w
     else:
         dest, n_dest = schedule.group_id, schedule.group_count
     rows, cols = plan.shape
-    acc = np.zeros((n_dest, cols), dtype=np.result_type(pixels, plan.crossbars[0]))
+    acc = np.zeros((n_dest, cols), dtype=dtype)
 
     order = np.argsort(schedule.crossbar, kind="stable")
     bounds = np.searchsorted(schedule.crossbar[order], np.arange(plan.count + 1))
@@ -483,17 +488,20 @@ def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tenso
     dest = dest[order]
     slots = np.arange(rows // c)
     offsets = (slots // spec.kw) * spec.padded_w + slots % spec.kw
-    chunk = max(1, _GATHER_BUDGET // rows)
-    for n, weights in enumerate(plan.crossbars):
-        for t0 in range(bounds[n], bounds[n + 1], chunk):
-            t1 = min(t0 + chunk, bounds[n + 1])
-            idx = _wordlines(pixel[t0:t1], slot[t0:t1], offsets, len(pixels) - 1)
-            drive = pixels.take(idx, axis=0).reshape(t1 - t0, rows)
-            # add.at: at stride 1 a folded sub serves one pixel in both phases
-            np.add.at(acc, dest[t0:t1], drive @ weights)
-    if schedule.has_post_ops:
-        return Tensor3(overlap_add_crop(acc, spec))
-    return Tensor3(acc.reshape(output_shape(spec)))
+    chunk = max(1, _GATHER_BUDGET // max(rows, cols))
+    block = max(1, _WEIGHT_BUDGET // rows)
+    for n, crossbar in enumerate(plan.crossbars):
+        # each column block of weights is converted once and serves every chunk
+        for c0 in range(0, cols, block):
+            weights = crossbar[:, c0 : c0 + block].astype(dtype, copy=False)
+            for t0 in range(bounds[n], bounds[n + 1], chunk):
+                t1 = min(t0 + chunk, bounds[n + 1])
+                idx = _wordlines(pixel[t0:t1], slot[t0:t1], offsets, len(pixels) - 1)
+                drive = pixels.take(idx, axis=0).reshape(t1 - t0, rows)
+                # add.at: at stride 1 a folded sub serves one pixel in both phases
+                np.add.at(acc[:, c0 : c0 + block], dest[t0:t1], drive @ weights)
+    out = overlap_add_crop(acc, spec) if schedule.has_post_ops else acc.reshape(output_shape(spec))
+    return Tensor3(out.astype(np.result_type(input.data, plan.crossbars[0]), copy=False))
 
 
 def _sources(schedule: CycleSchedule) -> tuple[np.ndarray, np.ndarray]:

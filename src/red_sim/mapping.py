@@ -87,14 +87,6 @@ class MappingPlan:
     def cell_count(self) -> int:
         return self.count * self.shape[0] * self.shape[1]
 
-    def stored_values(self) -> np.ndarray:
-        """All meaningful stored weight values (fold padding excluded)."""
-        values = np.concatenate([x.ravel() for x in self.crossbars])
-        kh, kw, c, m = self.kernel_dims
-        if self.design is DesignKind.RED_FOLDED and kh * kw % 2:
-            return values[: -c * m]  # the last folded sub's zero high half
-        return values
-
 
 def _zero_padding_layout(kernel: Kernel4) -> list[np.ndarray]:
     """Each filter spread into one column: (kh*kw*C) rows x M columns, row

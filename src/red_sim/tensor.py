@@ -9,9 +9,12 @@ software algorithms that must agree element-exactly in integer mode:
   pixel's kernel-sized product block onto a full canvas with overlap-add,
   then crop the canvas edges.
 
-Both serve as oracles for the crossbar dataflow simulations.  The module
-also hosts the zero-redundancy analyzer, which counts how many of the
-zero-padding route's multiplications consume an inserted or border zero.
+Both serve as oracles for the crossbar dataflow simulations.  Integer
+arithmetic is exact or refused: `compute_dtype` picks float64 (on BLAS)
+while every partial sum is an integer below 2^53, int64 up to 2^63 - 1,
+and raises `OverflowError` beyond; integer input gives int64 output.  The
+module also hosts the zero-redundancy analyzer, which counts how many of
+the zero-padding route's multiplications consume an inserted or border zero.
 
 Coordinate convention: (row, column) a.k.a. (y, x), row-major throughout.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor3",
@@ -33,7 +37,7 @@ __all__ = [
     "deconv_oracle_zero_padding",
     "deconv_oracle_padding_free",
     "overlap_add_crop",
-    "check_int64_bound",
+    "compute_dtype",
     "zero_redundancy_ratio",
 ]
 
@@ -249,20 +253,32 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
-def check_int64_bound(data: np.ndarray, weights: list[np.ndarray], terms: int):
-    """Refuse integer operands whose sums of `terms` products could wrap.
+def compute_dtype(data: np.ndarray, weights: list[np.ndarray], terms: int) -> np.dtype:
+    """The dtype in which sums of `terms` products of `data` and `weights`
+    entries are exact.
 
-    max|x| * max|w| * terms <= 2^63 - 1 bounds every partial sum, so int64
-    results are exact; a silent wrap could otherwise pass as agreement
-    between two equally wrong routes.  Float data is not checked.
+    For integer operands, bound = max|x| * max|w| * terms bounds every
+    partial sum.  Below 2^53 each partial sum is an integer that float64
+    holds exactly, so float64 -- which numpy multiplies on BLAS -- gives
+    the exact result in any summation order or thread split.  Up to
+    2^63 - 1, int64 does.  Beyond that the operands are refused: a silent
+    wrap could pass as agreement between two equally wrong routes.  Float
+    operands are computed in float64 and compared with a tolerance.
     """
     if data.dtype.kind != "i" or any(w.dtype.kind != "i" for w in weights):
-        return
+        return np.dtype(np.float64)
     bound = _abs_max(data) * max(_abs_max(w) for w in weights) * terms
+    if bound < 2**53:
+        return np.dtype(np.float64)
     if bound > np.iinfo(np.int64).max:
         raise OverflowError(
             f"int64 overflow possible: max|x| * max|w| * {terms} = {bound} > 2^63 - 1"
         )
+    return np.dtype(np.int64)
+
+
+# values of one block of correlation windows, so that it stays in a core's cache
+_BLOCK_BUDGET = 65536
 
 
 def dilate_and_pad(input: Tensor3, spec: DeconvLayerSpec) -> Tensor3:
@@ -297,16 +313,23 @@ def conv2d_valid(image: Tensor3, kernel: Kernel4) -> Tensor3:
             f"image {image.height}x{image.width} smaller than kernel "
             f"{kernel.kh}x{kernel.kw}"
         )
-    oh = image.height - kernel.kh + 1
-    ow = image.width - kernel.kw + 1
-    img, w = image.data, kernel.data
-    check_int64_bound(img, [w], kernel.kh * kernel.kw * kernel.channels)
-    out = np.zeros((oh * ow, kernel.filters), dtype=np.result_type(img, w))
-    for i in range(kernel.kh):
-        for j in range(kernel.kw):
-            patch = img[i : i + oh, j : j + ow, :].reshape(oh * ow, image.channels)
-            out += patch @ w[i, j]
-    return Tensor3(out.reshape(oh, ow, kernel.filters))
+    kh, kw, c, m = kernel.shape
+    oh = image.height - kh + 1
+    ow = image.width - kw + 1
+    dtype = compute_dtype(image.data, [kernel.data], kh * kw * c)
+    img = image.data.astype(dtype, copy=False)
+    taps = kernel.data.astype(dtype, copy=False).reshape(kh, kw * c, m)
+    out = np.zeros((oh, ow, m), dtype=dtype)
+    # blocks of output rows, so that a block's windows stay in cache
+    step = max(1, _BLOCK_BUDGET // (ow * kw * c))
+    for y0 in range(0, oh, step):
+        y1 = min(oh, y0 + step)
+        block = out[y0:y1].reshape(-1, m)
+        for i in range(kh):
+            # kernel row i: each output pixel's kw image pixels, as (y, x, c, j)
+            windows = sliding_window_view(img[y0 + i : y1 + i], kw, axis=1)
+            block += windows.transpose(0, 1, 3, 2).reshape(-1, kw * c) @ taps[i]
+    return Tensor3(out.astype(np.result_type(image.data, kernel.data), copy=False))
 
 
 def rotate180(kernel: Kernel4) -> Kernel4:
@@ -356,11 +379,12 @@ def deconv_oracle_padding_free(
     """
     _check_input(input, spec)
     _check_kernel(kernel, spec)
-    rot = rotate180(kernel).data
-    flat = input.data.reshape(spec.input_h * spec.input_w, spec.channels)
-    check_int64_bound(flat, [rot], spec.kh * spec.kw * spec.channels)
-    products = flat @ rot.transpose(2, 0, 1, 3).reshape(spec.channels, -1)
-    return Tensor3(overlap_add_crop(products, spec))
+    dtype = compute_dtype(input.data, [kernel.data], spec.kh * spec.kw * spec.channels)
+    rot = rotate180(kernel).data.transpose(2, 0, 1, 3).astype(dtype, order="C")
+    flat = input.data.reshape(spec.input_h * spec.input_w, spec.channels).astype(dtype, copy=False)
+    products = flat @ rot.reshape(spec.channels, -1)
+    out = overlap_add_crop(products, spec)
+    return Tensor3(out.astype(np.result_type(input.data, kernel.data), copy=False))
 
 
 # ---------------------------------------------------------------------------

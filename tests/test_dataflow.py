@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import defaultdict
 
 import numpy as np
@@ -23,6 +24,7 @@ from red_sim.tensor import (
     DeconvLayerSpec,
     Kernel4,
     Tensor3,
+    compute_dtype,
     deconv_oracle_padding_free,
     deconv_oracle_zero_padding,
     output_shape,
@@ -405,6 +407,59 @@ def test_execute_refuses_int64_overflow(design):
     plan = build_plan(Kernel4(np.full((1, 1, 1, 1), 2**30)), design, spec)
     with pytest.raises(OverflowError, match="int64"):
         execute(plan, build_schedule(spec, design), Tensor3(np.full((1, 1, 1), 2**40)))
+
+
+def deconv_python_ints(t, k, spec):
+    """Deconvolution by definition in Python integers, which neither round
+    nor wrap: input pixel (a, b) adds its product with the rotated tap
+    (i, j) at full-canvas position (a*s + i, b*s + j); the canvas is then
+    cropped."""
+    x, w, s = t.data.tolist(), k.data.tolist(), spec.stride
+    canvas = [[[0] * spec.filters for _ in range(spec.full_w)] for _ in range(spec.full_h)]
+    for a, b, i, j, c, m in itertools.product(
+            range(spec.input_h), range(spec.input_w), range(spec.kh), range(spec.kw),
+            range(spec.channels), range(spec.filters)):
+        canvas[a * s + i][b * s + j][m] += x[a][b][c] * w[spec.kh - 1 - i][spec.kw - 1 - j][c][m]
+    rows = canvas[spec.crop_top : spec.crop_top + spec.output_h]
+    return [row[spec.crop_left : spec.crop_left + spec.output_w] for row in rows]
+
+
+# stride 1: every output pixel sums 2x2 taps x 2 channels = 8 products
+EXACT = DeconvLayerSpec(3, 3, 2, 2, 2, 2, 1)
+
+
+@pytest.mark.parametrize("fill,x_big,w_big,dtype,beyond", [
+    (1, 2**25, 2**25 - 1, np.float64, None),  # bound 2^53 - 2^28: exact on BLAS
+    (1, 2**27, 2**26, np.int64, 2**53 + 7),  # seven more products of 1
+    (0, 2**27, 2**26, np.int64, 2**53 + 1),  # one more product of 1
+])
+def test_exact_on_both_sides_of_2_53(fill, x_big, w_big, dtype, beyond):
+    data = np.full((3, 3, 2), fill, dtype=np.int64)
+    data[1, 1] = x_big, 1
+    weights = np.full((2, 2, 2, 2), fill, dtype=np.int64)
+    weights[0, 0, :, 0] = w_big, 1
+    t, k = Tensor3(data), Kernel4(weights)
+    assert compute_dtype(t.data, [k.data], 8) == dtype
+    want = deconv_python_ints(t, k, EXACT)
+    if beyond is not None:  # a true sum that float64 would round
+        assert beyond in itertools.chain.from_iterable(itertools.chain(*want))
+        assert float(beyond) != beyond
+    runs = [oracle(t, k, EXACT)
+            for oracle in (deconv_oracle_zero_padding, deconv_oracle_padding_free)]
+    runs += [execute(build_plan(k, d, EXACT), build_schedule(EXACT, d), t) for d in DesignKind]
+    for got in runs:
+        assert got.data.dtype == np.int64
+        assert got.data.tolist() == want
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_float_input_within_tolerance(design):
+    t = Tensor3(RNG.normal(size=(TOY.input_h, TOY.input_w, TOY.channels)))
+    k = Kernel4(RNG.normal(size=TOY.kernel_shape))
+    want = deconv_oracle_zero_padding(t, k, TOY).data
+    got = execute(build_plan(k, design, TOY), build_schedule(TOY, design), t).data
+    assert got.dtype == np.float64
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,12 @@ def test_fold_preserves_vmm_semantics():
 def test_weight_value_conservation(design):
     k = rand_kernel(3, 3, 4, 5)
     plan = build_plan(k, design)
-    stored = np.sort(plan.stored_values())
-    assert np.array_equal(stored, np.sort(k.data.ravel()))
+    stored = np.concatenate([x.ravel() for x in plan.crossbars])
+    if design is DesignKind.RED_FOLDED:
+        # 3x3 = 9 subs: the last folded sub's high half is zero fill
+        assert not stored[-4 * 5 :].any()
+        stored = stored[: -4 * 5]
+    assert np.array_equal(np.sort(stored), np.sort(k.data.ravel()))
 
 
 def test_cell_count_conservation_even_kernel():

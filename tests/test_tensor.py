@@ -6,7 +6,7 @@ from red_sim.tensor import (
     DeconvLayerSpec,
     Kernel4,
     Tensor3,
-    check_int64_bound,
+    compute_dtype,
     conv2d_valid,
     deconv_oracle_padding_free,
     deconv_oracle_zero_padding,
@@ -267,15 +267,19 @@ def test_oracles_refuse_int64_overflow():
 
 def test_int64_bound_edges():
     top = np.iinfo(np.int64).max
-    check_int64_bound(np.array([top]), [np.array([-1])], 1)
-    check_int64_bound(np.array([2**31]), [np.array([2**31 - 1])], 2)
+    assert compute_dtype(np.array([top]), [np.array([-1])], 1) == np.int64
+    assert compute_dtype(np.array([2**31]), [np.array([2**31 - 1])], 2) == np.int64
     with pytest.raises(OverflowError):
-        check_int64_bound(np.array([2**31]), [np.array([2**31])], 2)
+        compute_dtype(np.array([2**31]), [np.array([2**31])], 2)
     with pytest.raises(OverflowError):  # |int64 min| itself exceeds the bound
-        check_int64_bound(np.array([np.iinfo(np.int64).min]), [np.array([1])], 1)
+        compute_dtype(np.array([np.iinfo(np.int64).min]), [np.array([1])], 1)
     with pytest.raises(OverflowError):  # largest magnitude in any weight array
-        check_int64_bound(np.array([2**40]), [np.array([1]), np.array([-2**30])], 1)
-    check_int64_bound(np.array([2.0**40]), [np.array([2.0**30])], 1)  # floats not checked
+        compute_dtype(np.array([2**40]), [np.array([1]), np.array([-2**30])], 1)
+    # floats are not bounded
+    assert compute_dtype(np.array([2.0**40]), [np.array([2.0**30])], 1) == np.float64
+    # float64 below 2^53 (here 2^53 - 2^28), int64 from 2^53 on
+    assert compute_dtype(np.array([2**25]), [np.array([-(2**25 - 1)])], 8) == np.float64
+    assert compute_dtype(np.array([-(2**25)]), [np.array([2**25])], 8) == np.int64
 
 
 def test_unsigned_values_above_int64_refused():
