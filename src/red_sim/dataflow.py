@@ -18,16 +18,18 @@ large layers stay cheap to generate, execute and dump:
 
 Folding doubles the cycle count: even phases drive rows 0..C-1 of each
 folded sub with the even original sub's input, odd phases drive rows
-C..2C-1 with the odd original sub's input.
+C..2C-1 with the odd original sub's input.  A schedule stores no half:
+the cycle's parity names it.
 
 Output pixels are produced once each; the members of an output pixel's
 accumulation group are exactly the sub-crossbars of its computation mode.
 Cycles advance row-major over s x s output blocks, so traces are reproducible.
 
 A design is its weight layout (mapping) plus its schedule; one runner
-executes them all.  Every drive, whether a window, a pixel, a folded
-phase's idle half or a zero, is read from the same zero-inserted, padded
-image, so the runner only gathers, multiplies and accumulates.
+executes them all.  It runs what the hardware drives: each live drive, a
+window or a pixel, is read from the same zero-inserted, padded image and
+multiplied by the weight rows it drives, so the runner only gathers,
+multiplies and accumulates.  Zero drives add nothing and are not run.
 
 A schedule depends on the spatial geometry only, never on C, M or data, so
 one schedule per layer and design serves every input (`execute`, which
@@ -69,16 +71,7 @@ class InputKind:
 
     WINDOW = 0  # gathered kh*kw*C window of the padded image at (a, b)
     PIXEL = 1   # the C-vector of input pixel (a, b)
-    ZERO = 2    # all-zero drive; skipped in activation counts
-
-
-class Half:
-    """Which wordline half a folded-phase assignment drives (its slot of C
-    wordlines is half - 1)."""
-
-    FULL = 0
-    LOW = 1   # rows 0..C-1
-    HIGH = 2  # rows C..2C-1
+    ZERO = 2    # all-zero drive; skipped in activation counts and execution
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +126,9 @@ class CycleSchedule:
     its outputs accumulate through the overlap-add post pass instead.
     A group's members are the assignments carrying its id; for folded
     schedules they span the two phase cycles of one tile and the group is
-    recorded on the completing (odd) phase.
+    recorded on the completing (odd) phase.  A folded assignment drives
+    the low C-row half of its array on an even cycle, the high half on an
+    odd one.
     """
 
     design: DesignKind
@@ -144,10 +139,13 @@ class CycleSchedule:
     kind: np.ndarray
     src_a: np.ndarray
     src_b: np.ndarray
-    half: np.ndarray
     group_id: np.ndarray
     group_cycle: np.ndarray
-    has_post_ops: bool = False
+
+    @property
+    def has_post_ops(self) -> bool:
+        """Padding-free places its products by overlap-add and crop."""
+        return self.design is DesignKind.PADDING_FREE
 
     @property
     def assignment_count(self) -> int:
@@ -158,9 +156,9 @@ class CycleSchedule:
         return len(self.group_cycle)
 
 
-def _sorted_columns(cycle, crossbar, kind, a, b, half, group):
+def _sorted_columns(cycle, crossbar, kind, a, b, group):
     order = np.lexsort((crossbar, cycle))
-    return tuple(col[order] for col in (cycle, crossbar, kind, a, b, half, group))
+    return tuple(col[order] for col in (cycle, crossbar, kind, a, b, group))
 
 
 def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
@@ -179,7 +177,6 @@ def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
         kind=np.full(n, InputKind.WINDOW, dtype=np.int8),
         src_a=y,
         src_b=x,
-        half=np.zeros(n, dtype=np.int8),
         group_id=t.copy(),
         group_cycle=t.copy(),
     )
@@ -198,10 +195,8 @@ def schedule_padding_free(spec: DeconvLayerSpec) -> CycleSchedule:
         kind=np.full(n, InputKind.PIXEL, dtype=np.int8),
         src_a=(t // spec.input_w).astype(np.int32),
         src_b=(t % spec.input_w).astype(np.int32),
-        half=np.zeros(n, dtype=np.int8),
         group_id=np.full(n, -1, dtype=np.int64),
         group_cycle=np.empty(0, dtype=np.int64),
-        has_post_ops=True,
     )
 
 
@@ -250,16 +245,14 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
     in_range = (a >= 0) & (a < spec.input_h) & (b >= 0) & (b < spec.input_w)
     kind = np.where(in_range, InputKind.PIXEL, InputKind.ZERO).astype(np.int8)
     group = y * ow + x
-    half = np.zeros(len(cycle), dtype=np.int8)
 
     if folded:
-        phase = (crossbar % 2).astype(np.int64)
-        cycle = 2 * cycle + phase
-        half = np.where(phase == 0, Half.LOW, Half.HIGH).astype(np.int8)
-        crossbar = (crossbar // 2).astype(np.int32)
+        # original sub n drives folded sub n // 2 on phase n % 2
+        cycle = 2 * cycle + crossbar % 2
+        crossbar = crossbar // 2
 
-    cycle, crossbar, kind, a32, b32, half, group = _sorted_columns(
-        cycle, crossbar, kind, a.astype(np.int32), b.astype(np.int32), half, group
+    cycle, crossbar, kind, a32, b32, group = _sorted_columns(
+        cycle, crossbar, kind, a.astype(np.int32), b.astype(np.int32), group
     )
 
     # group table covers every output pixel; a group completes in its tile's
@@ -279,7 +272,6 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
         kind=kind,
         src_a=a32,
         src_b=b32,
-        half=half,
         group_id=group,
         group_cycle=gcycle,
     )
@@ -292,11 +284,11 @@ def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSche
 def validate_schedule(schedule: CycleSchedule):
     """Schema checks in O(n): assignments strictly ordered by (cycle,
     crossbar), so one VMM per crossbar per cycle; cycles and crossbars
-    below the cycle and array counts; known kind and half codes, half FULL
-    on windows and off red_folded, LOW or HIGH on red_folded; pixel sources
-    inside the input and window origins inside the output grid (zero drives
-    read nothing); one accumulation group per output pixel (its id names
-    the pixel), and every assignment in one."""
+    below the cycle and array counts; known kind codes, and a kind that
+    fits the design (windows on zero-padding only, and only windows there);
+    pixel sources inside the input and window origins inside the output
+    grid (zero drives read nothing); one accumulation group per output
+    pixel (its id names the pixel), and every assignment in one."""
     cycle, crossbar = schedule.cycle, schedule.crossbar
     spec = schedule.layer
     if len(cycle):
@@ -306,14 +298,12 @@ def validate_schedule(schedule: CycleSchedule):
             raise ValueError(f"cycle or crossbar index out of range ({n_arrays} arrays)")
         if (np.diff(cycle * n_arrays + crossbar) <= 0).any():
             raise ValueError("assignments not in strictly increasing (cycle, crossbar) order")
-        kind, half = schedule.kind, schedule.half
-        if (kind.min() < InputKind.WINDOW or kind.max() > InputKind.ZERO
-                or half.min() < Half.FULL or half.max() > Half.HIGH):
-            raise ValueError("unknown input kind or half code")
-        folded = schedule.design is DesignKind.RED_FOLDED
-        if (((half != Half.FULL) != folded).any()
-                or (half[kind == InputKind.WINDOW] != Half.FULL).any()):
-            raise ValueError(f"half code does not fit the {schedule.design} design")
+        kind = schedule.kind
+        if kind.min() < InputKind.WINDOW or kind.max() > InputKind.ZERO:
+            raise ValueError("unknown input kind")
+        windows = schedule.design is DesignKind.ZERO_PADDING
+        if ((kind == InputKind.WINDOW) != windows).any():
+            raise ValueError(f"input kind does not fit the {schedule.design} design")
     oh, ow, _ = output_shape(spec)
     for kind, h, w, message in (
         (InputKind.PIXEL, spec.input_h, spec.input_w, "pixel source outside the input"),
@@ -452,17 +442,20 @@ _WEIGHT_BUDGET = 1 << 20
 def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tensor3:
     """Run every cycle's VMMs and sum the accumulation groups.
 
-    One runner serves every design.  Each assignment drives its crossbar's
-    wordlines from the zero-inserted, padded image (`_wordlines`); per
-    crossbar, in chunks, the gathered drives are multiplied by the
-    crossbar's weights and added into their output pixel's group, or for
-    padding-free into the input pixel's product row, which the overlap-add
-    and crop post pass then places.  Integer data is multiplied in the
-    dtype `compute_dtype` picks: float64 sums of integers below 2^53 are
-    exact, as are int64 sums, so the result does not depend on the order
-    of the adds and equals the zero-padding oracle element-exactly; it is
-    returned as int64.  Activity counts do not depend on the input: take
-    them once per (plan, schedule) with `trace_of_schedule`.
+    One runner serves every design, and it runs only what the hardware
+    drives.  Zero drives add nothing and are dropped.  Each live drive is
+    gathered from the zero-inserted, padded image (`_sources`): a window
+    as its kh*kw pixels, a pixel as itself.  It is multiplied by the weight
+    rows it drives: the whole array, or on red_folded the C-row half of its
+    cycle's parity.  Per weight block, in chunks, the products are added into
+    their output pixel's group, or for padding-free into the input pixel's
+    product row, which the overlap-add and crop post pass then places.
+    Integer data is multiplied in the dtype `compute_dtype` picks: float64
+    sums of integers below 2^53 are exact, as are int64 sums, so the result
+    does not depend on the order of the adds and equals the zero-padding
+    oracle element-exactly; it is returned as int64.  Activity counts do
+    not depend on the input: take them once per (plan, schedule) with
+    `trace_of_schedule`.
     """
     _check_pair(plan, schedule, dims=4)
     spec = schedule.layer
@@ -472,67 +465,58 @@ def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tenso
     dtype = compute_dtype(input.data, plan.crossbars, spec.kh * spec.kw * spec.channels)
 
     c = spec.channels
-    pixels = np.concatenate([dilate_and_pad(input, spec).data.reshape(-1, c),
-                             np.zeros((1, c), dtype=input.data.dtype)], dtype=dtype)
+    pixels = dilate_and_pad(input, spec).data.reshape(-1, c).astype(dtype, copy=False)
     if schedule.has_post_ops:
         dest = schedule.src_a.astype(np.int64) * spec.input_w + schedule.src_b
         n_dest = spec.input_h * spec.input_w
     else:
         dest, n_dest = schedule.group_id, schedule.group_count
-    rows, cols = plan.shape
+    cols = plan.shape[1]
     acc = np.zeros((n_dest, cols), dtype=dtype)
 
-    order = np.argsort(schedule.crossbar, kind="stable")
-    bounds = np.searchsorted(schedule.crossbar[order], np.arange(plan.count + 1))
-    pixel, slot = (col[order] for col in _sources(schedule))
-    dest = dest[order]
-    slots = np.arange(rows // c)
-    offsets = (slots // spec.kw) * spec.padded_w + slots % spec.kw
+    live = np.flatnonzero(schedule.kind != InputKind.ZERO)
+    blocks, block = plan.crossbars, schedule.crossbar[live]
+    if schedule.design is DesignKind.RED_FOLDED:
+        # even cycles drive rows 0..C-1, odd cycles rows C..2C-1
+        blocks = [half for crossbar in blocks for half in (crossbar[:c], crossbar[c:])]
+        block = 2 * block + schedule.cycle[live] % 2
+    order = np.argsort(block, kind="stable")
+    bounds = np.searchsorted(block[order], np.arange(len(blocks) + 1))
+    live = live[order]
+    pixel, dest = _sources(schedule)[live], dest[live]
+    if schedule.design is DesignKind.ZERO_PADDING:
+        # window slot i*kw + j reads i*padded_w + j past the origin
+        offsets = (np.arange(spec.kh)[:, None] * spec.padded_w + np.arange(spec.kw)).ravel()
+    else:
+        offsets = np.zeros(1, dtype=np.int64)
+    rows = len(offsets) * c
     chunk = max(1, _GATHER_BUDGET // max(rows, cols))
-    block = max(1, _WEIGHT_BUDGET // rows)
-    for n, crossbar in enumerate(plan.crossbars):
+    width = max(1, _WEIGHT_BUDGET // rows)
+    for n, weight_rows in enumerate(blocks):
         # each column block of weights is converted once and serves every chunk
-        for c0 in range(0, cols, block):
-            weights = crossbar[:, c0 : c0 + block].astype(dtype, copy=False)
+        for c0 in range(0, cols, width):
+            weights = weight_rows[:, c0 : c0 + width].astype(dtype, copy=False)
             for t0 in range(bounds[n], bounds[n + 1], chunk):
                 t1 = min(t0 + chunk, bounds[n + 1])
-                idx = _wordlines(pixel[t0:t1], slot[t0:t1], offsets, len(pixels) - 1)
-                drive = pixels.take(idx, axis=0).reshape(t1 - t0, rows)
-                # add.at: at stride 1 a folded sub serves one pixel in both phases
-                np.add.at(acc[:, c0 : c0 + block], dest[t0:t1], drive @ weights)
+                drive = pixels.take(pixel[t0:t1, None] + offsets, axis=0).reshape(t1 - t0, rows)
+                # add.at keeps a destination that repeats within one chunk exact
+                np.add.at(acc[:, c0 : c0 + width], dest[t0:t1], drive @ weights)
     out = overlap_add_crop(acc, spec) if schedule.has_post_ops else acc.reshape(output_shape(spec))
     return Tensor3(out.astype(np.result_type(input.data, plan.crossbars[0]), copy=False))
 
 
-def _sources(schedule: CycleSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """Per assignment, the padded-image pixel it reads and the wordline
-    slot (C wordlines each) that the pixel drives.
+def _sources(schedule: CycleSchedule) -> np.ndarray:
+    """Per assignment, the flat index of the padded-image pixel it reads.
 
-    A window (a, b) reads from its origin (a, b) and drives every slot
-    (slot -1).  A pixel (a, b) sits at (pad_top + a*s, pad_left + b*s) and
-    drives slot 0, or on a folded phase the slot of its half.  A zero
-    drive reads the zero pixel appended after the image.
+    On zero-padding a window (a, b) reads from its origin (a, b); on every
+    other design input pixel (a, b) sits at (pad_top + a*s, pad_left + b*s).
     """
     spec = schedule.layer
-    s, pw = spec.stride, spec.padded_w
     a = schedule.src_a.astype(np.int64)
     b = schedule.src_b.astype(np.int64)
-    window = schedule.kind == InputKind.WINDOW
-    pixel = np.where(window, a * pw + b, (spec.pad_top + a * s) * pw + spec.pad_left + b * s)
-    pixel[schedule.kind == InputKind.ZERO] = spec.padded_h * pw
-    return pixel, np.where(window, -1, np.maximum(schedule.half - 1, 0))
-
-
-def _wordlines(pixel, slot, offsets, zero) -> np.ndarray:
-    """Index into the padded pixels for each slot of each assignment: a
-    window drives slot i*kw + j from `offsets[i*kw + j]` = i*pw + j past
-    its origin; a pixel drives its one slot, and every other slot reads
-    the zero pixel."""
-    idx = pixel[:, None] + offsets
-    single = np.flatnonzero(slot >= 0)
-    idx[single] = zero
-    idx[single, slot[single]] = pixel[single]
-    return idx
+    if schedule.design is not DesignKind.ZERO_PADDING:
+        a, b = spec.pad_top + a * spec.stride, spec.pad_left + b * spec.stride
+    return a * spec.padded_w + b
 
 
 # per design: schedule builder
@@ -548,15 +532,7 @@ _DESIGNS = {
 # Schedule dump
 # ---------------------------------------------------------------------------
 
-_KIND_NAMES = {
-    (InputKind.WINDOW, Half.FULL): "window",
-    (InputKind.PIXEL, Half.FULL): "pixel",
-    (InputKind.PIXEL, Half.LOW): "pixel_lo",
-    (InputKind.PIXEL, Half.HIGH): "pixel_hi",
-    (InputKind.ZERO, Half.FULL): "zero",
-    (InputKind.ZERO, Half.LOW): "zero_lo",
-    (InputKind.ZERO, Half.HIGH): "zero_hi",
-}
+_KIND_NAMES = ("window", "pixel", "zero")  # by InputKind code
 
 
 def dump_schedule_lines(schedule: CycleSchedule):
@@ -566,16 +542,16 @@ def dump_schedule_lines(schedule: CycleSchedule):
     Group:      cycle,group_id,output_y,output_x,member_crossbars...
     Coordinates are 0-based (row, col); window coordinates address the
     padded image, pixel coordinates the original input feature map, and a
-    group's output pixel is divmod(group_id, output_w).
+    group's output pixel is divmod(group_id, output_w).  On red_folded the
+    kind carries the driven half: `_lo` on even cycles, `_hi` on odd ones.
     """
     yield f"# design={schedule.design.value} cycles={schedule.cycle_count}"
     yield "# assignment: cycle,crossbar,kind,a,b  group: cycle,group,out_y,out_x,members..."
 
     cyc = schedule.cycle.tolist()
     xb = schedule.crossbar.tolist()
-    kinds = [
-        _KIND_NAMES[(k, h)] for k, h in zip(schedule.kind.tolist(), schedule.half.tolist())
-    ]
+    halves = ("_lo", "_hi") if schedule.design is DesignKind.RED_FOLDED else ("", "")
+    kinds = [_KIND_NAMES[k] + halves[t % 2] for k, t in zip(schedule.kind.tolist(), cyc)]
     sa = schedule.src_a.tolist()
     sb = schedule.src_b.tolist()
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from red_sim.dataflow import (
-    Half,
     InputKind,
     build_schedule,
     dump_schedule_lines,
@@ -186,7 +185,7 @@ def test_schedules_validate(design):
         validate_schedule(build_schedule(spec, design))
 
 
-ASSIGNMENT_COLUMNS = ("cycle", "crossbar", "kind", "src_a", "src_b", "half", "group_id")
+ASSIGNMENT_COLUMNS = ("cycle", "crossbar", "kind", "src_a", "src_b", "group_id")
 
 
 def _reordered(sched, order):
@@ -234,20 +233,18 @@ def _pixels_one_column_right(_):
     (DesignKind.RED, lambda s: _with_value(s, "group_id", 0, -1),
      "assignment group id out of range"),
     (DesignKind.RED, lambda s: _with_value(s, "kind", 0, 3), "unknown input kind"),
-    (DesignKind.RED_FOLDED, lambda s: _with_value(s, "half", 0, 3), "unknown input kind"),
     (DesignKind.RED, _pixels_one_column_right, "pixel source outside the input"),
     (DesignKind.ZERO_PADDING, lambda s: _with_value(s, "src_a", -1, TOY.output_h),
      "window origin outside the output grid"),
     # TOY's 3x3 kernel gives red 9 arrays, 0..8; shifted up, each reads its
     # neighbour's weights and crossbar 9 has none
     (DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=s.crossbar + 1), "9 arrays"),
-    # a window has no halves, red has one, red_folded two
-    (DesignKind.ZERO_PADDING, lambda s: _with_value(s, "half", 0, Half.HIGH),
+    # zero-padding drives windows only, and no other design drives one: a
+    # pixel read as a window origin, or a window read as a pixel, is wrong
+    (DesignKind.ZERO_PADDING, lambda s: _with_value(s, "kind", 0, InputKind.PIXEL),
      "does not fit the zero_padding design"),
-    (DesignKind.RED, lambda s: _with_value(s, "half", 0, Half.HIGH),
+    (DesignKind.RED, lambda s: _with_value(s, "kind", 0, InputKind.WINDOW),
      "does not fit the red design"),
-    (DesignKind.RED_FOLDED, lambda s: dataclasses.replace(s, half=np.zeros_like(s.half)),
-     "does not fit the red_folded design"),
 ])
 def test_validate_schedule_rejects(design, corrupt, message):
     sched = build_schedule(TOY, design)
@@ -273,14 +270,21 @@ def test_padding_free_schedule_structure():
 
 
 def test_folded_phases():
+    # even cycles drive the low halves and odd cycles the high halves; the
+    # dump names each assignment's half from its cycle
     sched = schedule_zero_skipping(TOY, folded=True)
-    lo = sched.half == Half.LOW
-    hi = sched.half == Half.HIGH
-    assert (sched.cycle[lo] % 2 == 0).all()
-    assert (sched.cycle[hi] % 2 == 1).all()
+    kinds = {}
+    for line in dump_schedule_lines(sched):
+        fields = line.split(",")
+        if not line.startswith("#") and not fields[2].isdigit():
+            kinds.setdefault(fields[2][-3:], []).append((int(fields[0]), int(fields[1])))
+    lo, hi = kinds.pop("_lo"), kinds.pop("_hi")
+    assert not kinds and len(lo) + len(hi) == sched.assignment_count
+    assert all(t % 2 == 0 for t, _ in lo)
+    assert all(t % 2 == 1 for t, _ in hi)
     # odd original subs 1,3,5,7 land in the high halves of folded subs 0..3;
     # original sub 8 is even-phase, so folded sub 4 never drives its high half
-    assert set(sched.crossbar[hi].tolist()) <= {0, 1, 2, 3}
+    assert {xb for _, xb in hi} <= {0, 1, 2, 3}
     validate_schedule(sched)
 
 
@@ -352,6 +356,19 @@ def test_execute_stride1_folded():
     plan = build_plan(k, DesignKind.RED_FOLDED, spec)
     got = execute(plan, schedule_zero_skipping(spec, folded=True), t)
     assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("spec", [TOY, DeconvLayerSpec(2, 3, 2, 1, 1, 3, 1)])
+def test_folded_idle_half_is_not_multiplied(spec):
+    # an odd kh*kw leaves the last folded array's high half as zero fill
+    # that no phase drives; poisoned with NaN, it must not reach the output
+    t = Tensor3(RNG.normal(size=(spec.input_h, spec.input_w, spec.channels)))
+    k = Kernel4(RNG.normal(size=spec.kernel_shape))
+    plan = build_plan(k, DesignKind.RED_FOLDED, spec)
+    plan.crossbars[-1][spec.channels:] = np.nan
+    got = execute(plan, build_schedule(spec, DesignKind.RED_FOLDED), t).data
+    want = deconv_oracle_zero_padding(t, k, spec).data
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("design", list(DesignKind))
