@@ -22,7 +22,6 @@ from red_sim import (
     schedule_zero_skipping,
     trace_of_schedule,
 )
-from red_sim.dataflow import InputKind
 
 # the classic K=3, stride-2 illustration; cropping 2 on top/left makes the
 # padded image start on an original pixel, so cycle 0 shows the interior
@@ -42,9 +41,9 @@ for cycle in (0, 1):
     print(f"\ncycle {cycle}:")
     mask = sched.cycle == cycle
     by_pixel = defaultdict(list)
-    for xb, kind, a, b in zip(sched.crossbar[mask], sched.kind[mask],
+    for xb, live, a, b in zip(sched.crossbar[mask], sched.live[mask],
                               sched.src_a[mask], sched.src_b[mask]):
-        key = "zero" if kind == InputKind.ZERO else f"I({a},{b})"
+        key = f"I({a},{b})" if live else "zero"
         by_pixel[key].append(f"SC{xb + 1}")
     for key in sorted(by_pixel):
         print(f"  {key} -> {', '.join(sorted(by_pixel[key], key=lambda s: int(s[2:])))}")

@@ -36,6 +36,7 @@ from .bench import (
     run_suite,
 )
 from .costmodel import (
+    REFERENCE_COMPARISONS,
     CostParams,
     breakdown_csv_rows,
     report_to_dict,
@@ -188,11 +189,11 @@ def cmd_run(args) -> int:
             over = ("-" if entry.area_overhead_pct is None
                     else f"{entry.area_overhead_pct:+.1f}%")
             lines.append(
-                f"{report.layer:12s} {name:12s} cycles={entry.cycle_count:<8d} "
+                f"{report.layer:12s} {name:12s} cycles={entry.breakdown.cycle_count:<8d} "
                 f"speedup={speed:>8s} energy_saving={save:>7s} area={over:>8s}"
             )
-    ref = reports[0].reference if reports else {}
-    if ref:
+    if reports:
+        ref = REFERENCE_COMPARISONS
         lines.append(
             "reference ranges: speedup "
             f"{ref['speedup_vs_zero_padding'][0]}-{ref['speedup_vs_zero_padding'][1]}x, "

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .dataflow import ExecutionTrace
 from .mapping import DesignKind, MappingPlan
@@ -191,7 +191,6 @@ class CostBreakdown:
     latency: Breakdown
     energy: Breakdown
     area: Breakdown
-    notes: str = "ideal signed cells; negative weights stored directly"
 
 
 def _activation_sum(trace: ExecutionTrace, per_act: dict[str, float]) -> dict[str, float]:
@@ -304,9 +303,7 @@ def _ratio(num: float, den: float) -> float | None:
 
 @dataclass(frozen=True)
 class DesignComparison:
-    design: DesignKind
     breakdown: CostBreakdown
-    cycle_count: int
     normalized_latency: float | None
     normalized_energy: float | None
     normalized_area: float | None
@@ -323,11 +320,10 @@ class ComparisonReport:
     entries: dict[str, DesignComparison]
     params_label: str = DEFAULT_PARAMS_LABEL
     critical_path_mode: str = "max"
-    reference: dict = field(default_factory=lambda: dict(REFERENCE_COMPARISONS))
 
 
 def compare(
-    breakdowns: dict[DesignKind, CostBreakdown] | list[CostBreakdown],
+    breakdowns: dict[DesignKind, CostBreakdown],
     baseline: DesignKind | None = DesignKind.ZERO_PADDING,
     params_label: str = DEFAULT_PARAMS_LABEL,
     critical_path_mode: str = "max",
@@ -337,8 +333,6 @@ def compare(
     Ratios against a zero total are reported as None (serialized as null or
     an empty CSV cell, never as infinities).
     """
-    if not isinstance(breakdowns, dict):
-        breakdowns = {b.design: b for b in breakdowns}
     if not breakdowns:
         raise ValueError("no breakdowns to compare")
     layers = {b.layer for b in breakdowns.values()}
@@ -359,9 +353,7 @@ def compare(
             save = None if norm_e is None else (1.0 - norm_e) * 100.0
             over = None if norm_a is None else (norm_a - 1.0) * 100.0
         entries[design.value] = DesignComparison(
-            design=design,
             breakdown=b,
-            cycle_count=b.cycle_count,
             normalized_latency=norm_l,
             normalized_energy=norm_e,
             normalized_area=norm_a,
@@ -428,7 +420,7 @@ def summary_csv_rows(reports: list[ComparisonReport]) -> list[list[str]]:
         for name, entry in report.entries.items():
             b = entry.breakdown
             rows.append([
-                report.layer, name, str(entry.cycle_count),
+                report.layer, name, str(b.cycle_count),
                 str(b.latency.total), str(b.energy.total), str(b.area.total),
                 _fmt(entry.speedup_vs_baseline), ref_speed,
                 _fmt(entry.energy_saving_pct), ref_save,
@@ -445,13 +437,13 @@ def report_to_dict(report: ComparisonReport) -> dict:
         "baseline": report.baseline.value if report.baseline else None,
         "params_label": report.params_label,
         "critical_path_mode": report.critical_path_mode,
-        "reference": report.reference,
+        "reference": REFERENCE_COMPARISONS,
         "designs": {},
     }
     for name, entry in report.entries.items():
         b = entry.breakdown
         out["designs"][name] = {
-            "cycle_count": entry.cycle_count,
+            "cycle_count": b.cycle_count,
             **{metric: getattr(b, metric).as_dict() for metric in METRICS},
             "normalized": {
                 "latency": entry.normalized_latency,
@@ -461,6 +453,6 @@ def report_to_dict(report: ComparisonReport) -> dict:
             "speedup_vs_baseline": entry.speedup_vs_baseline,
             "energy_saving_pct": entry.energy_saving_pct,
             "area_overhead_pct": entry.area_overhead_pct,
-            "notes": b.notes,
+            "notes": "ideal signed cells; negative weights stored directly",
         }
     return out

@@ -12,9 +12,13 @@ large layers stay cheap to generate, execute and dump:
   tile belongs to one residue class (computation mode), and each kernel
   position of that mode contributes through its own sub-crossbar, fed the
   single original input pixel whose dilated coordinate lines up.  Input
-  coordinates that fall off the input feature map become explicit
-  zero-vector assignments: they keep the accumulation-group structure
-  uniform but are skipped in activation counts.
+  coordinates that fall off the input feature map become zero drives
+  (`live` False): they keep the accumulation-group structure uniform but
+  are skipped in activation counts.
+
+A schedule stores no input kind: the design names each live drive, a
+window on zero-padding and a pixel on every other design, and only
+zero-skipping has zero drives.
 
 Folding doubles the cycle count: even phases drive rows 0..C-1 of each
 folded sub with the even original sub's input, odd phases drive rows
@@ -67,7 +71,8 @@ __all__ = [
 
 
 class InputKind:
-    """Codes for the `kind` column of a schedule."""
+    """Codes of the derived `CycleSchedule.kind` view, which perfbench's
+    tests read; a schedule stores `live` instead."""
 
     WINDOW = 0  # gathered kh*kw*C window of the padded image at (a, b)
     PIXEL = 1   # the C-vector of input pixel (a, b)
@@ -128,7 +133,8 @@ class CycleSchedule:
     schedules they span the two phase cycles of one tile and the group is
     recorded on the completing (odd) phase.  A folded assignment drives
     the low C-row half of its array on an even cycle, the high half on an
-    odd one.
+    odd one.  `live` is False on a zero drive, which reads nothing; a live
+    drive is a window (a, b) on zero-padding, input pixel (a, b) elsewhere.
     """
 
     design: DesignKind
@@ -136,7 +142,7 @@ class CycleSchedule:
     cycle_count: int
     cycle: np.ndarray
     crossbar: np.ndarray
-    kind: np.ndarray
+    live: np.ndarray
     src_a: np.ndarray
     src_b: np.ndarray
     group_id: np.ndarray
@@ -148,6 +154,13 @@ class CycleSchedule:
         return self.design is DesignKind.PADDING_FREE
 
     @property
+    def kind(self) -> np.ndarray:
+        """Per assignment, its `InputKind` code, derived from the design and
+        `live`."""
+        drive = InputKind.WINDOW if self.design is DesignKind.ZERO_PADDING else InputKind.PIXEL
+        return np.where(self.live, drive, InputKind.ZERO).astype(np.int8)
+
+    @property
     def assignment_count(self) -> int:
         return len(self.cycle)
 
@@ -156,9 +169,9 @@ class CycleSchedule:
         return len(self.group_cycle)
 
 
-def _sorted_columns(cycle, crossbar, kind, a, b, group):
+def _sorted_columns(cycle, crossbar, live, a, b, group):
     order = np.lexsort((crossbar, cycle))
-    return tuple(col[order] for col in (cycle, crossbar, kind, a, b, group))
+    return tuple(col[order] for col in (cycle, crossbar, live, a, b, group))
 
 
 def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
@@ -174,7 +187,7 @@ def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
         cycle_count=n,
         cycle=t,
         crossbar=np.zeros(n, dtype=np.int32),
-        kind=np.full(n, InputKind.WINDOW, dtype=np.int8),
+        live=np.ones(n, dtype=bool),
         src_a=y,
         src_b=x,
         group_id=t.copy(),
@@ -192,7 +205,7 @@ def schedule_padding_free(spec: DeconvLayerSpec) -> CycleSchedule:
         cycle_count=n,
         cycle=t,
         crossbar=np.zeros(n, dtype=np.int32),
-        kind=np.full(n, InputKind.PIXEL, dtype=np.int8),
+        live=np.ones(n, dtype=bool),
         src_a=(t // spec.input_w).astype(np.int32),
         src_b=(t % spec.input_w).astype(np.int32),
         group_id=np.full(n, -1, dtype=np.int64),
@@ -242,8 +255,7 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
 
     cycle = (y // s) * n_tx + (x // s)
     crossbar = (i * spec.kw + j).astype(np.int32)
-    in_range = (a >= 0) & (a < spec.input_h) & (b >= 0) & (b < spec.input_w)
-    kind = np.where(in_range, InputKind.PIXEL, InputKind.ZERO).astype(np.int8)
+    live = (a >= 0) & (a < spec.input_h) & (b >= 0) & (b < spec.input_w)
     group = y * ow + x
 
     if folded:
@@ -251,8 +263,8 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
         cycle = 2 * cycle + crossbar % 2
         crossbar = crossbar // 2
 
-    cycle, crossbar, kind, a32, b32, group = _sorted_columns(
-        cycle, crossbar, kind, a.astype(np.int32), b.astype(np.int32), group
+    cycle, crossbar, live, a32, b32, group = _sorted_columns(
+        cycle, crossbar, live, a.astype(np.int32), b.astype(np.int32), group
     )
 
     # group table covers every output pixel; a group completes in its tile's
@@ -269,7 +281,7 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
         cycle_count=n_cycles,
         cycle=cycle,
         crossbar=crossbar,
-        kind=kind,
+        live=live,
         src_a=a32,
         src_b=b32,
         group_id=group,
@@ -284,35 +296,37 @@ def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSche
 def validate_schedule(schedule: CycleSchedule):
     """Schema checks in O(n): assignments strictly ordered by (cycle,
     crossbar), so one VMM per crossbar per cycle; cycles and crossbars
-    below the cycle and array counts; known kind codes, and a kind that
-    fits the design (windows on zero-padding only, and only windows there);
-    pixel sources inside the input and window origins inside the output
-    grid (zero drives read nothing); one accumulation group per output
+    below the cycle and array counts; a boolean `live` column (an integer
+    one would index, not mask); on red_folded, no drive into the
+    zero-fill half of the last array; zero drives on zero-skipping only;
+    window origins inside the output grid, or live pixel sources inside
+    the input (zero drives read nothing); one accumulation group per output
     pixel (its id names the pixel), and every assignment in one."""
     cycle, crossbar = schedule.cycle, schedule.crossbar
-    spec = schedule.layer
+    design, spec = schedule.design, schedule.layer
+    if schedule.live.dtype != bool:
+        raise ValueError("live column is not boolean")
     if len(cycle):
-        n_arrays = MappingPlan(schedule.design, spec.kernel_shape).count
+        n_arrays = MappingPlan(design, spec.kernel_shape).count
         if (cycle.min() < 0 or cycle.max() >= schedule.cycle_count
                 or crossbar.min() < 0 or crossbar.max() >= n_arrays):
             raise ValueError(f"cycle or crossbar index out of range ({n_arrays} arrays)")
         if (np.diff(cycle * n_arrays + crossbar) <= 0).any():
             raise ValueError("assignments not in strictly increasing (cycle, crossbar) order")
-        kind = schedule.kind
-        if kind.min() < InputKind.WINDOW or kind.max() > InputKind.ZERO:
-            raise ValueError("unknown input kind")
-        windows = schedule.design is DesignKind.ZERO_PADDING
-        if ((kind == InputKind.WINDOW) != windows).any():
-            raise ValueError(f"input kind does not fit the {schedule.design} design")
+        # folded array n holds original subs 2n (low half) and 2n + 1 (high)
+        if design is DesignKind.RED_FOLDED and (
+                2 * crossbar + cycle % 2 >= spec.kh * spec.kw).any():
+            raise ValueError("drive into the zero-fill half of the last folded array")
+    if design in (DesignKind.ZERO_PADDING, DesignKind.PADDING_FREE) and not schedule.live.all():
+        raise ValueError(f"zero drive on the {design} design")
     oh, ow, _ = output_shape(spec)
-    for kind, h, w, message in (
-        (InputKind.PIXEL, spec.input_h, spec.input_w, "pixel source outside the input"),
-        (InputKind.WINDOW, oh, ow, "window origin outside the output grid"),
-    ):
-        sel = schedule.kind == kind
-        a, b = schedule.src_a[sel], schedule.src_b[sel]
-        if len(a) and (a.min() < 0 or a.max() >= h or b.min() < 0 or b.max() >= w):
-            raise ValueError(message)
+    if design is DesignKind.ZERO_PADDING:
+        h, w, message = oh, ow, "window origin outside the output grid"
+    else:
+        h, w, message = spec.input_h, spec.input_w, "pixel source outside the input"
+    a, b = schedule.src_a[schedule.live], schedule.src_b[schedule.live]
+    if len(a) and (a.min() < 0 or a.max() >= h or b.min() < 0 or b.max() >= w):
+        raise ValueError(message)
     if schedule.has_post_ops:
         if schedule.group_count != 0:
             raise ValueError("post-op schedules must not carry accumulation groups")
@@ -377,12 +391,12 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
     kh, kw, c, m = plan.kernel_dims
     rows, cols = plan.shape
 
-    live = schedule.kind != InputKind.ZERO
+    live = schedule.live
     n_live = int(np.count_nonzero(live))
     per_xbar = np.bincount(schedule.crossbar[live], minlength=plan.count)
 
-    n_windows = int(np.count_nonzero(schedule.kind == InputKind.WINDOW))
-    driven = n_windows * rows + (n_live - n_windows) * c
+    # a window drives every row of its array, a pixel C rows
+    driven = n_live * (rows if schedule.design is DesignKind.ZERO_PADDING else c)
 
     group_adds = 0
     if schedule.group_count:
@@ -474,7 +488,7 @@ def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tenso
     cols = plan.shape[1]
     acc = np.zeros((n_dest, cols), dtype=dtype)
 
-    live = np.flatnonzero(schedule.kind != InputKind.ZERO)
+    live = np.flatnonzero(schedule.live)
     blocks, block = plan.crossbars, schedule.crossbar[live]
     if schedule.design is DesignKind.RED_FOLDED:
         # even cycles drive rows 0..C-1, odd cycles rows C..2C-1
@@ -532,9 +546,6 @@ _DESIGNS = {
 # Schedule dump
 # ---------------------------------------------------------------------------
 
-_KIND_NAMES = ("window", "pixel", "zero")  # by InputKind code
-
-
 def dump_schedule_lines(schedule: CycleSchedule):
     """Stable text dump: per cycle, assignment lines then group lines.
 
@@ -542,16 +553,20 @@ def dump_schedule_lines(schedule: CycleSchedule):
     Group:      cycle,group_id,output_y,output_x,member_crossbars...
     Coordinates are 0-based (row, col); window coordinates address the
     padded image, pixel coordinates the original input feature map, and a
-    group's output pixel is divmod(group_id, output_w).  On red_folded the
-    kind carries the driven half: `_lo` on even cycles, `_hi` on odd ones.
+    group's output pixel is divmod(group_id, output_w).  The kind is `zero`
+    for a zero drive; a live drive is a `window` on zero_padding and a
+    `pixel` elsewhere.  On red_folded the kind carries the driven half:
+    `_lo` on even cycles, `_hi` on odd ones.
     """
     yield f"# design={schedule.design.value} cycles={schedule.cycle_count}"
     yield "# assignment: cycle,crossbar,kind,a,b  group: cycle,group,out_y,out_x,members..."
 
     cyc = schedule.cycle.tolist()
     xb = schedule.crossbar.tolist()
+    drive = "window" if schedule.design is DesignKind.ZERO_PADDING else "pixel"
     halves = ("_lo", "_hi") if schedule.design is DesignKind.RED_FOLDED else ("", "")
-    kinds = [_KIND_NAMES[k] + halves[t % 2] for k, t in zip(schedule.kind.tolist(), cyc)]
+    kinds = [(drive if on else "zero") + halves[t % 2]
+             for on, t in zip(schedule.live.tolist(), cyc)]
     sa = schedule.src_a.tolist()
     sb = schedule.src_b.tolist()
 

@@ -10,9 +10,8 @@ import numpy as np
 
 from red_sim.bench import Lcg64, builtin_benchmarks, run_suite, scale_channels
 from red_sim.cli import main
-from red_sim.costmodel import CostParams, cost_breakdown
+from red_sim.costmodel import CostParams, cost_breakdown, report_to_dict
 from red_sim.dataflow import (
-    InputKind,
     build_schedule,
     partition_modes,
     schedule_padding_free,
@@ -112,7 +111,7 @@ def test_criterion_4_first_cycle_pattern():
     sched = schedule_zero_skipping(toy)
     first = sched.cycle == 0
     assert int(first.sum()) == 9
-    assert (sched.kind[first] == InputKind.PIXEL).all()
+    assert sched.live[first].all()
     shared = defaultdict(set)
     for xb, a, b in zip(sched.crossbar[first], sched.src_a[first], sched.src_b[first]):
         shared[(int(a), int(b))].add(int(xb))
@@ -176,7 +175,7 @@ def test_criterion_6_cost_model():
 
     # reports carry the published reference values next to computed ones
     reports = run_suite(builtin_benchmarks()[:1], channel_scale=1 / 128, trials=1)
-    ref = reports[0].reference
+    ref = report_to_dict(reports[0])["reference"]
     assert ref["speedup_vs_zero_padding"] == [3.69, 31.15]
     assert ref["energy_saving_pct_vs_zero_padding"] == [8.0, 88.36]
     assert ref["red_area_overhead_pct_vs_zero_padding"] == 21.41

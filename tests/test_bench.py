@@ -233,10 +233,10 @@ def test_run_suite_cycle_counts_match_formulas():
         oh, ow, _ = output_shape(spec)
         s = spec.stride
         tiles = (-(-oh // s)) * (-(-ow // s))
-        assert report.entries["zero_padding"].cycle_count == oh * ow
-        assert report.entries["padding_free"].cycle_count == spec.input_h * spec.input_w
-        assert report.entries["red"].cycle_count == tiles
-        assert report.entries["red_folded"].cycle_count == 2 * tiles
+        assert report.entries["zero_padding"].breakdown.cycle_count == oh * ow
+        assert report.entries["padding_free"].breakdown.cycle_count == spec.input_h * spec.input_w
+        assert report.entries["red"].breakdown.cycle_count == tiles
+        assert report.entries["red_folded"].breakdown.cycle_count == 2 * tiles
 
 
 def test_run_suite_full_channels_on_fcn_entry():

@@ -335,4 +335,4 @@ def test_csv_rows_schema_and_reference_columns():
     assert "reference_speedup_range" in header and "reference_energy_saving_pct_range" in header
     i = header.index("reference_speedup_range")
     assert summary[1][i] == "3.69-31.15"
-    assert report.reference == REFERENCE_COMPARISONS
+    assert report_to_dict(report)["reference"] == REFERENCE_COMPARISONS

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from red_sim.dataflow import (
-    InputKind,
     build_schedule,
     dump_schedule_lines,
     execute,
@@ -138,7 +137,7 @@ def test_zero_skipping_first_cycle_pattern():
     sched = schedule_zero_skipping(TOY)
     first = sched.cycle == 0
     assert int(first.sum()) == 9
-    assert (sched.kind[first] == InputKind.PIXEL).all()
+    assert sched.live[first].all()
     by_pixel = defaultdict(set)
     for xb, a, b in zip(sched.crossbar[first], sched.src_a[first], sched.src_b[first]):
         by_pixel[(int(a), int(b))].add(int(xb))
@@ -185,7 +184,7 @@ def test_schedules_validate(design):
         validate_schedule(build_schedule(spec, design))
 
 
-ASSIGNMENT_COLUMNS = ("cycle", "crossbar", "kind", "src_a", "src_b", "group_id")
+ASSIGNMENT_COLUMNS = ("cycle", "crossbar", "live", "src_a", "src_b", "group_id")
 
 
 def _reordered(sched, order):
@@ -214,6 +213,15 @@ def _pixels_one_column_right(_):
     return dataclasses.replace(sched, src_b=sched.src_b + 1)
 
 
+def _folded_drive_into_zero_fill(sched):
+    # TOY's 3x3 kernel folds into arrays 0..4, and array 4's high half is
+    # zero fill: its even-cycle drive, moved to the next (odd) cycle,
+    # would multiply the zero fill
+    index = np.flatnonzero(sched.live & (sched.crossbar == 4) & (sched.cycle % 2 == 0))[0]
+    moved = _with_value(sched, "cycle", index, sched.cycle[index] + 1)
+    return _reordered(moved, np.lexsort((moved.crossbar, moved.cycle)))
+
+
 @pytest.mark.parametrize("design,corrupt,message", [
     (DesignKind.RED, lambda s: dataclasses.replace(s, cycle=s.cycle - 1),
      "index out of range"),
@@ -232,19 +240,21 @@ def _pixels_one_column_right(_):
      "one group per output pixel"),
     (DesignKind.RED, lambda s: _with_value(s, "group_id", 0, -1),
      "assignment group id out of range"),
-    (DesignKind.RED, lambda s: _with_value(s, "kind", 0, 3), "unknown input kind"),
+    (DesignKind.RED, lambda s: dataclasses.replace(s, live=s.live.astype(np.int8)),
+     "live column is not boolean"),
     (DesignKind.RED, _pixels_one_column_right, "pixel source outside the input"),
     (DesignKind.ZERO_PADDING, lambda s: _with_value(s, "src_a", -1, TOY.output_h),
      "window origin outside the output grid"),
     # TOY's 3x3 kernel gives red 9 arrays, 0..8; shifted up, each reads its
     # neighbour's weights and crossbar 9 has none
     (DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=s.crossbar + 1), "9 arrays"),
-    # zero-padding drives windows only, and no other design drives one: a
-    # pixel read as a window origin, or a window read as a pixel, is wrong
-    (DesignKind.ZERO_PADDING, lambda s: _with_value(s, "kind", 0, InputKind.PIXEL),
-     "does not fit the zero_padding design"),
-    (DesignKind.RED, lambda s: _with_value(s, "kind", 0, InputKind.WINDOW),
-     "does not fit the red design"),
+    # only zero skipping has drives to skip: a dropped window or pixel is a
+    # missing product
+    (DesignKind.ZERO_PADDING, lambda s: _with_value(s, "live", 0, False),
+     "zero drive on the zero_padding design"),
+    (DesignKind.PADDING_FREE, lambda s: _with_value(s, "live", 0, False),
+     "zero drive on the padding_free design"),
+    (DesignKind.RED_FOLDED, _folded_drive_into_zero_fill, "zero-fill half"),
 ])
 def test_validate_schedule_rejects(design, corrupt, message):
     sched = build_schedule(TOY, design)
@@ -257,7 +267,7 @@ def test_zero_padding_schedule_structure():
     sched = schedule_zero_padding(TOY)
     oh, ow, _ = output_shape(TOY)
     assert sched.cycle_count == oh * ow
-    assert (sched.kind == InputKind.WINDOW).all()
+    assert sched.live.all()
     assert (sched.crossbar == 0).all()
     assert len(sched.cycle) == oh * ow  # one assignment per cycle
 
@@ -392,7 +402,7 @@ def test_trace_checks_design_and_kernel_extent_only():
     # count traces a plan of the same design and kernel extent
     sched = schedule_zero_skipping(TOY)
     trace = trace_of_schedule(sched, MappingPlan(DesignKind.RED, (3, 3, 5, 7)))
-    assert trace.cell_activations == int((sched.kind != InputKind.ZERO).sum()) * 5 * 7
+    assert trace.cell_activations == int(sched.live.sum()) * 5 * 7
     with pytest.raises(ValueError, match="design"):
         trace_of_schedule(sched, MappingPlan(DesignKind.RED_FOLDED, (3, 3, 2, 2)))
     with pytest.raises(ValueError, match="kernel dims"):
@@ -519,7 +529,7 @@ def test_trace_red_zero_skipping_sparsity():
     trace = trace_of_schedule(sched, plan)
     kk = 16
     assert trace.vmm_activations <= kk * trace.cycle_count
-    zero_assignments = int((sched.kind == InputKind.ZERO).sum())
+    zero_assignments = int((~sched.live).sum())
     assert trace.vmm_activations + zero_assignments == len(sched.cycle)
     assert trace.vmm_activations < kk * trace.cycle_count  # edges skip zeros here
     per = trace.vmm_activations_per_crossbar
@@ -599,6 +609,6 @@ def test_live_assignments_match_redundancy_property(spec, design):
     # zero skipping drives exactly the kernel slots that the zero-padding
     # route would feed an original pixel
     sched = build_schedule(spec, design)
-    live = int((sched.kind != InputKind.ZERO).sum())
+    live = int(sched.live.sum())
     slots = spec.output_h * spec.output_w * spec.kh * spec.kw
     assert live == round((1 - zero_redundancy_ratio(spec)) * slots)
