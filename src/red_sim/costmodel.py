@@ -315,7 +315,6 @@ class DesignComparison:
 @dataclass
 class ComparisonReport:
     layer: str
-    spec: DeconvLayerSpec | None
     baseline: DesignKind | None
     entries: dict[str, DesignComparison]
     params_label: str = DEFAULT_PARAMS_LABEL
@@ -361,10 +360,8 @@ def compare(
             energy_saving_pct=save,
             area_overhead_pct=over,
         )
-    any_b = next(iter(breakdowns.values()))
     return ComparisonReport(
-        layer=any_b.layer,
-        spec=any_b.spec,
+        layer=layers.pop(),
         baseline=baseline if base is not None else None,
         entries=entries,
         params_label=params_label,

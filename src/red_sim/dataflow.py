@@ -23,11 +23,13 @@ zero-skipping has zero drives.
 Folding doubles the cycle count: even phases drive rows 0..C-1 of each
 folded sub with the even original sub's input, odd phases drive rows
 C..2C-1 with the odd original sub's input.  A schedule stores no half:
-the cycle's parity names it.
+the cycle's parity names it, and so the weight block a drive multiplies.
 
 Output pixels are produced once each; the members of an output pixel's
 accumulation group are exactly the sub-crossbars of its computation mode.
-Cycles advance row-major over s x s output blocks, so traces are reproducible.
+Cycles advance row-major over s x s output tiles, so traces are reproducible.
+Assignments are kept in (weight block, cycle) order, the order the runner
+reads; every builder emits it directly, and only the dump sorts, by cycle.
 
 A design is its weight layout (mapping) plus its schedule; one runner
 executes them all.  It runs what the hardware drives: each live drive, a
@@ -124,10 +126,11 @@ def partition_modes(spec: DeconvLayerSpec) -> ModePartition:
 class CycleSchedule:
     """Columnar per-cycle input assignments plus the accumulation groups.
 
-    Assignment columns are parallel arrays sorted by (cycle, crossbar); each
-    crossbar appears at most once per cycle.  `group_id` indexes the group
-    table, one group per output pixel: group g is output pixel
-    (g // output_w, g % output_w).  Padding-free has no groups and uses -1:
+    Assignment columns are parallel arrays sorted by (`block`, cycle), the
+    order the runner reads; a crossbar and a cycle fix the block, so each
+    crossbar appears at most once per cycle.  Only the dump sorts by cycle.
+    `group_id` indexes the group table, one group per output pixel: group g
+    is output pixel (g // output_w, g % output_w).  Padding-free has no groups and uses -1:
     its outputs accumulate through the overlap-add post pass instead.
     A group's members are the assignments carrying its id; for folded
     schedules they span the two phase cycles of one tile and the group is
@@ -154,6 +157,15 @@ class CycleSchedule:
         return self.design is DesignKind.PADDING_FREE
 
     @property
+    def block(self) -> np.ndarray:
+        """Per assignment, the weight block it multiplies: its crossbar, or
+        on red_folded the C-row half of it its cycle's parity drives, so
+        folded array n holds blocks 2n (low half) and 2n + 1 (high half)."""
+        if self.design is DesignKind.RED_FOLDED:
+            return 2 * self.crossbar + self.cycle % 2
+        return self.crossbar
+
+    @property
     def kind(self) -> np.ndarray:
         """Per assignment, its `InputKind` code, derived from the design and
         `live`."""
@@ -167,11 +179,6 @@ class CycleSchedule:
     @property
     def group_count(self) -> int:
         return len(self.group_cycle)
-
-
-def _sorted_columns(cycle, crossbar, live, a, b, group):
-    order = np.lexsort((crossbar, cycle))
-    return tuple(col[order] for col in (cycle, crossbar, live, a, b, group))
 
 
 def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
@@ -213,77 +220,57 @@ def schedule_padding_free(spec: DeconvLayerSpec) -> CycleSchedule:
     )
 
 
-def _axis_contributions(n_out: int, k: int, stride: int, pad_lead: int, n_in: int):
-    """All (out_coord, kernel_coord, in_coord) triples along one axis.
-
-    Output coordinate y takes kernel coordinates i with y + i = pad_lead
-    (mod stride); the matching input coordinate is (y + i - pad_lead) /
-    stride, which may fall outside [0, n_in) at the borders.
-    """
-    ys, ks, ins = [], [], []
-    out = np.arange(n_out, dtype=np.int64)
-    for i in range(k):
-        sel = out[(out + i - pad_lead) % stride == 0]
-        ys.append(sel)
-        ks.append(np.full(len(sel), i, dtype=np.int64))
-        ins.append((sel + i - pad_lead) // stride)
-    return np.concatenate(ys), np.concatenate(ks), np.concatenate(ins)
-
-
 def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> CycleSchedule:
     """RED's schedule: one s x s output tile per cycle, zeros skipped.
 
     Unfolded cycle count is ceil(output_h/s) * ceil(output_w/s); folding
     doubles it by splitting each cycle into a low-half and a high-half
     phase per the stacked sub-crossbar layout.
+
+    Sub (i, j) serves output pixels y = pad_top - i, x = pad_left - j
+    (mod s), one per tile: from the first, (y0, x0), it drives (y0 + s*t,
+    x0 + s*u) in cycle t*n_tx + u.  Laid out row-major over (i, j, t, u),
+    that is (sub, cycle) order, which is (block, cycle) order folded or not.
     """
     s = spec.stride
     oh, ow, _ = output_shape(spec)
-    n_tx = -(-ow // s)
-    n_ty = -(-oh // s)
+    n_ty, n_tx = -(-oh // s), -(-ow // s)
 
-    ry, ri, ra = _axis_contributions(oh, spec.kh, s, spec.pad_top, spec.input_h)
-    cx, cj, cb = _axis_contributions(ow, spec.kw, s, spec.pad_left, spec.input_w)
-
-    nr, nc = len(ry), len(cx)
-    y = np.repeat(ry, nc)
-    i = np.repeat(ri, nc)
-    a = np.repeat(ra, nc)
-    x = np.tile(cx, nr)
-    j = np.tile(cj, nr)
-    b = np.tile(cb, nr)
-
-    cycle = (y // s) * n_tx + (x // s)
-    crossbar = (i * spec.kw + j).astype(np.int32)
-    live = (a >= 0) & (a < spec.input_h) & (b >= 0) & (b < spec.input_w)
-    group = y * ow + x
-
-    if folded:
-        # original sub n drives folded sub n // 2 on phase n % 2
-        cycle = 2 * cycle + crossbar % 2
-        crossbar = crossbar // 2
-
-    cycle, crossbar, live, a32, b32, group = _sorted_columns(
-        cycle, crossbar, live, a.astype(np.int32), b.astype(np.int32), group
-    )
+    i = np.arange(spec.kh).reshape(-1, 1, 1, 1)
+    j = np.arange(spec.kw).reshape(1, -1, 1, 1)
+    t = np.arange(n_ty).reshape(1, 1, -1, 1)
+    u = np.arange(n_tx).reshape(1, 1, 1, -1)
+    y0, x0 = (spec.pad_top - i) % s, (spec.pad_left - j) % s
+    y, x = y0 + s * t, x0 + s * u
+    # the input pixel whose dilated coordinate lines up; off the input it
+    # is a zero drive
+    a = t + (y0 + i - spec.pad_top) // s
+    b = u + (x0 + j - spec.pad_left) // s
+    live = ((a >= 0) & (a < spec.input_h)) & ((b >= 0) & (b < spec.input_w))
+    columns = np.broadcast_arrays(
+        t * n_tx + u, (i * spec.kw + j).astype(np.int32), live,
+        a.astype(np.int32), b.astype(np.int32), y * ow + x)
+    # the last tile row and column may overhang the output
+    inside = (y < oh) & (x < ow)
+    cycle, crossbar, live, a, b, group = (col[inside] for col in columns)
 
     # group table covers every output pixel; a group completes in its tile's
     # (last phase) cycle
-    gy, gx = np.divmod(np.arange(oh * ow, dtype=np.int64), ow)
-    gcycle = (gy // s) * n_tx + (gx // s)
+    gcycle = np.add.outer(np.arange(oh) // s * n_tx, np.arange(ow) // s).ravel()
     if folded:
+        # original sub n drives folded sub n // 2 on phase n % 2
+        cycle, crossbar = 2 * cycle + crossbar % 2, crossbar // 2
         gcycle = 2 * gcycle + 1
 
-    n_cycles = n_ty * n_tx * (2 if folded else 1)
     return CycleSchedule(
         design=DesignKind.RED_FOLDED if folded else DesignKind.RED,
         layer=spec,
-        cycle_count=n_cycles,
+        cycle_count=n_ty * n_tx * (2 if folded else 1),
         cycle=cycle,
         crossbar=crossbar,
         live=live,
-        src_a=a32,
-        src_b=b32,
+        src_a=a,
+        src_b=b,
         group_id=group,
         group_cycle=gcycle,
     )
@@ -294,9 +281,9 @@ def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSche
 
 
 def validate_schedule(schedule: CycleSchedule):
-    """Schema checks in O(n): assignments strictly ordered by (cycle,
-    crossbar), so one VMM per crossbar per cycle; cycles and crossbars
-    below the cycle and array counts; a boolean `live` column (an integer
+    """Schema checks in O(n): cycles and crossbars below the cycle and
+    array counts; assignments strictly ordered by (block, cycle), so one
+    VMM per crossbar per cycle; a boolean `live` column (an integer
     one would index, not mask); on red_folded, no drive into the
     zero-fill half of the last array; zero drives on zero-skipping only;
     window origins inside the output grid, or live pixel sources inside
@@ -311,11 +298,13 @@ def validate_schedule(schedule: CycleSchedule):
         if (cycle.min() < 0 or cycle.max() >= schedule.cycle_count
                 or crossbar.min() < 0 or crossbar.max() >= n_arrays):
             raise ValueError(f"cycle or crossbar index out of range ({n_arrays} arrays)")
-        if (np.diff(cycle * n_arrays + crossbar) <= 0).any():
-            raise ValueError("assignments not in strictly increasing (cycle, crossbar) order")
-        # folded array n holds original subs 2n (low half) and 2n + 1 (high)
-        if design is DesignKind.RED_FOLDED and (
-                2 * crossbar + cycle % 2 >= spec.kh * spec.kw).any():
+        block = schedule.block
+        step, tick = np.diff(block), np.diff(cycle)
+        if ((step < 0) | ((step == 0) & (tick <= 0))).any():
+            raise ValueError("assignments not in strictly increasing (block, cycle) order")
+        # block n multiplies sub n's weights; on red_folded with an odd
+        # kh*kw, block kh*kw is the zero-fill half of the last array
+        if (block >= spec.kh * spec.kw).any():
             raise ValueError("drive into the zero-fill half of the last folded array")
     if design in (DesignKind.ZERO_PADDING, DesignKind.PADDING_FREE) and not schedule.live.all():
         raise ValueError(f"zero drive on the {design} design")
@@ -461,9 +450,13 @@ def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tenso
     gathered from the zero-inserted, padded image (`_sources`): a window
     as its kh*kw pixels, a pixel as itself.  It is multiplied by the weight
     rows it drives: the whole array, or on red_folded the C-row half of its
-    cycle's parity.  Per weight block, in chunks, the products are added into
-    their output pixel's group, or for padding-free into the input pixel's
-    product row, which the overlap-add and crop post pass then places.
+    cycle's parity.  The live drives are read in the schedule's (block,
+    cycle) order, so each weight block's drives are one run, found by one
+    `searchsorted`; a schedule whose live drives leave block order, or name
+    a block the plan does not have, is refused with ValueError.  Per weight
+    block, in chunks, the products are added into their output pixel's
+    group, or for padding-free into the input pixel's product row, which
+    the overlap-add and crop post pass then places.
     Integer data is multiplied in the dtype `compute_dtype` picks: float64
     sums of integers below 2^53 are exact, as are int64 sums, so the result
     does not depend on the order of the adds and equals the zero-padding
@@ -489,14 +482,16 @@ def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tenso
     acc = np.zeros((n_dest, cols), dtype=dtype)
 
     live = np.flatnonzero(schedule.live)
-    blocks, block = plan.crossbars, schedule.crossbar[live]
+    blocks, block = plan.crossbars, schedule.block[live]
     if schedule.design is DesignKind.RED_FOLDED:
-        # even cycles drive rows 0..C-1, odd cycles rows C..2C-1
-        blocks = [half for crossbar in blocks for half in (crossbar[:c], crossbar[c:])]
-        block = 2 * block + schedule.cycle[live] % 2
-    order = np.argsort(block, kind="stable")
-    bounds = np.searchsorted(block[order], np.arange(len(blocks) + 1))
-    live = live[order]
+        # block n, sub n's weights: rows 0..C-1 of array n // 2 for even n,
+        # rows C..2C-1 for odd n; an odd kh*kw leaves the last half zero fill
+        blocks = [blocks[n // 2][n % 2 * c : n % 2 * c + c] for n in range(spec.kh * spec.kw)]
+    if (np.diff(block) < 0).any():
+        raise ValueError("live drives not in weight-block order")
+    if len(block) and (block[0] < 0 or block[-1] >= len(blocks)):
+        raise ValueError(f"drive names a weight block the plan does not have ({len(blocks)})")
+    bounds = np.searchsorted(block, np.arange(len(blocks) + 1))
     pixel, dest = _sources(schedule)[live], dest[live]
     if schedule.design is DesignKind.ZERO_PADDING:
         # window slot i*kw + j reads i*padded_w + j past the origin
@@ -549,6 +544,10 @@ _DESIGNS = {
 def dump_schedule_lines(schedule: CycleSchedule):
     """Stable text dump: per cycle, assignment lines then group lines.
 
+    The one reader that wants cycle order: it sorts the (block, cycle)
+    ordered assignments stably by cycle, which lists each cycle's
+    assignments, and each group's members, by crossbar.
+
     Assignment: cycle,crossbar_index,input_kind,a,b
     Group:      cycle,group_id,output_y,output_x,member_crossbars...
     Coordinates are 0-based (row, col); window coordinates address the
@@ -561,18 +560,19 @@ def dump_schedule_lines(schedule: CycleSchedule):
     yield f"# design={schedule.design.value} cycles={schedule.cycle_count}"
     yield "# assignment: cycle,crossbar,kind,a,b  group: cycle,group,out_y,out_x,members..."
 
-    cyc = schedule.cycle.tolist()
-    xb = schedule.crossbar.tolist()
+    order = np.argsort(schedule.cycle, kind="stable")
+    cyc = schedule.cycle[order].tolist()
+    xb = schedule.crossbar[order].tolist()
     drive = "window" if schedule.design is DesignKind.ZERO_PADDING else "pixel"
     halves = ("_lo", "_hi") if schedule.design is DesignKind.RED_FOLDED else ("", "")
     kinds = [(drive if on else "zero") + halves[t % 2]
-             for on, t in zip(schedule.live.tolist(), cyc)]
-    sa = schedule.src_a.tolist()
-    sb = schedule.src_b.tolist()
+             for on, t in zip(schedule.live[order].tolist(), cyc)]
+    sa = schedule.src_a[order].tolist()
+    sb = schedule.src_b[order].tolist()
 
-    # group member lists in assignment order
+    # group member lists in cycle order
     members: dict[int, list[int]] = {}
-    for gid, x in zip(schedule.group_id.tolist(), xb):
+    for gid, x in zip(schedule.group_id[order].tolist(), xb):
         if gid >= 0:
             members.setdefault(gid, []).append(x)
 

@@ -173,6 +173,45 @@ def test_zero_skipping_groups_follow_modes(spec, design):
     assert sorted(seen) == list(range(spec.output_h * ow))
 
 
+def zero_skipping_rows(spec, folded):
+    """Per output pixel, by definition, its zero-skipping drives keyed by
+    (original sub, cycle): output (y, x) takes kernel position (i, j) when
+    y + i = pad_top and x + j = pad_left (mod s), fed input pixel
+    ((y + i - pad_top) / s, (x + j - pad_left) / s), live when that lies on
+    the input, in its tile's cycle."""
+    s, kw = spec.stride, spec.kw
+    n_tx = -(-spec.output_w // s)
+    rows = []
+    for y, x, i, j in itertools.product(range(spec.output_h), range(spec.output_w),
+                                        range(spec.kh), range(kw)):
+        if (y + i - spec.pad_top) % s or (x + j - spec.pad_left) % s:
+            continue
+        a, b = (y + i - spec.pad_top) // s, (x + j - spec.pad_left) // s
+        live = 0 <= a < spec.input_h and 0 <= b < spec.input_w
+        n = i * kw + j
+        cycle, crossbar = (y // s) * n_tx + x // s, n
+        if folded:
+            cycle, crossbar = 2 * cycle + n % 2, n // 2
+        rows.append(((n, cycle), (cycle, crossbar, live, a, b, y * spec.output_w + x)))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=layer_specs(max_channels=1),
+       design=st.sampled_from([DesignKind.RED, DesignKind.RED_FOLDED]))
+@example(spec=TOY, design=DesignKind.RED_FOLDED)
+def test_zero_skipping_rows_by_definition(spec, design):
+    # the built schedule holds exactly the drives of the definition, in
+    # strictly increasing (block, cycle) order, block n being sub n
+    sched = build_schedule(spec, design)
+    want = sorted(zero_skipping_rows(spec, design is DesignKind.RED_FOLDED))
+    keys = [key for key, _ in want]
+    assert all(p < q for p, q in zip(keys, keys[1:]))
+    assert sched.block.tolist() == [n for n, _ in keys]
+    columns = (sched.cycle, sched.crossbar, sched.live, sched.src_a, sched.src_b, sched.group_id)
+    assert list(zip(*(col.tolist() for col in columns))) == [row for _, row in want]
+
+
 # ---------------------------------------------------------------------------
 # schema validation
 # ---------------------------------------------------------------------------
@@ -192,8 +231,8 @@ def _reordered(sched, order):
 
 
 def _swap_first_two(sched):
-    # cycle 0, crossbars 0 and 1 change places: no crossbar repeats, but the
-    # documented (cycle, crossbar) order is broken
+    # weight block 0's first two cycles change places: no crossbar repeats
+    # in a cycle, but the documented (block, cycle) order is broken
     order = np.arange(len(sched.cycle))
     order[:2] = [1, 0]
     return _reordered(sched, order)
@@ -216,10 +255,10 @@ def _pixels_one_column_right(_):
 def _folded_drive_into_zero_fill(sched):
     # TOY's 3x3 kernel folds into arrays 0..4, and array 4's high half is
     # zero fill: its even-cycle drive, moved to the next (odd) cycle,
-    # would multiply the zero fill
+    # would multiply the zero fill; re-sorted, it passes the order check
     index = np.flatnonzero(sched.live & (sched.crossbar == 4) & (sched.cycle % 2 == 0))[0]
     moved = _with_value(sched, "cycle", index, sched.cycle[index] + 1)
-    return _reordered(moved, np.lexsort((moved.crossbar, moved.cycle)))
+    return _reordered(moved, np.lexsort((moved.cycle, moved.block)))
 
 
 @pytest.mark.parametrize("design,corrupt,message", [
@@ -389,9 +428,19 @@ def test_execution_follows_its_schedule(design):
     sched = build_schedule(spec, design)
     want = deconv_oracle_zero_padding(t, k, spec).data
     assert np.array_equal(execute(plan, sched, t).data, want)
-    # the one runner reads assignments in any order
+    # the runner reads live drives in weight-block order, and refuses any
+    # other; with one array, every order is block order
     shuffled = _reordered(sched, np.random.default_rng(0).permutation(len(sched.cycle)))
-    assert np.array_equal(execute(plan, shuffled, t).data, want)
+    if plan.count == 1:
+        assert np.array_equal(execute(plan, shuffled, t).data, want)
+    else:
+        with pytest.raises(ValueError, match="weight-block order"):
+            execute(plan, shuffled, t)
+    # the last live drive relabelled onto a crossbar past the array count
+    # stays in block order but names weights the plan does not have
+    beyond = _with_value(sched, "crossbar", np.flatnonzero(sched.live)[-1], plan.count)
+    with pytest.raises(ValueError, match="weight block the plan does not have"):
+        execute(plan, beyond, t)
     # swapped coordinates on a non-square input drive other pixels
     swapped = dataclasses.replace(sched, src_a=sched.src_b, src_b=sched.src_a)
     assert not np.array_equal(execute(plan, swapped, t).data, want)
