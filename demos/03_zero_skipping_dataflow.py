@@ -18,6 +18,7 @@ from red_sim import (
     build_plan,
     deconv_oracle_zero_padding,
     execute,
+    lower,
     partition_modes,
     schedule_zero_skipping,
     trace_of_schedule,
@@ -53,7 +54,7 @@ rng = np.random.default_rng(11)
 x = Tensor3(rng.integers(-4, 5, (4, 4, 2)))
 k = Kernel4(rng.integers(-4, 5, (3, 3, 2, 2)))
 plan = build_plan(k, "red", spec)
-out = execute(plan, sched, x)
+out = execute(plan, lower(sched), x)
 trace = trace_of_schedule(sched, plan)
 want = deconv_oracle_zero_padding(x, k, spec)
 print(f"\nmatches oracle: {np.array_equal(out.data, want.data)}")

@@ -36,6 +36,8 @@ from .dataflow import (
     schedule_padding_free,
     schedule_zero_skipping,
     build_schedule,
+    Program,
+    lower,
     execute,
     trace_of_schedule,
     dump_schedule_lines,

@@ -29,7 +29,7 @@ from .costmodel import (
     compare,
     cost_breakdown,
 )
-from .dataflow import (CycleSchedule, build_schedule, execute, trace_of_schedule,
+from .dataflow import (Program, build_schedule, execute, lower, trace_of_schedule,
                        validate_schedule)
 from .mapping import DesignKind, MappingPlan, build_plan
 from .tensor import DeconvLayerSpec, Kernel4, Tensor3, _is_int, deconv_oracle_zero_padding
@@ -336,8 +336,9 @@ def run_suite(
     generator seed (seed + i); the kernel is drawn before the inputs.
 
     Each (entry, design) gets one validated schedule.  It depends on the
-    spatial geometry only, so it serves every trial and, traced once on a
-    full-size geometry-only plan, the cost side.
+    spatial geometry only, so it is lowered once into the program every
+    trial runs, and traced once on a full-size geometry-only plan for the
+    cost side.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -361,7 +362,7 @@ def run_suite(
             schedule = build_schedule(scaled, design)
             validate_schedule(schedule)
             _verify(f"{entry.name} / {design.value}", build_plan(kernel, design, scaled),
-                    schedule, inputs, oracles)
+                    lower(schedule), inputs, oracles)
             # cost side: full declared dimensions, which need no weights
             full_plan = MappingPlan(design, entry.spec.kernel_shape)
             trace = trace_of_schedule(schedule, full_plan)
@@ -369,6 +370,8 @@ def run_suite(
                 trace, full_plan, params, layer=entry.name, spec=entry.spec,
                 critical_path_mode=critical_path_mode,
             )
+            # free this schedule before the next design's is built
+            del schedule
         # free this layer's data before the next layer's draw
         del kernel, inputs, oracles
         reports.append(
@@ -378,11 +381,11 @@ def run_suite(
     return reports
 
 
-def _verify(where: str, plan: MappingPlan, schedule: CycleSchedule, inputs: list[Tensor3],
+def _verify(where: str, plan: MappingPlan, program: Program, inputs: list[Tensor3],
             oracles: list[Tensor3]):
-    """Every trial's execution must equal its oracle.  The plan is freed on
-    return, before the next design's plan is built."""
+    """Every trial's execution must equal its oracle.  The plan and the
+    program are freed on return, before the next design's are built."""
     for t, (tensor, want) in enumerate(zip(inputs, oracles)):
-        got = execute(plan, schedule, tensor)
+        got = execute(plan, program, tensor)
         if not np.array_equal(got.data, want.data):
             raise EquivalenceError(f"{where} / trial {t}: " + _diff_summary(got.data, want.data))

@@ -28,19 +28,21 @@ the cycle's parity names it, and so the weight block a drive multiplies.
 Output pixels are produced once each; the members of an output pixel's
 accumulation group are exactly the sub-crossbars of its computation mode.
 Cycles advance row-major over s x s output tiles, so traces are reproducible.
-Assignments are kept in (weight block, cycle) order, the order the runner
+Assignments are kept in (weight block, cycle) order, the order `lower`
 reads; every builder emits it directly, and only the dump sorts, by cycle.
 
 A design is its weight layout (mapping) plus its schedule; one runner
-executes them all.  It runs what the hardware drives: each live drive, a
-window or a pixel, is read from the same zero-inserted, padded image and
-multiplied by the weight rows it drives, so the runner only gathers,
-multiplies and accumulates.  Zero drives add nothing and are not run.
+executes them all, in two steps, and it runs what the hardware drives.
+`lower` does the index work once per schedule: it drops the zero drives,
+which add nothing, and gives each live drive, per weight block, a source
+in the zero-inserted, padded image (a window's origin or a pixel) and a
+destination.  `execute` runs one input through that `Program`: it only
+gathers, multiplies by the weight rows each drive drives, and accumulates.
 
 A schedule depends on the spatial geometry only, never on C, M or data, so
-one schedule per layer and design serves every input (`execute`, which
-returns the output alone) and the activity counts (`trace_of_schedule`,
-taken once per plan and schedule).
+one schedule per layer and design serves every input (lowered once, then
+`execute`d per input, which returns the output alone) and the activity
+counts (`trace_of_schedule`, taken once per plan and schedule).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mapping import DesignKind, MappingPlan
 from .tensor import (DeconvLayerSpec, Tensor3, _check_input, compute_dtype, dilate_and_pad,
@@ -67,6 +70,8 @@ __all__ = [
     "build_schedule",
     "validate_schedule",
     "trace_of_schedule",
+    "Program",
+    "lower",
     "execute",
     "dump_schedule_lines",
 ]
@@ -127,7 +132,7 @@ class CycleSchedule:
     """Columnar per-cycle input assignments plus the accumulation groups.
 
     Assignment columns are parallel arrays sorted by (`block`, cycle), the
-    order the runner reads; a crossbar and a cycle fix the block, so each
+    order `lower` reads; a crossbar and a cycle fix the block, so each
     crossbar appears at most once per cycle.  Only the dump sorts by cycle.
     `group_id` indexes the group table, one group per output pixel: group g
     is output pixel (g // output_w, g % output_w).  Padding-free has no groups and uses -1:
@@ -421,7 +426,7 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
 # ---------------------------------------------------------------------------
 
 
-def _check_pair(plan: MappingPlan, schedule: CycleSchedule, dims: int):
+def _check_pair(plan: MappingPlan, schedule: CycleSchedule | Program, dims: int):
     """Same design, and the first `dims` kernel dimensions of plan and layer
     agree: (kh, kw) for a trace, which takes C and M from the plan; all
     four for execution."""
@@ -434,29 +439,90 @@ def _check_pair(plan: MappingPlan, schedule: CycleSchedule, dims: int):
         raise ValueError(f"plan kernel dims {have} do not match layer {want}")
 
 
-# values per chunk of drives and of their products, so that both blocks stay
-# in a core's cache
-_GATHER_BUDGET = 65536
+@dataclass(frozen=True)
+class Program:
+    """A schedule lowered for the runner: its live drives, per weight block.
+
+    Weight block n's drives are `source[bounds[n]:bounds[n + 1]]`, each
+    added into `dest` at the same position.  A source is a flat index into
+    the padded image: the window's origin on zero-padding, the pixel
+    itself elsewhere.  A destination is the drive's output pixel, or on
+    padding-free its input pixel's product row.  It depends on the
+    schedule alone, so one program serves every input.
+    """
+
+    design: DesignKind
+    layer: DeconvLayerSpec
+    bounds: np.ndarray
+    source: np.ndarray
+    dest: np.ndarray
+
+
+def lower(schedule: CycleSchedule) -> Program:
+    """Lower a schedule once into the `Program` that `execute` runs.
+
+    Zero drives add nothing and are dropped.  The live drives must be in
+    weight-block order and name blocks the design has: the array, or on
+    red_folded the kh*kw sub halves, so a drive into the zero-fill half is
+    refused too.  Within one block a destination may not repeat, since
+    each array serves an output pixel at most once; the runner then adds a
+    block's products with one plain fancy-index add.  Violations raise
+    ValueError.
+    """
+    spec, design = schedule.layer, schedule.design
+    live = schedule.live
+    block = schedule.block[live]
+    n_blocks = spec.kh * spec.kw if design in (DesignKind.RED, DesignKind.RED_FOLDED) else 1
+    if (np.diff(block) < 0).any():
+        raise ValueError("live drives not in weight-block order")
+    if len(block) and (block[0] < 0 or block[-1] >= n_blocks):
+        raise ValueError(f"drive names a weight block the plan does not have ({n_blocks})")
+
+    # flat padded-image indices fit int32 on any layer whose image fits memory
+    index = np.int32 if spec.padded_h * spec.padded_w < 2**31 else np.int64
+    a, b = schedule.src_a[live].astype(index), schedule.src_b[live].astype(index)
+    if schedule.has_post_ops:
+        dest, (h, w), what = a * spec.input_w + b, (spec.input_h, spec.input_w), "input"
+    else:
+        dest, (h, w), what = schedule.group_id[live].astype(index), output_shape(spec)[:2], "output"
+    if design is not DesignKind.ZERO_PADDING:
+        # input pixel (a, b) sits at (pad_top + a*s, pad_left + b*s)
+        a, b = spec.pad_top + a * spec.stride, spec.pad_left + b * spec.stride
+    if len(dest) and (dest.min() < 0 or dest.max() >= h * w):
+        raise ValueError(f"drive destination outside the {what} grid")
+    key = block * np.int64(h * w) + dest
+    key.sort()
+    twice = np.flatnonzero(key[1:] == key[:-1])
+    if len(twice):
+        n, pixel = divmod(int(key[twice[0]]), h * w)
+        raise ValueError(f"weight block {n} serves {what} pixel {divmod(pixel, w)} twice")
+    return Program(design=design, layer=spec,
+                   bounds=np.searchsorted(block, np.arange(n_blocks + 1)),
+                   source=a * spec.padded_w + b, dest=dest)
+
+
+# values per chunk of gathered row segments and of products, so that both
+# blocks stay in a core's cache
+_SEGMENT_BUDGET = 65536
 # weights converted to the compute dtype at once: a tall crossbar is
 # converted in column blocks, so its converted copy stays small
 _WEIGHT_BUDGET = 1 << 20
 
 
-def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tensor3:
-    """Run every cycle's VMMs and sum the accumulation groups.
+def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
+    """Run one input through a lowered schedule's VMMs and sum the groups.
 
-    One runner serves every design, and it runs only what the hardware
-    drives.  Zero drives add nothing and are dropped.  Each live drive is
-    gathered from the zero-inserted, padded image (`_sources`): a window
-    as its kh*kw pixels, a pixel as itself.  It is multiplied by the weight
-    rows it drives: the whole array, or on red_folded the C-row half of its
-    cycle's parity.  The live drives are read in the schedule's (block,
-    cycle) order, so each weight block's drives are one run, found by one
-    `searchsorted`; a schedule whose live drives leave block order, or name
-    a block the plan does not have, is refused with ValueError.  Per weight
-    block, in chunks, the products are added into their output pixel's
-    group, or for padding-free into the input pixel's product row, which
-    the overlap-add and crop post pass then places.
+    One runner serves every design, and it only gathers, multiplies and
+    adds: `lower` did the index work once per schedule.  Each drive is read
+    from the zero-inserted, padded image: a pixel as its C values, a
+    window as kh row segments of kw*C values that sit contiguously at
+    origin + i*padded_w.  It is multiplied by the weight rows it drives:
+    the whole array, or on red_folded the C-row half of its cycle's
+    parity; a window segment by segment, each by its kw*C rows, so a
+    chunk never holds whole windows.  Per weight block, in chunks sized by
+    the segment, the products are added into
+    their output pixel's group, or for padding-free into the input pixel's
+    product row, which the overlap-add and crop post pass then places.
     Integer data is multiplied in the dtype `compute_dtype` picks: float64
     sums of integers below 2^53 are exact, as are int64 sums, so the result
     does not depend on the order of the adds and equals the zero-padding
@@ -464,68 +530,52 @@ def execute(plan: MappingPlan, schedule: CycleSchedule, input: Tensor3) -> Tenso
     not depend on the input: take them once per (plan, schedule) with
     `trace_of_schedule`.
     """
-    _check_pair(plan, schedule, dims=4)
-    spec = schedule.layer
+    _check_pair(plan, program, dims=4)
+    spec = program.layer
     if plan.crossbars is None:
         raise ValueError("a geometry-only plan holds no weights to execute")
     _check_input(input, spec)
     dtype = compute_dtype(input.data, plan.crossbars, spec.kh * spec.kw * spec.channels)
 
     c = spec.channels
-    pixels = dilate_and_pad(input, spec).data.reshape(-1, c).astype(dtype, copy=False)
-    if schedule.has_post_ops:
-        dest = schedule.src_a.astype(np.int64) * spec.input_w + schedule.src_b
-        n_dest = spec.input_h * spec.input_w
+    image = dilate_and_pad(input, spec).data.reshape(-1).astype(dtype, copy=False)
+    if program.design is DesignKind.ZERO_PADDING:
+        # segment p holds the kw pixels p .. p + kw - 1 of the flat image;
+        # window row i starts i*padded_w past the origin
+        segment, offsets = spec.kw * c, [i * spec.padded_w for i in range(spec.kh)]
     else:
-        dest, n_dest = schedule.group_id, schedule.group_count
+        segment, offsets = c, [0]
+    segments = sliding_window_view(image, segment)[::c]
+    post = program.design is DesignKind.PADDING_FREE
+    n_dest = spec.input_h * spec.input_w if post else spec.output_h * spec.output_w
     cols = plan.shape[1]
     acc = np.zeros((n_dest, cols), dtype=dtype)
 
-    live = np.flatnonzero(schedule.live)
-    blocks, block = plan.crossbars, schedule.block[live]
-    if schedule.design is DesignKind.RED_FOLDED:
+    blocks = plan.crossbars
+    if program.design is DesignKind.RED_FOLDED:
         # block n, sub n's weights: rows 0..C-1 of array n // 2 for even n,
         # rows C..2C-1 for odd n; an odd kh*kw leaves the last half zero fill
         blocks = [blocks[n // 2][n % 2 * c : n % 2 * c + c] for n in range(spec.kh * spec.kw)]
-    if (np.diff(block) < 0).any():
-        raise ValueError("live drives not in weight-block order")
-    if len(block) and (block[0] < 0 or block[-1] >= len(blocks)):
-        raise ValueError(f"drive names a weight block the plan does not have ({len(blocks)})")
-    bounds = np.searchsorted(block, np.arange(len(blocks) + 1))
-    pixel, dest = _sources(schedule)[live], dest[live]
-    if schedule.design is DesignKind.ZERO_PADDING:
-        # window slot i*kw + j reads i*padded_w + j past the origin
-        offsets = (np.arange(spec.kh)[:, None] * spec.padded_w + np.arange(spec.kw)).ravel()
-    else:
-        offsets = np.zeros(1, dtype=np.int64)
-    rows = len(offsets) * c
-    chunk = max(1, _GATHER_BUDGET // max(rows, cols))
-    width = max(1, _WEIGHT_BUDGET // rows)
+    bounds, source, dest = program.bounds.tolist(), program.source, program.dest
+    chunk = max(1, _SEGMENT_BUDGET // max(segment, cols))
+    width = max(1, _WEIGHT_BUDGET // (len(offsets) * segment))
     for n, weight_rows in enumerate(blocks):
         # each column block of weights is converted once and serves every chunk
         for c0 in range(0, cols, width):
             weights = weight_rows[:, c0 : c0 + width].astype(dtype, copy=False)
+            # row segment i of a drive multiplies weight rows i*segment onward
+            parts = [(offset, weights[i * segment : (i + 1) * segment])
+                     for i, offset in enumerate(offsets)]
             for t0 in range(bounds[n], bounds[n + 1], chunk):
                 t1 = min(t0 + chunk, bounds[n + 1])
-                drive = pixels.take(pixel[t0:t1, None] + offsets, axis=0).reshape(t1 - t0, rows)
-                # add.at keeps a destination that repeats within one chunk exact
-                np.add.at(acc[:, c0 : c0 + width], dest[t0:t1], drive @ weights)
-    out = overlap_add_crop(acc, spec) if schedule.has_post_ops else acc.reshape(output_shape(spec))
+                origin = source[t0:t1]
+                products = segments[origin] @ parts[0][1]
+                for offset, rows in parts[1:]:
+                    products += segments[origin + offset] @ rows
+                # no destination repeats within a block (`lower`)
+                acc[dest[t0:t1], c0 : c0 + width] += products
+    out = overlap_add_crop(acc, spec) if post else acc.reshape(output_shape(spec))
     return Tensor3(out.astype(np.result_type(input.data, plan.crossbars[0]), copy=False))
-
-
-def _sources(schedule: CycleSchedule) -> np.ndarray:
-    """Per assignment, the flat index of the padded-image pixel it reads.
-
-    On zero-padding a window (a, b) reads from its origin (a, b); on every
-    other design input pixel (a, b) sits at (pad_top + a*s, pad_left + b*s).
-    """
-    spec = schedule.layer
-    a = schedule.src_a.astype(np.int64)
-    b = schedule.src_b.astype(np.int64)
-    if schedule.design is not DesignKind.ZERO_PADDING:
-        a, b = spec.pad_top + a * spec.stride, spec.pad_left + b * spec.stride
-    return a * spec.padded_w + b
 
 
 # per design: schedule builder

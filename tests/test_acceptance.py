@@ -61,9 +61,9 @@ def test_criterion_1_oracle_equivalence():
     rng = Lcg64(123)
     k = Kernel4(rng.ints((spec.kh, spec.kw, spec.channels, spec.filters)))
     t = Tensor3(rng.ints((spec.input_h, spec.input_w, spec.channels)))
-    from red_sim.dataflow import execute
+    from red_sim.dataflow import execute, lower
     got = execute(build_plan(k, "red_folded", spec),
-                  build_schedule(spec, "red_folded"), t)
+                  lower(build_schedule(spec, "red_folded")), t)
     assert np.array_equal(got.data, deconv_oracle_zero_padding(t, k, spec).data)
     assert elapsed < 60.0, f"equivalence sweep took {elapsed:.1f}s (budget 60s)"
 

@@ -270,20 +270,27 @@ def test_run_suite_deterministic():
 
 
 def test_run_suite_catches_broken_design(monkeypatch):
-    # corrupt the executed output and expect a diff summary
+    # corrupt the second trial's executed output and expect a diff summary
+    # that names it
     import red_sim.bench as bench_mod
 
     real_execute = bench_mod.execute
+    programs = []
 
-    def broken(plan, schedule, tensor):
-        out = real_execute(plan, schedule, tensor)
+    def broken(plan, program, tensor):
+        out = real_execute(plan, program, tensor)
+        programs.append(program)
+        if len(programs) != 2:
+            return out
         bad = out.data.copy()
         bad[0, 0, 0] += 1
         return type(out)(bad)
 
     monkeypatch.setattr(bench_mod, "execute", broken)
-    with pytest.raises(EquivalenceError, match="elements differ"):
-        run_suite(builtin_benchmarks()[2:3], channel_scale=1 / 128, trials=1)
+    with pytest.raises(EquivalenceError, match="trial 1: .*elements differ"):
+        run_suite(builtin_benchmarks()[2:3], channel_scale=1 / 128, trials=2)
+    # both trials of the first design ran one program, lowered once
+    assert len(programs) == 2 and programs[0] is programs[1]
 
 
 def test_run_suite_invalid_channel_scale():

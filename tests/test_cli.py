@@ -225,8 +225,8 @@ def test_run_equivalence_failure_exit_1(toy_config, monkeypatch, capsys):
 
     real = bench_mod.execute
 
-    def broken(plan, schedule, tensor):
-        out = real(plan, schedule, tensor)
+    def broken(plan, program, tensor):
+        out = real(plan, program, tensor)
         bad = out.data.copy()
         bad.flat[0] += 1
         return type(out)(bad)

@@ -10,6 +10,7 @@ from red_sim.dataflow import (
     build_schedule,
     dump_schedule_lines,
     execute,
+    lower,
     partition_modes,
     schedule_padding_free,
     schedule_zero_padding,
@@ -358,7 +359,7 @@ def test_execute_matches_oracle(design, name, spec):
     want = deconv_oracle_zero_padding(t, k, spec)
     plan = build_plan(k, design, spec)
     sched = build_schedule(spec, design)
-    got = execute(plan, sched, t)
+    got = execute(plan, lower(sched), t)
     assert np.array_equal(got.data, want.data)
     assert trace_of_schedule(sched, plan).cycle_count == sched.cycle_count
 
@@ -370,7 +371,7 @@ def test_impulse_through_red_schedule():
     t = Tensor3(data)
     _, k = rand_pair(spec, seed=5)
     plan = build_plan(k, DesignKind.RED, spec)
-    got = execute(plan, schedule_zero_skipping(spec), t)
+    got = execute(plan, lower(schedule_zero_skipping(spec)), t)
     want = deconv_oracle_zero_padding(t, k, spec)
     assert np.array_equal(got.data, want.data)
     # placement: rotated slice for channel 0 at offset (2, 2) on the canvas
@@ -387,8 +388,8 @@ def test_folded_equals_unfolded_with_double_cycles():
     fold_plan = build_plan(k, DesignKind.RED_FOLDED, spec)
     plain_sched = schedule_zero_skipping(spec)
     fold_sched = schedule_zero_skipping(spec, folded=True)
-    a = execute(plain_plan, plain_sched, t)
-    b = execute(fold_plan, fold_sched, t)
+    a = execute(plain_plan, lower(plain_sched), t)
+    b = execute(fold_plan, lower(fold_sched), t)
     tr_a = trace_of_schedule(plain_sched, plain_plan)
     tr_b = trace_of_schedule(fold_sched, fold_plan)
     assert np.array_equal(a.data, b.data)
@@ -403,7 +404,7 @@ def test_execute_stride1_folded():
     t, k = rand_pair(spec, seed=21)
     want = deconv_oracle_zero_padding(t, k, spec)
     plan = build_plan(k, DesignKind.RED_FOLDED, spec)
-    got = execute(plan, schedule_zero_skipping(spec, folded=True), t)
+    got = execute(plan, lower(schedule_zero_skipping(spec, folded=True)), t)
     assert np.array_equal(got.data, want.data)
 
 
@@ -415,7 +416,7 @@ def test_folded_idle_half_is_not_multiplied(spec):
     k = Kernel4(RNG.normal(size=spec.kernel_shape))
     plan = build_plan(k, DesignKind.RED_FOLDED, spec)
     plan.crossbars[-1][spec.channels:] = np.nan
-    got = execute(plan, build_schedule(spec, DesignKind.RED_FOLDED), t).data
+    got = execute(plan, lower(build_schedule(spec, DesignKind.RED_FOLDED)), t).data
     want = deconv_oracle_zero_padding(t, k, spec).data
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
@@ -427,23 +428,47 @@ def test_execution_follows_its_schedule(design):
     plan = build_plan(k, design, spec)
     sched = build_schedule(spec, design)
     want = deconv_oracle_zero_padding(t, k, spec).data
-    assert np.array_equal(execute(plan, sched, t).data, want)
-    # the runner reads live drives in weight-block order, and refuses any
+    assert np.array_equal(execute(plan, lower(sched), t).data, want)
+    # `lower` reads live drives in weight-block order, and refuses any
     # other; with one array, every order is block order
     shuffled = _reordered(sched, np.random.default_rng(0).permutation(len(sched.cycle)))
     if plan.count == 1:
-        assert np.array_equal(execute(plan, shuffled, t).data, want)
+        assert np.array_equal(execute(plan, lower(shuffled), t).data, want)
     else:
         with pytest.raises(ValueError, match="weight-block order"):
-            execute(plan, shuffled, t)
+            execute(plan, lower(shuffled), t)
     # the last live drive relabelled onto a crossbar past the array count
     # stays in block order but names weights the plan does not have
     beyond = _with_value(sched, "crossbar", np.flatnonzero(sched.live)[-1], plan.count)
     with pytest.raises(ValueError, match="weight block the plan does not have"):
-        execute(plan, beyond, t)
-    # swapped coordinates on a non-square input drive other pixels
+        execute(plan, lower(beyond), t)
+    # swapped coordinates on a non-square input drive other pixels; on
+    # padding-free they also name the product row, and two pixels of the
+    # 3x2 input then share one
     swapped = dataclasses.replace(sched, src_a=sched.src_b, src_b=sched.src_a)
-    assert not np.array_equal(execute(plan, swapped, t).data, want)
+    if design is DesignKind.PADDING_FREE:
+        with pytest.raises(ValueError, match=r"block 0 serves input pixel \(\d, \d\) twice"):
+            lower(swapped)
+    else:
+        assert not np.array_equal(execute(plan, lower(swapped), t).data, want)
+
+
+@pytest.mark.parametrize("design", [DesignKind.RED, DesignKind.RED_FOLDED])
+def test_lower_refuses_a_destination_twice_in_one_block(design):
+    # a block's second drive re-reads its first drive's pixel into the same
+    # output pixel: the schedule passes validation, and a runner that adds
+    # each block's products would count that product twice
+    sched = build_schedule(TOY, design)
+    block = sched.block
+    k = np.flatnonzero(sched.live[:-1] & sched.live[1:] & (block[:-1] == block[1:]))[0]
+    bad = sched
+    for column in ("src_a", "src_b", "group_id"):
+        bad = _with_value(bad, column, k + 1, getattr(sched, column)[k])
+    validate_schedule(bad)
+    y, x = divmod(int(sched.group_id[k]), TOY.output_w)
+    with pytest.raises(ValueError,
+                       match=rf"weight block {block[k]} serves output pixel \({y}, {x}\) twice"):
+        lower(bad)
 
 
 def test_trace_checks_design_and_kernel_extent_only():
@@ -460,9 +485,9 @@ def test_trace_checks_design_and_kernel_extent_only():
     t, _ = rand_pair(TOY, seed=3)
     wide = build_plan(Kernel4(np.zeros((3, 3, 5, 7), dtype=np.int64)), DesignKind.RED)
     with pytest.raises(ValueError, match="kernel dims"):
-        execute(wide, sched, t)
+        execute(wide, lower(sched), t)
     with pytest.raises(ValueError, match="geometry-only"):
-        execute(MappingPlan(DesignKind.RED, TOY.kernel_shape), sched, t)
+        execute(MappingPlan(DesignKind.RED, TOY.kernel_shape), lower(sched), t)
 
 
 def test_execute_rejects_mismatches():
@@ -470,10 +495,10 @@ def test_execute_rejects_mismatches():
     plan = build_plan(k, DesignKind.RED, TOY)
     sched = schedule_zero_padding(TOY)
     with pytest.raises(ValueError, match="design"):
-        execute(plan, sched, t)
+        execute(plan, lower(sched), t)
     good_sched = schedule_zero_skipping(TOY)
     with pytest.raises(ValueError, match="input shape"):
-        execute(plan, good_sched, Tensor3(np.zeros((4, 4, 3))))
+        execute(plan, lower(good_sched), Tensor3(np.zeros((4, 4, 3))))
 
 
 @pytest.mark.parametrize("design", list(DesignKind))
@@ -482,7 +507,7 @@ def test_execute_refuses_int64_overflow(design):
     spec = DeconvLayerSpec(1, 1, 1, 1, 1, 1, 1)
     plan = build_plan(Kernel4(np.full((1, 1, 1, 1), 2**30)), design, spec)
     with pytest.raises(OverflowError, match="int64"):
-        execute(plan, build_schedule(spec, design), Tensor3(np.full((1, 1, 1), 2**40)))
+        execute(plan, lower(build_schedule(spec, design)), Tensor3(np.full((1, 1, 1), 2**40)))
 
 
 def deconv_python_ints(t, k, spec):
@@ -522,7 +547,8 @@ def test_exact_on_both_sides_of_2_53(fill, x_big, w_big, dtype, beyond):
         assert float(beyond) != beyond
     runs = [oracle(t, k, EXACT)
             for oracle in (deconv_oracle_zero_padding, deconv_oracle_padding_free)]
-    runs += [execute(build_plan(k, d, EXACT), build_schedule(EXACT, d), t) for d in DesignKind]
+    runs += [execute(build_plan(k, d, EXACT), lower(build_schedule(EXACT, d)), t)
+             for d in DesignKind]
     for got in runs:
         assert got.data.dtype == np.int64
         assert got.data.tolist() == want
@@ -533,7 +559,7 @@ def test_float_input_within_tolerance(design):
     t = Tensor3(RNG.normal(size=(TOY.input_h, TOY.input_w, TOY.channels)))
     k = Kernel4(RNG.normal(size=TOY.kernel_shape))
     want = deconv_oracle_zero_padding(t, k, TOY).data
-    got = execute(build_plan(k, design, TOY), build_schedule(TOY, design), t).data
+    got = execute(build_plan(k, design, TOY), lower(build_schedule(TOY, design)), t).data
     assert got.dtype == np.float64
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
@@ -641,14 +667,19 @@ def test_dump_deterministic():
 )
 def test_execute_equivalence_property(spec, design, seed):
     rng = np.random.default_rng(seed)
-    t = Tensor3(rng.integers(-8, 9, (spec.input_h, spec.input_w, spec.channels)))
+    shape = (spec.input_h, spec.input_w, spec.channels)
+    t = Tensor3(rng.integers(-8, 9, shape))
     k = Kernel4(rng.integers(-8, 9, (spec.kh, spec.kw, spec.channels, spec.filters)))
     plan = build_plan(k, design, spec)
     sched = build_schedule(spec, design)
     validate_schedule(sched)
-    got = execute(plan, sched, t)
-    assert np.array_equal(got.data, deconv_oracle_zero_padding(t, k, spec).data)
-    assert np.array_equal(got.data, deconv_oracle_padding_free(t, k, spec).data)
+    # one lowered program serves every input: a second, independent draw
+    # catches a program that keeps anything of the first
+    program = lower(sched)
+    for t in (t, Tensor3(rng.integers(-8, 9, shape))):
+        got = execute(plan, program, t)
+        assert np.array_equal(got.data, deconv_oracle_zero_padding(t, k, spec).data)
+        assert np.array_equal(got.data, deconv_oracle_padding_free(t, k, spec).data)
 
 
 @settings(max_examples=100, deadline=None)
