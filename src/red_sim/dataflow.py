@@ -35,9 +35,15 @@ A design is its weight layout (mapping) plus its schedule; one runner
 executes them all, in two steps, and it runs what the hardware drives.
 `lower` does the index work once per schedule: it drops the zero drives,
 which add nothing, and gives each live drive, per weight block, a source
-in the zero-inserted, padded image (a window's origin or a pixel) and a
-destination.  `execute` runs one input through that `Program`: it only
-gathers, multiplies by the weight rows each drive drives, and accumulates.
+in the zero-inserted, padded image and a destination.  A pixel is one
+source; a zero-padding window is kh row segments, one per kernel row,
+each in its own weight block, and a segment on an all-zero row of the
+padded image (an inserted or border row) is dropped as well: it reads
+only zeros, so dropping it is exact for every input.  `execute` runs one
+input through that `Program`: per block it only gathers segments,
+multiplies them by the block's weight rows, and accumulates.  The
+hardware still drives every dropped row and the trace counts it; only the
+simulator skips the multiply.
 
 A schedule depends on the spatial geometry only, never on C, M or data, so
 one schedule per layer and design serves every input (lowered once, then
@@ -54,8 +60,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .mapping import DesignKind, MappingPlan
-from .tensor import (DeconvLayerSpec, Tensor3, _check_input, compute_dtype, dilate_and_pad,
-                     output_shape, overlap_add_crop)
+from .tensor import (_CACHE_BUDGET, DeconvLayerSpec, Tensor3, _check_input, compute_dtype,
+                     dilate_and_pad, output_shape, overlap_add_crop)
 
 __all__ = [
     "InputKind",
@@ -445,10 +451,13 @@ class Program:
 
     Weight block n's drives are `source[bounds[n]:bounds[n + 1]]`, each
     added into `dest` at the same position.  A source is a flat index into
-    the padded image: the window's origin on zero-padding, the pixel
-    itself elsewhere.  A destination is the drive's output pixel, or on
-    padding-free its input pixel's product row.  It depends on the
-    schedule alone, so one program serves every input.
+    the padded image where the drive's row segment starts: a pixel on
+    every design but zero-padding.  There block i is the kw*C weight rows
+    of kernel row i, and its sources are the window origins plus
+    i*padded_w, kept only where that row of the padded image holds input
+    pixels.  A destination is the drive's output pixel, or on padding-free
+    its input pixel's product row.  It depends on the schedule alone, so
+    one program serves every input.
     """
 
     design: DesignKind
@@ -468,6 +477,15 @@ def lower(schedule: CycleSchedule) -> Program:
     each array serves an output pixel at most once; the runner then adds a
     block's products with one plain fancy-index add.  Violations raise
     ValueError.
+
+    A zero-padding window is split into its kh row segments, one weight
+    block per kernel row, and a segment is kept only where padded row
+    a + i, for window origin row a, holds input pixels: row p does when
+    p - pad_top is a multiple of the stride in [0, stride*input_h).  Any
+    other row is inserted or border zeros, so the segment adds nothing
+    for any input and dropping it is exact.  Only the simulator skips it:
+    the hardware still drives those rows, and `trace_of_schedule` still
+    counts them.
     """
     spec, design = schedule.layer, schedule.design
     live = schedule.live
@@ -496,15 +514,25 @@ def lower(schedule: CycleSchedule) -> Program:
     if len(twice):
         n, pixel = divmod(int(key[twice[0]]), h * w)
         raise ValueError(f"weight block {n} serves {what} pixel {divmod(pixel, w)} twice")
-    return Program(design=design, layer=spec,
-                   bounds=np.searchsorted(block, np.arange(n_blocks + 1)),
-                   source=a * spec.padded_w + b, dest=dest)
+    source = a * spec.padded_w + b
+    if design is not DesignKind.ZERO_PADDING:
+        return Program(design=design, layer=spec,
+                       bounds=np.searchsorted(block, np.arange(n_blocks + 1)),
+                       source=source, dest=dest)
+    p = np.arange(spec.padded_h) - spec.pad_top
+    data_row = (p % spec.stride == 0) & (p >= 0) & (p < spec.stride * spec.input_h)
+    # block i: the windows whose row i is a data row, filled in place so
+    # that no per-row copies outlive their row
+    bounds = np.cumsum([0] + [np.count_nonzero(data_row[a + i]) for i in range(spec.kh)])
+    segments, targets = np.empty(bounds[-1], index), np.empty(bounds[-1], index)
+    for i in range(spec.kh):
+        keep = data_row[a + i]
+        segments[bounds[i] : bounds[i + 1]] = source[keep] + i * spec.padded_w
+        targets[bounds[i] : bounds[i + 1]] = dest[keep]
+    return Program(design=design, layer=spec, bounds=bounds, source=segments, dest=targets)
 
 
-# values per chunk of gathered row segments and of products, so that both
-# blocks stay in a core's cache
-_SEGMENT_BUDGET = 65536
-# weights converted to the compute dtype at once: a tall crossbar is
+# weights converted to the compute dtype at once: a tall block is
 # converted in column blocks, so its converted copy stays small
 _WEIGHT_BUDGET = 1 << 20
 
@@ -513,16 +541,17 @@ def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
     """Run one input through a lowered schedule's VMMs and sum the groups.
 
     One runner serves every design, and it only gathers, multiplies and
-    adds: `lower` did the index work once per schedule.  Each drive is read
-    from the zero-inserted, padded image: a pixel as its C values, a
-    window as kh row segments of kw*C values that sit contiguously at
-    origin + i*padded_w.  It is multiplied by the weight rows it drives:
-    the whole array, or on red_folded the C-row half of its cycle's
-    parity; a window segment by segment, each by its kw*C rows, so a
-    chunk never holds whole windows.  Per weight block, in chunks sized by
-    the segment, the products are added into
-    their output pixel's group, or for padding-free into the input pixel's
-    product row, which the overlap-add and crop post pass then places.
+    adds: `lower` did the index work once per schedule.  Per weight block,
+    in chunks of `_CACHE_BUDGET` values, each drive's row segment is
+    gathered from the zero-inserted, padded image at its source,
+    multiplied by the block's weight rows and added into its destination:
+    the output pixel's group, or for padding-free the input pixel's
+    product row, which the overlap-add and crop post pass then places.  A
+    segment is a pixel's C values, driving the whole array, or on
+    red_folded the C-row half of its cycle's parity; on zero-padding it is
+    one kernel row of a window, kw*C values that sit contiguously in the
+    flat image, driving that row's kw*C weight rows.  Window rows on
+    all-zero image rows are not in the program (see `lower`).
     Integer data is multiplied in the dtype `compute_dtype` picks: float64
     sums of integers below 2^53 are exact, as are int64 sums, so the result
     does not depend on the order of the adds and equals the zero-padding
@@ -539,41 +568,33 @@ def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
 
     c = spec.channels
     image = dilate_and_pad(input, spec).data.reshape(-1).astype(dtype, copy=False)
+    blocks, segment = plan.crossbars, c
     if program.design is DesignKind.ZERO_PADDING:
-        # segment p holds the kw pixels p .. p + kw - 1 of the flat image;
-        # window row i starts i*padded_w past the origin
-        segment, offsets = spec.kw * c, [i * spec.padded_w for i in range(spec.kh)]
-    else:
-        segment, offsets = c, [0]
+        # block i, kernel row i: rows i*kw*C .. (i+1)*kw*C - 1 of the tall array
+        segment = spec.kw * c
+        blocks = [blocks[0][i * segment : (i + 1) * segment] for i in range(spec.kh)]
+    elif program.design is DesignKind.RED_FOLDED:
+        # block n, sub n's weights: rows 0..C-1 of array n // 2 for even n,
+        # rows C..2C-1 for odd n; an odd kh*kw leaves the last half zero fill
+        blocks = [blocks[n // 2][n % 2 * c : n % 2 * c + c] for n in range(spec.kh * spec.kw)]
+    # segment p: segment // C pixels of the flat image from pixel p on
     segments = sliding_window_view(image, segment)[::c]
     post = program.design is DesignKind.PADDING_FREE
     n_dest = spec.input_h * spec.input_w if post else spec.output_h * spec.output_w
     cols = plan.shape[1]
     acc = np.zeros((n_dest, cols), dtype=dtype)
 
-    blocks = plan.crossbars
-    if program.design is DesignKind.RED_FOLDED:
-        # block n, sub n's weights: rows 0..C-1 of array n // 2 for even n,
-        # rows C..2C-1 for odd n; an odd kh*kw leaves the last half zero fill
-        blocks = [blocks[n // 2][n % 2 * c : n % 2 * c + c] for n in range(spec.kh * spec.kw)]
     bounds, source, dest = program.bounds.tolist(), program.source, program.dest
-    chunk = max(1, _SEGMENT_BUDGET // max(segment, cols))
-    width = max(1, _WEIGHT_BUDGET // (len(offsets) * segment))
+    chunk = max(1, _CACHE_BUDGET // max(segment, cols))
+    width = max(1, _WEIGHT_BUDGET // segment)
     for n, weight_rows in enumerate(blocks):
         # each column block of weights is converted once and serves every chunk
         for c0 in range(0, cols, width):
             weights = weight_rows[:, c0 : c0 + width].astype(dtype, copy=False)
-            # row segment i of a drive multiplies weight rows i*segment onward
-            parts = [(offset, weights[i * segment : (i + 1) * segment])
-                     for i, offset in enumerate(offsets)]
             for t0 in range(bounds[n], bounds[n + 1], chunk):
                 t1 = min(t0 + chunk, bounds[n + 1])
-                origin = source[t0:t1]
-                products = segments[origin] @ parts[0][1]
-                for offset, rows in parts[1:]:
-                    products += segments[origin + offset] @ rows
                 # no destination repeats within a block (`lower`)
-                acc[dest[t0:t1], c0 : c0 + width] += products
+                acc[dest[t0:t1], c0 : c0 + width] += segments[source[t0:t1]] @ weights
     out = overlap_add_crop(acc, spec) if post else acc.reshape(output_shape(spec))
     return Tensor3(out.astype(np.result_type(input.data, plan.crossbars[0]), copy=False))
 

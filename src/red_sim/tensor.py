@@ -50,7 +50,9 @@ def _is_int(value) -> bool:
 def _canonical(data, ndim: int, what: str) -> np.ndarray:
     """Validate rank and dims >= 1; coerce to int64 (default) or float64.
 
-    Unsigned values int64 cannot hold are refused, not wrapped."""
+    Unsigned values int64 cannot hold are refused, not wrapped.  NaN and
+    infinities are refused too: 0 * inf is NaN, so skipping a zero, as red
+    and the zero-padding route do, would change the result."""
     arr = np.asarray(data)
     if arr.ndim != ndim:
         raise ValueError(f"{what} must have {ndim} dimensions, got shape {arr.shape}")
@@ -61,6 +63,8 @@ def _canonical(data, ndim: int, what: str) -> np.ndarray:
     if arr.dtype.kind in "iub":
         return arr.astype(np.int64, copy=False)
     if arr.dtype.kind == "f":
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{what} holds NaN or infinite values")
         return arr.astype(np.float64, copy=False)
     raise TypeError(f"{what} must be integer or float data, got dtype {arr.dtype}")
 
@@ -277,8 +281,9 @@ def compute_dtype(data: np.ndarray, weights: list[np.ndarray], terms: int) -> np
     return np.dtype(np.int64)
 
 
-# values of one block of correlation windows, so that it stays in a core's cache
-_BLOCK_BUDGET = 65536
+# values of one block of gathered windows or products, so that the block
+# stays in a core's cache (the oracle here, the runner in `dataflow`)
+_CACHE_BUDGET = 65536
 
 
 def dilate_and_pad(input: Tensor3, spec: DeconvLayerSpec) -> Tensor3:
@@ -303,6 +308,11 @@ def conv2d_valid(image: Tensor3, kernel: Kernel4) -> Tensor3:
     """Stride-1 valid cross-correlation (no kernel flip).
 
     out(y, x, m) = sum_{i,j,c} image(y+i, x+j, c) * kernel(i, j, c, m)
+
+    Kernel row i adds into output row y only where image row y + i holds a
+    nonzero value: an all-zero row adds nothing, so skipping it is exact
+    for any image.  `dilate_and_pad` is the caller that inserts such rows;
+    on the zero-padding route most rows of the padded image are zero.
     """
     if image.channels != kernel.channels:
         raise ValueError(
@@ -318,17 +328,19 @@ def conv2d_valid(image: Tensor3, kernel: Kernel4) -> Tensor3:
     ow = image.width - kw + 1
     dtype = compute_dtype(image.data, [kernel.data], kh * kw * c)
     img = image.data.astype(dtype, copy=False)
+    nonzero = img.reshape(image.height, -1).any(axis=1)
     taps = kernel.data.astype(dtype, copy=False).reshape(kh, kw * c, m)
     out = np.zeros((oh, ow, m), dtype=dtype)
     # blocks of output rows, so that a block's windows stay in cache
-    step = max(1, _BLOCK_BUDGET // (ow * kw * c))
-    for y0 in range(0, oh, step):
-        y1 = min(oh, y0 + step)
-        block = out[y0:y1].reshape(-1, m)
-        for i in range(kh):
+    step = max(1, _CACHE_BUDGET // (ow * kw * c))
+    for i in range(kh):
+        rows = np.flatnonzero(nonzero[i : i + oh])
+        for r0 in range(0, len(rows), step):
+            y = rows[r0 : r0 + step]
             # kernel row i: each output pixel's kw image pixels, as (y, x, c, j)
-            windows = sliding_window_view(img[y0 + i : y1 + i], kw, axis=1)
-            block += windows.transpose(0, 1, 3, 2).reshape(-1, kw * c) @ taps[i]
+            windows = sliding_window_view(img[y + i], kw, axis=1)
+            products = windows.transpose(0, 1, 3, 2).reshape(-1, kw * c) @ taps[i]
+            out[y] += products.reshape(len(y), ow, m)
     return Tensor3(out.astype(np.result_type(image.data, kernel.data), copy=False))
 
 

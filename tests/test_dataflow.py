@@ -23,6 +23,7 @@ from red_sim.tensor import (
     DeconvLayerSpec,
     Kernel4,
     Tensor3,
+    _window_live_counts,
     compute_dtype,
     deconv_oracle_padding_free,
     deconv_oracle_zero_padding,
@@ -453,7 +454,7 @@ def test_execution_follows_its_schedule(design):
         assert not np.array_equal(execute(plan, lower(swapped), t).data, want)
 
 
-@pytest.mark.parametrize("design", [DesignKind.RED, DesignKind.RED_FOLDED])
+@pytest.mark.parametrize("design", [DesignKind.ZERO_PADDING, DesignKind.RED, DesignKind.RED_FOLDED])
 def test_lower_refuses_a_destination_twice_in_one_block(design):
     # a block's second drive re-reads its first drive's pixel into the same
     # output pixel: the schedule passes validation, and a runner that adds
@@ -469,6 +470,32 @@ def test_lower_refuses_a_destination_twice_in_one_block(design):
     with pytest.raises(ValueError,
                        match=rf"weight block {block[k]} serves output pixel \({y}, {x}\) twice"):
         lower(bad)
+
+
+def test_zero_padding_origin_moved_a_row_down_disagrees():
+    # `lower` skips a window row by the image row the window actually
+    # reads, so skipping cannot hide a wrong origin: output pixel (0, 0),
+    # its window moved one row down, gets the window at (1, 0) in full
+    t, k = rand_pair(TOY, seed=5)
+    plan = build_plan(k, DesignKind.ZERO_PADDING, TOY)
+    sched = build_schedule(TOY, DesignKind.ZERO_PADDING)
+    bad = _with_value(sched, "src_a", 0, sched.src_a[0] + 1)
+    validate_schedule(bad)
+    got = execute(plan, lower(bad), t).data
+    want = deconv_oracle_zero_padding(t, k, TOY).data
+    assert sorted({tuple(p[:2]) for p in np.argwhere(got != want)}) == [(0, 0)]
+    assert np.array_equal(got[0, 0], want[1, 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=layer_specs(max_channels=1))
+def test_zero_padding_program_size_matches_redundancy_property(spec):
+    # a window keeps one row segment per kernel row that reads an input
+    # row of the padded image: the row factor of the analyzer's live count
+    program = lower(build_schedule(spec, DesignKind.ZERO_PADDING))
+    rows = _window_live_counts(spec.input_h, spec.kh, spec.stride, spec.pad_top,
+                               spec.padded_h, spec.output_h)
+    assert len(program.source) == program.bounds[-1] == int(rows.sum()) * spec.output_w
 
 
 def test_trace_checks_design_and_kernel_extent_only():

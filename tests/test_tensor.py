@@ -181,6 +181,17 @@ def test_conv2d_matches_loop_oracle():
     ker = rand_kernel(3, 3, 2, 4)
     want = conv2d_loops(img.data, ker.data)
     assert np.array_equal(conv2d_valid(img, ker).data, want)
+    # all-zero image rows are skipped: none, the first, the last, every
+    # row, and rows at random positions
+    h = 7
+    masks = [[], [0], [h - 1], list(range(h))]
+    masks += [np.flatnonzero(RNG.random(h) < 0.5) for _ in range(8)]
+    for zero_rows in masks:
+        img = rand_tensor(h, 6, 2)
+        img.data[zero_rows] = 0
+        ker = rand_kernel(3, 2, 2, 3)
+        want = conv2d_loops(img.data, ker.data)
+        assert np.array_equal(conv2d_valid(img, ker).data, want), zero_rows
 
 
 def test_conv2d_rejects_mismatch():
@@ -289,6 +300,19 @@ def test_unsigned_values_above_int64_refused():
         with pytest.raises(OverflowError, match="unsigned"):
             cls(np.full((1,) * ndim, 2**63, dtype=np.uint64))
         assert cls(np.full((1,) * ndim, top, dtype=np.uint64)).data.ravel()[0] == top
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls,ndim", [(Tensor3, 3), (Kernel4, 4)])
+def test_non_finite_values_refused(cls, ndim, value):
+    # 0 * inf is NaN: a route that skips a zero would disagree with one
+    # that multiplies it
+    data = np.zeros((2,) * ndim)
+    data.flat[1] = value
+    with pytest.raises(ValueError, match=f"{cls.__name__} holds NaN or infinite values"):
+        cls(data)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        cls(data.astype(np.float32))
 
 
 def test_padding_free_1x1_kernel_channel_mixing():
