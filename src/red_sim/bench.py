@@ -336,9 +336,11 @@ def run_suite(
     generator seed (seed + i); the kernel is drawn before the inputs.
 
     Each (entry, design) gets one validated schedule.  It depends on the
-    spatial geometry only, so it is lowered once into the program every
-    trial runs, and traced once on a full-size geometry-only plan for the
-    cost side.
+    spatial geometry only, so it is traced once on a full-size
+    geometry-only plan for the cost side, then lowered once into the
+    program every trial runs, and freed before the trials: they read only
+    the program.  The stages run build, validate, trace and cost, lower,
+    trials, so at most one schedule or one program is held at a time.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -361,8 +363,6 @@ def run_suite(
         for design in designs:
             schedule = build_schedule(scaled, design)
             validate_schedule(schedule)
-            _verify(f"{entry.name} / {design.value}", build_plan(kernel, design, scaled),
-                    lower(schedule), inputs, oracles)
             # cost side: full declared dimensions, which need no weights
             full_plan = MappingPlan(design, entry.spec.kernel_shape)
             trace = trace_of_schedule(schedule, full_plan)
@@ -370,8 +370,13 @@ def run_suite(
                 trace, full_plan, params, layer=entry.name, spec=entry.spec,
                 critical_path_mode=critical_path_mode,
             )
-            # free this schedule before the next design's is built
+            program = lower(schedule)
+            # the trials read only the program
             del schedule
+            _verify(f"{entry.name} / {design.value}", build_plan(kernel, design, scaled),
+                    program, inputs, oracles)
+            # free this program before the next design's schedule is built
+            del program
         # free this layer's data before the next layer's draw
         del kernel, inputs, oracles
         reports.append(
@@ -383,8 +388,8 @@ def run_suite(
 
 def _verify(where: str, plan: MappingPlan, program: Program, inputs: list[Tensor3],
             oracles: list[Tensor3]):
-    """Every trial's execution must equal its oracle.  The plan and the
-    program are freed on return, before the next design's are built."""
+    """Every trial's execution must equal its oracle.  The plan is freed
+    on return, before the next design's is built."""
     for t, (tensor, want) in enumerate(zip(inputs, oracles)):
         got = execute(plan, program, tensor)
         if not np.array_equal(got.data, want.data):

@@ -49,6 +49,10 @@ A schedule depends on the spatial geometry only, never on C, M or data, so
 one schedule per layer and design serves every input (lowered once, then
 `execute`d per input, which returns the output alone) and the activity
 counts (`trace_of_schedule`, taken once per plan and schedule).
+
+A zero-skipping schedule holds kh*kw drives per tile whatever C and M are,
+so its columns are int32 (`_index_dtype`), and each stage that reads one
+allocates at most about one column of scratch on top of what it returns.
 """
 
 from __future__ import annotations
@@ -133,6 +137,15 @@ def partition_modes(spec: DeconvLayerSpec) -> ModePartition:
 # ---------------------------------------------------------------------------
 
 
+def _index_dtype(spec: DeconvLayerSpec) -> type[np.signedinteger]:
+    """The dtype of every index column of a schedule and a program: int32
+    unless a value could reach 2^31, int64 otherwise.  Cycle counts (at
+    most twice the output pixels, on red_folded), group ids, input and
+    window coordinates and flat padded-image indices all stay below twice
+    the padded image's size."""
+    return np.int32 if 2 * spec.padded_h * spec.padded_w <= 2**31 else np.int64
+
+
 @dataclass
 class CycleSchedule:
     """Columnar per-cycle input assignments plus the accumulation groups.
@@ -140,6 +153,11 @@ class CycleSchedule:
     Assignment columns are parallel arrays sorted by (`block`, cycle), the
     order `lower` reads; a crossbar and a cycle fix the block, so each
     crossbar appears at most once per cycle.  Only the dump sorts by cycle.
+    The builders store every index column (`cycle`, `crossbar`, `src_a`,
+    `src_b`, `group_id`, `group_cycle`) in the layer's `_index_dtype`,
+    int32 on any layer whose padded image has at most 2^30 pixels, and
+    `live` as one byte: 21 bytes per assignment.  The stages that read a
+    schedule accept any integer dtype.
     `group_id` indexes the group table, one group per output pixel: group g
     is output pixel (g // output_w, g % output_w).  Padding-free has no groups and uses -1:
     its outputs accumulate through the overlap-add post pass instead.
@@ -171,9 +189,13 @@ class CycleSchedule:
     def block(self) -> np.ndarray:
         """Per assignment, the weight block it multiplies: its crossbar, or
         on red_folded the C-row half of it its cycle's parity drives, so
-        folded array n holds blocks 2n (low half) and 2n + 1 (high half)."""
+        folded array n holds blocks 2n (low half) and 2n + 1 (high half).
+        Unfolded it is the crossbar column itself; folded, one new column."""
         if self.design is DesignKind.RED_FOLDED:
-            return 2 * self.crossbar + self.cycle % 2
+            block = self.cycle & 1
+            block += self.crossbar
+            block += self.crossbar
+            return block
         return self.crossbar
 
     @property
@@ -196,18 +218,16 @@ def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
     """One gathered window per cycle, row-major over output pixels."""
     oh, ow, _ = output_shape(spec)
     n = oh * ow
-    t = np.arange(n, dtype=np.int64)
-    y = (t // ow).astype(np.int32)
-    x = (t % ow).astype(np.int32)
+    t = np.arange(n, dtype=_index_dtype(spec))
     return CycleSchedule(
         design=DesignKind.ZERO_PADDING,
         layer=spec,
         cycle_count=n,
         cycle=t,
-        crossbar=np.zeros(n, dtype=np.int32),
+        crossbar=np.zeros_like(t),
         live=np.ones(n, dtype=bool),
-        src_a=y,
-        src_b=x,
+        src_a=t // ow,
+        src_b=t % ow,
         group_id=t.copy(),
         group_cycle=t.copy(),
     )
@@ -216,18 +236,18 @@ def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
 def schedule_padding_free(spec: DeconvLayerSpec) -> CycleSchedule:
     """One input pixel per cycle; overlap-add and crop run as post ops."""
     n = spec.input_h * spec.input_w
-    t = np.arange(n, dtype=np.int64)
+    t = np.arange(n, dtype=_index_dtype(spec))
     return CycleSchedule(
         design=DesignKind.PADDING_FREE,
         layer=spec,
         cycle_count=n,
         cycle=t,
-        crossbar=np.zeros(n, dtype=np.int32),
+        crossbar=np.zeros_like(t),
         live=np.ones(n, dtype=bool),
-        src_a=(t // spec.input_w).astype(np.int32),
-        src_b=(t % spec.input_w).astype(np.int32),
-        group_id=np.full(n, -1, dtype=np.int64),
-        group_cycle=np.empty(0, dtype=np.int64),
+        src_a=t // spec.input_w,
+        src_b=t % spec.input_w,
+        group_id=np.full_like(t, -1),
+        group_cycle=np.empty(0, dtype=t.dtype),
     )
 
 
@@ -246,11 +266,12 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
     s = spec.stride
     oh, ow, _ = output_shape(spec)
     n_ty, n_tx = -(-oh // s), -(-ow // s)
+    index = _index_dtype(spec)
 
-    i = np.arange(spec.kh).reshape(-1, 1, 1, 1)
-    j = np.arange(spec.kw).reshape(1, -1, 1, 1)
-    t = np.arange(n_ty).reshape(1, 1, -1, 1)
-    u = np.arange(n_tx).reshape(1, 1, 1, -1)
+    i = np.arange(spec.kh, dtype=index).reshape(-1, 1, 1, 1)
+    j = np.arange(spec.kw, dtype=index).reshape(1, -1, 1, 1)
+    t = np.arange(n_ty, dtype=index).reshape(1, 1, -1, 1)
+    u = np.arange(n_tx, dtype=index).reshape(1, 1, 1, -1)
     y0, x0 = (spec.pad_top - i) % s, (spec.pad_left - j) % s
     y, x = y0 + s * t, x0 + s * u
     # the input pixel whose dilated coordinate lines up; off the input it
@@ -258,20 +279,30 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
     a = t + (y0 + i - spec.pad_top) // s
     b = u + (x0 + j - spec.pad_left) // s
     live = ((a >= 0) & (a < spec.input_h)) & ((b >= 0) & (b < spec.input_w))
-    columns = np.broadcast_arrays(
-        t * n_tx + u, (i * spec.kw + j).astype(np.int32), live,
-        a.astype(np.int32), b.astype(np.int32), y * ow + x)
     # the last tile row and column may overhang the output
     inside = (y < oh) & (x < ow)
-    cycle, crossbar, live, a, b, group = (col[inside] for col in columns)
+
+    def column(values):
+        # the (i, j, t, u) grid's values, read through the mask without
+        # materialising the grid
+        return np.broadcast_to(values, inside.shape)[inside]
+
+    cycle, crossbar, live = column(t * n_tx + u), column(i * spec.kw + j), live[inside]
+    a, b = column(a), column(b)
+    group = column(y * ow)
+    group += column(x)
 
     # group table covers every output pixel; a group completes in its tile's
     # (last phase) cycle
-    gcycle = np.add.outer(np.arange(oh) // s * n_tx, np.arange(ow) // s).ravel()
+    gcycle = np.add.outer(np.arange(oh, dtype=index) // s * n_tx,
+                          np.arange(ow, dtype=index) // s).ravel()
     if folded:
         # original sub n drives folded sub n // 2 on phase n % 2
-        cycle, crossbar = 2 * cycle + crossbar % 2, crossbar // 2
-        gcycle = 2 * gcycle + 1
+        cycle *= 2
+        cycle += crossbar % 2
+        crossbar //= 2
+        gcycle *= 2
+        gcycle += 1
 
     return CycleSchedule(
         design=DesignKind.RED_FOLDED if folded else DesignKind.RED,
@@ -299,10 +330,15 @@ def validate_schedule(schedule: CycleSchedule):
     zero-fill half of the last array; zero drives on zero-skipping only;
     window origins inside the output grid, or live pixel sources inside
     the input (zero drives read nothing); one accumulation group per output
-    pixel (its id names the pixel), and every assignment in one."""
-    cycle, crossbar = schedule.cycle, schedule.crossbar
+    pixel (its id names the pixel), every assignment in one, and every
+    group completing in one of the schedule's cycles.
+
+    Its scratch is the folded block column and boolean masks: the order is
+    checked on neighbouring pairs, and the sources by reductions over the
+    live drives, with no masked copy."""
+    cycle, crossbar, live = schedule.cycle, schedule.crossbar, schedule.live
     design, spec = schedule.design, schedule.layer
-    if schedule.live.dtype != bool:
+    if live.dtype != bool:
         raise ValueError("live column is not boolean")
     if len(cycle):
         n_arrays = MappingPlan(design, spec.kernel_shape).count
@@ -310,23 +346,28 @@ def validate_schedule(schedule: CycleSchedule):
                 or crossbar.min() < 0 or crossbar.max() >= n_arrays):
             raise ValueError(f"cycle or crossbar index out of range ({n_arrays} arrays)")
         block = schedule.block
-        step, tick = np.diff(block), np.diff(cycle)
-        if ((step < 0) | ((step == 0) & (tick <= 0))).any():
+        # each pair: a later block, or the same block at a later cycle
+        ordered = cycle[1:] > cycle[:-1]
+        ordered &= block[1:] == block[:-1]
+        ordered |= block[1:] > block[:-1]
+        if not ordered.all():
             raise ValueError("assignments not in strictly increasing (block, cycle) order")
+        del ordered
         # block n multiplies sub n's weights; on red_folded with an odd
         # kh*kw, block kh*kw is the zero-fill half of the last array
-        if (block >= spec.kh * spec.kw).any():
+        if block.max() >= spec.kh * spec.kw:
             raise ValueError("drive into the zero-fill half of the last folded array")
-    if design in (DesignKind.ZERO_PADDING, DesignKind.PADDING_FREE) and not schedule.live.all():
+    if design in (DesignKind.ZERO_PADDING, DesignKind.PADDING_FREE) and not live.all():
         raise ValueError(f"zero drive on the {design} design")
     oh, ow, _ = output_shape(spec)
     if design is DesignKind.ZERO_PADDING:
         h, w, message = oh, ow, "window origin outside the output grid"
     else:
         h, w, message = spec.input_h, spec.input_w, "pixel source outside the input"
-    a, b = schedule.src_a[schedule.live], schedule.src_b[schedule.live]
-    if len(a) and (a.min() < 0 or a.max() >= h or b.min() < 0 or b.max() >= w):
-        raise ValueError(message)
+    for coords, extent in ((schedule.src_a, h), (schedule.src_b, w)):
+        if (coords.min(where=live, initial=0) < 0
+                or coords.max(where=live, initial=0) >= extent):
+            raise ValueError(message)
     if schedule.has_post_ops:
         if schedule.group_count != 0:
             raise ValueError("post-op schedules must not carry accumulation groups")
@@ -335,9 +376,11 @@ def validate_schedule(schedule: CycleSchedule):
         raise ValueError(
             f"expected one group per output pixel ({oh * ow}), got {schedule.group_count}"
         )
-    gid = schedule.group_id
+    gid, gcycle = schedule.group_id, schedule.group_cycle
     if len(gid) and (gid.min() < 0 or gid.max() >= schedule.group_count):
         raise ValueError("assignment group id out of range")
+    if len(gcycle) and (gcycle.min() < 0 or gcycle.max() >= schedule.cycle_count):
+        raise ValueError("group completes outside the schedule's cycles")
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +428,10 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
     The schedule supplies the spatial geometry and the plan C, M and the
     array shape, so a schedule built at scaled channels traces the
     full-size plan exactly like one built at full channels; a
-    geometry-only plan suffices.
+    geometry-only plan suffices.  It reads a validated schedule: every
+    live drive's group id and cycle index its table.  Its scratch is one
+    masked column at a time plus a boolean mark per group and per cycle;
+    the per-crossbar counts are taken a chunk at a time.
     """
     _check_pair(plan, schedule, dims=2)
     kh, kw, c, m = plan.kernel_dims
@@ -393,18 +439,26 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
 
     live = schedule.live
     n_live = int(np.count_nonzero(live))
-    per_xbar = np.bincount(schedule.crossbar[live], minlength=plan.count)
+    # counted a chunk at a time: np.bincount copies its input to intp
+    per_xbar = np.zeros(plan.count, dtype=np.int64)
+    for k in range(0, len(live), _CACHE_BUDGET):
+        on = live[k : k + _CACHE_BUDGET]
+        per_xbar += np.bincount(schedule.crossbar[k : k + _CACHE_BUDGET][on],
+                                minlength=plan.count)
 
     # a window drives every row of its array, a pixel C rows
     driven = n_live * (rows if schedule.design is DesignKind.ZERO_PADDING else c)
 
     group_adds = 0
     if schedule.group_count:
-        gids = schedule.group_id[live]
-        members = np.bincount(gids[gids >= 0], minlength=schedule.group_count)
-        group_adds = int(np.maximum(members - 1, 0).sum()) * m
+        # every live member of a group but its first adds M values
+        served = np.zeros(schedule.group_count, dtype=bool)
+        served[schedule.group_id[live]] = True
+        group_adds = (n_live - int(np.count_nonzero(served))) * m
 
-    active_cycles = int(np.count_nonzero(np.bincount(schedule.cycle[live])))
+    active = np.zeros(schedule.cycle_count, dtype=bool)
+    active[schedule.cycle[live]] = True
+    active_cycles = int(np.count_nonzero(active))
 
     post = PostOpCounts()
     if schedule.has_post_ops:
@@ -486,48 +540,74 @@ def lower(schedule: CycleSchedule) -> Program:
     for any input and dropping it is exact.  Only the simulator skips it:
     the hardware still drives those rows, and `trace_of_schedule` still
     counts them.
+
+    Sources and destinations are in the layer's `_index_dtype`, whatever
+    integer dtype the schedule holds.  The scratch on top of the program
+    is the masked block, `src_a` and `src_b` columns: the duplicate check
+    sorts its (block, destination) key in the block column, int32 while
+    n_blocks * h * w < 2^31, and the sources are computed in place.
     """
     spec, design = schedule.layer, schedule.design
     live = schedule.live
+    # boolean masks copy: every masked column below is ours to change in place
     block = schedule.block[live]
     n_blocks = spec.kh * spec.kw if design in (DesignKind.RED, DesignKind.RED_FOLDED) else 1
-    if (np.diff(block) < 0).any():
+    if (block[1:] < block[:-1]).any():
         raise ValueError("live drives not in weight-block order")
     if len(block) and (block[0] < 0 or block[-1] >= n_blocks):
         raise ValueError(f"drive names a weight block the plan does not have ({n_blocks})")
+    # taken before the duplicate check spends the block column; searched
+    # with the column's own dtype, so that it is not cast
+    bounds = np.searchsorted(block, np.arange(n_blocks + 1, dtype=block.dtype))
 
-    # flat padded-image indices fit int32 on any layer whose image fits memory
-    index = np.int32 if spec.padded_h * spec.padded_w < 2**31 else np.int64
-    a, b = schedule.src_a[live].astype(index), schedule.src_b[live].astype(index)
+    index = _index_dtype(spec)
+    a = schedule.src_a[live].astype(index, copy=False)
+    b = schedule.src_b[live].astype(index, copy=False)
     if schedule.has_post_ops:
-        dest, (h, w), what = a * spec.input_w + b, (spec.input_h, spec.input_w), "input"
+        dest = a * spec.input_w
+        dest += b
+        (h, w), what = (spec.input_h, spec.input_w), "input"
     else:
-        dest, (h, w), what = schedule.group_id[live].astype(index), output_shape(spec)[:2], "output"
-    if design is not DesignKind.ZERO_PADDING:
-        # input pixel (a, b) sits at (pad_top + a*s, pad_left + b*s)
-        a, b = spec.pad_top + a * spec.stride, spec.pad_left + b * spec.stride
+        dest = schedule.group_id[live].astype(index, copy=False)
+        (h, w), what = output_shape(spec)[:2], "output"
     if len(dest) and (dest.min() < 0 or dest.max() >= h * w):
         raise ValueError(f"drive destination outside the {what} grid")
-    key = block * np.int64(h * w) + dest
+    # the (block, destination) key, built in the block column: sorted, a
+    # repeat is a block serving one destination twice
+    key = block.astype(np.int32 if n_blocks * h * w <= 2**31 else np.int64, copy=False)
+    del block
+    key *= h * w
+    key += dest
     key.sort()
     twice = np.flatnonzero(key[1:] == key[:-1])
     if len(twice):
         n, pixel = divmod(int(key[twice[0]]), h * w)
         raise ValueError(f"weight block {n} serves {what} pixel {divmod(pixel, w)} twice")
-    source = a * spec.padded_w + b
+    del key
     if design is not DesignKind.ZERO_PADDING:
-        return Program(design=design, layer=spec,
-                       bounds=np.searchsorted(block, np.arange(n_blocks + 1)),
-                       source=source, dest=dest)
+        # input pixel (a, b) sits at (pad_top + a*s, pad_left + b*s)
+        a *= spec.stride
+        a += spec.pad_top
+        b *= spec.stride
+        b += spec.pad_left
+        a *= spec.padded_w
+        a += b
+        return Program(design=design, layer=spec, bounds=bounds, source=a, dest=dest)
+    source = a * spec.padded_w
+    source += b
+    del b
     p = np.arange(spec.padded_h) - spec.pad_top
     data_row = (p % spec.stride == 0) & (p >= 0) & (p < spec.stride * spec.input_h)
-    # block i: the windows whose row i is a data row, filled in place so
-    # that no per-row copies outlive their row
-    bounds = np.cumsum([0] + [np.count_nonzero(data_row[a + i]) for i in range(spec.kh)])
+    # block i: the windows whose row a + i is a data row, read as
+    # data_row[i:][a] (a + i < padded_h) so that no index column is made;
+    # filled in place, so that no per-row copies outlive their row
+    # (this splits the one zero-padding block into kh)
+    bounds = np.cumsum([0] + [np.count_nonzero(data_row[i:][a]) for i in range(spec.kh)])
     segments, targets = np.empty(bounds[-1], index), np.empty(bounds[-1], index)
     for i in range(spec.kh):
-        keep = data_row[a + i]
-        segments[bounds[i] : bounds[i + 1]] = source[keep] + i * spec.padded_w
+        keep = data_row[i:][a]
+        segments[bounds[i] : bounds[i + 1]] = source[keep]
+        segments[bounds[i] : bounds[i + 1]] += i * spec.padded_w
         targets[bounds[i] : bounds[i + 1]] = dest[keep]
     return Program(design=design, layer=spec, bounds=bounds, source=segments, dest=targets)
 

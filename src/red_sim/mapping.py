@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor import DeconvLayerSpec, Kernel4, _check_kernel, rotate180
+from .tensor import DeconvLayerSpec, Kernel4, _check_kernel
 
 __all__ = [
     "DesignKind",
@@ -97,9 +97,11 @@ def _zero_padding_layout(kernel: Kernel4) -> list[np.ndarray]:
 
 def _padding_free_layout(kernel: Kernel4) -> list[np.ndarray]:
     """One wide array of C rows x (kh*kw*M) columns holding the rotated
-    kernel, column index (i*kw + j)*M + m."""
+    kernel, column index (i*kw + j)*M + m.  The rotation is a reversed
+    view, so the reshape makes the layout's one copy of the kernel
+    (`tensor.rotate180` would make a second)."""
     kh, kw, c, m = kernel.shape
-    weights = rotate180(kernel).data.transpose(2, 0, 1, 3).reshape(c, kh * kw * m)
+    weights = kernel.data[::-1, ::-1].transpose(2, 0, 1, 3).reshape(c, kh * kw * m)
     return [np.ascontiguousarray(weights)]
 
 

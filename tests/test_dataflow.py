@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from red_sim.dataflow import (
+    _index_dtype,
     build_schedule,
     dump_schedule_lines,
     execute,
@@ -281,6 +283,11 @@ def _folded_drive_into_zero_fill(sched):
      "one group per output pixel"),
     (DesignKind.RED, lambda s: _with_value(s, "group_id", 0, -1),
      "assignment group id out of range"),
+    # a group completing outside the cycles is dropped from the dump
+    (DesignKind.RED, lambda s: _with_value(s, "group_cycle", 5, s.cycle_count),
+     "group completes outside the schedule's cycles"),
+    (DesignKind.RED, lambda s: _with_value(s, "group_cycle", 5, -1),
+     "group completes outside the schedule's cycles"),
     (DesignKind.RED, lambda s: dataclasses.replace(s, live=s.live.astype(np.int8)),
      "live column is not boolean"),
     (DesignKind.RED, _pixels_one_column_right, "pixel source outside the input"),
@@ -645,6 +652,70 @@ def test_trace_interior_only_layer_saturates():
     k = Kernel4(np.ones((2, 2, 2, 2), dtype=np.int64))
     trace = trace_of_schedule(schedule_zero_skipping(spec), build_plan(k, DesignKind.RED, spec))
     assert trace.vmm_activations == 4 * trace.cycle_count  # kh*kw per cycle
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_stages_accept_int64_columns(design):
+    # the builders emit int32; a schedule with int64 columns validates,
+    # lowers and traces to the same program and counts
+    sched = build_schedule(TOY, design)
+    assert {getattr(sched, k).dtype for k in (*ASSIGNMENT_COLUMNS, "group_cycle")} == {
+        np.dtype(np.int32), np.dtype(bool)}
+    wide = dataclasses.replace(sched, **{k: getattr(sched, k).astype(np.int64)
+                                         for k in (*ASSIGNMENT_COLUMNS, "group_cycle")
+                                         if k != "live"})
+    validate_schedule(wide)
+    want, got = lower(sched), lower(wide)
+    for field in ("bounds", "source", "dest"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert got.source.dtype == got.dest.dtype == np.int32
+    plan = MappingPlan(design, TOY.kernel_shape)
+    want, got = trace_of_schedule(sched, plan), trace_of_schedule(wide, plan)
+    assert np.array_equal(got.vmm_activations_per_crossbar, want.vmm_activations_per_crossbar)
+    assert dataclasses.replace(got, vmm_activations_per_crossbar=None) == dataclasses.replace(
+        want, vmm_activations_per_crossbar=None)
+
+
+def test_index_dtype_widens_past_2_31():
+    # twice the padded image's pixels bounds every cycle, group id and
+    # flat padded-image index: 2 * 32768^2 = 2^31 still fits int32
+    fits = DeconvLayerSpec(1, 1, 1, 16385, 16385, 1, 1, 1, 0, 1, 0)
+    assert fits.padded_h * fits.padded_w == 2**30
+    assert _index_dtype(fits) is np.int32
+    assert _index_dtype(dataclasses.replace(fits, crop_top=0)) is np.int64
+
+
+def _scratch(stage):
+    """The traced peak of numpy and Python allocations during `stage()`,
+    and its result."""
+    tracemalloc.start()
+    try:
+        result = stage()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("design", [DesignKind.RED, DesignKind.RED_FOLDED])
+def test_schedule_stages_stay_within_a_column_of_scratch(design):
+    # FCN_Deconv2's zero-skipping schedules hold kh*kw drives per output
+    # tile whatever C and M are: 1,290,496 at C = M = 1 as at full channels
+    spec = DeconvLayerSpec(70, 70, 1, 16, 16, 1, 8)
+    sched = build_schedule(spec, design)
+    n = sched.assignment_count
+    assert n == 256 * 71 * 71
+    # int32 columns and a one-byte live bit, plus the group table
+    held = sum(getattr(sched, k).nbytes for k in (*ASSIGNMENT_COLUMNS, "group_cycle"))
+    assert held <= 22 * n
+    # each stage allocates at most four int32 columns' worth on top of
+    # what it returns
+    peak, _ = _scratch(lambda: validate_schedule(sched))
+    assert peak <= 16 * n
+    peak, program = _scratch(lambda: lower(sched))
+    returned = program.bounds.nbytes + program.source.nbytes + program.dest.nbytes
+    assert peak - returned <= 16 * n
+    peak, _ = _scratch(lambda: trace_of_schedule(sched, MappingPlan(design, FCN2.kernel_shape)))
+    assert peak <= 16 * n
 
 
 # ---------------------------------------------------------------------------
