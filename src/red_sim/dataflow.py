@@ -35,15 +35,17 @@ A design is its weight layout (mapping) plus its schedule; one runner
 executes them all, in two steps, and it runs what the hardware drives.
 `lower` does the index work once per schedule: it drops the zero drives,
 which add nothing, and gives each live drive, per weight block, a source
-in the zero-inserted, padded image and a destination.  A pixel is one
+in the zero-inserted, padded image and an output pixel.  A pixel is one
 source; a zero-padding window is kh row segments, one per kernel row,
 each in its own weight block, and a segment on an all-zero row of the
 padded image (an inserted or border row) is dropped as well: it reads
-only zeros, so dropping it is exact for every input.  `execute` runs one
-input through that `Program`: per block it only gathers segments,
+only zeros, so dropping it is exact for every input.  A padding-free
+pixel is kh*kw blocks, one per kernel position, each adding into the
+output pixel the overlap-add and crop would put it on.  `execute` runs
+one input through that `Program`: per block it only gathers segments,
 multiplies them by the block's weight rows, and accumulates.  The
-hardware still drives every dropped row and the trace counts it; only the
-simulator skips the multiply.
+hardware still drives every dropped row, overlap-adds and crops, and the
+trace counts all of it; only the simulator skips that work.
 
 A schedule depends on the spatial geometry only, never on C, M or data, so
 one schedule per layer and design serves every input (lowered once, then
@@ -65,7 +67,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .mapping import DesignKind, MappingPlan
 from .tensor import (_CACHE_BUDGET, DeconvLayerSpec, Tensor3, _check_input, compute_dtype,
-                     dilate_and_pad, output_shape, overlap_add_crop)
+                     dilate_and_pad, output_shape)
 
 __all__ = [
     "InputKind",
@@ -504,14 +506,14 @@ class Program:
     """A schedule lowered for the runner: its live drives, per weight block.
 
     Weight block n's drives are `source[bounds[n]:bounds[n + 1]]`, each
-    added into `dest` at the same position.  A source is a flat index into
-    the padded image where the drive's row segment starts: a pixel on
-    every design but zero-padding.  There block i is the kw*C weight rows
-    of kernel row i, and its sources are the window origins plus
-    i*padded_w, kept only where that row of the padded image holds input
-    pixels.  A destination is the drive's output pixel, or on padding-free
-    its input pixel's product row.  It depends on the schedule alone, so
-    one program serves every input.
+    added into output pixel `dest` (y*output_w + x) at the same position.
+    A source is a flat index into the padded image where the drive's row
+    segment starts: a pixel on every design but zero-padding.  There block
+    i is the kw*C weight rows of kernel row i, and its sources are the
+    window origins plus i*padded_w, kept only where that row of the padded
+    image holds input pixels.  On padding-free block n = i*kw + j is the M
+    columns of kernel position (i, j) in the wide array.  It depends on the
+    schedule alone, so one program serves every input.
     """
 
     design: DesignKind
@@ -529,8 +531,9 @@ def lower(schedule: CycleSchedule) -> Program:
     red_folded the kh*kw sub halves, so a drive into the zero-fill half is
     refused too.  Within one block a destination may not repeat, since
     each array serves an output pixel at most once; the runner then adds a
-    block's products with one plain fancy-index add.  Violations raise
-    ValueError.
+    block's products with one plain fancy-index add.  A padding-free pixel
+    must lie on the input, so that the crop cannot hide a bad one, and
+    appear once.  Violations raise ValueError.
 
     A zero-padding window is split into its kh row segments, one weight
     block per kernel row, and a segment is kept only where padded row
@@ -541,11 +544,18 @@ def lower(schedule: CycleSchedule) -> Program:
     the hardware still drives those rows, and `trace_of_schedule` still
     counts them.
 
+    A padding-free pixel (a, b) is split into kh*kw weight blocks: the
+    overlap-add and crop put column block (i, j)'s products on output pixel
+    (a*s + i - crop_top, b*s + j - crop_left), kept where that lies in the
+    output (Dumoulin & Visin, arXiv:1603.07285).  The hardware still
+    overlap-adds and crops, and `trace_of_schedule` counts both.
+
     Sources and destinations are in the layer's `_index_dtype`, whatever
     integer dtype the schedule holds.  The scratch on top of the program
-    is the masked block, `src_a` and `src_b` columns: the duplicate check
-    sorts its (block, destination) key in the block column, int32 while
-    n_blocks * h * w < 2^31, and the sources are computed in place.
+    is the masked block, `src_a` and `src_b` columns (on padding-free, the
+    uncropped destination grid): the duplicate check sorts its (block,
+    destination) key in the block column, int32 while n_blocks * h * w
+    < 2^31, and the sources are computed in place.
     """
     spec, design = schedule.layer, schedule.design
     live = schedule.live
@@ -563,13 +573,21 @@ def lower(schedule: CycleSchedule) -> Program:
     index = _index_dtype(spec)
     a = schedule.src_a[live].astype(index, copy=False)
     b = schedule.src_b[live].astype(index, copy=False)
-    if schedule.has_post_ops:
-        dest = a * spec.input_w
-        dest += b
+    oh, ow, _ = output_shape(spec)
+    (h, w), what = (oh, ow), "output"
+    if design is DesignKind.PADDING_FREE:
+        for coords, extent in ((a, spec.input_h), (b, spec.input_w)):
+            if len(coords) and (coords.min() < 0 or coords.max() >= extent):
+                raise ValueError("pixel source outside the input")
+        # a pixel is checked for repeats as itself; its products in block
+        # (i, j) reach output pixel (y, x) unless the crop trims them
         (h, w), what = (spec.input_h, spec.input_w), "input"
+        dest = a * w + b
+        y = a * spec.stride - spec.crop_top + np.arange(spec.kh, dtype=index).reshape(-1, 1, 1)
+        x = b * spec.stride - spec.crop_left + np.arange(spec.kw, dtype=index).reshape(-1, 1)
+        inside = ((y >= 0) & (y < oh)) & ((x >= 0) & (x < ow))
     else:
         dest = schedule.group_id[live].astype(index, copy=False)
-        (h, w), what = output_shape(spec)[:2], "output"
     if len(dest) and (dest.min() < 0 or dest.max() >= h * w):
         raise ValueError(f"drive destination outside the {what} grid")
     # the (block, destination) key, built in the block column: sorted, a
@@ -592,6 +610,10 @@ def lower(schedule: CycleSchedule) -> Program:
         b += spec.pad_left
         a *= spec.padded_w
         a += b
+        if design is DesignKind.PADDING_FREE:
+            # entries in (i, j, pixel) order, which is block order
+            a, dest = np.broadcast_to(a, inside.shape)[inside], (y * ow + x)[inside]
+            bounds = np.cumsum([0, *inside.sum(axis=2).ravel()])
         return Program(design=design, layer=spec, bounds=bounds, source=a, dest=dest)
     source = a * spec.padded_w
     source += b
@@ -612,11 +634,6 @@ def lower(schedule: CycleSchedule) -> Program:
     return Program(design=design, layer=spec, bounds=bounds, source=segments, dest=targets)
 
 
-# weights converted to the compute dtype at once: a tall block is
-# converted in column blocks, so its converted copy stays small
-_WEIGHT_BUDGET = 1 << 20
-
-
 def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
     """Run one input through a lowered schedule's VMMs and sum the groups.
 
@@ -624,14 +641,10 @@ def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
     adds: `lower` did the index work once per schedule.  Per weight block,
     in chunks of `_CACHE_BUDGET` values, each drive's row segment is
     gathered from the zero-inserted, padded image at its source,
-    multiplied by the block's weight rows and added into its destination:
-    the output pixel's group, or for padding-free the input pixel's
-    product row, which the overlap-add and crop post pass then places.  A
-    segment is a pixel's C values, driving the whole array, or on
-    red_folded the C-row half of its cycle's parity; on zero-padding it is
-    one kernel row of a window, kw*C values that sit contiguously in the
-    flat image, driving that row's kw*C weight rows.  Window rows on
-    all-zero image rows are not in the program (see `lower`).
+    multiplied by the block's weight rows and added into its output
+    pixel.  A segment is a pixel's C values, or on zero-padding one kernel
+    row of a window, kw*C values that sit contiguously in the flat image;
+    window rows on all-zero image rows are not in the program (see `lower`).
     Integer data is multiplied in the dtype `compute_dtype` picks: float64
     sums of integers below 2^53 are exact, as are int64 sums, so the result
     does not depend on the order of the adds and equals the zero-padding
@@ -646,36 +659,34 @@ def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
     _check_input(input, spec)
     dtype = compute_dtype(input.data, plan.crossbars, spec.kh * spec.kw * spec.channels)
 
-    c = spec.channels
+    c, m = spec.channels, spec.filters
     image = dilate_and_pad(input, spec).data.reshape(-1).astype(dtype, copy=False)
     blocks, segment = plan.crossbars, c
     if program.design is DesignKind.ZERO_PADDING:
         # block i, kernel row i: rows i*kw*C .. (i+1)*kw*C - 1 of the tall array
         segment = spec.kw * c
         blocks = [blocks[0][i * segment : (i + 1) * segment] for i in range(spec.kh)]
+    elif program.design is DesignKind.PADDING_FREE:
+        # block n = i*kw + j, kernel position (i, j): columns n*M .. (n+1)*M - 1
+        blocks = [blocks[0][:, n * m : (n + 1) * m] for n in range(spec.kh * spec.kw)]
     elif program.design is DesignKind.RED_FOLDED:
         # block n, sub n's weights: rows 0..C-1 of array n // 2 for even n,
         # rows C..2C-1 for odd n; an odd kh*kw leaves the last half zero fill
         blocks = [blocks[n // 2][n % 2 * c : n % 2 * c + c] for n in range(spec.kh * spec.kw)]
     # segment p: segment // C pixels of the flat image from pixel p on
     segments = sliding_window_view(image, segment)[::c]
-    post = program.design is DesignKind.PADDING_FREE
-    n_dest = spec.input_h * spec.input_w if post else spec.output_h * spec.output_w
-    cols = plan.shape[1]
-    acc = np.zeros((n_dest, cols), dtype=dtype)
+    acc = np.zeros((spec.output_h * spec.output_w, m), dtype=dtype)
 
     bounds, source, dest = program.bounds.tolist(), program.source, program.dest
-    chunk = max(1, _CACHE_BUDGET // max(segment, cols))
-    width = max(1, _WEIGHT_BUDGET // segment)
+    chunk = max(1, _CACHE_BUDGET // max(segment, m))
     for n, weight_rows in enumerate(blocks):
-        # each column block of weights is converted once and serves every chunk
-        for c0 in range(0, cols, width):
-            weights = weight_rows[:, c0 : c0 + width].astype(dtype, copy=False)
-            for t0 in range(bounds[n], bounds[n + 1], chunk):
-                t1 = min(t0 + chunk, bounds[n + 1])
-                # no destination repeats within a block (`lower`)
-                acc[dest[t0:t1], c0 : c0 + width] += segments[source[t0:t1]] @ weights
-    out = overlap_add_crop(acc, spec) if post else acc.reshape(output_shape(spec))
+        # converted once, it serves every chunk of the block
+        weights = weight_rows.astype(dtype, copy=False)
+        for t0 in range(bounds[n], bounds[n + 1], chunk):
+            t1 = min(t0 + chunk, bounds[n + 1])
+            # no destination repeats within a block (`lower`)
+            acc[dest[t0:t1]] += segments[source[t0:t1]] @ weights
+    out = acc.reshape(output_shape(spec))
     return Tensor3(out.astype(np.result_type(input.data, plan.crossbars[0]), copy=False))
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "rotate180",
     "deconv_oracle_zero_padding",
     "deconv_oracle_padding_free",
-    "overlap_add_crop",
     "compute_dtype",
     "zero_redundancy_ratio",
 ]
@@ -360,24 +359,6 @@ def deconv_oracle_zero_padding(
     return out
 
 
-def overlap_add_crop(products: np.ndarray, spec: DeconvLayerSpec) -> np.ndarray:
-    """The padding-free route's post pass.
-
-    Row a*input_w + b of `products` holds input pixel (a, b)'s products,
-    column (i*kw + j)*filters + m for kernel position (i, j) and filter m.
-    Each kernel position's block is added onto full-canvas position
-    (a*stride + i, b*stride + j), and the canvas is then cropped.
-    """
-    s = spec.stride
-    blocks = products.reshape(spec.input_h, spec.input_w, spec.kh, spec.kw, spec.filters)
-    canvas = np.zeros((spec.full_h, spec.full_w, spec.filters), dtype=products.dtype)
-    for i in range(spec.kh):
-        for j in range(spec.kw):
-            canvas[i : i + spec.dilated_h : s, j : j + spec.dilated_w : s] += blocks[:, :, i, j]
-    top, left = spec.crop_top, spec.crop_left
-    return np.ascontiguousarray(canvas[top : top + spec.output_h, left : left + spec.output_w])
-
-
 def deconv_oracle_padding_free(
     input: Tensor3, kernel: Kernel4, spec: DeconvLayerSpec
 ) -> Tensor3:
@@ -395,8 +376,16 @@ def deconv_oracle_padding_free(
     rot = rotate180(kernel).data.transpose(2, 0, 1, 3).astype(dtype, order="C")
     flat = input.data.reshape(spec.input_h * spec.input_w, spec.channels).astype(dtype, copy=False)
     products = flat @ rot.reshape(spec.channels, -1)
-    out = overlap_add_crop(products, spec)
-    return Tensor3(out.astype(np.result_type(input.data, kernel.data), copy=False))
+    # overlap-add each kernel position's products onto the canvas, then crop
+    s = spec.stride
+    blocks = products.reshape(spec.input_h, spec.input_w, spec.kh, spec.kw, spec.filters)
+    canvas = np.zeros((spec.full_h, spec.full_w, spec.filters), dtype=dtype)
+    for i in range(spec.kh):
+        for j in range(spec.kw):
+            canvas[i : i + spec.dilated_h : s, j : j + spec.dilated_w : s] += blocks[:, :, i, j]
+    top, left = spec.crop_top, spec.crop_left
+    out = canvas[top : top + spec.output_h, left : left + spec.output_w]
+    return Tensor3(out.astype(np.result_type(input.data, kernel.data)))
 
 
 # ---------------------------------------------------------------------------

@@ -451,11 +451,10 @@ def test_execution_follows_its_schedule(design):
     with pytest.raises(ValueError, match="weight block the plan does not have"):
         execute(plan, lower(beyond), t)
     # swapped coordinates on a non-square input drive other pixels; on
-    # padding-free they also name the product row, and two pixels of the
-    # 3x2 input then share one
+    # padding-free some then lie off the 3x2 input, and `lower` refuses them
     swapped = dataclasses.replace(sched, src_a=sched.src_b, src_b=sched.src_a)
     if design is DesignKind.PADDING_FREE:
-        with pytest.raises(ValueError, match=r"block 0 serves input pixel \(\d, \d\) twice"):
+        with pytest.raises(ValueError, match="pixel source outside the input"):
             lower(swapped)
     else:
         assert not np.array_equal(execute(plan, lower(swapped), t).data, want)
@@ -476,6 +475,16 @@ def test_lower_refuses_a_destination_twice_in_one_block(design):
     y, x = divmod(int(sched.group_id[k]), TOY.output_w)
     with pytest.raises(ValueError,
                        match=rf"weight block {block[k]} serves output pixel \({y}, {x}\) twice"):
+        lower(bad)
+
+
+@pytest.mark.parametrize("column,value", [("src_a", -1), ("src_b", TOY.input_w)])
+def test_lower_refuses_a_padding_free_pixel_off_the_input(column, value):
+    # the first pixel moved one step off TOY's input: above it, the top
+    # crop would trim all its products; to its right, it would read the
+    # zero border into the last output column
+    bad = _with_value(build_schedule(TOY, DesignKind.PADDING_FREE), column, 0, value)
+    with pytest.raises(ValueError, match="pixel source outside the input"):
         lower(bad)
 
 
@@ -718,6 +727,18 @@ def test_schedule_stages_stay_within_a_column_of_scratch(design):
     assert peak <= 16 * n
 
 
+def test_padding_free_execute_holds_no_product_matrix():
+    # FCN_Deconv2's 4,900 input pixels times kh*kw*M = 256 products each
+    # would be 10 MB in float64; every design accumulates in output pixels
+    spec = DeconvLayerSpec(70, 70, 1, 16, 16, 1, 8)
+    t, k = rand_pair(spec, seed=7)
+    plan = build_plan(k, DesignKind.PADDING_FREE, spec)
+    program = lower(build_schedule(spec, DesignKind.PADDING_FREE))
+    peak, got = _scratch(lambda: execute(plan, program, t))
+    assert peak < 4900 * 256 * 8
+    assert np.array_equal(got.data, deconv_oracle_zero_padding(t, k, spec).data)
+
+
 # ---------------------------------------------------------------------------
 # dumps
 # ---------------------------------------------------------------------------
@@ -784,9 +805,14 @@ def test_execute_equivalence_property(spec, design, seed):
 @given(spec=layer_specs(max_channels=1),
        design=st.sampled_from([DesignKind.RED, DesignKind.RED_FOLDED]))
 def test_live_assignments_match_redundancy_property(spec, design):
-    # zero skipping drives exactly the kernel slots that the zero-padding
-    # route would feed an original pixel
+    # zero skipping drives, and padding-free keeps past its crop, exactly
+    # the kernel slots that the zero-padding route would feed an original
+    # pixel; every design's program adds into output pixels
     sched = build_schedule(spec, design)
     live = int(sched.live.sum())
     slots = spec.output_h * spec.output_w * spec.kh * spec.kw
     assert live == round((1 - zero_redundancy_ratio(spec)) * slots)
+    programs = {d: lower(build_schedule(spec, d)) for d in DesignKind}
+    assert len(programs[DesignKind.PADDING_FREE].source) == len(programs[design].source) == live
+    for program in programs.values():
+        assert 0 <= program.dest.min() and program.dest.max() < spec.output_h * spec.output_w
