@@ -18,12 +18,10 @@ large layers stay cheap to generate, execute and dump:
 
 A schedule stores no input kind: the design names each live drive, a
 window on zero-padding and a pixel on every other design, and only
-zero-skipping has zero drives.
-
-Folding doubles the cycle count: even phases drive rows 0..C-1 of each
-folded sub with the even original sub's input, odd phases drive rows
-C..2C-1 with the odd original sub's input.  A schedule stores no half:
-the cycle's parity names it, and so the weight block a drive multiplies.
+zero-skipping has zero drives.  Nor does it store a folded half: folding
+doubles the cycle count, even phases driving rows 0..C-1 of each folded
+sub with the even original sub's input and odd phases rows C..2C-1 with
+the odd one's, so the cycle's parity names the half and the weight block.
 
 Output pixels are produced once each; the members of an output pixel's
 accumulation group are exactly the sub-crossbars of its computation mode.
@@ -31,29 +29,15 @@ Cycles advance row-major over s x s output tiles, so traces are reproducible.
 Assignments are kept in (weight block, cycle) order, the order `lower`
 reads; every builder emits it directly, and only the dump sorts, by cycle.
 
-A design is its weight layout (mapping) plus its schedule; one runner
-executes them all, in two steps, and it runs what the hardware drives.
-`lower` does the index work once per schedule: it drops the zero drives,
-which add nothing, and gives each live drive, per weight block, a source
-in the zero-inserted, padded image and an output pixel.  A pixel is one
-source; a zero-padding window is kh row segments, one per kernel row,
-each in its own weight block, and a segment on an all-zero row of the
-padded image (an inserted or border row) is dropped as well: it reads
-only zeros, so dropping it is exact for every input.  A padding-free
-pixel is kh*kw blocks, one per kernel position, each adding into the
-output pixel the overlap-add and crop would put it on.  `execute` runs
-one input through that `Program`: per block it only gathers segments,
-multiplies them by the block's weight rows, and accumulates.  The
-hardware still drives every dropped row, overlap-adds and crops, and the
-trace counts all of it; only the simulator skips that work.
-
-A schedule depends on the spatial geometry only, never on C, M or data, so
-one schedule per layer and design serves every input (lowered once, then
-`execute`d per input, which returns the output alone) and the activity
-counts (`trace_of_schedule`, taken once per plan and schedule).
-
-A zero-skipping schedule holds kh*kw drives per tile whatever C and M are,
-so its columns are int32 (`_index_dtype`), and each stage that reads one
+A design is its weight layout (mapping) plus its schedule.  A schedule
+depends on the spatial geometry only, never on C, M or data: `lower`
+derives one strided rectangle per weight block from the layer's closed
+form and proves, once, that the schedule drives exactly those; `execute`
+runs each input through that `Program`, a basic-slice read, a product and
+a basic-slice add per block.  Zero drives, window rows on all-zero image
+rows and cropped padding-free products add nothing and are left out; the
+hardware does that work, and `trace_of_schedule` counts it.  Schedule
+columns are int32 (`_index_dtype`), and each stage that reads one
 allocates at most about one column of scratch on top of what it returns.
 """
 
@@ -140,11 +124,11 @@ def partition_modes(spec: DeconvLayerSpec) -> ModePartition:
 
 
 def _index_dtype(spec: DeconvLayerSpec) -> type[np.signedinteger]:
-    """The dtype of every index column of a schedule and a program: int32
-    unless a value could reach 2^31, int64 otherwise.  Cycle counts (at
-    most twice the output pixels, on red_folded), group ids, input and
-    window coordinates and flat padded-image indices all stay below twice
-    the padded image's size."""
+    """The dtype of every index column of a schedule, and of `lower`'s
+    scratch: int32 unless a value could reach 2^31, int64 otherwise.  Cycle
+    counts (at most twice the output pixels, on red_folded), group ids,
+    input and window coordinates all stay below twice the padded image's
+    size."""
     return np.int32 if 2 * spec.padded_h * spec.padded_w <= 2**31 else np.int64
 
 
@@ -503,191 +487,198 @@ def _check_pair(plan: MappingPlan, schedule: CycleSchedule | Program, dims: int)
 
 @dataclass(frozen=True)
 class Program:
-    """A schedule lowered for the runner: its live drives, per weight block.
+    """A schedule lowered for the runner: one strided rectangle per weight block.
 
-    Weight block n's drives are `source[bounds[n]:bounds[n + 1]]`, each
-    added into output pixel `dest` (y*output_w + x) at the same position.
-    A source is a flat index into the padded image where the drive's row
-    segment starts: a pixel on every design but zero-padding.  There block
-    i is the kw*C weight rows of kernel row i, and its sources are the
-    window origins plus i*padded_w, kept only where that row of the padded
-    image holds input pixels.  On padding-free block n = i*kw + j is the M
-    columns of kernel position (i, j) in the wide array.  It depends on the
-    schedule alone, so one program serves every input.
-    """
+    Row n of `blocks`, (P, Q, source row, column, row step, column step,
+    destination row, column, row step, column step), has block n multiply
+    source element (row + p*row step, column + q*column step) into output
+    pixel (p, q) of the destination rectangle, p < P, q < Q; steps are >= 1.
+    A source element is an input pixel's C values; on zero_padding, whose
+    block i is kernel row i, it is the kw*C values of a window's row i."""
 
     design: DesignKind
     layer: DeconvLayerSpec
-    bounds: np.ndarray
-    source: np.ndarray
-    dest: np.ndarray
+    blocks: np.ndarray
+
+
+def _span(k, pad: int, n_in: int, n_out: int, s: int):
+    """Per k: the first a in [0, n_in) with pad - k + s*a in [0, n_out), and the count."""
+    first = np.maximum(0, -((pad - k) // s))
+    return first, np.maximum(np.minimum(n_in, -((pad - k - n_out) // s)) - first, 0)
+
+
+def _rectangles(spec: DeconvLayerSpec, design: DesignKind) -> np.ndarray:
+    """`Program.blocks`: output pixel (y, x) takes kernel position (i, j)
+    from padded pixel (y + i, x + j) (Dumoulin & Visin, arXiv:1603.07285),
+    input pixel (a, b) being padded pixel (pad_top + s*a, pad_left + s*b)."""
+    s, kh, kw, ow = spec.stride, spec.kh, spec.kw, spec.output_w
+    i, j = np.divmod(np.arange(kh * kw), kw)
+    if design is DesignKind.ZERO_PADDING:
+        i = np.arange(kh)
+    elif design is DesignKind.PADDING_FREE:
+        i, j = kh - 1 - i, kw - 1 - j  # the wide array holds the rotated kernel
+    a0, p = _span(i, spec.pad_top, spec.input_h, spec.output_h, s)
+    y0 = spec.pad_top - i + s * a0
+    b0, q = _span(j, spec.pad_left, spec.input_w, ow, s)
+    fields = ((p, ow, y0 + i, 0, s, 1, y0, 0, s, 1) if design is DesignKind.ZERO_PADDING
+              else (p, q, a0, b0, 1, 1, y0, spec.pad_left - j + s * b0, s, s))
+    return np.column_stack([np.full_like(i, values) for values in fields])
+
+
+def _line(design: DesignKind, cycle, crossbar, a, b, group, live=True) -> str:
+    """A drive as its `dump_schedule_lines` line, with its group."""
+    drive, halves = _kinds(design)
+    into = f" into group {group}" if group >= 0 else ""
+    return f"{cycle},{crossbar},{drive if live else 'zero'}{halves[cycle % 2]},{a},{b}{into}"
+
+
+_COLUMNS = ("cycle", "crossbar", "src_a", "src_b", "group_id")
+
+
+def _refusal(schedule: CycleSchedule, k: int, what: str) -> ValueError:
+    drive = (int(getattr(schedule, column)[k]) for column in _COLUMNS)
+    return ValueError(f"{what}: drive {_line(schedule.design, *drive, bool(schedule.live[k]))}")
+
+
+def _disagreement(schedule: CycleSchedule, n: int, h: int, w: int) -> ValueError:
+    """Block n's first live drive unlike the closed form (a built schedule's)."""
+    have, want = (np.stack([getattr(s, c)[s.live & (s.block == n)] for c in _COLUMNS], axis=1)
+                  for s in (schedule, build_schedule(schedule.layer, schedule.design)))
+    size = min(len(have), len(want))
+    k = (np.flatnonzero((have[:size] != want[:size]).any(axis=1)).tolist() + [size])[0]
+    got, expected = (f"drive {_line(schedule.design, *rows[k].tolist())}" if k < len(rows)
+                     else "no drive" for rows in (have, want))
+    what = "drive disagrees with the closed form"
+    if k < len(have) and not (0 <= have[k, 2] < h and 0 <= have[k, 3] < w):
+        what = ("pixel source outside the input" if schedule.design is not DesignKind.ZERO_PADDING
+                else "window origin outside the output grid")
+    return ValueError(f"{what}: weight block {n} has {got}; the closed form has {expected}")
+
+
+def _unsigned(v: np.ndarray) -> np.ndarray:
+    return v.view(f"u{v.itemsize}")  # so that one u < h tests 0 <= v < h
 
 
 def lower(schedule: CycleSchedule) -> Program:
     """Lower a schedule once into the `Program` that `execute` runs.
 
-    Zero drives add nothing and are dropped.  The live drives must be in
-    weight-block order and name blocks the design has: the array, or on
-    red_folded the kh*kw sub halves, so a drive into the zero-fill half is
-    refused too.  Within one block a destination may not repeat, since
-    each array serves an output pixel at most once; the runner then adds a
-    block's products with one plain fancy-index add.  A padding-free pixel
-    must lie on the input, so that the crop cannot hide a bad one, and
-    appear once.  Violations raise ValueError.
-
-    A zero-padding window is split into its kh row segments, one weight
-    block per kernel row, and a segment is kept only where padded row
-    a + i, for window origin row a, holds input pixels: row p does when
-    p - pad_top is a multiple of the stride in [0, stride*input_h).  Any
-    other row is inserted or border zeros, so the segment adds nothing
-    for any input and dropping it is exact.  Only the simulator skips it:
-    the hardware still drives those rows, and `trace_of_schedule` still
-    counts them.
-
-    A padding-free pixel (a, b) is split into kh*kw weight blocks: the
-    overlap-add and crop put column block (i, j)'s products on output pixel
-    (a*s + i - crop_top, b*s + j - crop_left), kept where that lies in the
-    output (Dumoulin & Visin, arXiv:1603.07285).  The hardware still
-    overlap-adds and crops, and `trace_of_schedule` counts both.
-
-    Sources and destinations are in the layer's `_index_dtype`, whatever
-    integer dtype the schedule holds.  The scratch on top of the program
-    is the masked block, `src_a` and `src_b` columns (on padding-free, the
-    uncropped destination grid): the duplicate check sorts its (block,
-    destination) key in the block column, int32 while n_blocks * h * w
-    < 2^31, and the sources are computed in place.
-    """
+    The descriptors come from the layer's closed form (`_rectangles`), and
+    the schedule is proved to drive exactly them, a chunk at a time: drives
+    name blocks the design has in strictly increasing (block, cycle) order,
+    and each live drive of block n at cycle c is the closed form of (n, c),
+    one-to-one in c: window (y, x) into output pixel (y, x) at cycle y*ow +
+    x, pixel (a, b) at cycle a*input_w + b on padding_free, sub n's pixel in
+    its output pixel's tile on zero skipping.  As many live drives as
+    entries then make each block's its own.  A ValueError names the first
+    drive at fault by its `dump_schedule_lines` line.  Zero drives, window
+    rows on all-zero image rows and cropped products add nothing."""
     spec, design = schedule.layer, schedule.design
-    live = schedule.live
-    # boolean masks copy: every masked column below is ours to change in place
-    block = schedule.block[live]
-    n_blocks = spec.kh * spec.kw if design in (DesignKind.RED, DesignKind.RED_FOLDED) else 1
-    if (block[1:] < block[:-1]).any():
-        raise ValueError("live drives not in weight-block order")
-    if len(block) and (block[0] < 0 or block[-1] >= n_blocks):
-        raise ValueError(f"drive names a weight block the plan does not have ({n_blocks})")
-    # taken before the duplicate check spends the block column; searched
-    # with the column's own dtype, so that it is not cast
-    bounds = np.searchsorted(block, np.arange(n_blocks + 1, dtype=block.dtype))
-
-    index = _index_dtype(spec)
-    a = schedule.src_a[live].astype(index, copy=False)
-    b = schedule.src_b[live].astype(index, copy=False)
+    blocks = _rectangles(spec, design)
     oh, ow, _ = output_shape(spec)
-    (h, w), what = (oh, ow), "output"
-    if design is DesignKind.PADDING_FREE:
-        for coords, extent in ((a, spec.input_h), (b, spec.input_w)):
-            if len(coords) and (coords.min() < 0 or coords.max() >= extent):
-                raise ValueError("pixel source outside the input")
-        # a pixel is checked for repeats as itself; its products in block
-        # (i, j) reach output pixel (y, x) unless the crop trims them
-        (h, w), what = (spec.input_h, spec.input_w), "input"
-        dest = a * w + b
-        y = a * spec.stride - spec.crop_top + np.arange(spec.kh, dtype=index).reshape(-1, 1, 1)
-        x = b * spec.stride - spec.crop_left + np.arange(spec.kw, dtype=index).reshape(-1, 1)
-        inside = ((y >= 0) & (y < oh)) & ((x >= 0) & (x < ow))
-    else:
-        dest = schedule.group_id[live].astype(index, copy=False)
-    if len(dest) and (dest.min() < 0 or dest.max() >= h * w):
-        raise ValueError(f"drive destination outside the {what} grid")
-    # the (block, destination) key, built in the block column: sorted, a
-    # repeat is a block serving one destination twice
-    key = block.astype(np.int32 if n_blocks * h * w <= 2**31 else np.int64, copy=False)
-    del block
-    key *= h * w
-    key += dest
-    key.sort()
-    twice = np.flatnonzero(key[1:] == key[:-1])
-    if len(twice):
-        n, pixel = divmod(int(key[twice[0]]), h * w)
-        raise ValueError(f"weight block {n} serves {what} pixel {divmod(pixel, w)} twice")
-    del key
-    if design is not DesignKind.ZERO_PADDING:
-        # input pixel (a, b) sits at (pad_top + a*s, pad_left + b*s)
-        a *= spec.stride
-        a += spec.pad_top
-        b *= spec.stride
-        b += spec.pad_left
-        a *= spec.padded_w
-        a += b
-        if design is DesignKind.PADDING_FREE:
-            # entries in (i, j, pixel) order, which is block order
-            a, dest = np.broadcast_to(a, inside.shape)[inside], (y * ow + x)[inside]
-            bounds = np.cumsum([0, *inside.sum(axis=2).ravel()])
-        return Program(design=design, layer=spec, bounds=bounds, source=a, dest=dest)
-    source = a * spec.padded_w
-    source += b
-    del b
-    p = np.arange(spec.padded_h) - spec.pad_top
-    data_row = (p % spec.stride == 0) & (p >= 0) & (p < spec.stride * spec.input_h)
-    # block i: the windows whose row a + i is a data row, read as
-    # data_row[i:][a] (a + i < padded_h) so that no index column is made;
-    # filled in place, so that no per-row copies outlive their row
-    # (this splits the one zero-padding block into kh)
-    bounds = np.cumsum([0] + [np.count_nonzero(data_row[i:][a]) for i in range(spec.kh)])
-    segments, targets = np.empty(bounds[-1], index), np.empty(bounds[-1], index)
-    for i in range(spec.kh):
-        keep = data_row[i:][a]
-        segments[bounds[i] : bounds[i + 1]] = source[keep]
-        segments[bounds[i] : bounds[i + 1]] += i * spec.padded_w
-        targets[bounds[i] : bounds[i + 1]] = dest[keep]
-    return Program(design=design, layer=spec, bounds=bounds, source=segments, dest=targets)
+    pixelwise = design in (DesignKind.RED, DesignKind.RED_FOLDED)
+    n_blocks = spec.kh * spec.kw if pixelwise else 1
+    h, w = (oh, ow) if design is DesignKind.ZERO_PADDING else (spec.input_h, spec.input_w)
+    # per schedule block: -a0, -b0, P, Q, t0, g0, where its entry (p, q) < (P, Q)
+    # is source (a0 + p, b0 + q) at cycle t0 + p*dt + q into group g0 + p*dgp + q*dgq
+    if pixelwise:  # the program's: sub n adds into output pixel (y0 + s*p, x0 + s*q)
+        s, n_tx = spec.stride, -(-ow // spec.stride)
+        p, q, a0, b0, y0, x0 = blocks[:, [0, 1, 2, 3, 6, 7]].T
+        rects = [r.astype(_index_dtype(spec))
+                 for r in (-a0, -b0, p, q, y0 // s * n_tx + x0 // s, y0 * ow + x0)]
+        rects[2:4], (dt, dgp, dgq) = map(_unsigned, rects[2:4]), (n_tx, s * ow, s)
+    else:  # window (a, b) into output pixel (a, b) at cycle a*ow + b; pixel (a, b)
+        rects, (dt, dgp, dgq) = (0, 0, h, w, 0, 0), (w, ow, 1)
+    for k0 in range(0, schedule.assignment_count, _CACHE_BUDGET):
+        # each chunk starts at the last drive of the one before, for the order
+        k0 = max(k0 - 1, 0)
+        part = slice(k0, k0 + _CACHE_BUDGET + 1)
+        cycle, n = schedule.cycle[part], schedule.crossbar[part]
+        if design is DesignKind.RED_FOLDED:
+            n = n * 2
+            n += cycle & 1
+        if _unsigned(n).max() >= n_blocks:
+            raise _refusal(schedule, k0 + int(np.argmax(_unsigned(n) >= n_blocks)),
+                           f"drive names a weight block the plan does not have ({n_blocks})")
+        back = (n[1:] < n[:-1]) | ((n[1:] == n[:-1]) & (cycle[1:] <= cycle[:-1]))
+        if back.any():
+            raise _refusal(schedule, k0 + 1 + int(np.argmax(back)), "drive out of weight-block "
+                           "order, (block, cycle) strictly increasing")
+        # each drive's entry (a, b) of its block's rectangle
+        a, b, (a0, b0, p, q, t0, g0) = schedule.src_a[part], schedule.src_b[part], rects
+        if pixelwise:  # the blocks are sorted: repeat each one's rectangle over its drives
+            runs = np.diff(np.searchsorted(n, np.arange(n_blocks + 1, dtype=n.dtype)))
+            a0, b0, p, q, t0, g0 = (np.repeat(r, runs) for r in rects)
+            a0 += a
+            b0 += b
+            a, b = a0, b0
+        bad = _unsigned(a) >= p
+        bad |= _unsigned(b) >= q
+        t0 += a * dt
+        t0 += b
+        bad |= t0 != (cycle >> 1 if design is DesignKind.RED_FOLDED else cycle)
+        if design is not DesignKind.PADDING_FREE:
+            g0 += a * dgp
+            g0 += b * dgq
+            bad |= g0 != schedule.group_id[part]
+        bad &= schedule.live[part]
+        if bad.any():
+            raise _disagreement(schedule, int(n[np.argmax(bad)]), h, w)
+    want = blocks[:, 0] * blocks[:, 1] if pixelwise else np.array([h * w])
+    if np.count_nonzero(schedule.live) != want.sum():
+        # every live drive is a distinct one of its block's, so a block lacks one
+        have = np.bincount(schedule.block[schedule.live], minlength=n_blocks)
+        raise _disagreement(schedule, int(np.flatnonzero(have != want)[0]), h, w)
+    return Program(design=design, layer=spec, blocks=blocks)
 
 
 def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
     """Run one input through a lowered schedule's VMMs and sum the groups.
 
-    One runner serves every design, and it only gathers, multiplies and
-    adds: `lower` did the index work once per schedule.  Per weight block,
-    in chunks of `_CACHE_BUDGET` values, each drive's row segment is
-    gathered from the zero-inserted, padded image at its source,
-    multiplied by the block's weight rows and added into its output
-    pixel.  A segment is a pixel's C values, or on zero-padding one kernel
-    row of a window, kw*C values that sit contiguously in the flat image;
-    window rows on all-zero image rows are not in the program (see `lower`).
-    Integer data is multiplied in the dtype `compute_dtype` picks: float64
-    sums of integers below 2^53 are exact, as are int64 sums, so the result
-    does not depend on the order of the adds and equals the zero-padding
-    oracle element-exactly; it is returned as int64.  Activity counts do
-    not depend on the input: take them once per (plan, schedule) with
-    `trace_of_schedule`.
-    """
+    Per weight block, a chunk of rows at a time: a basic-slice read of the
+    source rectangle (the unpadded input; on zero_padding the padded image,
+    in the compute dtype), a product with the block's weight rows and a
+    basic-slice add into the destination.  `compute_dtype` makes integer
+    sums exact in any order: the int64 result equals the oracle exactly."""
     _check_pair(plan, program, dims=4)
     spec = program.layer
     if plan.crossbars is None:
         raise ValueError("a geometry-only plan holds no weights to execute")
     _check_input(input, spec)
     dtype = compute_dtype(input.data, plan.crossbars, spec.kh * spec.kw * spec.channels)
-
-    c, m = spec.channels, spec.filters
-    image = dilate_and_pad(input, spec).data.reshape(-1).astype(dtype, copy=False)
-    blocks, segment = plan.crossbars, c
-    if program.design is DesignKind.ZERO_PADDING:
-        # block i, kernel row i: rows i*kw*C .. (i+1)*kw*C - 1 of the tall array
-        segment = spec.kw * c
-        blocks = [blocks[0][i * segment : (i + 1) * segment] for i in range(spec.kh)]
-    elif program.design is DesignKind.PADDING_FREE:
-        # block n = i*kw + j, kernel position (i, j): columns n*M .. (n+1)*M - 1
-        blocks = [blocks[0][:, n * m : (n + 1) * m] for n in range(spec.kh * spec.kw)]
-    elif program.design is DesignKind.RED_FOLDED:
-        # block n, sub n's weights: rows 0..C-1 of array n // 2 for even n,
-        # rows C..2C-1 for odd n; an odd kh*kw leaves the last half zero fill
-        blocks = [blocks[n // 2][n % 2 * c : n % 2 * c + c] for n in range(spec.kh * spec.kw)]
-    # segment p: segment // C pixels of the flat image from pixel p on
-    segments = sliding_window_view(image, segment)[::c]
-    acc = np.zeros((spec.output_h * spec.output_w, m), dtype=dtype)
-
-    bounds, source, dest = program.bounds.tolist(), program.source, program.dest
-    chunk = max(1, _CACHE_BUDGET // max(segment, m))
-    for n, weight_rows in enumerate(blocks):
-        # converted once, it serves every chunk of the block
-        weights = weight_rows.astype(dtype, copy=False)
-        for t0 in range(bounds[n], bounds[n + 1], chunk):
-            t1 = min(t0 + chunk, bounds[n + 1])
-            # no destination repeats within a block (`lower`)
-            acc[dest[t0:t1]] += segments[source[t0:t1]] @ weights
-    out = acc.reshape(output_shape(spec))
-    return Tensor3(out.astype(np.result_type(input.data, plan.crossbars[0]), copy=False))
+    c, m, arrays = spec.channels, spec.filters, plan.crossbars
+    segment = spec.kw * c if program.design is DesignKind.ZERO_PADDING else c
+    # weight block n's rows of the plan's arrays, as `Program` numbers them
+    weights = {
+        DesignKind.ZERO_PADDING: lambda n: arrays[0][n * segment : (n + 1) * segment],
+        DesignKind.PADDING_FREE: lambda n: arrays[0][:, n * m : (n + 1) * m],
+        DesignKind.RED: lambda n: arrays[n],
+        DesignKind.RED_FOLDED: lambda n: arrays[n // 2][n % 2 * c : n % 2 * c + c],
+    }[program.design]
+    # the unpadded input, or on zero_padding window rows of the padded image:
+    # (row, column) holds padded pixels (row, column + j) as (j, C)
+    source = (sliding_window_view(dilate_and_pad(input, spec, dtype).data, spec.kw, axis=1)
+              .transpose(0, 1, 3, 2) if program.design is DesignKind.ZERO_PADDING
+              else input.data.astype(dtype, copy=False))
+    multiply = np.multiply if segment == 1 else np.matmul  # far faster at C = 1
+    budget = max(_CACHE_BUDGET, segment * m)  # a chunk at least as large as the weights
+    # in the result dtype: integer-valued products below 2^53 convert exactly
+    acc = np.zeros(output_shape(spec), dtype=np.result_type(input.data, arrays[0]))
+    for n, descriptor in enumerate(program.blocks):
+        p, q, sa, sb, sda, sdb, da, db, dda, ddb = descriptor.tolist()
+        if p * q == 0:
+            continue
+        weight = weights(n).astype(dtype, copy=False)
+        rows = max(1, budget // (q * max(segment, m)))
+        for p0 in range(0, p, rows):
+            p1 = min(p0 + rows, p) - 1
+            src = source[sa + p0 * sda : sa + p1 * sda + 1 : sda, sb : sb + (q - 1) * sdb + 1 : sdb]
+            dst = acc[da + p0 * dda : da + p1 * dda + 1 : dda, db : db + (q - 1) * ddb + 1 : ddb]
+            products = multiply(src.reshape(-1, segment), weight).reshape(dst.shape)
+            # added and written back: numpy buffers the reads and the writes
+            # of a strided in-place add
+            products += dst
+            dst[...] = products
+    return Tensor3(acc)
 
 
 # per design: schedule builder
@@ -702,6 +693,12 @@ _DESIGNS = {
 # ---------------------------------------------------------------------------
 # Schedule dump
 # ---------------------------------------------------------------------------
+
+def _kinds(design: DesignKind) -> tuple[str, tuple[str, str]]:
+    """A live drive's dump kind, and the suffixes naming a folded half."""
+    live = "window" if design is DesignKind.ZERO_PADDING else "pixel"
+    return live, (("_lo", "_hi") if design is DesignKind.RED_FOLDED else ("", ""))
+
 
 def dump_schedule_lines(schedule: CycleSchedule):
     """Stable text dump: per cycle, assignment lines then group lines.
@@ -725,8 +722,7 @@ def dump_schedule_lines(schedule: CycleSchedule):
     order = np.argsort(schedule.cycle, kind="stable")
     cyc = schedule.cycle[order].tolist()
     xb = schedule.crossbar[order].tolist()
-    drive = "window" if schedule.design is DesignKind.ZERO_PADDING else "pixel"
-    halves = ("_lo", "_hi") if schedule.design is DesignKind.RED_FOLDED else ("", "")
+    drive, halves = _kinds(schedule.design)
     kinds = [(drive if on else "zero") + halves[t % 2]
              for on, t in zip(schedule.live[order].tolist(), cyc)]
     sa = schedule.src_a[order].tolist()

@@ -285,16 +285,18 @@ def compute_dtype(data: np.ndarray, weights: list[np.ndarray], terms: int) -> np
 _CACHE_BUDGET = 65536
 
 
-def dilate_and_pad(input: Tensor3, spec: DeconvLayerSpec) -> Tensor3:
+def dilate_and_pad(input: Tensor3, spec: DeconvLayerSpec, dtype=None) -> Tensor3:
     """Insert stride-1 zeros between pixels and add the zero border.
 
     Original pixel (a, b, c) lands at (pad_top + a*stride, pad_left + b*stride, c).
     Sliding a kh x kw window with stride 1 over the result visits exactly
-    output_h x output_w positions.
+    output_h x output_w positions.  The canvas is in `dtype`, by default
+    the input's, so that a caller computing in another holds no copy.
     """
     _check_input(input, spec)
     s = spec.stride
-    canvas = np.zeros((spec.padded_h, spec.padded_w, spec.channels), dtype=input.data.dtype)
+    canvas = np.zeros((spec.padded_h, spec.padded_w, spec.channels),
+                      dtype=input.data.dtype if dtype is None else dtype)
     canvas[
         spec.pad_top : spec.pad_top + spec.dilated_h : s,
         spec.pad_left : spec.pad_left + spec.dilated_w : s,
@@ -351,12 +353,14 @@ def rotate180(kernel: Kernel4) -> Kernel4:
 def deconv_oracle_zero_padding(
     input: Tensor3, kernel: Kernel4, spec: DeconvLayerSpec
 ) -> Tensor3:
-    """Deconvolution as zero insertion followed by valid correlation."""
+    """Deconvolution as zero insertion, on a canvas in the compute dtype,
+    followed by valid correlation."""
     _check_input(input, spec)
     _check_kernel(kernel, spec)
-    out = conv2d_valid(dilate_and_pad(input, spec), kernel)
+    dtype = compute_dtype(input.data, [kernel.data], spec.kh * spec.kw * spec.channels)
+    out = conv2d_valid(dilate_and_pad(input, spec, dtype), kernel).data
     assert out.shape == output_shape(spec)
-    return out
+    return Tensor3(out.astype(np.result_type(input.data, kernel.data), copy=False))
 
 
 def deconv_oracle_padding_free(

@@ -248,6 +248,26 @@ def _with_value(sched, column, index, value):
     return dataclasses.replace(sched, **{column: coords})
 
 
+def _line(sched, k):
+    """Assignment k as its `dump-schedule` line."""
+    col = {c: int(getattr(sched, c)[k]) for c in ("cycle", "crossbar", "live", "src_a", "src_b")}
+    kind = "window" if sched.design is DesignKind.ZERO_PADDING else "pixel"
+    kind = kind if col["live"] else "zero"
+    if sched.design is DesignKind.RED_FOLDED:
+        kind += ("_lo", "_hi")[col["cycle"] % 2]
+    return f"{col['cycle']},{col['crossbar']},{kind},{col['src_a']},{col['src_b']}"
+
+
+def _refusal(bad, k, want, what="drive disagrees with the closed form"):
+    """The `lower` refusal of `bad`, a mutation of `want`: it names
+    assignment k of `bad` by its dump line, and `want`'s in its place."""
+    line, expected = _line(bad, k), _line(want, k)
+    # both are lines of their schedules' dumps
+    assert line in dump_schedule_lines(bad) and expected in dump_schedule_lines(want)
+    return (rf"{what}: weight block {bad.block[k]} has drive {line}\b.*"
+            rf"the closed form has drive {expected}\b")
+
+
 def _pixels_one_column_right(_):
     # on a 3x2 input, src_b + 1 moves a first-column pixel onto its
     # neighbour and a second-column pixel onto the padded image's zero
@@ -437,34 +457,38 @@ def test_execution_follows_its_schedule(design):
     sched = build_schedule(spec, design)
     want = deconv_oracle_zero_padding(t, k, spec).data
     assert np.array_equal(execute(plan, lower(sched), t).data, want)
-    # `lower` reads live drives in weight-block order, and refuses any
-    # other; with one array, every order is block order
+    # `lower` reads drives in strictly increasing (block, cycle) order, and
+    # refuses any other, naming the first drive out of it
     shuffled = _reordered(sched, np.random.default_rng(0).permutation(len(sched.cycle)))
-    if plan.count == 1:
-        assert np.array_equal(execute(plan, lower(shuffled), t).data, want)
-    else:
-        with pytest.raises(ValueError, match="weight-block order"):
-            execute(plan, lower(shuffled), t)
+    block, cycle = shuffled.block, shuffled.cycle
+    first = np.flatnonzero((block[1:] < block[:-1])
+                           | ((block[1:] == block[:-1]) & (cycle[1:] <= cycle[:-1])))[0] + 1
+    with pytest.raises(ValueError, match=rf"block order.*: drive {_line(shuffled, first)}\b"):
+        execute(plan, lower(shuffled), t)
     # the last live drive relabelled onto a crossbar past the array count
     # stays in block order but names weights the plan does not have
-    beyond = _with_value(sched, "crossbar", np.flatnonzero(sched.live)[-1], plan.count)
-    with pytest.raises(ValueError, match="weight block the plan does not have"):
+    last = np.flatnonzero(sched.live)[-1]
+    beyond = _with_value(sched, "crossbar", last, plan.count)
+    with pytest.raises(ValueError, match=rf"weight block the plan does not have .*"
+                                         rf"drive {_line(beyond, last)}\b"):
         execute(plan, lower(beyond), t)
-    # swapped coordinates on a non-square input drive other pixels; on
-    # padding-free some then lie off the 3x2 input, and `lower` refuses them
+    # swapped coordinates on a non-square input drive other pixels: the first
+    # live drive off the diagonal disagrees with the closed form of its
+    # cycle, or on zero skipping may read off the input
     swapped = dataclasses.replace(sched, src_a=sched.src_b, src_b=sched.src_a)
-    if design is DesignKind.PADDING_FREE:
-        with pytest.raises(ValueError, match="pixel source outside the input"):
-            lower(swapped)
-    else:
-        assert not np.array_equal(execute(plan, lower(swapped), t).data, want)
+    k = np.flatnonzero(sched.live & (sched.src_a != sched.src_b))[0]
+    off = not (0 <= sched.src_b[k] < spec.input_h and 0 <= sched.src_a[k] < spec.input_w)
+    what = "pixel source outside the input" if off else "drive disagrees with the closed form"
+    with pytest.raises(ValueError, match=_refusal(swapped, k, sched, what=what)):
+        lower(swapped)
 
 
 @pytest.mark.parametrize("design", [DesignKind.ZERO_PADDING, DesignKind.RED, DesignKind.RED_FOLDED])
 def test_lower_refuses_a_destination_twice_in_one_block(design):
     # a block's second drive re-reads its first drive's pixel into the same
     # output pixel: the schedule passes validation, and a runner that adds
-    # each block's products would count that product twice
+    # each block's products would count that product twice; the second
+    # drive disagrees with the closed form of its cycle
     sched = build_schedule(TOY, design)
     block = sched.block
     k = np.flatnonzero(sched.live[:-1] & sched.live[1:] & (block[:-1] == block[1:]))[0]
@@ -472,9 +496,55 @@ def test_lower_refuses_a_destination_twice_in_one_block(design):
     for column in ("src_a", "src_b", "group_id"):
         bad = _with_value(bad, column, k + 1, getattr(sched, column)[k])
     validate_schedule(bad)
-    y, x = divmod(int(sched.group_id[k]), TOY.output_w)
-    with pytest.raises(ValueError,
-                       match=rf"weight block {block[k]} serves output pixel \({y}, {x}\) twice"):
+    with pytest.raises(ValueError, match=_refusal(bad, k + 1, sched)):
+        lower(bad)
+
+
+@pytest.mark.parametrize("design", [DesignKind.RED, DesignKind.RED_FOLDED])
+def test_lower_refuses_two_drives_swapped_within_a_cycle(design):
+    # two subs of one cycle receive each other's pixels and output pixels:
+    # the schedule passes validation, and the earlier drive in block order
+    # is named
+    sched = build_schedule(TOY, design)
+    live = np.flatnonzero(sched.live & (sched.cycle == sched.cycle[0]))
+    k = live[0]
+    pixel = sched.src_a * 1000 + sched.src_b
+    j = next(j for j in live[1:] if pixel[j] != pixel[k])
+    bad = sched
+    for column in ("src_a", "src_b", "group_id"):
+        values = getattr(sched, column)
+        bad = _with_value(_with_value(bad, column, k, values[j]), column, j, values[k])
+    validate_schedule(bad)
+    with pytest.raises(ValueError, match=_refusal(bad, k, sched)):
+        lower(bad)
+
+
+@pytest.mark.parametrize("design", [DesignKind.ZERO_PADDING, DesignKind.RED, DesignKind.RED_FOLDED])
+def test_lower_refuses_a_drive_into_another_group(design):
+    # the hardware would add the drive into its neighbour's output pixel,
+    # which the program, built from the closed form, would not follow
+    sched = build_schedule(TOY, design)
+    k = np.flatnonzero(sched.live)[0]
+    g = int(sched.group_id[k])
+    bad = _with_value(sched, "group_id", k, g + 1)
+    validate_schedule(bad)
+    line = _line(sched, k)
+    with pytest.raises(ValueError, match=rf"has drive {line} into group {g + 1};.*"
+                                         rf"has drive {line} into group {g}$"):
+        lower(bad)
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_lower_names_a_dropped_drive(design):
+    # one live drive left out: every other drive agrees with the closed
+    # form, so the count names its block and the missing drive
+    sched = build_schedule(TOY, design)
+    live = np.flatnonzero(sched.live)
+    k = live[len(live) // 3]
+    keep = np.delete(np.arange(len(sched.cycle)), k)
+    bad = _reordered(sched, keep)
+    with pytest.raises(ValueError, match=rf"weight block {sched.block[k]} has .*"
+                                         rf"the closed form has drive {_line(sched, k)}\b"):
         lower(bad)
 
 
@@ -483,24 +553,21 @@ def test_lower_refuses_a_padding_free_pixel_off_the_input(column, value):
     # the first pixel moved one step off TOY's input: above it, the top
     # crop would trim all its products; to its right, it would read the
     # zero border into the last output column
-    bad = _with_value(build_schedule(TOY, DesignKind.PADDING_FREE), column, 0, value)
-    with pytest.raises(ValueError, match="pixel source outside the input"):
+    sched = build_schedule(TOY, DesignKind.PADDING_FREE)
+    bad = _with_value(sched, column, 0, value)
+    off = _refusal(bad, 0, sched, what="pixel source outside the input")
+    with pytest.raises(ValueError, match=off):
         lower(bad)
 
 
 def test_zero_padding_origin_moved_a_row_down_disagrees():
-    # `lower` skips a window row by the image row the window actually
-    # reads, so skipping cannot hide a wrong origin: output pixel (0, 0),
-    # its window moved one row down, gets the window at (1, 0) in full
-    t, k = rand_pair(TOY, seed=5)
-    plan = build_plan(k, DesignKind.ZERO_PADDING, TOY)
+    # output pixel (0, 0), its window moved one row down, would get the
+    # window at (1, 0) in full; the closed form of cycle 0 is window (0, 0)
     sched = build_schedule(TOY, DesignKind.ZERO_PADDING)
     bad = _with_value(sched, "src_a", 0, sched.src_a[0] + 1)
     validate_schedule(bad)
-    got = execute(plan, lower(bad), t).data
-    want = deconv_oracle_zero_padding(t, k, TOY).data
-    assert sorted({tuple(p[:2]) for p in np.argwhere(got != want)}) == [(0, 0)]
-    assert np.array_equal(got[0, 0], want[1, 0])
+    with pytest.raises(ValueError, match=_refusal(bad, 0, sched)):
+        lower(bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -511,7 +578,7 @@ def test_zero_padding_program_size_matches_redundancy_property(spec):
     program = lower(build_schedule(spec, DesignKind.ZERO_PADDING))
     rows = _window_live_counts(spec.input_h, spec.kh, spec.stride, spec.pad_top,
                                spec.padded_h, spec.output_h)
-    assert len(program.source) == program.bounds[-1] == int(rows.sum()) * spec.output_w
+    assert _entries(program) == int(rows.sum()) * spec.output_w
 
 
 def test_trace_checks_design_and_kernel_extent_only():
@@ -675,9 +742,7 @@ def test_stages_accept_int64_columns(design):
                                          if k != "live"})
     validate_schedule(wide)
     want, got = lower(sched), lower(wide)
-    for field in ("bounds", "source", "dest"):
-        assert np.array_equal(getattr(got, field), getattr(want, field))
-    assert got.source.dtype == got.dest.dtype == np.int32
+    assert np.array_equal(got.blocks, want.blocks)
     plan = MappingPlan(design, TOY.kernel_shape)
     want, got = trace_of_schedule(sched, plan), trace_of_schedule(wide, plan)
     assert np.array_equal(got.vmm_activations_per_crossbar, want.vmm_activations_per_crossbar)
@@ -692,6 +757,11 @@ def test_index_dtype_widens_past_2_31():
     assert fits.padded_h * fits.padded_w == 2**30
     assert _index_dtype(fits) is np.int32
     assert _index_dtype(dataclasses.replace(fits, crop_top=0)) is np.int64
+
+
+def _entries(program):
+    """The program's entries, sum P*Q over its block descriptors."""
+    return int(program.blocks[:, 0] @ program.blocks[:, 1])
 
 
 def _scratch(stage):
@@ -717,26 +787,34 @@ def test_schedule_stages_stay_within_a_column_of_scratch(design):
     held = sum(getattr(sched, k).nbytes for k in (*ASSIGNMENT_COLUMNS, "group_cycle"))
     assert held <= 22 * n
     # each stage allocates at most four int32 columns' worth on top of
-    # what it returns
+    # what it returns; `lower` reads a chunk of assignments at a time, so
+    # its scratch does not grow with the schedule (under 2 bytes per
+    # assignment here), and its program holds ten integers per weight
+    # block, whatever the schedule's length
     peak, _ = _scratch(lambda: validate_schedule(sched))
     assert peak <= 16 * n
     peak, program = _scratch(lambda: lower(sched))
-    returned = program.bounds.nbytes + program.source.nbytes + program.dest.nbytes
-    assert peak - returned <= 16 * n
+    assert program.blocks.shape == (256, 10) and program.blocks.nbytes == 256 * 10 * 8
+    assert peak <= 2 * n
     peak, _ = _scratch(lambda: trace_of_schedule(sched, MappingPlan(design, FCN2.kernel_shape)))
     assert peak <= 16 * n
 
 
 def test_padding_free_execute_holds_no_product_matrix():
     # FCN_Deconv2's 4,900 input pixels times kh*kw*M = 256 products each
-    # would be 10 MB in float64; every design accumulates in output pixels
+    # would be 10 MB in float64; every design accumulates in output pixels,
+    # and the three pixel designs read the unpadded input: all they hold is
+    # less than one 583 x 583 padded canvas, of which the 568 x 568 output
+    # alone is 95%
     spec = DeconvLayerSpec(70, 70, 1, 16, 16, 1, 8)
     t, k = rand_pair(spec, seed=7)
-    plan = build_plan(k, DesignKind.PADDING_FREE, spec)
-    program = lower(build_schedule(spec, DesignKind.PADDING_FREE))
-    peak, got = _scratch(lambda: execute(plan, program, t))
-    assert peak < 4900 * 256 * 8
-    assert np.array_equal(got.data, deconv_oracle_zero_padding(t, k, spec).data)
+    want = deconv_oracle_zero_padding(t, k, spec).data
+    for design in (DesignKind.PADDING_FREE, DesignKind.RED, DesignKind.RED_FOLDED):
+        plan = build_plan(k, design, spec)
+        program = lower(build_schedule(spec, design))
+        peak, got = _scratch(lambda: execute(plan, program, t))
+        assert peak < spec.padded_h * spec.padded_w * 8 == 583 * 583 * 8
+        assert np.array_equal(got.data, want)
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +891,55 @@ def test_live_assignments_match_redundancy_property(spec, design):
     slots = spec.output_h * spec.output_w * spec.kh * spec.kw
     assert live == round((1 - zero_redundancy_ratio(spec)) * slots)
     programs = {d: lower(build_schedule(spec, d)) for d in DesignKind}
-    assert len(programs[DesignKind.PADDING_FREE].source) == len(programs[design].source) == live
-    for program in programs.values():
-        assert 0 <= program.dest.min() and program.dest.max() < spec.output_h * spec.output_w
+    assert _entries(programs[DesignKind.PADDING_FREE]) == _entries(programs[design]) == live
+
+
+def _closed_form_entries(spec, design):
+    """Every (block, source, output pixel) a program must hold, by the
+    definition: output pixel (y, x) takes kernel position (i, j) from padded
+    pixel (y + i, x + j), and input pixel (a, b) sits at padded pixel
+    (pad_top + s*a, pad_left + s*b)."""
+    s, kh, kw = spec.stride, spec.kh, spec.kw
+    entries = set()
+    if design is DesignKind.ZERO_PADDING:
+        # block i: kernel row i of every window whose row i is an input row
+        for i, y, x in itertools.product(range(kh), range(spec.output_h), range(spec.output_w)):
+            a, off = divmod(y + i - spec.pad_top, s)
+            if off == 0 and 0 <= a < spec.input_h:
+                entries.add((i, (y + i, x), (y, x)))
+        return entries
+    for n, a, b in itertools.product(range(kh * kw), range(spec.input_h), range(spec.input_w)):
+        i, j = divmod(n, kw)
+        if design is DesignKind.PADDING_FREE:
+            i, j = kh - 1 - i, kw - 1 - j  # the wide array holds the rotated kernel
+        y, x = spec.pad_top - i + s * a, spec.pad_left - j + s * b
+        if 0 <= y < spec.output_h and 0 <= x < spec.output_w:
+            entries.add((n, (a, b), (y, x)))
+    return entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=layer_specs(max_channels=1))
+def test_program_rectangles_stay_inside_property(spec):
+    # every design's every block reads inside its source, the input (the
+    # padded image on zero_padding), and adds inside the output, with
+    # steps of at least 1; and its entries are exactly the closed form's
+    zp = DesignKind.ZERO_PADDING
+    for design in DesignKind:
+        blocks = lower(build_schedule(spec, design)).blocks
+        assert len(blocks) == (spec.kh if design is zp else spec.kh * spec.kw)
+        p, q, *rects = blocks.T
+        source, dest = rects[:4], rects[4:]
+        h, w = (spec.padded_h, spec.padded_w) if design is zp else (spec.input_h, spec.input_w)
+        live = p * q > 0
+        for (row, col, drow, dcol), (rows, cols) in ((source, (h, w)),
+                                                     (dest, (spec.output_h, spec.output_w))):
+            assert (drow >= 1).all() and (dcol >= 1).all()
+            assert (row[live] >= 0).all() and (col[live] >= 0).all()
+            assert (row + (p - 1) * drow < rows)[live].all()
+            assert (col + (q - 1) * dcol < cols)[live].all()
+        entries = [(n, (sr + i * sdr, sc + j * sdc), (dr + i * ddr, dc + j * ddc))
+                   for n, (P, Q, sr, sc, sdr, sdc, dr, dc, ddr, ddc) in enumerate(blocks.tolist())
+                   for i in range(P) for j in range(Q)]
+        assert len(entries) == len(set(entries))
+        assert set(entries) == _closed_form_entries(spec, design)
