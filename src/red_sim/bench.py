@@ -29,8 +29,7 @@ from .costmodel import (
     compare,
     cost_breakdown,
 )
-from .dataflow import (Program, build_schedule, execute, lower, trace_of_schedule,
-                       validate_schedule)
+from .dataflow import Program, build_schedule, execute, lower, trace_of_schedule
 from .mapping import DesignKind, MappingPlan, build_plan
 from .tensor import DeconvLayerSpec, Kernel4, Tensor3, _is_int, deconv_oracle_zero_padding
 
@@ -267,6 +266,10 @@ def load_config(path) -> tuple[list[BenchmarkEntry], CostParams, RunOptions]:
         if not isinstance(raw["layers"], list) or not raw["layers"]:
             raise ConfigError("layers must be a non-empty array")
         entries = [_layer_from_config(i, item) for i, item in enumerate(raw["layers"])]
+        names = [entry.name for entry in entries]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(f"layer '{name}' is listed more than once")
     else:
         entries = builtin_benchmarks()
 
@@ -335,12 +338,12 @@ def run_suite(
     evaluated analytically at the full declared dimensions.  Entry i uses
     generator seed (seed + i); the kernel is drawn before the inputs.
 
-    Each (entry, design) gets one validated schedule.  It depends on the
-    spatial geometry only, so it is traced once on a full-size
-    geometry-only plan for the cost side, then lowered once into the
-    program every trial runs, and freed before the trials: they read only
-    the program.  The stages run build, validate, trace and cost, lower,
-    trials, so at most one schedule or one program is held at a time.
+    Each (entry, design) gets one schedule, which `lower` proves and lowers
+    once into the program every trial runs.  It depends on the spatial
+    geometry only, so the proved schedule is traced once on a full-size
+    geometry-only plan for the cost side, and freed before the trials: they
+    read only the program.  The stages run build, lower, trace and cost,
+    trials, so at most one schedule is held at a time.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -362,7 +365,7 @@ def run_suite(
         breakdowns = {}
         for design in designs:
             schedule = build_schedule(scaled, design)
-            validate_schedule(schedule)
+            program = lower(schedule)
             # cost side: full declared dimensions, which need no weights
             full_plan = MappingPlan(design, entry.spec.kernel_shape)
             trace = trace_of_schedule(schedule, full_plan)
@@ -370,7 +373,6 @@ def run_suite(
                 trace, full_plan, params, layer=entry.name, spec=entry.spec,
                 critical_path_mode=critical_path_mode,
             )
-            program = lower(schedule)
             # the trials read only the program
             del schedule
             _verify(f"{entry.name} / {design.value}", build_plan(kernel, design, scaled),

@@ -32,7 +32,8 @@ reads; every builder emits it directly, and only the dump sorts, by cycle.
 A design is its weight layout (mapping) plus its schedule.  A schedule
 depends on the spatial geometry only, never on C, M or data: `lower`
 derives one strided rectangle per weight block from the layer's closed
-form and proves, once, that the schedule drives exactly those; `execute`
+form and proves, once, that the schedule drives exactly those and that
+its tables are in range; it is the one check of a schedule.  `execute`
 runs each input through that `Program`, a basic-slice read, a product and
 a basic-slice add per block.  Zero drives, window rows on all-zero image
 rows and cropped padding-free products add nothing and are left out; the
@@ -64,7 +65,6 @@ __all__ = [
     "schedule_padding_free",
     "schedule_zero_skipping",
     "build_schedule",
-    "validate_schedule",
     "trace_of_schedule",
     "Program",
     "lower",
@@ -308,67 +308,6 @@ def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSche
     return _DESIGNS[DesignKind(design)](spec)
 
 
-def validate_schedule(schedule: CycleSchedule):
-    """Schema checks in O(n): cycles and crossbars below the cycle and
-    array counts; assignments strictly ordered by (block, cycle), so one
-    VMM per crossbar per cycle; a boolean `live` column (an integer
-    one would index, not mask); on red_folded, no drive into the
-    zero-fill half of the last array; zero drives on zero-skipping only;
-    window origins inside the output grid, or live pixel sources inside
-    the input (zero drives read nothing); one accumulation group per output
-    pixel (its id names the pixel), every assignment in one, and every
-    group completing in one of the schedule's cycles.
-
-    Its scratch is the folded block column and boolean masks: the order is
-    checked on neighbouring pairs, and the sources by reductions over the
-    live drives, with no masked copy."""
-    cycle, crossbar, live = schedule.cycle, schedule.crossbar, schedule.live
-    design, spec = schedule.design, schedule.layer
-    if live.dtype != bool:
-        raise ValueError("live column is not boolean")
-    if len(cycle):
-        n_arrays = MappingPlan(design, spec.kernel_shape).count
-        if (cycle.min() < 0 or cycle.max() >= schedule.cycle_count
-                or crossbar.min() < 0 or crossbar.max() >= n_arrays):
-            raise ValueError(f"cycle or crossbar index out of range ({n_arrays} arrays)")
-        block = schedule.block
-        # each pair: a later block, or the same block at a later cycle
-        ordered = cycle[1:] > cycle[:-1]
-        ordered &= block[1:] == block[:-1]
-        ordered |= block[1:] > block[:-1]
-        if not ordered.all():
-            raise ValueError("assignments not in strictly increasing (block, cycle) order")
-        del ordered
-        # block n multiplies sub n's weights; on red_folded with an odd
-        # kh*kw, block kh*kw is the zero-fill half of the last array
-        if block.max() >= spec.kh * spec.kw:
-            raise ValueError("drive into the zero-fill half of the last folded array")
-    if design in (DesignKind.ZERO_PADDING, DesignKind.PADDING_FREE) and not live.all():
-        raise ValueError(f"zero drive on the {design} design")
-    oh, ow, _ = output_shape(spec)
-    if design is DesignKind.ZERO_PADDING:
-        h, w, message = oh, ow, "window origin outside the output grid"
-    else:
-        h, w, message = spec.input_h, spec.input_w, "pixel source outside the input"
-    for coords, extent in ((schedule.src_a, h), (schedule.src_b, w)):
-        if (coords.min(where=live, initial=0) < 0
-                or coords.max(where=live, initial=0) >= extent):
-            raise ValueError(message)
-    if schedule.has_post_ops:
-        if schedule.group_count != 0:
-            raise ValueError("post-op schedules must not carry accumulation groups")
-        return
-    if schedule.group_count != oh * ow:
-        raise ValueError(
-            f"expected one group per output pixel ({oh * ow}), got {schedule.group_count}"
-        )
-    gid, gcycle = schedule.group_id, schedule.group_cycle
-    if len(gid) and (gid.min() < 0 or gid.max() >= schedule.group_count):
-        raise ValueError("assignment group id out of range")
-    if len(gcycle) and (gcycle.min() < 0 or gcycle.max() >= schedule.cycle_count):
-        raise ValueError("group completes outside the schedule's cycles")
-
-
 # ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------
@@ -414,10 +353,10 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
     The schedule supplies the spatial geometry and the plan C, M and the
     array shape, so a schedule built at scaled channels traces the
     full-size plan exactly like one built at full channels; a
-    geometry-only plan suffices.  It reads a validated schedule: every
-    live drive's group id and cycle index its table.  Its scratch is one
-    masked column at a time plus a boolean mark per group and per cycle;
-    the per-crossbar counts are taken a chunk at a time.
+    geometry-only plan suffices.  It reads a schedule `lower` has proved:
+    every live drive's group id and cycle index its table.  Its scratch is
+    one masked column at a time plus a boolean mark per group and per
+    cycle; the per-crossbar counts are taken a chunk at a time.
     """
     _check_pair(plan, schedule, dims=2)
     kh, kw, c, m = plan.kernel_dims
@@ -528,7 +467,7 @@ def _rectangles(spec: DeconvLayerSpec, design: DesignKind) -> np.ndarray:
 def _line(design: DesignKind, cycle, crossbar, a, b, group, live=True) -> str:
     """A drive as its `dump_schedule_lines` line, with its group."""
     drive, halves = _kinds(design)
-    into = f" into group {group}" if group >= 0 else ""
+    into = f" into group {group}" if design is not DesignKind.PADDING_FREE else ""
     return f"{cycle},{crossbar},{drive if live else 'zero'}{halves[cycle % 2]},{a},{b}{into}"
 
 
@@ -559,22 +498,43 @@ def _unsigned(v: np.ndarray) -> np.ndarray:
     return v.view(f"u{v.itemsize}")  # so that one u < h tests 0 <= v < h
 
 
-def lower(schedule: CycleSchedule) -> Program:
-    """Lower a schedule once into the `Program` that `execute` runs.
+def _check_range(schedule: CycleSchedule, k0: int, values: np.ndarray, bound: int, what: str):
+    """Refuse the first of `values`, drives k0 on, outside [0, bound)."""
+    if _unsigned(values).max() >= bound:
+        raise _refusal(schedule, k0 + int(np.argmax(_unsigned(values) >= bound)), what)
 
-    The descriptors come from the layer's closed form (`_rectangles`), and
-    the schedule is proved to drive exactly them, a chunk at a time: drives
-    name blocks the design has in strictly increasing (block, cycle) order,
-    and each live drive of block n at cycle c is the closed form of (n, c),
-    one-to-one in c: window (y, x) into output pixel (y, x) at cycle y*ow +
-    x, pixel (a, b) at cycle a*input_w + b on padding_free, sub n's pixel in
-    its output pixel's tile on zero skipping.  As many live drives as
-    entries then make each block's its own.  A ValueError names the first
-    drive at fault by its `dump_schedule_lines` line.  Zero drives, window
-    rows on all-zero image rows and cropped products add nothing."""
+
+def lower(schedule: CycleSchedule) -> Program:
+    """Prove a schedule, the one check of it, and lower it once into the
+    `Program` that `execute` runs; the descriptors come from the layer's
+    closed form (`_rectangles`).  The tables first: `live` is boolean (an
+    integer column would index, not mask), and the group table holds one
+    group per output pixel, none on padding_free, each completing in one of
+    the cycles.  Then the drives, a chunk at a time: each lies in a cycle
+    and names a block the design has (and off padding_free a group the
+    table has), in strictly increasing (block, cycle) order; only zero
+    skipping has zero drives; and each live drive of block n at cycle c is
+    the closed form of (n, c), one-to-one in c: window (y, x) into output
+    pixel (y, x) at cycle y*ow + x, pixel (a, b) at cycle a*input_w + b on
+    padding_free, sub n's pixel in its output pixel's tile on zero skipping.
+    As many live drives as entries then make each block's its own.  A
+    ValueError names the table, or the first drive at fault by its
+    `dump_schedule_lines` line.  Zero drives, window rows on all-zero image
+    rows and cropped products add nothing."""
     spec, design = schedule.layer, schedule.design
-    blocks = _rectangles(spec, design)
+    if schedule.live.dtype != bool:
+        raise ValueError("live column is not boolean")
     oh, ow, _ = output_shape(spec)
+    cycles, groups = schedule.cycle_count, 0 if design is DesignKind.PADDING_FREE else oh * ow
+    if schedule.group_count != groups:
+        raise ValueError(f"group table: expected {groups} groups (one per output pixel, "
+                         f"none on padding_free), got {schedule.group_count}")
+    done = _unsigned(schedule.group_cycle)
+    if len(done) and done.max() >= cycles:
+        g = int(np.argmax(done >= cycles))
+        raise ValueError(f"group table: group {g} completes at cycle {schedule.group_cycle[g]}, "
+                         f"outside the schedule's {cycles} cycles")
+    blocks = _rectangles(spec, design)
     pixelwise = design in (DesignKind.RED, DesignKind.RED_FOLDED)
     n_blocks = spec.kh * spec.kw if pixelwise else 1
     h, w = (oh, ow) if design is DesignKind.ZERO_PADDING else (spec.input_h, spec.input_w)
@@ -592,13 +552,18 @@ def lower(schedule: CycleSchedule) -> Program:
         # each chunk starts at the last drive of the one before, for the order
         k0 = max(k0 - 1, 0)
         part = slice(k0, k0 + _CACHE_BUDGET + 1)
-        cycle, n = schedule.cycle[part], schedule.crossbar[part]
+        cycle, n, live = schedule.cycle[part], schedule.crossbar[part], schedule.live[part]
+        _check_range(schedule, k0, cycle, cycles, f"drive outside the schedule's {cycles} cycles")
         if design is DesignKind.RED_FOLDED:
             n = n * 2
             n += cycle & 1
-        if _unsigned(n).max() >= n_blocks:
-            raise _refusal(schedule, k0 + int(np.argmax(_unsigned(n) >= n_blocks)),
-                           f"drive names a weight block the plan does not have ({n_blocks})")
+        _check_range(schedule, k0, n, n_blocks,
+                     f"drive names a weight block the plan does not have ({n_blocks})")
+        if groups:
+            _check_range(schedule, k0, schedule.group_id[part], groups,
+                         f"drive into a group the table does not have ({groups})")
+        if not (pixelwise or live.all()):  # only zero skipping has zero drives
+            raise _refusal(schedule, k0 + np.argmin(live), f"zero drive on the {design} design")
         back = (n[1:] < n[:-1]) | ((n[1:] == n[:-1]) & (cycle[1:] <= cycle[:-1]))
         if back.any():
             raise _refusal(schedule, k0 + 1 + int(np.argmax(back)), "drive out of weight-block "
@@ -620,7 +585,7 @@ def lower(schedule: CycleSchedule) -> Program:
             g0 += a * dgp
             g0 += b * dgq
             bad |= g0 != schedule.group_id[part]
-        bad &= schedule.live[part]
+        bad &= live
         if bad.any():
             raise _disagreement(schedule, int(n[np.argmax(bad)]), h, w)
     want = blocks[:, 0] * blocks[:, 1] if pixelwise else np.array([h * w])

@@ -195,6 +195,24 @@ def test_config_validates_options(tmp_path):
                                      name=f"bad_cost_params_{i}.json"))
 
 
+def test_config_rejects_a_repeated_layer_name(tmp_path):
+    # two rows named A per design in the reports, and `dump-schedule --layer A`
+    # could pick either; names compare as the reports print them
+    layer = {"name": "A", "input": [2, 2, 1], "kernel": [2, 2, 1, 1], "stride": 2}
+    for i, other in enumerate(["A", "B"]):
+        path = write_config(tmp_path, {"layers": [layer, {**layer, "name": other}, layer]},
+                            name=f"repeat_{i}.json")
+        with pytest.raises(ConfigError, match="layer 'A' is listed more than once"):
+            load_config(path)
+    path = write_config(tmp_path, {"layers": [{**layer, "name": 1}, {**layer, "name": "1"}]},
+                        name="repeat_number.json")
+    with pytest.raises(ConfigError, match="layer '1' is listed more than once"):
+        load_config(path)
+    entries, _, _ = load_config(write_config(tmp_path, {"layers": [layer, {**layer, "name": "B"}]},
+                                             name="distinct.json"))
+    assert [e.name for e in entries] == ["A", "B"]
+
+
 def test_shipped_default_params_file_matches_code():
     entries, params, _ = load_config("configs/default_params.json")
     assert params == CostParams()

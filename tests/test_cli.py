@@ -135,6 +135,20 @@ def test_run_rejects_repeated_design_exit_2(toy_config, capsys):
     assert "all checks passed" not in captured.out
 
 
+def test_run_rejects_repeated_layer_name_exit_2(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({**TOY_CONFIG, "layers": TOY_CONFIG["layers"] * 2}),
+                    encoding="utf-8")
+    for argv in (["run", "--config", str(path), "--trials", "1"],
+                 ["dump-schedule", "--config", str(path), "--layer", "toy3x2", "--design", "red",
+                  "--out", str(tmp_path / "dump.txt")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "layer 'toy3x2' is listed more than once" in captured.err
+        assert "all checks passed" not in captured.out
+    assert not (tmp_path / "dump.txt").exists()
+
+
 @pytest.mark.parametrize("seed", ["-5", "18446744073709551616"])
 def test_run_rejects_seed_outside_uint64_exit_2(toy_config, seed, capsys):
     assert main(["run", "--config", toy_config, "--trials", "1", "--seed", seed]) == 2

@@ -18,7 +18,6 @@ from red_sim.dataflow import (
     schedule_zero_padding,
     schedule_zero_skipping,
     trace_of_schedule,
-    validate_schedule,
 )
 from red_sim.mapping import DesignKind, MappingPlan, build_plan
 from red_sim.tensor import (
@@ -217,14 +216,14 @@ def test_zero_skipping_rows_by_definition(spec, design):
 
 
 # ---------------------------------------------------------------------------
-# schema validation
+# schedule checks: `lower` is the one check of a schedule
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("design", list(DesignKind))
 def test_schedules_validate(design):
     for spec in (TOY, GAN1, DeconvLayerSpec(1, 1, 1, 1, 1, 1, 1)):
-        validate_schedule(build_schedule(spec, design))
+        lower(build_schedule(spec, design))
 
 
 ASSIGNMENT_COLUMNS = ("cycle", "crossbar", "live", "src_a", "src_b", "group_id")
@@ -240,6 +239,14 @@ def _swap_first_two(sched):
     order = np.arange(len(sched.cycle))
     order[:2] = [1, 0]
     return _reordered(sched, order)
+
+
+def _out_of_order(sched):
+    """Per drive, whether it does not follow the drive before it in
+    strictly increasing (block, cycle) order."""
+    block, cycle = sched.block, sched.cycle
+    later = (block[1:] > block[:-1]) | ((block[1:] == block[:-1]) & (cycle[1:] > cycle[:-1]))
+    return np.concatenate([[False], ~later])
 
 
 def _with_value(sched, column, index, value):
@@ -285,50 +292,102 @@ def _folded_drive_into_zero_fill(sched):
     return _reordered(moved, np.lexsort((moved.cycle, moved.block)))
 
 
-@pytest.mark.parametrize("design,corrupt,message", [
-    (DesignKind.RED, lambda s: dataclasses.replace(s, cycle=s.cycle - 1),
-     "index out of range"),
-    (DesignKind.RED, lambda s: dataclasses.replace(s, cycle_count=s.cycle_count - 1),
-     "index out of range"),
-    (DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=s.crossbar - 1),
-     "index out of range"),
-    (DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=np.zeros_like(s.crossbar)),
-     "strictly increasing"),
-    (DesignKind.RED_FOLDED, _swap_first_two, "strictly increasing"),
-    (DesignKind.PADDING_FREE,
-     lambda s: dataclasses.replace(s, group_cycle=np.zeros(1, dtype=np.int64)),
-     "must not carry accumulation groups"),
-    (DesignKind.ZERO_PADDING,
-     lambda s: dataclasses.replace(s, group_cycle=s.group_cycle[:-1]),
-     "one group per output pixel"),
-    (DesignKind.RED, lambda s: _with_value(s, "group_id", 0, -1),
-     "assignment group id out of range"),
+def _corruption(design, corrupt, fault, message, drive=None):
+    """A corruption of TOY's `design` schedule, named by its fault; the
+    refusal `lower` gives it; and for a drive-level refusal, the drive it
+    names: the first where `drive(bad)` holds.  A table-level refusal
+    names the table."""
+    return pytest.param(design, corrupt, message, drive,
+                        id=f"{design.value}-{corrupt.__name__}-{fault}")
+
+
+@pytest.mark.parametrize("design,corrupt,message,drive", [
+    _corruption(DesignKind.RED, lambda s: dataclasses.replace(s, cycle=s.cycle - 1),
+                "index out of range", "drive outside the schedule's 16 cycles",
+                lambda b: b.cycle < 0),
+    # the last tile's groups complete after the shortened schedule
+    _corruption(DesignKind.RED, lambda s: dataclasses.replace(s, cycle_count=s.cycle_count - 1),
+                "index out of range",
+                "group table: group 48 completes at cycle 15, outside the schedule's 15 cycles"),
+    _corruption(DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=s.crossbar - 1),
+                "index out of range", r"weight block the plan does not have \(9\)",
+                lambda b: b.crossbar < 0),
+    _corruption(DesignKind.RED,
+                lambda s: dataclasses.replace(s, crossbar=np.zeros_like(s.crossbar)),
+                "strictly increasing", "out of weight-block order", _out_of_order),
+    _corruption(DesignKind.RED_FOLDED, _swap_first_two, "strictly increasing",
+                "out of weight-block order", _out_of_order),
+    _corruption(DesignKind.PADDING_FREE,
+                lambda s: dataclasses.replace(s, group_cycle=np.zeros(1, dtype=np.int64)),
+                "must not carry accumulation groups",
+                r"group table: expected 0 groups \(one per output pixel, none on padding_free\), "
+                r"got 1"),
+    _corruption(DesignKind.ZERO_PADDING,
+                lambda s: dataclasses.replace(s, group_cycle=s.group_cycle[:-1]),
+                "one group per output pixel", r"group table: expected 49 groups .*, got 48"),
+    _corruption(DesignKind.RED, lambda s: _with_value(s, "group_id", 0, -1),
+                "assignment group id out of range",
+                r"drive into a group the table does not have \(49\)", lambda b: b.group_id < 0),
     # a group completing outside the cycles is dropped from the dump
-    (DesignKind.RED, lambda s: _with_value(s, "group_cycle", 5, s.cycle_count),
-     "group completes outside the schedule's cycles"),
-    (DesignKind.RED, lambda s: _with_value(s, "group_cycle", 5, -1),
-     "group completes outside the schedule's cycles"),
-    (DesignKind.RED, lambda s: dataclasses.replace(s, live=s.live.astype(np.int8)),
-     "live column is not boolean"),
-    (DesignKind.RED, _pixels_one_column_right, "pixel source outside the input"),
-    (DesignKind.ZERO_PADDING, lambda s: _with_value(s, "src_a", -1, TOY.output_h),
-     "window origin outside the output grid"),
+    _corruption(DesignKind.RED, lambda s: _with_value(s, "group_cycle", 5, s.cycle_count),
+                "group completes outside the schedule's cycles",
+                "group table: group 5 completes at cycle 16, outside the schedule's 16 cycles"),
+    _corruption(DesignKind.RED, lambda s: _with_value(s, "group_cycle", 5, -1),
+                "group completes outside the schedule's cycles",
+                "group table: group 5 completes at cycle -1, outside the schedule's 16 cycles"),
+    # an integer column would index, not mask
+    _corruption(DesignKind.RED, lambda s: dataclasses.replace(s, live=s.live.astype(np.int8)),
+                "live column is not boolean", "live column is not boolean"),
+    _corruption(DesignKind.RED, _pixels_one_column_right, "pixel source outside the input",
+                "drive disagrees with the closed form", lambda b: b.live),
+    _corruption(DesignKind.ZERO_PADDING, lambda s: _with_value(s, "src_a", -1, TOY.output_h),
+                "window origin outside the output grid", "window origin outside the output grid",
+                lambda b: b.src_a >= TOY.output_h),
     # TOY's 3x3 kernel gives red 9 arrays, 0..8; shifted up, each reads its
     # neighbour's weights and crossbar 9 has none
-    (DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=s.crossbar + 1), "9 arrays"),
+    _corruption(DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=s.crossbar + 1),
+                "9 arrays", r"weight block the plan does not have \(9\)",
+                lambda b: b.crossbar >= 9),
     # only zero skipping has drives to skip: a dropped window or pixel is a
     # missing product
-    (DesignKind.ZERO_PADDING, lambda s: _with_value(s, "live", 0, False),
-     "zero drive on the zero_padding design"),
-    (DesignKind.PADDING_FREE, lambda s: _with_value(s, "live", 0, False),
-     "zero drive on the padding_free design"),
-    (DesignKind.RED_FOLDED, _folded_drive_into_zero_fill, "zero-fill half"),
+    _corruption(DesignKind.ZERO_PADDING, lambda s: _with_value(s, "live", 0, False),
+                "zero drive on the zero_padding design", "zero drive on the zero_padding design",
+                lambda b: ~b.live),
+    _corruption(DesignKind.PADDING_FREE, lambda s: _with_value(s, "live", 0, False),
+                "zero drive on the padding_free design", "zero drive on the padding_free design",
+                lambda b: ~b.live),
+    # the zero-fill half of folded array 4 is weight block 9, which no sub fills
+    _corruption(DesignKind.RED_FOLDED, _folded_drive_into_zero_fill, "zero-fill half",
+                r"weight block the plan does not have \(9\)", lambda b: b.block >= 9),
 ])
-def test_validate_schedule_rejects(design, corrupt, message):
+def test_validate_schedule_rejects(design, corrupt, message, drive):
+    # `lower` refuses each with a ValueError, a drive-level refusal naming
+    # the drive at fault by its dump line
     sched = build_schedule(TOY, design)
-    validate_schedule(sched)
+    lower(sched)
+    bad = corrupt(sched)
+    if drive is not None:
+        message = rf"{message}.*\bdrive {_line(bad, np.flatnonzero(drive(bad))[0])}\b"
     with pytest.raises(ValueError, match=message):
-        validate_schedule(corrupt(sched))
+        lower(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=layer_specs(max_channels=1), design=st.sampled_from(list(DesignKind)),
+       column=st.sampled_from(["cycle", "crossbar", "src_a", "src_b", "group_id", "live"]),
+       step=st.sampled_from([-1, 1]), data=st.data())
+def test_lower_refuses_every_one_drive_mutation_property(spec, design, column, step, data):
+    # one live drive's coordinate moved by one, or its live bit flipped:
+    # `lower` names a drive at fault (padding-free's group ids are unread)
+    assume(not (column == "group_id" and design is DesignKind.PADDING_FREE))
+    sched = build_schedule(spec, design)
+    live = np.flatnonzero(sched.live)
+    assume(len(live))
+    k = live[data.draw(st.integers(0, len(live) - 1))]
+    value = False if column == "live" else getattr(sched, column)[k] + step
+    with pytest.raises(ValueError, match=r"\bdrive -?\d+,-?\d+,(window|pixel|zero)(_lo|_hi)?,"
+                                         r"-?\d+,-?\d+\b"):
+        lower(_with_value(sched, column, k, value))
 
 
 def test_zero_padding_schedule_structure():
@@ -363,7 +422,6 @@ def test_folded_phases():
     # odd original subs 1,3,5,7 land in the high halves of folded subs 0..3;
     # original sub 8 is even-phase, so folded sub 4 never drives its high half
     assert {xb for _, xb in hi} <= {0, 1, 2, 3}
-    validate_schedule(sched)
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +518,7 @@ def test_execution_follows_its_schedule(design):
     # `lower` reads drives in strictly increasing (block, cycle) order, and
     # refuses any other, naming the first drive out of it
     shuffled = _reordered(sched, np.random.default_rng(0).permutation(len(sched.cycle)))
-    block, cycle = shuffled.block, shuffled.cycle
-    first = np.flatnonzero((block[1:] < block[:-1])
-                           | ((block[1:] == block[:-1]) & (cycle[1:] <= cycle[:-1])))[0] + 1
+    first = np.flatnonzero(_out_of_order(shuffled))[0]
     with pytest.raises(ValueError, match=rf"block order.*: drive {_line(shuffled, first)}\b"):
         execute(plan, lower(shuffled), t)
     # the last live drive relabelled onto a crossbar past the array count
@@ -486,16 +542,15 @@ def test_execution_follows_its_schedule(design):
 @pytest.mark.parametrize("design", [DesignKind.ZERO_PADDING, DesignKind.RED, DesignKind.RED_FOLDED])
 def test_lower_refuses_a_destination_twice_in_one_block(design):
     # a block's second drive re-reads its first drive's pixel into the same
-    # output pixel: the schedule passes validation, and a runner that adds
-    # each block's products would count that product twice; the second
-    # drive disagrees with the closed form of its cycle
+    # output pixel: a runner that adds each block's products would count
+    # that product twice; the second drive disagrees with the closed form
+    # of its cycle
     sched = build_schedule(TOY, design)
     block = sched.block
     k = np.flatnonzero(sched.live[:-1] & sched.live[1:] & (block[:-1] == block[1:]))[0]
     bad = sched
     for column in ("src_a", "src_b", "group_id"):
         bad = _with_value(bad, column, k + 1, getattr(sched, column)[k])
-    validate_schedule(bad)
     with pytest.raises(ValueError, match=_refusal(bad, k + 1, sched)):
         lower(bad)
 
@@ -503,8 +558,7 @@ def test_lower_refuses_a_destination_twice_in_one_block(design):
 @pytest.mark.parametrize("design", [DesignKind.RED, DesignKind.RED_FOLDED])
 def test_lower_refuses_two_drives_swapped_within_a_cycle(design):
     # two subs of one cycle receive each other's pixels and output pixels:
-    # the schedule passes validation, and the earlier drive in block order
-    # is named
+    # the earlier drive in block order is named
     sched = build_schedule(TOY, design)
     live = np.flatnonzero(sched.live & (sched.cycle == sched.cycle[0]))
     k = live[0]
@@ -514,7 +568,6 @@ def test_lower_refuses_two_drives_swapped_within_a_cycle(design):
     for column in ("src_a", "src_b", "group_id"):
         values = getattr(sched, column)
         bad = _with_value(_with_value(bad, column, k, values[j]), column, j, values[k])
-    validate_schedule(bad)
     with pytest.raises(ValueError, match=_refusal(bad, k, sched)):
         lower(bad)
 
@@ -527,7 +580,6 @@ def test_lower_refuses_a_drive_into_another_group(design):
     k = np.flatnonzero(sched.live)[0]
     g = int(sched.group_id[k])
     bad = _with_value(sched, "group_id", k, g + 1)
-    validate_schedule(bad)
     line = _line(sched, k)
     with pytest.raises(ValueError, match=rf"has drive {line} into group {g + 1};.*"
                                          rf"has drive {line} into group {g}$"):
@@ -565,7 +617,6 @@ def test_zero_padding_origin_moved_a_row_down_disagrees():
     # window at (1, 0) in full; the closed form of cycle 0 is window (0, 0)
     sched = build_schedule(TOY, DesignKind.ZERO_PADDING)
     bad = _with_value(sched, "src_a", 0, sched.src_a[0] + 1)
-    validate_schedule(bad)
     with pytest.raises(ValueError, match=_refusal(bad, 0, sched)):
         lower(bad)
 
@@ -732,15 +783,14 @@ def test_trace_interior_only_layer_saturates():
 
 @pytest.mark.parametrize("design", list(DesignKind))
 def test_stages_accept_int64_columns(design):
-    # the builders emit int32; a schedule with int64 columns validates,
-    # lowers and traces to the same program and counts
+    # the builders emit int32; a schedule with int64 columns lowers and
+    # traces to the same program and counts
     sched = build_schedule(TOY, design)
     assert {getattr(sched, k).dtype for k in (*ASSIGNMENT_COLUMNS, "group_cycle")} == {
         np.dtype(np.int32), np.dtype(bool)}
     wide = dataclasses.replace(sched, **{k: getattr(sched, k).astype(np.int64)
                                          for k in (*ASSIGNMENT_COLUMNS, "group_cycle")
                                          if k != "live"})
-    validate_schedule(wide)
     want, got = lower(sched), lower(wide)
     assert np.array_equal(got.blocks, want.blocks)
     plan = MappingPlan(design, TOY.kernel_shape)
@@ -786,13 +836,11 @@ def test_schedule_stages_stay_within_a_column_of_scratch(design):
     # int32 columns and a one-byte live bit, plus the group table
     held = sum(getattr(sched, k).nbytes for k in (*ASSIGNMENT_COLUMNS, "group_cycle"))
     assert held <= 22 * n
-    # each stage allocates at most four int32 columns' worth on top of
+    # the trace allocates at most four int32 columns' worth on top of
     # what it returns; `lower` reads a chunk of assignments at a time, so
     # its scratch does not grow with the schedule (under 2 bytes per
     # assignment here), and its program holds ten integers per weight
     # block, whatever the schedule's length
-    peak, _ = _scratch(lambda: validate_schedule(sched))
-    assert peak <= 16 * n
     peak, program = _scratch(lambda: lower(sched))
     assert program.blocks.shape == (256, 10) and program.blocks.nbytes == 256 * 10 * 8
     assert peak <= 2 * n
@@ -869,7 +917,6 @@ def test_execute_equivalence_property(spec, design, seed):
     k = Kernel4(rng.integers(-8, 9, (spec.kh, spec.kw, spec.channels, spec.filters)))
     plan = build_plan(k, design, spec)
     sched = build_schedule(spec, design)
-    validate_schedule(sched)
     # one lowered program serves every input: a second, independent draw
     # catches a program that keeps anything of the first
     program = lower(sched)
