@@ -93,8 +93,8 @@ def _resolve_config(args) -> tuple[list, CostParams, RunOptions]:
         opts.seed = parse_seed(args.seed)
     if getattr(args, "channel_scale", None) is not None:
         opts.channel_scale = parse_channel_scale(args.channel_scale)
-    if getattr(args, "designs", None):
-        opts.designs = parse_designs(args.designs.split(","))
+    if getattr(args, "designs", None) is not None:
+        opts.designs = parse_designs(args.designs.split(",") if args.designs else [])
     return entries, params, opts
 
 
@@ -215,8 +215,8 @@ def cmd_redundancy(args) -> int:
         raise ConfigError("--strides must be non-empty")
     if any(s < 1 for s in strides):
         raise ConfigError("stride must be ≥ 1")
-    if args.kernel_rule == "fixed" and args.kernel_size is None:
-        raise ConfigError("--kernel-size is required with --kernel-rule fixed")
+    if (args.kernel_rule == "fixed") != (args.kernel_size is not None):
+        raise ConfigError("--kernel-size is required with --kernel-rule fixed and refused with k2s")
 
     rows = [["stride", "kernel", "zero_redundancy_ratio"]]
     for s in strides:

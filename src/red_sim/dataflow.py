@@ -12,28 +12,27 @@ large layers stay cheap to generate, execute and dump:
   tile belongs to one residue class (computation mode), and each kernel
   position of that mode contributes through its own sub-crossbar, fed the
   single original input pixel whose dilated coordinate lines up.  Input
-  coordinates that fall off the input feature map become zero drives
-  (`live` False): they keep the accumulation-group structure uniform but
-  are skipped in activation counts.
+  coordinates that fall off the input feature map become zero drives:
+  they keep the accumulation-group structure uniform but are skipped in
+  activation counts.
 
-A schedule stores no input kind: the design names each live drive, a
-window on zero-padding and a pixel on every other design, and only
-zero-skipping has zero drives.  Nor does it store a folded half: folding
-doubles the cycle count, even phases driving rows 0..C-1 of each folded
-sub with the even original sub's input and odd phases rows C..2C-1 with
-the odd one's, so the cycle's parity names the half and the weight block.
-
-Output pixels are produced once each; the members of an output pixel's
-accumulation group are exactly the sub-crossbars of its computation mode.
-Cycles advance row-major over s x s output tiles, so traces are reproducible.
-Assignments are kept in (weight block, cycle) order, the order `lower`
-reads; every builder emits it directly, and only the dump sorts, by cycle.
+A schedule stores its drives only, each a cycle, a crossbar and a source,
+in (weight block, cycle) order, the order `lower` reads; only the dump
+sorts, by cycle.  What follows from where a drive sits is derived: it is
+live exactly when its source lies on its grid, the design names a live
+drive's kind (a window on zero-padding, a pixel elsewhere), and its
+accumulation group is its output pixel, which its block and cycle fix;
+a group's members are the sub-crossbars of its computation mode.
+Folding doubles the cycle count, even phases driving rows 0..C-1 of each
+folded sub with the even original sub's input and odd phases rows
+C..2C-1 with the odd one's, so the cycle's parity names the half and
+the weight block.
 
 A design is its weight layout (mapping) plus its schedule.  A schedule
 depends on the spatial geometry only, never on C, M or data: `lower`
 derives one strided rectangle per weight block from the layer's closed
-form and proves, once, that the schedule drives exactly those and that
-its tables are in range; it is the one check of a schedule.  `execute`
+form and proves, once, that the schedule drives exactly those; it is the
+one check of a schedule.  `execute`
 runs each input through that `Program`, a basic-slice read, a product and
 a basic-slice add per block.  Zero drives, window rows on all-zero image
 rows and cropped padding-free products add nothing and are left out; the
@@ -44,7 +43,7 @@ allocates at most about one column of scratch on top of what it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -75,7 +74,7 @@ __all__ = [
 
 class InputKind:
     """Codes of the derived `CycleSchedule.kind` view, which perfbench's
-    tests read; a schedule stores `live` instead."""
+    tests read; a schedule stores neither a kind nor `live`."""
 
     WINDOW = 0  # gathered kh*kw*C window of the padded image at (a, b)
     PIXEL = 1   # the C-vector of input pixel (a, b)
@@ -134,25 +133,20 @@ def _index_dtype(spec: DeconvLayerSpec) -> type[np.signedinteger]:
 
 @dataclass
 class CycleSchedule:
-    """Columnar per-cycle input assignments plus the accumulation groups.
+    """Columnar per-cycle input assignments: the drives, and nothing that
+    follows from them.
 
-    Assignment columns are parallel arrays sorted by (`block`, cycle), the
+    The four columns are parallel arrays sorted by (`block`, cycle), the
     order `lower` reads; a crossbar and a cycle fix the block, so each
     crossbar appears at most once per cycle.  Only the dump sorts by cycle.
-    The builders store every index column (`cycle`, `crossbar`, `src_a`,
-    `src_b`, `group_id`, `group_cycle`) in the layer's `_index_dtype`,
-    int32 on any layer whose padded image has at most 2^30 pixels, and
-    `live` as one byte: 21 bytes per assignment.  The stages that read a
-    schedule accept any integer dtype.
-    `group_id` indexes the group table, one group per output pixel: group g
-    is output pixel (g // output_w, g % output_w).  Padding-free has no groups and uses -1:
-    its outputs accumulate through the overlap-add post pass instead.
-    A group's members are the assignments carrying its id; for folded
-    schedules they span the two phase cycles of one tile and the group is
-    recorded on the completing (odd) phase.  A folded assignment drives
-    the low C-row half of its array on an even cycle, the high half on an
-    odd one.  `live` is False on a zero drive, which reads nothing; a live
-    drive is a window (a, b) on zero-padding, input pixel (a, b) elsewhere.
+    The builders store them in the layer's `_index_dtype`, int32 on any
+    layer whose padded image has at most 2^30 pixels: 16 bytes per
+    assignment; the stages that read a schedule accept any integer dtype.
+    A drive's source (`src_a`, `src_b`) is a window origin on zero-padding
+    and an input pixel elsewhere.  A folded assignment drives the low C-row
+    half of its array on an even cycle, the high half on an odd one.
+    `block`, `live` and `group_id` are views, so none can disagree with
+    the drives.
     """
 
     design: DesignKind
@@ -160,11 +154,8 @@ class CycleSchedule:
     cycle_count: int
     cycle: np.ndarray
     crossbar: np.ndarray
-    live: np.ndarray
     src_a: np.ndarray
     src_b: np.ndarray
-    group_id: np.ndarray
-    group_cycle: np.ndarray
 
     @property
     def has_post_ops(self) -> bool:
@@ -185,6 +176,36 @@ class CycleSchedule:
         return self.crossbar
 
     @property
+    def live(self) -> np.ndarray:
+        """Per assignment, whether its source lies on its `_grid`.  Off it, a
+        drive is a zero drive, which reads nothing; only zero skipping has
+        them, where an input pixel falls off the feature map."""
+        h, w = _grid(self.layer, self.design)
+        live = _unsigned(self.src_a) < h
+        live &= _unsigned(self.src_b) < w
+        return live
+
+    @property
+    def group_id(self) -> np.ndarray:
+        """Per assignment of a proved schedule, its accumulation group,
+        output pixel (g // output_w, g % output_w): on zero-padding its
+        cycle; on zero skipping block n's output pixel in its cycle's tile.
+        Padding-free overlap-adds instead and uses -1."""
+        if self.design is DesignKind.PADDING_FREE:
+            return np.full_like(self.cycle, -1)
+        if self.design is DesignKind.ZERO_PADDING:
+            return self.cycle
+        spec, s, index = self.layer, self.layer.stride, _index_dtype(self.layer)
+        # sub n's output pixel in the first tile, and each tile's offset from it
+        i, j = np.divmod(np.arange(spec.kh * spec.kw, dtype=index), spec.kw)
+        first = (spec.pad_top - i) % s * spec.output_w + (spec.pad_left - j) % s
+        tiles = np.add.outer(np.arange(0, spec.output_h, s, dtype=index) * spec.output_w,
+                             np.arange(0, spec.output_w, s, dtype=index)).ravel()
+        group = tiles.take(self.cycle >> 1 if self.design is DesignKind.RED_FOLDED else self.cycle)
+        group += first.take(self.block)
+        return group
+
+    @property
     def kind(self) -> np.ndarray:
         """Per assignment, its `InputKind` code, derived from the design and
         `live`."""
@@ -197,44 +218,41 @@ class CycleSchedule:
 
     @property
     def group_count(self) -> int:
-        return len(self.group_cycle)
+        return 0 if self.has_post_ops else self.layer.output_h * self.layer.output_w
+
+    def chunk(self, start: int, stop: int) -> CycleSchedule:
+        """Assignments start..stop - 1 as a schedule of views, so a stage
+        reads a long schedule a chunk of scratch at a time."""
+        part = slice(start, stop)
+        return replace(self, **{c: getattr(self, c)[part] for c in _COLUMNS})
+
+
+_COLUMNS = ("cycle", "crossbar", "src_a", "src_b")
+
+
+def _grid(spec: DeconvLayerSpec, design: DesignKind) -> tuple[int, int]:
+    """The grid a live drive's source lies on: the output (window origins)
+    on zero-padding, the input elsewhere."""
+    if design is DesignKind.ZERO_PADDING:
+        return spec.output_h, spec.output_w
+    return spec.input_h, spec.input_w
+
+
+def _row_major(spec: DeconvLayerSpec, design: DesignKind) -> CycleSchedule:
+    """One drive of the design's single array per cycle, row-major over its grid."""
+    h, w = _grid(spec, design)
+    t = np.arange(h * w, dtype=_index_dtype(spec))
+    return CycleSchedule(design, spec, h * w, t, np.zeros_like(t), t // w, t % w)
 
 
 def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
     """One gathered window per cycle, row-major over output pixels."""
-    oh, ow, _ = output_shape(spec)
-    n = oh * ow
-    t = np.arange(n, dtype=_index_dtype(spec))
-    return CycleSchedule(
-        design=DesignKind.ZERO_PADDING,
-        layer=spec,
-        cycle_count=n,
-        cycle=t,
-        crossbar=np.zeros_like(t),
-        live=np.ones(n, dtype=bool),
-        src_a=t // ow,
-        src_b=t % ow,
-        group_id=t.copy(),
-        group_cycle=t.copy(),
-    )
+    return _row_major(spec, DesignKind.ZERO_PADDING)
 
 
 def schedule_padding_free(spec: DeconvLayerSpec) -> CycleSchedule:
     """One input pixel per cycle; overlap-add and crop run as post ops."""
-    n = spec.input_h * spec.input_w
-    t = np.arange(n, dtype=_index_dtype(spec))
-    return CycleSchedule(
-        design=DesignKind.PADDING_FREE,
-        layer=spec,
-        cycle_count=n,
-        cycle=t,
-        crossbar=np.zeros_like(t),
-        live=np.ones(n, dtype=bool),
-        src_a=t // spec.input_w,
-        src_b=t % spec.input_w,
-        group_id=np.full_like(t, -1),
-        group_cycle=np.empty(0, dtype=t.dtype),
-    )
+    return _row_major(spec, DesignKind.PADDING_FREE)
 
 
 def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> CycleSchedule:
@@ -259,36 +277,24 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
     t = np.arange(n_ty, dtype=index).reshape(1, 1, -1, 1)
     u = np.arange(n_tx, dtype=index).reshape(1, 1, 1, -1)
     y0, x0 = (spec.pad_top - i) % s, (spec.pad_left - j) % s
-    y, x = y0 + s * t, x0 + s * u
     # the input pixel whose dilated coordinate lines up; off the input it
     # is a zero drive
     a = t + (y0 + i - spec.pad_top) // s
     b = u + (x0 + j - spec.pad_left) // s
-    live = ((a >= 0) & (a < spec.input_h)) & ((b >= 0) & (b < spec.input_w))
     # the last tile row and column may overhang the output
-    inside = (y < oh) & (x < ow)
+    inside = (y0 + s * t < oh) & (x0 + s * u < ow)
 
     def column(values):
         # the (i, j, t, u) grid's values, read through the mask without
         # materialising the grid
         return np.broadcast_to(values, inside.shape)[inside]
 
-    cycle, crossbar, live = column(t * n_tx + u), column(i * spec.kw + j), live[inside]
-    a, b = column(a), column(b)
-    group = column(y * ow)
-    group += column(x)
-
-    # group table covers every output pixel; a group completes in its tile's
-    # (last phase) cycle
-    gcycle = np.add.outer(np.arange(oh, dtype=index) // s * n_tx,
-                          np.arange(ow, dtype=index) // s).ravel()
+    cycle, crossbar = column(t * n_tx + u), column(i * spec.kw + j)
     if folded:
         # original sub n drives folded sub n // 2 on phase n % 2
         cycle *= 2
         cycle += crossbar % 2
         crossbar //= 2
-        gcycle *= 2
-        gcycle += 1
 
     return CycleSchedule(
         design=DesignKind.RED_FOLDED if folded else DesignKind.RED,
@@ -296,11 +302,8 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
         cycle_count=n_ty * n_tx * (2 if folded else 1),
         cycle=cycle,
         crossbar=crossbar,
-        live=live,
-        src_a=a,
-        src_b=b,
-        group_id=group,
-        group_cycle=gcycle,
+        src_a=column(a),
+        src_b=column(b),
     )
 
 
@@ -353,36 +356,32 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
     The schedule supplies the spatial geometry and the plan C, M and the
     array shape, so a schedule built at scaled channels traces the
     full-size plan exactly like one built at full channels; a
-    geometry-only plan suffices.  It reads a schedule `lower` has proved:
-    every live drive's group id and cycle index its table.  Its scratch is
-    one masked column at a time plus a boolean mark per group and per
-    cycle; the per-crossbar counts are taken a chunk at a time.
+    geometry-only plan suffices.  It reads a schedule `lower` has proved a
+    chunk at a time, deriving `live` and the groups per chunk; its scratch
+    is a chunk's columns plus a boolean mark per group and per cycle.
     """
     _check_pair(plan, schedule, dims=2)
     kh, kw, c, m = plan.kernel_dims
     rows, cols = plan.shape
 
-    live = schedule.live
-    n_live = int(np.count_nonzero(live))
-    # counted a chunk at a time: np.bincount copies its input to intp
+    n_live = 0
     per_xbar = np.zeros(plan.count, dtype=np.int64)
-    for k in range(0, len(live), _CACHE_BUDGET):
-        on = live[k : k + _CACHE_BUDGET]
-        per_xbar += np.bincount(schedule.crossbar[k : k + _CACHE_BUDGET][on],
-                                minlength=plan.count)
+    served = np.zeros(schedule.group_count, dtype=bool)
+    active = np.zeros(schedule.cycle_count, dtype=bool)
+    for k in range(0, schedule.assignment_count, _CACHE_BUDGET):
+        part = schedule.chunk(k, k + _CACHE_BUDGET)
+        live = part.live
+        n_live += int(np.count_nonzero(live))
+        # counted a chunk at a time: np.bincount copies its input to intp
+        per_xbar += np.bincount(part.crossbar[live], minlength=plan.count)
+        active[part.cycle[live]] = True
+        if len(served):
+            served[part.group_id[live]] = True
 
     # a window drives every row of its array, a pixel C rows
     driven = n_live * (rows if schedule.design is DesignKind.ZERO_PADDING else c)
-
-    group_adds = 0
-    if schedule.group_count:
-        # every live member of a group but its first adds M values
-        served = np.zeros(schedule.group_count, dtype=bool)
-        served[schedule.group_id[live]] = True
-        group_adds = (n_live - int(np.count_nonzero(served))) * m
-
-    active = np.zeros(schedule.cycle_count, dtype=bool)
-    active[schedule.cycle[live]] = True
+    # every live member of a group but its first adds M values
+    group_adds = (n_live - int(np.count_nonzero(served))) * m if len(served) else 0
     active_cycles = int(np.count_nonzero(active))
 
     post = PostOpCounts()
@@ -464,34 +463,28 @@ def _rectangles(spec: DeconvLayerSpec, design: DesignKind) -> np.ndarray:
     return np.column_stack([np.full_like(i, values) for values in fields])
 
 
-def _line(design: DesignKind, cycle, crossbar, a, b, group, live=True) -> str:
-    """A drive as its `dump_schedule_lines` line, with its group."""
-    drive, halves = _kinds(design)
-    into = f" into group {group}" if design is not DesignKind.PADDING_FREE else ""
-    return f"{cycle},{crossbar},{drive if live else 'zero'}{halves[cycle % 2]},{a},{b}{into}"
-
-
-_COLUMNS = ("cycle", "crossbar", "src_a", "src_b", "group_id")
+def _line(schedule: CycleSchedule, cycle, crossbar, a, b) -> str:
+    """A drive as its `dump_schedule_lines` line."""
+    (h, w), (drive, halves) = _grid(schedule.layer, schedule.design), _kinds(schedule.design)
+    kind = drive if 0 <= a < h and 0 <= b < w else "zero"
+    return f"{cycle},{crossbar},{kind}{halves[cycle % 2]},{a},{b}"
 
 
 def _refusal(schedule: CycleSchedule, k: int, what: str) -> ValueError:
     drive = (int(getattr(schedule, column)[k]) for column in _COLUMNS)
-    return ValueError(f"{what}: drive {_line(schedule.design, *drive, bool(schedule.live[k]))}")
+    return ValueError(f"{what}: drive {_line(schedule, *drive)}")
 
 
-def _disagreement(schedule: CycleSchedule, n: int, h: int, w: int) -> ValueError:
-    """Block n's first live drive unlike the closed form (a built schedule's)."""
-    have, want = (np.stack([getattr(s, c)[s.live & (s.block == n)] for c in _COLUMNS], axis=1)
+def _disagreement(schedule: CycleSchedule, n: int) -> ValueError:
+    """Block n's first drive unlike the closed form's (a built schedule's)."""
+    have, want = (np.stack([getattr(s, c)[s.block == n] for c in _COLUMNS], axis=1)
                   for s in (schedule, build_schedule(schedule.layer, schedule.design)))
     size = min(len(have), len(want))
     k = (np.flatnonzero((have[:size] != want[:size]).any(axis=1)).tolist() + [size])[0]
-    got, expected = (f"drive {_line(schedule.design, *rows[k].tolist())}" if k < len(rows)
+    got, expected = (f"drive {_line(schedule, *rows[k].tolist())}" if k < len(rows)
                      else "no drive" for rows in (have, want))
-    what = "drive disagrees with the closed form"
-    if k < len(have) and not (0 <= have[k, 2] < h and 0 <= have[k, 3] < w):
-        what = ("pixel source outside the input" if schedule.design is not DesignKind.ZERO_PADDING
-                else "window origin outside the output grid")
-    return ValueError(f"{what}: weight block {n} has {got}; the closed form has {expected}")
+    return ValueError(f"drive disagrees with the closed form: weight block {n} has {got}; "
+                      f"the closed form has {expected}")
 
 
 def _unsigned(v: np.ndarray) -> np.ndarray:
@@ -507,92 +500,80 @@ def _check_range(schedule: CycleSchedule, k0: int, values: np.ndarray, bound: in
 def lower(schedule: CycleSchedule) -> Program:
     """Prove a schedule, the one check of it, and lower it once into the
     `Program` that `execute` runs; the descriptors come from the layer's
-    closed form (`_rectangles`).  The tables first: `live` is boolean (an
-    integer column would index, not mask), and the group table holds one
-    group per output pixel, none on padding_free, each completing in one of
-    the cycles.  Then the drives, a chunk at a time: each lies in a cycle
-    and names a block the design has (and off padding_free a group the
-    table has), in strictly increasing (block, cycle) order; only zero
-    skipping has zero drives; and each live drive of block n at cycle c is
-    the closed form of (n, c), one-to-one in c: window (y, x) into output
-    pixel (y, x) at cycle y*ow + x, pixel (a, b) at cycle a*input_w + b on
-    padding_free, sub n's pixel in its output pixel's tile on zero skipping.
-    As many live drives as entries then make each block's its own.  A
-    ValueError names the table, or the first drive at fault by its
-    `dump_schedule_lines` line.  Zero drives, window rows on all-zero image
-    rows and cropped products add nothing."""
+    closed form (`_rectangles`).  It reads the drives a chunk at a time:
+    each lies in a cycle and names a block the design has, in strictly
+    increasing (block, cycle) order, and only zero skipping has zero
+    drives.  Block n's affine map (window (y, x) at cycle y*ow + x, pixel
+    (a, b) at cycle a*input_w + b on padding_free, sub n's pixel in its
+    output pixel's tile on zero skipping) places every drive in its cycle,
+    and every live one is an entry of the block's rectangle.  The map is
+    one-to-one in the cycle on the rectangle, so as many live drives as
+    entries, and as many drives as the sub has tiles in the output, make
+    each block's its own.  A ValueError names the first drive at fault by
+    its `dump_schedule_lines` line.  Zero drives, window rows on all-zero
+    image rows and cropped products add nothing."""
     spec, design = schedule.layer, schedule.design
-    if schedule.live.dtype != bool:
-        raise ValueError("live column is not boolean")
-    oh, ow, _ = output_shape(spec)
-    cycles, groups = schedule.cycle_count, 0 if design is DesignKind.PADDING_FREE else oh * ow
-    if schedule.group_count != groups:
-        raise ValueError(f"group table: expected {groups} groups (one per output pixel, "
-                         f"none on padding_free), got {schedule.group_count}")
-    done = _unsigned(schedule.group_cycle)
-    if len(done) and done.max() >= cycles:
-        g = int(np.argmax(done >= cycles))
-        raise ValueError(f"group table: group {g} completes at cycle {schedule.group_cycle[g]}, "
-                         f"outside the schedule's {cycles} cycles")
+    cycles, (h, w), (oh, ow, _) = schedule.cycle_count, _grid(spec, design), output_shape(spec)
     blocks = _rectangles(spec, design)
     pixelwise = design in (DesignKind.RED, DesignKind.RED_FOLDED)
     n_blocks = spec.kh * spec.kw if pixelwise else 1
-    h, w = (oh, ow) if design is DesignKind.ZERO_PADDING else (spec.input_h, spec.input_w)
-    # per schedule block: -a0, -b0, P, Q, t0, g0, where its entry (p, q) < (P, Q)
-    # is source (a0 + p, b0 + q) at cycle t0 + p*dt + q into group g0 + p*dgp + q*dgq
+    # per schedule block: -a0, -b0, P, Q, t0, where its entry (p, q) < (P, Q)
+    # is source (a0 + p, b0 + q) at cycle t0 + p*dt + q; its P*Q entries are
+    # its live drives, and its slots all its drives
     if pixelwise:  # the program's: sub n adds into output pixel (y0 + s*p, x0 + s*q)
-        s, n_tx = spec.stride, -(-ow // spec.stride)
+        s, dt = spec.stride, -(-ow // spec.stride)
         p, q, a0, b0, y0, x0 = blocks[:, [0, 1, 2, 3, 6, 7]].T
-        rects = [r.astype(_index_dtype(spec))
-                 for r in (-a0, -b0, p, q, y0 // s * n_tx + x0 // s, y0 * ow + x0)]
-        rects[2:4], (dt, dgp, dgq) = map(_unsigned, rects[2:4]), (n_tx, s * ow, s)
+        rects = [r.astype(_index_dtype(spec)) for r in (-a0, -b0, p, q, y0 // s * dt + x0 // s)]
+        rects[2:4] = map(_unsigned, rects[2:4])
+        # sub n's tiles inside the output
+        entries, slots = p * q, (y0 % s - oh) // s * ((x0 % s - ow) // s)
     else:  # window (a, b) into output pixel (a, b) at cycle a*ow + b; pixel (a, b)
-        rects, (dt, dgp, dgq) = (0, 0, h, w, 0, 0), (w, ow, 1)
-    for k0 in range(0, schedule.assignment_count, _CACHE_BUDGET):
+        rects, dt = (0, 0, h, w, 0), w
+        entries = slots = np.array([h * w])
+    n_live, drives = 0, np.zeros(n_blocks, dtype=np.int64)
+    for k in range(0, schedule.assignment_count, _CACHE_BUDGET):
         # each chunk starts at the last drive of the one before, for the order
-        k0 = max(k0 - 1, 0)
-        part = slice(k0, k0 + _CACHE_BUDGET + 1)
-        cycle, n, live = schedule.cycle[part], schedule.crossbar[part], schedule.live[part]
+        k0 = max(k - 1, 0)
+        part = schedule.chunk(k0, k + _CACHE_BUDGET)
+        cycle, n, live = part.cycle, part.crossbar, part.live
         _check_range(schedule, k0, cycle, cycles, f"drive outside the schedule's {cycles} cycles")
         if design is DesignKind.RED_FOLDED:
             n = n * 2
             n += cycle & 1
         _check_range(schedule, k0, n, n_blocks,
                      f"drive names a weight block the plan does not have ({n_blocks})")
-        if groups:
-            _check_range(schedule, k0, schedule.group_id[part], groups,
-                         f"drive into a group the table does not have ({groups})")
         if not (pixelwise or live.all()):  # only zero skipping has zero drives
             raise _refusal(schedule, k0 + np.argmin(live), f"zero drive on the {design} design")
         back = (n[1:] < n[:-1]) | ((n[1:] == n[:-1]) & (cycle[1:] <= cycle[:-1]))
         if back.any():
             raise _refusal(schedule, k0 + 1 + int(np.argmax(back)), "drive out of weight-block "
                            "order, (block, cycle) strictly increasing")
+        # the blocks are sorted: a run of drives each
+        runs = np.diff(np.searchsorted(n, np.arange(n_blocks + 1, dtype=n.dtype)))
+        drives += runs
+        drives[n[0]] -= k - k0  # the last drive of the chunk before
         # each drive's entry (a, b) of its block's rectangle
-        a, b, (a0, b0, p, q, t0, g0) = schedule.src_a[part], schedule.src_b[part], rects
-        if pixelwise:  # the blocks are sorted: repeat each one's rectangle over its drives
-            runs = np.diff(np.searchsorted(n, np.arange(n_blocks + 1, dtype=n.dtype)))
-            a0, b0, p, q, t0, g0 = (np.repeat(r, runs) for r in rects)
+        a, b, (a0, b0, p, q, t0) = part.src_a, part.src_b, rects
+        if pixelwise:  # repeat each block's rectangle over its drives
+            a0, b0, p, q, t0 = (np.repeat(r, runs) for r in rects)
             a0 += a
             b0 += b
             a, b = a0, b0
         bad = _unsigned(a) >= p
         bad |= _unsigned(b) >= q
+        bad &= live
+        # the affine map, carried past the rectangle, also places zero drives
         t0 += a * dt
         t0 += b
         bad |= t0 != (cycle >> 1 if design is DesignKind.RED_FOLDED else cycle)
-        if design is not DesignKind.PADDING_FREE:
-            g0 += a * dgp
-            g0 += b * dgq
-            bad |= g0 != schedule.group_id[part]
-        bad &= live
         if bad.any():
-            raise _disagreement(schedule, int(n[np.argmax(bad)]), h, w)
-    want = blocks[:, 0] * blocks[:, 1] if pixelwise else np.array([h * w])
-    if np.count_nonzero(schedule.live) != want.sum():
-        # every live drive is a distinct one of its block's, so a block lacks one
+            raise _disagreement(schedule, int(n[np.argmax(bad)]))
+        n_live += int(np.count_nonzero(live[k - k0:]))
+    # each live drive is a distinct entry of its block's and each drive a distinct
+    # slot, so where the counts differ a block lacks one or has one too many
+    if n_live != entries.sum() or (drives != slots).any():
         have = np.bincount(schedule.block[schedule.live], minlength=n_blocks)
-        raise _disagreement(schedule, int(np.flatnonzero(have != want)[0]), h, w)
+        raise _disagreement(schedule, int(np.flatnonzero((have != entries) | (drives != slots))[0]))
     return Program(design=design, layer=spec, blocks=blocks)
 
 
@@ -670,7 +651,10 @@ def dump_schedule_lines(schedule: CycleSchedule):
 
     The one reader that wants cycle order: it sorts the (block, cycle)
     ordered assignments stably by cycle, which lists each cycle's
-    assignments, and each group's members, by crossbar.
+    assignments by crossbar.  A tile's group lines follow the cycle that
+    completes it: its last phase on red_folded, on zero_padding the
+    cycle, each output pixel its own tile.  A group's members are the
+    crossbars of its output pixel's computation mode, in cycle order.
 
     Assignment: cycle,crossbar_index,input_kind,a,b
     Group:      cycle,group_id,output_y,output_x,member_crossbars...
@@ -684,34 +668,36 @@ def dump_schedule_lines(schedule: CycleSchedule):
     yield f"# design={schedule.design.value} cycles={schedule.cycle_count}"
     yield "# assignment: cycle,crossbar,kind,a,b  group: cycle,group,out_y,out_x,members..."
 
+    spec, design = schedule.layer, schedule.design
     order = np.argsort(schedule.cycle, kind="stable")
     cyc = schedule.cycle[order].tolist()
     xb = schedule.crossbar[order].tolist()
-    drive, halves = _kinds(schedule.design)
+    drive, halves = _kinds(design)
     kinds = [(drive if on else "zero") + halves[t % 2]
              for on, t in zip(schedule.live[order].tolist(), cyc)]
     sa = schedule.src_a[order].tolist()
     sb = schedule.src_b[order].tolist()
 
-    # group member lists in cycle order
-    members: dict[int, list[int]] = {}
-    for gid, x in zip(schedule.group_id[order].tolist(), xb):
-        if gid >= 0:
-            members.setdefault(gid, []).append(x)
+    # a folded group's even subs come first: they drive its first phase
+    oh, ow, _ = output_shape(spec)
+    phases = 2 if design is DesignKind.RED_FOLDED else 1
+    s, members = 1, {} if design is DesignKind.PADDING_FREE else {(0, 0): "0"}
+    if design in (DesignKind.RED, DesignKind.RED_FOLDED):
+        s = spec.stride
+        members = {mode: ",".join(str(n // phases) for n in sorted(
+                       (i * spec.kw + j for i, j in positions), key=lambda n: (n % phases, n)))
+                   for mode, positions in partition_modes(spec).modes.items()}
+    n_tx = -(-ow // s)
 
-    # groups keyed by completing cycle
-    by_cycle: dict[int, list[int]] = {}
-    for gid, gc in enumerate(schedule.group_cycle.tolist()):
-        by_cycle.setdefault(gc, []).append(gid)
-
-    ow = output_shape(schedule.layer)[1]
-
-    n = len(cyc)
-    pos = 0
+    n, pos = len(cyc), 0
     for t in range(schedule.cycle_count):
         while pos < n and cyc[pos] == t:
             yield f"{t},{xb[pos]},{kinds[pos]},{sa[pos]},{sb[pos]}"
             pos += 1
-        for gid in sorted(by_cycle.get(t, ())):
-            mem = ",".join(str(v) for v in members.get(gid, ()))
-            yield f"{t},{gid},{gid // ow},{gid % ow},{mem}"
+        if not members or t % phases < phases - 1:
+            continue
+        ty, tx = divmod(t // phases, n_tx)
+        for y in range(s * ty, min(s * ty + s, oh)):
+            for x in range(s * tx, min(s * tx + s, ow)):
+                mode = members[(spec.pad_top - y) % s, (spec.pad_left - x) % s]
+                yield f"{t},{y * ow + x},{y},{x},{mode}"

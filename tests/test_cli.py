@@ -135,6 +135,15 @@ def test_run_rejects_repeated_design_exit_2(toy_config, capsys):
     assert "all checks passed" not in captured.out
 
 
+def test_run_rejects_empty_designs_exit_2(toy_config, capsys):
+    # an empty flag is refused as a config's empty "designs" is, not read
+    # as all four designs
+    assert main(["run", "--config", toy_config, "--trials", "1", "--designs", ""]) == 2
+    captured = capsys.readouterr()
+    assert "designs must be a non-empty array" in captured.err
+    assert "all checks passed" not in captured.out
+
+
 def test_run_rejects_repeated_layer_name_exit_2(tmp_path, capsys):
     path = tmp_path / "twice.json"
     path.write_text(json.dumps({**TOY_CONFIG, "layers": TOY_CONFIG["layers"] * 2}),
@@ -284,6 +293,12 @@ def test_redundancy_stride1_full_crop(capsys):
 def test_redundancy_rejects_bad_rule(capsys):
     assert main(["redundancy", "--strides", "2", "--kernel-rule", "fixed"]) == 2
     assert "kernel-size" in capsys.readouterr().err
+    # k2s sets kernel = 2*stride itself: a size given with it is refused,
+    # not ignored
+    assert main(["redundancy", "--strides", "2", "--kernel-size", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "--kernel-size" in captured.err and "--kernel-rule" in captured.err
+    assert not captured.out
 
 
 def test_redundancy_rejects_bad_strides(capsys):

@@ -226,7 +226,7 @@ def test_schedules_validate(design):
         lower(build_schedule(spec, design))
 
 
-ASSIGNMENT_COLUMNS = ("cycle", "crossbar", "live", "src_a", "src_b", "group_id")
+ASSIGNMENT_COLUMNS = ("cycle", "crossbar", "src_a", "src_b")
 
 
 def _reordered(sched, order):
@@ -265,20 +265,21 @@ def _line(sched, k):
     return f"{col['cycle']},{col['crossbar']},{kind},{col['src_a']},{col['src_b']}"
 
 
-def _refusal(bad, k, want, what="drive disagrees with the closed form"):
+def _refusal(bad, k, want):
     """The `lower` refusal of `bad`, a mutation of `want`: it names
     assignment k of `bad` by its dump line, and `want`'s in its place."""
     line, expected = _line(bad, k), _line(want, k)
     # both are lines of their schedules' dumps
     assert line in dump_schedule_lines(bad) and expected in dump_schedule_lines(want)
-    return (rf"{what}: weight block {bad.block[k]} has drive {line}\b.*"
-            rf"the closed form has drive {expected}\b")
+    return (rf"drive disagrees with the closed form: weight block {bad.block[k]} "
+            rf"has drive {line}\b.*the closed form has drive {expected}\b")
 
 
 def _pixels_one_column_right(_):
     # on a 3x2 input, src_b + 1 moves a first-column pixel onto its
     # neighbour and a second-column pixel onto the padded image's zero
-    # border: both reads stay inside the image and would fail silently
+    # border: both reads stay inside the image and would fail silently.
+    # Every drive moves, so block 0's first, a zero drive, is named
     sched = build_schedule(DeconvLayerSpec(3, 2, 1, 3, 3, 1, 2), DesignKind.RED)
     return dataclasses.replace(sched, src_b=sched.src_b + 1)
 
@@ -292,11 +293,10 @@ def _folded_drive_into_zero_fill(sched):
     return _reordered(moved, np.lexsort((moved.cycle, moved.block)))
 
 
-def _corruption(design, corrupt, fault, message, drive=None):
+def _corruption(design, corrupt, fault, message, drive):
     """A corruption of TOY's `design` schedule, named by its fault; the
-    refusal `lower` gives it; and for a drive-level refusal, the drive it
-    names: the first where `drive(bad)` holds.  A table-level refusal
-    names the table."""
+    refusal `lower` gives it; and the drive it names: the first where
+    `drive(bad)` holds."""
     return pytest.param(design, corrupt, message, drive,
                         id=f"{design.value}-{corrupt.__name__}-{fault}")
 
@@ -305,10 +305,10 @@ def _corruption(design, corrupt, fault, message, drive=None):
     _corruption(DesignKind.RED, lambda s: dataclasses.replace(s, cycle=s.cycle - 1),
                 "index out of range", "drive outside the schedule's 16 cycles",
                 lambda b: b.cycle < 0),
-    # the last tile's groups complete after the shortened schedule
+    # the last tile's drives fall after the shortened schedule
     _corruption(DesignKind.RED, lambda s: dataclasses.replace(s, cycle_count=s.cycle_count - 1),
-                "index out of range",
-                "group table: group 48 completes at cycle 15, outside the schedule's 15 cycles"),
+                "index out of range", "drive outside the schedule's 15 cycles",
+                lambda b: b.cycle >= 15),
     _corruption(DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=s.crossbar - 1),
                 "index out of range", r"weight block the plan does not have \(9\)",
                 lambda b: b.crossbar < 0),
@@ -317,43 +317,23 @@ def _corruption(design, corrupt, fault, message, drive=None):
                 "strictly increasing", "out of weight-block order", _out_of_order),
     _corruption(DesignKind.RED_FOLDED, _swap_first_two, "strictly increasing",
                 "out of weight-block order", _out_of_order),
-    _corruption(DesignKind.PADDING_FREE,
-                lambda s: dataclasses.replace(s, group_cycle=np.zeros(1, dtype=np.int64)),
-                "must not carry accumulation groups",
-                r"group table: expected 0 groups \(one per output pixel, none on padding_free\), "
-                r"got 1"),
-    _corruption(DesignKind.ZERO_PADDING,
-                lambda s: dataclasses.replace(s, group_cycle=s.group_cycle[:-1]),
-                "one group per output pixel", r"group table: expected 49 groups .*, got 48"),
-    _corruption(DesignKind.RED, lambda s: _with_value(s, "group_id", 0, -1),
-                "assignment group id out of range",
-                r"drive into a group the table does not have \(49\)", lambda b: b.group_id < 0),
-    # a group completing outside the cycles is dropped from the dump
-    _corruption(DesignKind.RED, lambda s: _with_value(s, "group_cycle", 5, s.cycle_count),
-                "group completes outside the schedule's cycles",
-                "group table: group 5 completes at cycle 16, outside the schedule's 16 cycles"),
-    _corruption(DesignKind.RED, lambda s: _with_value(s, "group_cycle", 5, -1),
-                "group completes outside the schedule's cycles",
-                "group table: group 5 completes at cycle -1, outside the schedule's 16 cycles"),
-    # an integer column would index, not mask
-    _corruption(DesignKind.RED, lambda s: dataclasses.replace(s, live=s.live.astype(np.int8)),
-                "live column is not boolean", "live column is not boolean"),
     _corruption(DesignKind.RED, _pixels_one_column_right, "pixel source outside the input",
-                "drive disagrees with the closed form", lambda b: b.live),
+                "drive disagrees with the closed form", lambda b: b.block == 0),
+    # a window origin off the output grid is a zero drive
     _corruption(DesignKind.ZERO_PADDING, lambda s: _with_value(s, "src_a", -1, TOY.output_h),
-                "window origin outside the output grid", "window origin outside the output grid",
+                "window origin outside the output grid", "zero drive on the zero_padding design",
                 lambda b: b.src_a >= TOY.output_h),
     # TOY's 3x3 kernel gives red 9 arrays, 0..8; shifted up, each reads its
     # neighbour's weights and crossbar 9 has none
     _corruption(DesignKind.RED, lambda s: dataclasses.replace(s, crossbar=s.crossbar + 1),
                 "9 arrays", r"weight block the plan does not have \(9\)",
                 lambda b: b.crossbar >= 9),
-    # only zero skipping has drives to skip: a dropped window or pixel is a
-    # missing product
-    _corruption(DesignKind.ZERO_PADDING, lambda s: _with_value(s, "live", 0, False),
+    # only zero skipping has drives to skip: a window or pixel moved off its
+    # grid is a zero drive, and a dropped product
+    _corruption(DesignKind.ZERO_PADDING, lambda s: _with_value(s, "src_b", 0, -1),
                 "zero drive on the zero_padding design", "zero drive on the zero_padding design",
                 lambda b: ~b.live),
-    _corruption(DesignKind.PADDING_FREE, lambda s: _with_value(s, "live", 0, False),
+    _corruption(DesignKind.PADDING_FREE, lambda s: _with_value(s, "src_b", 0, -1),
                 "zero drive on the padding_free design", "zero drive on the padding_free design",
                 lambda b: ~b.live),
     # the zero-fill half of folded array 4 is weight block 9, which no sub fills
@@ -361,30 +341,26 @@ def _corruption(design, corrupt, fault, message, drive=None):
                 r"weight block the plan does not have \(9\)", lambda b: b.block >= 9),
 ])
 def test_validate_schedule_rejects(design, corrupt, message, drive):
-    # `lower` refuses each with a ValueError, a drive-level refusal naming
-    # the drive at fault by its dump line
+    # `lower` refuses each with a ValueError naming the drive at fault by
+    # its dump line
     sched = build_schedule(TOY, design)
     lower(sched)
     bad = corrupt(sched)
-    if drive is not None:
-        message = rf"{message}.*\bdrive {_line(bad, np.flatnonzero(drive(bad))[0])}\b"
+    message = rf"{message}.*\bdrive {_line(bad, np.flatnonzero(drive(bad))[0])}\b"
     with pytest.raises(ValueError, match=message):
         lower(bad)
 
 
 @settings(max_examples=200, deadline=None)
 @given(spec=layer_specs(max_channels=1), design=st.sampled_from(list(DesignKind)),
-       column=st.sampled_from(["cycle", "crossbar", "src_a", "src_b", "group_id", "live"]),
-       step=st.sampled_from([-1, 1]), data=st.data())
+       column=st.sampled_from(ASSIGNMENT_COLUMNS), step=st.sampled_from([-1, 1]),
+       data=st.data())
 def test_lower_refuses_every_one_drive_mutation_property(spec, design, column, step, data):
-    # one live drive's coordinate moved by one, or its live bit flipped:
-    # `lower` names a drive at fault (padding-free's group ids are unread)
-    assume(not (column == "group_id" and design is DesignKind.PADDING_FREE))
+    # one drive's stored coordinate, live or zero, moved by one: `lower`
+    # names a drive at fault
     sched = build_schedule(spec, design)
-    live = np.flatnonzero(sched.live)
-    assume(len(live))
-    k = live[data.draw(st.integers(0, len(live) - 1))]
-    value = False if column == "live" else getattr(sched, column)[k] + step
+    k = data.draw(st.integers(0, sched.assignment_count - 1))
+    value = getattr(sched, column)[k] + step
     with pytest.raises(ValueError, match=r"\bdrive -?\d+,-?\d+,(window|pixel|zero)(_lo|_hi)?,"
                                          r"-?\d+,-?\d+\b"):
         lower(_with_value(sched, column, k, value))
@@ -528,14 +504,16 @@ def test_execution_follows_its_schedule(design):
     with pytest.raises(ValueError, match=rf"weight block the plan does not have .*"
                                          rf"drive {_line(beyond, last)}\b"):
         execute(plan, lower(beyond), t)
-    # swapped coordinates on a non-square input drive other pixels: the first
-    # live drive off the diagonal disagrees with the closed form of its
-    # cycle, or on zero skipping may read off the input
+    # swapped coordinates on a non-square input drive other pixels: on zero
+    # skipping the first drive off the diagonal disagrees with the closed
+    # form of its cycle; elsewhere some move off the grid, zero drives
     swapped = dataclasses.replace(sched, src_a=sched.src_b, src_b=sched.src_a)
-    k = np.flatnonzero(sched.live & (sched.src_a != sched.src_b))[0]
-    off = not (0 <= sched.src_b[k] < spec.input_h and 0 <= sched.src_a[k] < spec.input_w)
-    what = "pixel source outside the input" if off else "drive disagrees with the closed form"
-    with pytest.raises(ValueError, match=_refusal(swapped, k, sched, what=what)):
+    if design in (DesignKind.RED, DesignKind.RED_FOLDED):
+        match = _refusal(swapped, np.flatnonzero(sched.src_a != sched.src_b)[0], sched)
+    else:
+        k = np.flatnonzero(~swapped.live)[0]
+        match = rf"zero drive on the {design} design: drive {_line(swapped, k)}$"
+    with pytest.raises(ValueError, match=match):
         lower(swapped)
 
 
@@ -549,7 +527,7 @@ def test_lower_refuses_a_destination_twice_in_one_block(design):
     block = sched.block
     k = np.flatnonzero(sched.live[:-1] & sched.live[1:] & (block[:-1] == block[1:]))[0]
     bad = sched
-    for column in ("src_a", "src_b", "group_id"):
+    for column in ("src_a", "src_b"):
         bad = _with_value(bad, column, k + 1, getattr(sched, column)[k])
     with pytest.raises(ValueError, match=_refusal(bad, k + 1, sched)):
         lower(bad)
@@ -557,33 +535,36 @@ def test_lower_refuses_a_destination_twice_in_one_block(design):
 
 @pytest.mark.parametrize("design", [DesignKind.RED, DesignKind.RED_FOLDED])
 def test_lower_refuses_two_drives_swapped_within_a_cycle(design):
-    # two subs of one cycle receive each other's pixels and output pixels:
-    # the earlier drive in block order is named
+    # two subs of one cycle receive each other's pixels: the earlier drive
+    # in block order is named
     sched = build_schedule(TOY, design)
     live = np.flatnonzero(sched.live & (sched.cycle == sched.cycle[0]))
     k = live[0]
     pixel = sched.src_a * 1000 + sched.src_b
     j = next(j for j in live[1:] if pixel[j] != pixel[k])
     bad = sched
-    for column in ("src_a", "src_b", "group_id"):
+    for column in ("src_a", "src_b"):
         values = getattr(sched, column)
         bad = _with_value(_with_value(bad, column, k, values[j]), column, j, values[k])
     with pytest.raises(ValueError, match=_refusal(bad, k, sched)):
         lower(bad)
 
 
-@pytest.mark.parametrize("design", [DesignKind.ZERO_PADDING, DesignKind.RED, DesignKind.RED_FOLDED])
-def test_lower_refuses_a_drive_into_another_group(design):
-    # the hardware would add the drive into its neighbour's output pixel,
-    # which the program, built from the closed form, would not follow
+@pytest.mark.parametrize("design", [DesignKind.RED, DesignKind.RED_FOLDED])
+def test_lower_refuses_a_moved_or_dropped_zero_drive(design):
+    # a zero drive reads nothing, but the dump shows it: moved, it is no
+    # longer where its block's affine map puts it in its cycle; dropped,
+    # its block has a slot of its tiles without a drive
     sched = build_schedule(TOY, design)
-    k = np.flatnonzero(sched.live)[0]
-    g = int(sched.group_id[k])
-    bad = _with_value(sched, "group_id", k, g + 1)
-    line = _line(sched, k)
-    with pytest.raises(ValueError, match=rf"has drive {line} into group {g + 1};.*"
-                                         rf"has drive {line} into group {g}$"):
+    k = np.flatnonzero(~sched.live)[0]
+    bad = _with_value(sched, "src_a", k, sched.src_a[k] + 5)
+    assert not bad.live[k] and ",zero" in _line(bad, k)
+    with pytest.raises(ValueError, match=_refusal(bad, k, sched)):
         lower(bad)
+    dropped = _reordered(sched, np.delete(np.arange(sched.assignment_count), k))
+    with pytest.raises(ValueError, match=rf"weight block {sched.block[k]} has .*"
+                                         rf"the closed form has drive {_line(sched, k)}$"):
+        lower(dropped)
 
 
 @pytest.mark.parametrize("design", list(DesignKind))
@@ -604,11 +585,12 @@ def test_lower_names_a_dropped_drive(design):
 def test_lower_refuses_a_padding_free_pixel_off_the_input(column, value):
     # the first pixel moved one step off TOY's input: above it, the top
     # crop would trim all its products; to its right, it would read the
-    # zero border into the last output column
+    # zero border into the last output column.  Off the input it is a
+    # zero drive, which padding_free does not have
     sched = build_schedule(TOY, DesignKind.PADDING_FREE)
     bad = _with_value(sched, column, 0, value)
-    off = _refusal(bad, 0, sched, what="pixel source outside the input")
-    with pytest.raises(ValueError, match=off):
+    with pytest.raises(ValueError, match=rf"zero drive on the padding_free design: "
+                                         rf"drive {_line(bad, 0)}$"):
         lower(bad)
 
 
@@ -786,11 +768,9 @@ def test_stages_accept_int64_columns(design):
     # the builders emit int32; a schedule with int64 columns lowers and
     # traces to the same program and counts
     sched = build_schedule(TOY, design)
-    assert {getattr(sched, k).dtype for k in (*ASSIGNMENT_COLUMNS, "group_cycle")} == {
-        np.dtype(np.int32), np.dtype(bool)}
+    assert {getattr(sched, k).dtype for k in ASSIGNMENT_COLUMNS} == {np.dtype(np.int32)}
     wide = dataclasses.replace(sched, **{k: getattr(sched, k).astype(np.int64)
-                                         for k in (*ASSIGNMENT_COLUMNS, "group_cycle")
-                                         if k != "live"})
+                                         for k in ASSIGNMENT_COLUMNS})
     want, got = lower(sched), lower(wide)
     assert np.array_equal(got.blocks, want.blocks)
     plan = MappingPlan(design, TOY.kernel_shape)
@@ -833,9 +813,9 @@ def test_schedule_stages_stay_within_a_column_of_scratch(design):
     sched = build_schedule(spec, design)
     n = sched.assignment_count
     assert n == 256 * 71 * 71
-    # int32 columns and a one-byte live bit, plus the group table
-    held = sum(getattr(sched, k).nbytes for k in (*ASSIGNMENT_COLUMNS, "group_cycle"))
-    assert held <= 22 * n
+    # four int32 columns, and nothing derived from them
+    held = sum(getattr(sched, k).nbytes for k in ASSIGNMENT_COLUMNS)
+    assert held <= 16 * n
     # the trace allocates at most four int32 columns' worth on top of
     # what it returns; `lower` reads a chunk of assignments at a time, so
     # its scratch does not grow with the schedule (under 2 bytes per
