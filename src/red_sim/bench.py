@@ -341,9 +341,13 @@ def run_suite(
     Each (entry, design) gets one schedule, which `lower` proves and lowers
     once into the program every trial runs.  It depends on the spatial
     geometry only, so the proved schedule is traced once on a full-size
-    geometry-only plan for the cost side, and freed before the trials: they
-    read only the program.  The stages run build, lower, trace and cost,
-    trials, so at most one schedule is held at a time.
+    geometry-only plan for the cost side, and freed: the trials read only
+    the program.  The data-free stages run first, for every design: build,
+    lower, trace and cost, one schedule held at a time.  Only then are the
+    kernel and inputs drawn and the oracles computed, and each design's
+    trials run, so no schedule is held next to the data.  A schedule that
+    `lower` refuses is therefore reported before any trial runs, even where
+    an earlier design would also have failed its oracle comparison.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -354,18 +358,10 @@ def run_suite(
     reports = []
     for idx, entry in enumerate(entries):
         scaled = scale_channels(entry.spec, channel_scale)
-        rng = Lcg64(seed + idx)
-        kernel = Kernel4(rng.ints((scaled.kh, scaled.kw, scaled.channels, scaled.filters)))
-        inputs = [
-            Tensor3(rng.ints((scaled.input_h, scaled.input_w, scaled.channels)))
-            for _ in range(trials)
-        ]
-        oracles = [deconv_oracle_zero_padding(t, kernel, scaled) for t in inputs]
-
-        breakdowns = {}
+        programs, breakdowns = {}, {}
         for design in designs:
             schedule = build_schedule(scaled, design)
-            program = lower(schedule)
+            programs[design] = lower(schedule)
             # cost side: full declared dimensions, which need no weights
             full_plan = MappingPlan(design, entry.spec.kernel_shape)
             trace = trace_of_schedule(schedule, full_plan)
@@ -373,13 +369,20 @@ def run_suite(
                 trace, full_plan, params, layer=entry.name, spec=entry.spec,
                 critical_path_mode=critical_path_mode,
             )
-            # the trials read only the program
+            # free this schedule before the next design's is built
             del schedule
+
+        rng = Lcg64(seed + idx)
+        kernel = Kernel4(rng.ints((scaled.kh, scaled.kw, scaled.channels, scaled.filters)))
+        inputs = [
+            Tensor3(rng.ints((scaled.input_h, scaled.input_w, scaled.channels)))
+            for _ in range(trials)
+        ]
+        oracles = [deconv_oracle_zero_padding(t, kernel, scaled) for t in inputs]
+        for design in designs:
             _verify(f"{entry.name} / {design.value}", build_plan(kernel, design, scaled),
-                    program, inputs, oracles)
-            # free this program before the next design's schedule is built
-            del program
-        # free this layer's data before the next layer's draw
+                    programs[design], inputs, oracles)
+        # free this layer's data before the next layer's schedules are built
         del kernel, inputs, oracles
         reports.append(
             compare(breakdowns, baseline=baseline, params_label=params_label,

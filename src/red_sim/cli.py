@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -260,7 +261,10 @@ def cmd_dump_schedule(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and building it looks every help string up in gettext's catalogue."""
     parser = argparse.ArgumentParser(
         prog="red-sim",
         description="ReRAM crossbar deconvolution designs: functional simulation "

@@ -37,7 +37,9 @@ runs each input through that `Program`, a basic-slice read, a product and
 a basic-slice add per block.  Zero drives, window rows on all-zero image
 rows and cropped padding-free products add nothing and are left out; the
 hardware does that work, and `trace_of_schedule` counts it.  Schedule
-columns are int32 (`_index_dtype`), and each stage that reads one
+columns take the narrowest dtype that holds what they store
+(`_index_dtype`: int16 on FCN_Deconv2's zero-skipping schedules), each
+stage widens what it computes from them so that nothing wraps, and each
 allocates at most about one column of scratch on top of what it returns.
 """
 
@@ -122,13 +124,17 @@ def partition_modes(spec: DeconvLayerSpec) -> ModePartition:
 # ---------------------------------------------------------------------------
 
 
-def _index_dtype(spec: DeconvLayerSpec) -> type[np.signedinteger]:
-    """The dtype of every index column of a schedule, and of `lower`'s
-    scratch: int32 unless a value could reach 2^31, int64 otherwise.  Cycle
-    counts (at most twice the output pixels, on red_folded), group ids,
-    input and window coordinates all stay below twice the padded image's
-    size."""
-    return np.int32 if 2 * spec.padded_h * spec.padded_w <= 2**31 else np.int64
+def _index_dtype(*values: int) -> type[np.signedinteger]:
+    """The narrowest of int16, int32 and int64 that holds every integer
+    whose magnitude is at most that of one of `values`.  A schedule's
+    builder passes what its columns store: its cycle count, its block
+    count and its source coordinates, zero drives' overhang included
+    (int16 on FCN_Deconv2's zero-skipping schedules, int32 on its
+    zero-padding one).  Anything computed from a column that can grow past
+    those values is widened first, since under NEP 50 a narrow array times
+    a Python int keeps the array's dtype and wraps silently."""
+    bound = max(abs(int(v)) for v in values)
+    return np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
 
 
 @dataclass
@@ -139,9 +145,10 @@ class CycleSchedule:
     The four columns are parallel arrays sorted by (`block`, cycle), the
     order `lower` reads; a crossbar and a cycle fix the block, so each
     crossbar appears at most once per cycle.  Only the dump sorts by cycle.
-    The builders store them in the layer's `_index_dtype`, int32 on any
-    layer whose padded image has at most 2^30 pixels: 16 bytes per
-    assignment; the stages that read a schedule accept any integer dtype.
+    The builders store them in the narrowest `_index_dtype` that holds what
+    they store: int16 (8 bytes per assignment) on FCN_Deconv2's
+    zero-skipping schedules, int32 on its zero-padding one; the stages that
+    read a schedule accept any integer dtype and widen what they compute.
     A drive's source (`src_a`, `src_b`) is a window origin on zero-padding
     and an input pixel elsewhere.  A folded assignment drives the low C-row
     half of its array on an even cycle, the high half on an odd one.
@@ -167,13 +174,15 @@ class CycleSchedule:
         """Per assignment, the weight block it multiplies: its crossbar, or
         on red_folded the C-row half of it its cycle's parity drives, so
         folded array n holds blocks 2n (low half) and 2n + 1 (high half).
-        Unfolded it is the crossbar column itself; folded, one new column."""
+        Unfolded it is the crossbar column itself; folded, one new column.
+        Either is in a dtype that also holds the layer's kh*kw blocks."""
+        wide = np.promote_types(self.crossbar.dtype, _index_dtype(self.layer.kh * self.layer.kw))
         if self.design is DesignKind.RED_FOLDED:
-            block = self.cycle & 1
+            block = (self.cycle & 1).astype(wide, copy=False)
             block += self.crossbar
             block += self.crossbar
             return block
-        return self.crossbar
+        return self.crossbar.astype(wide, copy=False)
 
     @property
     def live(self) -> np.ndarray:
@@ -189,20 +198,25 @@ class CycleSchedule:
     def group_id(self) -> np.ndarray:
         """Per assignment of a proved schedule, its accumulation group,
         output pixel (g // output_w, g % output_w): on zero-padding its
-        cycle; on zero skipping block n's output pixel in its cycle's tile.
-        Padding-free overlap-adds instead and uses -1."""
+        cycle; on zero skipping block n's output pixel in its cycle's tile,
+        in int64, since group ids reach output_h*output_w.  Padding-free
+        overlap-adds instead and uses -1.  A ValueError names the first
+        drive outside the layer's cycles or weight blocks."""
         if self.design is DesignKind.PADDING_FREE:
             return np.full_like(self.cycle, -1)
+        spec, s = self.layer, self.layer.stride
         if self.design is DesignKind.ZERO_PADDING:
+            _checked_blocks(self, spec.output_h * spec.output_w)
             return self.cycle
-        spec, s, index = self.layer, self.layer.stride, _index_dtype(self.layer)
         # sub n's output pixel in the first tile, and each tile's offset from it
-        i, j = np.divmod(np.arange(spec.kh * spec.kw, dtype=index), spec.kw)
+        i, j = np.divmod(np.arange(spec.kh * spec.kw), spec.kw)
         first = (spec.pad_top - i) % s * spec.output_w + (spec.pad_left - j) % s
-        tiles = np.add.outer(np.arange(0, spec.output_h, s, dtype=index) * spec.output_w,
-                             np.arange(0, spec.output_w, s, dtype=index)).ravel()
-        group = tiles.take(self.cycle >> 1 if self.design is DesignKind.RED_FOLDED else self.cycle)
-        group += first.take(self.block)
+        tiles = np.add.outer(np.arange(0, spec.output_h, s) * spec.output_w,
+                             np.arange(0, spec.output_w, s)).ravel()
+        folded = self.design is DesignKind.RED_FOLDED
+        block = _checked_blocks(self, len(tiles) << folded)
+        group = tiles.take(self.cycle >> 1 if folded else self.cycle)
+        group += first.take(block)
         return group
 
     @property
@@ -228,6 +242,7 @@ class CycleSchedule:
 
 
 _COLUMNS = ("cycle", "crossbar", "src_a", "src_b")
+_PIXELWISE = (DesignKind.RED, DesignKind.RED_FOLDED)
 
 
 def _grid(spec: DeconvLayerSpec, design: DesignKind) -> tuple[int, int]:
@@ -241,7 +256,7 @@ def _grid(spec: DeconvLayerSpec, design: DesignKind) -> tuple[int, int]:
 def _row_major(spec: DeconvLayerSpec, design: DesignKind) -> CycleSchedule:
     """One drive of the design's single array per cycle, row-major over its grid."""
     h, w = _grid(spec, design)
-    t = np.arange(h * w, dtype=_index_dtype(spec))
+    t = np.arange(h * w, dtype=_index_dtype(h * w))
     return CycleSchedule(design, spec, h * w, t, np.zeros_like(t), t // w, t % w)
 
 
@@ -270,12 +285,13 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
     s = spec.stride
     oh, ow, _ = output_shape(spec)
     n_ty, n_tx = -(-oh // s), -(-ow // s)
-    index = _index_dtype(spec)
+    cycles = n_ty * n_tx * (2 if folded else 1)
 
-    i = np.arange(spec.kh, dtype=index).reshape(-1, 1, 1, 1)
-    j = np.arange(spec.kw, dtype=index).reshape(1, -1, 1, 1)
-    t = np.arange(n_ty, dtype=index).reshape(1, 1, -1, 1)
-    u = np.arange(n_tx, dtype=index).reshape(1, 1, 1, -1)
+    # the grid's axes, and the values read off them, are small int64 arrays
+    i = np.arange(spec.kh).reshape(-1, 1, 1, 1)
+    j = np.arange(spec.kw).reshape(1, -1, 1, 1)
+    t = np.arange(n_ty).reshape(1, 1, -1, 1)
+    u = np.arange(n_tx).reshape(1, 1, 1, -1)
     y0, x0 = (spec.pad_top - i) % s, (spec.pad_left - j) % s
     # the input pixel whose dilated coordinate lines up; off the input it
     # is a zero drive
@@ -283,11 +299,13 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
     b = u + (x0 + j - spec.pad_left) // s
     # the last tile row and column may overhang the output
     inside = (y0 + s * t < oh) & (x0 + s * u < ow)
+    # the columns hold cycles, blocks and sources, zero drives' included
+    index = _index_dtype(cycles, spec.kh * spec.kw, a.min(), a.max(), b.min(), b.max())
 
     def column(values):
         # the (i, j, t, u) grid's values, read through the mask without
         # materialising the grid
-        return np.broadcast_to(values, inside.shape)[inside]
+        return np.broadcast_to(values.astype(index), inside.shape)[inside]
 
     cycle, crossbar = column(t * n_tx + u), column(i * spec.kw + j)
     if folded:
@@ -299,7 +317,7 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
     return CycleSchedule(
         design=DesignKind.RED_FOLDED if folded else DesignKind.RED,
         layer=spec,
-        cycle_count=n_ty * n_tx * (2 if folded else 1),
+        cycle_count=cycles,
         cycle=cycle,
         crossbar=crossbar,
         src_a=column(a),
@@ -491,10 +509,27 @@ def _unsigned(v: np.ndarray) -> np.ndarray:
     return v.view(f"u{v.itemsize}")  # so that one u < h tests 0 <= v < h
 
 
-def _check_range(schedule: CycleSchedule, k0: int, values: np.ndarray, bound: int, what: str):
-    """Refuse the first of `values`, drives k0 on, outside [0, bound)."""
-    if _unsigned(values).max() >= bound:
-        raise _refusal(schedule, k0 + int(np.argmax(_unsigned(values) >= bound)), what)
+def _check_range(schedule: CycleSchedule, values: np.ndarray, high: int, what: str,
+                 low: int = 0):
+    """Refuse the first drive whose value lies outside [low, high): compared
+    with the bounds, never shifted, so that no dtype can wrap it inside."""
+    if len(values) and (values.min() < low or values.max() >= high):
+        raise _refusal(schedule, int(np.argmax((values < low) | (values >= high))), what)
+
+
+def _checked_blocks(schedule: CycleSchedule, cycles: int) -> np.ndarray:
+    """`schedule.block`, once every drive lies in the first `cycles` cycles
+    and names a weight block its design has; the crossbar is checked before
+    folding doubles it."""
+    spec, folded = schedule.layer, schedule.design is DesignKind.RED_FOLDED
+    n_blocks = spec.kh * spec.kw if schedule.design in _PIXELWISE else 1
+    _check_range(schedule, schedule.cycle, cycles, f"drive outside the schedule's {cycles} cycles")
+    what = f"drive names a weight block the plan does not have ({n_blocks})"
+    _check_range(schedule, schedule.crossbar, -(-n_blocks // 2) if folded else n_blocks, what)
+    block = schedule.block
+    if folded:  # an odd count's last array holds zero fill in its high half
+        _check_range(schedule, block, n_blocks, what)
+    return block
 
 
 def lower(schedule: CycleSchedule) -> Program:
@@ -502,20 +537,22 @@ def lower(schedule: CycleSchedule) -> Program:
     `Program` that `execute` runs; the descriptors come from the layer's
     closed form (`_rectangles`).  It reads the drives a chunk at a time:
     each lies in a cycle and names a block the design has, in strictly
-    increasing (block, cycle) order, and only zero skipping has zero
-    drives.  Block n's affine map (window (y, x) at cycle y*ow + x, pixel
-    (a, b) at cycle a*input_w + b on padding_free, sub n's pixel in its
-    output pixel's tile on zero skipping) places every drive in its cycle,
-    and every live one is an entry of the block's rectangle.  The map is
-    one-to-one in the cycle on the rectangle, so as many live drives as
-    entries, and as many drives as the sub has tiles in the output, make
-    each block's its own.  A ValueError names the first drive at fault by
-    its `dump_schedule_lines` line.  Zero drives, window rows on all-zero
-    image rows and cropped products add nothing."""
+    increasing (block, cycle) order, only zero skipping has zero drives,
+    and no source lies more than a kernel off its grid, which bounds every
+    value the proof computes, so its scratch takes the narrowest
+    `_index_dtype` that cannot wrap.  Block n's affine map (window (y, x)
+    at cycle y*ow + x, pixel (a, b) at cycle a*input_w + b on padding_free,
+    sub n's pixel in its output pixel's tile on zero skipping) places every
+    drive in its cycle, and every live one is an entry of the block's
+    rectangle.  The map is one-to-one in the cycle on the rectangle, so as
+    many live drives as entries, and as many drives as the sub has tiles in
+    the output, make each block's its own.  A ValueError names the first
+    drive at fault by its `dump_schedule_lines` line.  Zero drives, window
+    rows on all-zero image rows and cropped products add nothing."""
     spec, design = schedule.layer, schedule.design
     cycles, (h, w), (oh, ow, _) = schedule.cycle_count, _grid(spec, design), output_shape(spec)
     blocks = _rectangles(spec, design)
-    pixelwise = design in (DesignKind.RED, DesignKind.RED_FOLDED)
+    pixelwise = design in _PIXELWISE
     n_blocks = spec.kh * spec.kw if pixelwise else 1
     # per schedule block: -a0, -b0, P, Q, t0, where its entry (p, q) < (P, Q)
     # is source (a0 + p, b0 + q) at cycle t0 + p*dt + q; its P*Q entries are
@@ -523,47 +560,48 @@ def lower(schedule: CycleSchedule) -> Program:
     if pixelwise:  # the program's: sub n adds into output pixel (y0 + s*p, x0 + s*q)
         s, dt = spec.stride, -(-ow // spec.stride)
         p, q, a0, b0, y0, x0 = blocks[:, [0, 1, 2, 3, 6, 7]].T
-        rects = [r.astype(_index_dtype(spec)) for r in (-a0, -b0, p, q, y0 // s * dt + x0 // s)]
-        rects[2:4] = map(_unsigned, rects[2:4])
+        rects = (-a0, -b0, p, q, y0 // s * dt + x0 // s)
         # sub n's tiles inside the output
         entries, slots = p * q, (y0 % s - oh) // s * ((x0 % s - ow) // s)
     else:  # window (a, b) into output pixel (a, b) at cycle a*ow + b; pixel (a, b)
-        rects, dt = (0, 0, h, w, 0), w
+        rects, dt = ([0], [0], [h], [w], [0]), w
         entries = slots = np.array([h * w])
+    # a checked source lies within a kernel of its grid, so |a| < h + kh and
+    # |b| < w + kw for an entry (a, b), and all the map computes within this
+    scratch = _index_dtype(np.max(rects[4]) + (h + spec.kh) * dt + w + spec.kw)
+    rects = [np.array(r, dtype=scratch) for r in rects]
+    rects[2:4] = map(_unsigned, rects[2:4])
     n_live, drives = 0, np.zeros(n_blocks, dtype=np.int64)
     for k in range(0, schedule.assignment_count, _CACHE_BUDGET):
         # each chunk starts at the last drive of the one before, for the order
         k0 = max(k - 1, 0)
         part = schedule.chunk(k0, k + _CACHE_BUDGET)
-        cycle, n, live = part.cycle, part.crossbar, part.live
-        _check_range(schedule, k0, cycle, cycles, f"drive outside the schedule's {cycles} cycles")
-        if design is DesignKind.RED_FOLDED:
-            n = n * 2
-            n += cycle & 1
-        _check_range(schedule, k0, n, n_blocks,
-                     f"drive names a weight block the plan does not have ({n_blocks})")
-        if not (pixelwise or live.all()):  # only zero skipping has zero drives
-            raise _refusal(schedule, k0 + np.argmin(live), f"zero drive on the {design} design")
+        n, cycle, live = _checked_blocks(part, cycles), part.cycle, part.live
+        if not pixelwise:  # only zero skipping has zero drives
+            if not live.all():
+                raise _refusal(part, int(np.argmin(live)), f"zero drive on the {design} design")
+        else:  # a zero drive's source may lie off its grid, but not far
+            for values, size, k_size in ((part.src_a, h, spec.kh), (part.src_b, w, spec.kw)):
+                _check_range(part, values, size + k_size, "drive source more than a kernel "
+                             "off its grid", low=-k_size)
         back = (n[1:] < n[:-1]) | ((n[1:] == n[:-1]) & (cycle[1:] <= cycle[:-1]))
         if back.any():
-            raise _refusal(schedule, k0 + 1 + int(np.argmax(back)), "drive out of weight-block "
+            raise _refusal(part, 1 + int(np.argmax(back)), "drive out of weight-block "
                            "order, (block, cycle) strictly increasing")
         # the blocks are sorted: a run of drives each
         runs = np.diff(np.searchsorted(n, np.arange(n_blocks + 1, dtype=n.dtype)))
         drives += runs
         drives[n[0]] -= k - k0  # the last drive of the chunk before
-        # each drive's entry (a, b) of its block's rectangle
-        a, b, (a0, b0, p, q, t0) = part.src_a, part.src_b, rects
-        if pixelwise:  # repeat each block's rectangle over its drives
-            a0, b0, p, q, t0 = (np.repeat(r, runs) for r in rects)
-            a0 += a
-            b0 += b
-            a, b = a0, b0
+        # each drive's entry (a, b) of its block's rectangle, in the scratch dtype
+        a, b, p, q, t0 = (np.repeat(r, runs) for r in rects)
+        a += part.src_a
+        b += part.src_b
         bad = _unsigned(a) >= p
         bad |= _unsigned(b) >= q
         bad &= live
         # the affine map, carried past the rectangle, also places zero drives
-        t0 += a * dt
+        a *= dt
+        t0 += a
         t0 += b
         bad |= t0 != (cycle >> 1 if design is DesignKind.RED_FOLDED else cycle)
         if bad.any():

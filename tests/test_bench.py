@@ -311,6 +311,32 @@ def test_run_suite_catches_broken_design(monkeypatch):
     assert len(programs) == 2 and programs[0] is programs[1]
 
 
+def test_run_suite_builds_every_schedule_before_the_data(monkeypatch):
+    # per entry, every design's schedule is built before the first oracle
+    # runs, so no schedule is held next to the layer's data
+    import red_sim.bench as bench_mod
+
+    calls = []
+    real_build, real_oracle = bench_mod.build_schedule, bench_mod.deconv_oracle_zero_padding
+
+    def build(spec, design):
+        calls.append(("build", spec))
+        return real_build(spec, design)
+
+    def oracle(tensor, kernel, spec):
+        calls.append(("oracle", spec))
+        return real_oracle(tensor, kernel, spec)
+
+    monkeypatch.setattr(bench_mod, "build_schedule", build)
+    monkeypatch.setattr(bench_mod, "deconv_oracle_zero_padding", oracle)
+    entries = builtin_benchmarks()[4:6]
+    run_suite(entries, channel_scale=1 / 64, trials=2)
+    for entry in entries:
+        spec = scale_channels(entry.spec, 1 / 64)
+        mine = [name for name, s in calls if s == spec]
+        assert mine == ["build"] * len(ALL_DESIGNS) + ["oracle"] * 2
+
+
 def test_run_suite_invalid_channel_scale():
     with pytest.raises(ValueError, match="channel_scale"):
         run_suite(builtin_benchmarks()[:1], channel_scale=0.0, trials=1)

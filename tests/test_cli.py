@@ -343,6 +343,26 @@ def test_dump_schedule_repeat_identical(toy_config, tmp_path):
     assert read(a) == read(b)
 
 
+def test_main_calls_share_one_parser(monkeypatch, capsys):
+    # the parser is built once per process; parsing leaves it unchanged
+    import argparse
+
+    parsers = []
+    real_parse = argparse.ArgumentParser.parse_args
+
+    def parse_args(self, *args, **kwargs):
+        parsers.append(self)
+        return real_parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+    outputs = []
+    for _ in range(2):
+        assert main(["dump-schedule", "--layer", "GAN_Deconv3", "--design", "red_folded"]) == 0
+        outputs.append(capsys.readouterr())
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert outputs[0] == outputs[1] and outputs[0].out.startswith("# design=red_folded")
+
+
 def test_dump_schedule_unknown_design(capsys):
     assert main(["dump-schedule", "--layer", "GAN_Deconv1", "--design", "fast"]) == 2
     assert "unknown design" in capsys.readouterr().err

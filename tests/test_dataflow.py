@@ -366,6 +366,41 @@ def test_lower_refuses_every_one_drive_mutation_property(spec, design, column, s
         lower(_with_value(sched, column, k, value))
 
 
+@pytest.mark.parametrize("spec,dtype,value", [
+    # dt = ceil(ow/s) = 4: (2^31 - 1) * 4 and (2^63 - 1) * 4 wrap to -4,
+    # which is -1 * 4, in their dtypes
+    (DeconvLayerSpec(4, 4, 1, 4, 4, 1, 2, 1, 1, 1, 1), np.int32, 2**31 - 1),
+    (DeconvLayerSpec(4, 4, 1, 4, 4, 1, 2, 1, 1, 1, 1), np.int64, 2**63 - 1),
+    # dt = 2: (2^15 - 1) * 2 wraps to -2 in int16
+    (DeconvLayerSpec(2, 2, 1, 4, 4, 1, 2, 1, 1, 1, 1), np.int16, 2**15 - 1),
+])
+def test_lower_refuses_a_source_that_wraps_onto_its_cycle(spec, dtype, value):
+    # the first zero drive reads input pixel (-1, -1) in cycle 0; a source
+    # row that the cycle relation a*dt + b would wrap onto -1 is refused
+    # before the relation is computed, in any column dtype
+    sched = build_schedule(spec, DesignKind.RED)
+    sched = dataclasses.replace(sched, **{k: getattr(sched, k).astype(dtype)
+                                          for k in ASSIGNMENT_COLUMNS})
+    k = int(np.flatnonzero(~sched.live)[0])
+    assert _line(sched, k) == "0,0,zero,-1,-1"
+    bad = _with_value(sched, "src_a", k, value)
+    with pytest.raises(ValueError, match=rf"drive source more than a kernel off its grid: "
+                                         rf"drive 0,0,zero,{value},-1$"):
+        lower(bad)
+
+
+@pytest.mark.parametrize("design", [DesignKind.ZERO_PADDING, DesignKind.RED,
+                                    DesignKind.RED_FOLDED])
+def test_group_id_names_a_drive_outside_the_cycles(design):
+    # TOY's groups index its tiles by cycle: a cycle past them is refused
+    # by its dump line, not by numpy's IndexError
+    sched = build_schedule(TOY, design)
+    bad = dataclasses.replace(sched, cycle=sched.cycle + 100)
+    with pytest.raises(ValueError, match=rf"outside the schedule's {sched.cycle_count} cycles: "
+                                         rf"drive {_line(bad, 0)}$"):
+        bad.group_id
+
+
 def test_zero_padding_schedule_structure():
     sched = schedule_zero_padding(TOY)
     oh, ow, _ = output_shape(TOY)
@@ -765,10 +800,11 @@ def test_trace_interior_only_layer_saturates():
 
 @pytest.mark.parametrize("design", list(DesignKind))
 def test_stages_accept_int64_columns(design):
-    # the builders emit int32; a schedule with int64 columns lowers and
-    # traces to the same program and counts
+    # the builders emit TOY's columns in int16, the narrowest dtype that
+    # holds its few cycles, blocks and sources; a schedule with int64
+    # columns lowers and traces to the same program and counts
     sched = build_schedule(TOY, design)
-    assert {getattr(sched, k).dtype for k in ASSIGNMENT_COLUMNS} == {np.dtype(np.int32)}
+    assert {getattr(sched, k).dtype for k in ASSIGNMENT_COLUMNS} == {np.dtype(np.int16)}
     wide = dataclasses.replace(sched, **{k: getattr(sched, k).astype(np.int64)
                                          for k in ASSIGNMENT_COLUMNS})
     want, got = lower(sched), lower(wide)
@@ -781,12 +817,44 @@ def test_stages_accept_int64_columns(design):
 
 
 def test_index_dtype_widens_past_2_31():
-    # twice the padded image's pixels bounds every cycle, group id and
-    # flat padded-image index: 2 * 32768^2 = 2^31 still fits int32
-    fits = DeconvLayerSpec(1, 1, 1, 16385, 16385, 1, 1, 1, 0, 1, 0)
-    assert fits.padded_h * fits.padded_w == 2**30
-    assert _index_dtype(fits) is np.int32
-    assert _index_dtype(dataclasses.replace(fits, crop_top=0)) is np.int64
+    # the narrowest dtype holding every value given, and its negation
+    assert _index_dtype(2**31 - 1) is np.int32
+    assert _index_dtype(5, -(2**31 - 1)) is np.int32
+    assert _index_dtype(2**31) is np.int64
+    assert _index_dtype(3, -(2**31)) is np.int64
+
+
+def test_index_dtype_widens_past_2_15():
+    assert _index_dtype(0) is np.int16
+    assert _index_dtype(2**15 - 1, -(2**15 - 1)) is np.int16
+    assert _index_dtype(2**15) is np.int32
+    assert _index_dtype(1, -(2**15)) is np.int32
+
+
+@pytest.mark.parametrize("width,dtype", [(217, np.int16), (256, np.int32)])
+def test_zero_padding_columns_hold_its_cycle_count(width, dtype):
+    # 151 x 217 = 2^15 - 1 output pixels, each a cycle, fit int16; 128 x
+    # 256 = 2^15 do not
+    spec = DeconvLayerSpec(151 if width == 217 else 128, width, 1, 1, 1, 1, 1)
+    sched = build_schedule(spec, DesignKind.ZERO_PADDING)
+    assert sched.cycle_count == 2**15 - (width == 217)
+    assert {getattr(sched, k).dtype for k in ASSIGNMENT_COLUMNS} == {np.dtype(dtype)}
+    assert _entries(lower(sched)) == sched.cycle_count
+
+
+@pytest.mark.parametrize("design,dtype", [(DesignKind.ZERO_PADDING, np.int32),
+                                          (DesignKind.RED, np.int16),
+                                          (DesignKind.RED_FOLDED, np.int16)])
+def test_fcn_deconv2_columns_take_the_narrowest_dtype(design, dtype):
+    # zero_padding's 322,624 cycles need int32; red's 5,041 and
+    # red_folded's 10,082 cycles, 256 blocks and sources within the
+    # 583 x 583 padded image fit int16
+    sched = build_schedule(FCN2, design)
+    assert {getattr(sched, k).dtype for k in ASSIGNMENT_COLUMNS} == {np.dtype(dtype)}
+    # group ids reach 568 * 568 - 1, past int16: derived wide, they name
+    # every output pixel
+    group = sched.group_id
+    assert np.array_equal(np.unique(group), np.arange(568 * 568))
 
 
 def _entries(program):
@@ -813,10 +881,10 @@ def test_schedule_stages_stay_within_a_column_of_scratch(design):
     sched = build_schedule(spec, design)
     n = sched.assignment_count
     assert n == 256 * 71 * 71
-    # four int32 columns, and nothing derived from them
+    # four int16 columns, and nothing derived from them
     held = sum(getattr(sched, k).nbytes for k in ASSIGNMENT_COLUMNS)
-    assert held <= 16 * n
-    # the trace allocates at most four int32 columns' worth on top of
+    assert held <= 8 * n
+    # the trace allocates at most 16 bytes per assignment on top of
     # what it returns; `lower` reads a chunk of assignments at a time, so
     # its scratch does not grow with the schedule (under 2 bytes per
     # assignment here), and its program holds ten integers per weight
