@@ -21,7 +21,7 @@ from red_sim import (
     lower,
     partition_modes,
     schedule_zero_skipping,
-    trace_of_schedule,
+    trace_of_program,
 )
 
 # the classic K=3, stride-2 illustration; cropping 2 on top/left makes the
@@ -54,8 +54,9 @@ rng = np.random.default_rng(11)
 x = Tensor3(rng.integers(-4, 5, (4, 4, 2)))
 k = Kernel4(rng.integers(-4, 5, (3, 3, 2, 2)))
 plan = build_plan(k, "red", spec)
-out = execute(plan, lower(sched), x)
-trace = trace_of_schedule(sched, plan)
+program = lower(sched)
+out = execute(plan, program, x)
+trace = trace_of_program(program, plan)
 want = deconv_oracle_zero_padding(x, k, spec)
 print(f"\nmatches oracle: {np.array_equal(out.data, want.data)}")
 print(f"activations: {trace.vmm_activations} of {9 * trace.cycle_count} slots "

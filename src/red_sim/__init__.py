@@ -39,7 +39,7 @@ from .dataflow import (
     Program,
     lower,
     execute,
-    trace_of_schedule,
+    trace_of_program,
     dump_schedule_lines,
 )
 from .costmodel import (

@@ -29,7 +29,7 @@ from .costmodel import (
     compare,
     cost_breakdown,
 )
-from .dataflow import Program, build_schedule, execute, lower, trace_of_schedule
+from .dataflow import Program, build_schedule, execute, lower, trace_of_program
 from .mapping import DesignKind, MappingPlan, build_plan
 from .tensor import DeconvLayerSpec, Kernel4, Tensor3, _is_int, deconv_oracle_zero_padding
 
@@ -339,11 +339,11 @@ def run_suite(
     generator seed (seed + i); the kernel is drawn before the inputs.
 
     Each (entry, design) gets one schedule, which `lower` proves and lowers
-    once into the program every trial runs.  It depends on the spatial
-    geometry only, so the proved schedule is traced once on a full-size
-    geometry-only plan for the cost side, and freed: the trials read only
-    the program.  The data-free stages run first, for every design: build,
-    lower, trace and cost, one schedule held at a time.  Only then are the
+    once into the program every trial runs, and which is freed at once.
+    The program depends on the spatial geometry only, so it is traced once
+    on a full-size geometry-only plan for the cost side.  The data-free
+    stages run first, for every design: build, lower, trace and cost, one
+    schedule held at a time.  Only then are the
     kernel and inputs drawn and the oracles computed, and each design's
     trials run, so no schedule is held next to the data.  A schedule that
     `lower` refuses is therefore reported before any trial runs, even where
@@ -360,17 +360,14 @@ def run_suite(
         scaled = scale_channels(entry.spec, channel_scale)
         programs, breakdowns = {}, {}
         for design in designs:
-            schedule = build_schedule(scaled, design)
-            programs[design] = lower(schedule)
+            # the schedule is freed as soon as it is lowered
+            programs[design] = lower(build_schedule(scaled, design))
             # cost side: full declared dimensions, which need no weights
             full_plan = MappingPlan(design, entry.spec.kernel_shape)
-            trace = trace_of_schedule(schedule, full_plan)
             breakdowns[design] = cost_breakdown(
-                trace, full_plan, params, layer=entry.name, spec=entry.spec,
-                critical_path_mode=critical_path_mode,
+                trace_of_program(programs[design], full_plan), full_plan, params,
+                layer=entry.name, spec=entry.spec, critical_path_mode=critical_path_mode,
             )
-            # free this schedule before the next design's is built
-            del schedule
 
         rng = Lcg64(seed + idx)
         kernel = Kernel4(rng.ints((scaled.kh, scaled.kw, scaled.channels, scaled.filters)))

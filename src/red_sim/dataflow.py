@@ -32,15 +32,16 @@ A design is its weight layout (mapping) plus its schedule.  A schedule
 depends on the spatial geometry only, never on C, M or data: `lower`
 derives one strided rectangle per weight block from the layer's closed
 form and proves, once, that the schedule drives exactly those; it is the
-one check of a schedule.  `execute`
-runs each input through that `Program`, a basic-slice read, a product and
-a basic-slice add per block.  Zero drives, window rows on all-zero image
-rows and cropped padding-free products add nothing and are left out; the
-hardware does that work, and `trace_of_schedule` counts it.  Schedule
-columns take the narrowest dtype that holds what they store
-(`_index_dtype`: int16 on FCN_Deconv2's zero-skipping schedules), each
-stage widens what it computes from them so that nothing wraps, and each
-allocates at most about one column of scratch on top of what it returns.
+one check of a schedule.  `execute` runs each input through that
+`Program`, a basic-slice read, a product and a basic-slice add per block.
+Zero drives, window rows on all-zero image rows and cropped padding-free
+products add nothing and are left out; the hardware does that work, and
+`trace_of_program` counts it from the program's rectangles, which the
+proved schedule drives exactly.  Schedule columns take the narrowest
+dtype that holds what they store (`_index_dtype`: int16 on FCN_Deconv2's
+zero-skipping schedules), each stage widens what it computes from them so
+that nothing wraps, and each allocates at most about one column of
+scratch on top of what it returns.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ __all__ = [
     "schedule_padding_free",
     "schedule_zero_skipping",
     "build_schedule",
-    "trace_of_schedule",
+    "trace_of_program",
     "Program",
     "lower",
     "execute",
@@ -152,8 +153,8 @@ class CycleSchedule:
     A drive's source (`src_a`, `src_b`) is a window origin on zero-padding
     and an input pixel elsewhere.  A folded assignment drives the low C-row
     half of its array on an even cycle, the high half on an odd one.
-    `block`, `live` and `group_id` are views, so none can disagree with
-    the drives.
+    `block` and `live` are views, so neither can disagree with the
+    drives.
     """
 
     design: DesignKind
@@ -193,31 +194,6 @@ class CycleSchedule:
         live = _unsigned(self.src_a) < h
         live &= _unsigned(self.src_b) < w
         return live
-
-    @property
-    def group_id(self) -> np.ndarray:
-        """Per assignment of a proved schedule, its accumulation group,
-        output pixel (g // output_w, g % output_w): on zero-padding its
-        cycle; on zero skipping block n's output pixel in its cycle's tile,
-        in int64, since group ids reach output_h*output_w.  Padding-free
-        overlap-adds instead and uses -1.  A ValueError names the first
-        drive outside the layer's cycles or weight blocks."""
-        if self.design is DesignKind.PADDING_FREE:
-            return np.full_like(self.cycle, -1)
-        spec, s = self.layer, self.layer.stride
-        if self.design is DesignKind.ZERO_PADDING:
-            _checked_blocks(self, spec.output_h * spec.output_w)
-            return self.cycle
-        # sub n's output pixel in the first tile, and each tile's offset from it
-        i, j = np.divmod(np.arange(spec.kh * spec.kw), spec.kw)
-        first = (spec.pad_top - i) % s * spec.output_w + (spec.pad_left - j) % s
-        tiles = np.add.outer(np.arange(0, spec.output_h, s) * spec.output_w,
-                             np.arange(0, spec.output_w, s)).ravel()
-        folded = self.design is DesignKind.RED_FOLDED
-        block = _checked_blocks(self, len(tiles) << folded)
-        group = tiles.take(self.cycle >> 1 if folded else self.cycle)
-        group += first.take(block)
-        return group
 
     @property
     def kind(self) -> np.ndarray:
@@ -368,51 +344,56 @@ class ExecutionTrace:
         return int(self.vmm_activations_per_crossbar.sum())
 
 
-def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTrace:
-    """Activity counts implied by a schedule on a plan, independent of data.
+def trace_of_program(program: Program, plan: MappingPlan) -> ExecutionTrace:
+    """Activity counts of a proved schedule on a plan, independent of data,
+    read off its lowered program.
 
-    The schedule supplies the spatial geometry and the plan C, M and the
-    array shape, so a schedule built at scaled channels traces the
-    full-size plan exactly like one built at full channels; a
-    geometry-only plan suffices.  It reads a schedule `lower` has proved a
-    chunk at a time, deriving `live` and the groups per chunk; its scratch
-    is a chunk's columns plus a boolean mark per group and per cycle.
+    The program supplies the spatial geometry and the plan C, M and the
+    array shape, so a program lowered at scaled channels traces the
+    full-size plan exactly like one at full channels; a geometry-only plan
+    suffices.  Zero-padding and padding-free drive their one array once a
+    cycle.  On zero skipping, block n's P*Q entries are sub n's live drives,
+    on crossbar n (n // 2 folded, in phase n % 2): its tiles are its active
+    cycles and its destination rectangle the groups it serves.  Its scratch
+    is a boolean mark per group and per cycle.
     """
-    _check_pair(plan, schedule, dims=2)
+    _check_pair(plan, program, dims=2)
+    spec, design = program.layer, program.design
     kh, kw, c, m = plan.kernel_dims
     rows, cols = plan.shape
+    oh, ow, _ = output_shape(spec)
 
-    n_live = 0
-    per_xbar = np.zeros(plan.count, dtype=np.int64)
-    served = np.zeros(schedule.group_count, dtype=bool)
-    active = np.zeros(schedule.cycle_count, dtype=bool)
-    for k in range(0, schedule.assignment_count, _CACHE_BUDGET):
-        part = schedule.chunk(k, k + _CACHE_BUDGET)
-        live = part.live
-        n_live += int(np.count_nonzero(live))
-        # counted a chunk at a time: np.bincount copies its input to intp
-        per_xbar += np.bincount(part.crossbar[live], minlength=plan.count)
-        active[part.cycle[live]] = True
-        if len(served):
-            served[part.group_id[live]] = True
+    if design in _PIXELWISE:
+        s, folded = spec.stride, int(design is DesignKind.RED_FOLDED)
+        per_xbar = np.zeros(plan.count, dtype=np.int64)
+        active = np.zeros((1 + folded, -(-oh // s), -(-ow // s)), dtype=bool)
+        served = np.zeros((oh, ow), dtype=bool)
+        # block n's entry (p, q) drives tile (y // s + p, x // s + q) into
+        # output pixel (y + s*p, x + s*q)
+        for n, (p, q, _, _, _, _, y, x, _, _) in enumerate(program.blocks.tolist()):
+            per_xbar[n >> folded] += p * q
+            active[n & folded, y // s : y // s + p, x // s : x // s + q] = True
+            served[y : y + s * p : s, x : x + s * q : s] = True
+        cycles, active_cycles = active.size, int(np.count_nonzero(active))
+        n_live = int(per_xbar.sum())
+        # every live member of a group but its first adds M values
+        group_adds = (n_live - int(np.count_nonzero(served))) * m
+    else:  # one live drive a cycle, on zero_padding each its own group
+        h, w = _grid(spec, design)
+        cycles = active_cycles = n_live = h * w
+        per_xbar, group_adds = np.array([n_live], dtype=np.int64), 0
 
     # a window drives every row of its array, a pixel C rows
-    driven = n_live * (rows if schedule.design is DesignKind.ZERO_PADDING else c)
-    # every live member of a group but its first adds M values
-    group_adds = (n_live - int(np.count_nonzero(served))) * m if len(served) else 0
-    active_cycles = int(np.count_nonzero(active))
-
+    driven = n_live * (rows if design is DesignKind.ZERO_PADDING else c)
     post = PostOpCounts()
-    if schedule.has_post_ops:
-        spec = schedule.layer
-        oh, ow, _ = output_shape(spec)
+    if design is DesignKind.PADDING_FREE:
         post = PostOpCounts(
             overlap_add_values=spec.input_h * spec.input_w * kh * kw * m,
             crop_values=(spec.full_h * spec.full_w - oh * ow) * m,
         )
 
     return ExecutionTrace(
-        cycle_count=schedule.cycle_count,
+        cycle_count=cycles,
         vmm_activations_per_crossbar=per_xbar,
         input_bits_driven=driven,
         output_values_read=n_live * cols,
@@ -428,15 +409,15 @@ def trace_of_schedule(schedule: CycleSchedule, plan: MappingPlan) -> ExecutionTr
 # ---------------------------------------------------------------------------
 
 
-def _check_pair(plan: MappingPlan, schedule: CycleSchedule | Program, dims: int):
+def _check_pair(plan: MappingPlan, program: Program, dims: int):
     """Same design, and the first `dims` kernel dimensions of plan and layer
     agree: (kh, kw) for a trace, which takes C and M from the plan; all
     four for execution."""
-    if plan.design is not schedule.design:
+    if plan.design is not program.design:
         raise ValueError(
-            f"plan design {plan.design} does not match schedule design {schedule.design}"
+            f"plan design {plan.design} does not match program design {program.design}"
         )
-    have, want = plan.kernel_dims[:dims], schedule.layer.kernel_shape[:dims]
+    have, want = plan.kernel_dims[:dims], program.layer.kernel_shape[:dims]
     if have != want:
         raise ValueError(f"plan kernel dims {have} do not match layer {want}")
 
@@ -540,13 +521,15 @@ def lower(schedule: CycleSchedule) -> Program:
     increasing (block, cycle) order, only zero skipping has zero drives,
     and no source lies more than a kernel off its grid, which bounds every
     value the proof computes, so its scratch takes the narrowest
-    `_index_dtype` that cannot wrap.  Block n's affine map (window (y, x)
-    at cycle y*ow + x, pixel (a, b) at cycle a*input_w + b on padding_free,
-    sub n's pixel in its output pixel's tile on zero skipping) places every
-    drive in its cycle, and every live one is an entry of the block's
-    rectangle.  The map is one-to-one in the cycle on the rectangle, so as
-    many live drives as entries, and as many drives as the sub has tiles in
-    the output, make each block's its own.  A ValueError names the first
+    `_index_dtype` that cannot wrap.  Block n's affine map takes a drive's
+    source to its tile (window (y, x) and padding_free's pixel (a, b) are
+    their own, sub n's pixel the tile of its output pixel on zero
+    skipping), which must lie among the block's tiles inside the output
+    and name the drive's cycle (row*ow + column, row*input_w + column, or
+    row*ceil(ow/s) + column).  On those tiles the cycle is one-to-one, so
+    a block's drives are distinct tiles, and as many drives as it has
+    tiles make them the closed form's, zero drives included; its live ones
+    are then the entries of its rectangle.  A ValueError names the first
     drive at fault by its `dump_schedule_lines` line.  Zero drives, window
     rows on all-zero image rows and cropped products add nothing."""
     spec, design = schedule.layer, schedule.design
@@ -554,30 +537,30 @@ def lower(schedule: CycleSchedule) -> Program:
     blocks = _rectangles(spec, design)
     pixelwise = design in _PIXELWISE
     n_blocks = spec.kh * spec.kw if pixelwise else 1
-    # per schedule block: -a0, -b0, P, Q, t0, where its entry (p, q) < (P, Q)
-    # is source (a0 + p, b0 + q) at cycle t0 + p*dt + q; its P*Q entries are
-    # its live drives, and its slots all its drives
-    if pixelwise:  # the program's: sub n adds into output pixel (y0 + s*p, x0 + s*q)
+    # per schedule block: the offsets from a drive's source (a, b) to its
+    # tile (a + da, b + db), in cycle (a + da)*dt + b + db, and its tiles
+    # inside the output, rows x columns
+    if pixelwise:  # the program's: sub n's entry (p, q) adds into output
+        # pixel (y0 + s*p, x0 + s*q), of tile (y0 // s + p, x0 // s + q)
         s, dt = spec.stride, -(-ow // spec.stride)
-        p, q, a0, b0, y0, x0 = blocks[:, [0, 1, 2, 3, 6, 7]].T
-        rects = (-a0, -b0, p, q, y0 // s * dt + x0 // s)
-        # sub n's tiles inside the output
-        entries, slots = p * q, (y0 % s - oh) // s * ((x0 % s - ow) // s)
-    else:  # window (a, b) into output pixel (a, b) at cycle a*ow + b; pixel (a, b)
-        rects, dt = ([0], [0], [h], [w], [0]), w
-        entries = slots = np.array([h * w])
-    # a checked source lies within a kernel of its grid, so |a| < h + kh and
-    # |b| < w + kw for an entry (a, b), and all the map computes within this
-    scratch = _index_dtype(np.max(rects[4]) + (h + spec.kh) * dt + w + spec.kw)
-    rects = [np.array(r, dtype=scratch) for r in rects]
-    rects[2:4] = map(_unsigned, rects[2:4])
-    n_live, drives = 0, np.zeros(n_blocks, dtype=np.int64)
+        a0, b0, y0, x0 = blocks[:, [2, 3, 6, 7]].T
+        tiles = (y0 // s - a0, x0 // s - b0, -((y0 % s - oh) // s), -((x0 % s - ow) // s))
+    else:  # window or pixel (a, b), its own tile, at cycle a*w + b
+        tiles, dt = ([0], [0], [h], [w]), w
+    slots = np.multiply(*tiles[2:])
+    # a checked source lies within a kernel of its grid, and an offset is
+    # less than a kernel, so all the map computes lies within this
+    scratch = _index_dtype((h + 2 * spec.kh) * dt + w + 2 * spec.kw)
+    tiles = [np.array(t, dtype=scratch) for t in tiles]
+    tiles[2:] = map(_unsigned, tiles[2:])
+    drives = np.zeros(n_blocks, dtype=np.int64)
     for k in range(0, schedule.assignment_count, _CACHE_BUDGET):
         # each chunk starts at the last drive of the one before, for the order
         k0 = max(k - 1, 0)
         part = schedule.chunk(k0, k + _CACHE_BUDGET)
-        n, cycle, live = _checked_blocks(part, cycles), part.cycle, part.live
+        n, cycle = _checked_blocks(part, cycles), part.cycle
         if not pixelwise:  # only zero skipping has zero drives
+            live = part.live
             if not live.all():
                 raise _refusal(part, int(np.argmin(live)), f"zero drive on the {design} design")
         else:  # a zero drive's source may lie off its grid, but not far
@@ -592,26 +575,22 @@ def lower(schedule: CycleSchedule) -> Program:
         runs = np.diff(np.searchsorted(n, np.arange(n_blocks + 1, dtype=n.dtype)))
         drives += runs
         drives[n[0]] -= k - k0  # the last drive of the chunk before
-        # each drive's entry (a, b) of its block's rectangle, in the scratch dtype
-        a, b, p, q, t0 = (np.repeat(r, runs) for r in rects)
-        a += part.src_a
-        b += part.src_b
-        bad = _unsigned(a) >= p
-        bad |= _unsigned(b) >= q
-        bad &= live
-        # the affine map, carried past the rectangle, also places zero drives
-        a *= dt
-        t0 += a
-        t0 += b
-        bad |= t0 != (cycle >> 1 if design is DesignKind.RED_FOLDED else cycle)
+        # each drive's tile (ty, tx), in the scratch dtype, lies inside the
+        # output and names its cycle
+        ty, tx, rows, columns = (np.repeat(t, runs) for t in tiles)
+        ty += part.src_a
+        tx += part.src_b
+        bad = _unsigned(ty) >= rows
+        bad |= _unsigned(tx) >= columns
+        ty *= dt
+        ty += tx
+        bad |= ty != (cycle >> 1 if design is DesignKind.RED_FOLDED else cycle)
         if bad.any():
             raise _disagreement(schedule, int(n[np.argmax(bad)]))
-        n_live += int(np.count_nonzero(live[k - k0:]))
-    # each live drive is a distinct entry of its block's and each drive a distinct
-    # slot, so where the counts differ a block lacks one or has one too many
-    if n_live != entries.sum() or (drives != slots).any():
-        have = np.bincount(schedule.block[schedule.live], minlength=n_blocks)
-        raise _disagreement(schedule, int(np.flatnonzero((have != entries) | (drives != slots))[0]))
+    # each drive is a distinct tile of its block's, so where the counts
+    # differ a block lacks one or has one too many
+    if (drives != slots).any():
+        raise _disagreement(schedule, int(np.flatnonzero(drives != slots)[0]))
     return Program(design=design, layer=spec, blocks=blocks)
 
 
@@ -622,7 +601,8 @@ def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
     source rectangle (the unpadded input; on zero_padding the padded image,
     in the compute dtype), a product with the block's weight rows and a
     basic-slice add into the destination.  `compute_dtype` makes integer
-    sums exact in any order: the int64 result equals the oracle exactly."""
+    sums exact in any order: the int64 result equals the oracle exactly.
+    `trace_of_program` counts the activity of a run from the same program."""
     _check_pair(plan, program, dims=4)
     spec = program.layer
     if plan.crossbars is None:
@@ -695,10 +675,10 @@ def dump_schedule_lines(schedule: CycleSchedule):
     crossbars of its output pixel's computation mode, in cycle order.
 
     Assignment: cycle,crossbar_index,input_kind,a,b
-    Group:      cycle,group_id,output_y,output_x,member_crossbars...
+    Group:      cycle,group,output_y,output_x,member_crossbars...
     Coordinates are 0-based (row, col); window coordinates address the
     padded image, pixel coordinates the original input feature map, and a
-    group's output pixel is divmod(group_id, output_w).  The kind is `zero`
+    group's output pixel is divmod(group, output_w).  The kind is `zero`
     for a zero drive; a live drive is a `window` on zero_padding and a
     `pixel` elsewhere.  On red_folded the kind carries the driven half:
     `_lo` on even cycles, `_hi` on odd ones.

@@ -13,11 +13,12 @@ from red_sim.cli import main
 from red_sim.costmodel import CostParams, cost_breakdown, report_to_dict
 from red_sim.dataflow import (
     build_schedule,
+    lower,
     partition_modes,
     schedule_padding_free,
     schedule_zero_padding,
     schedule_zero_skipping,
-    trace_of_schedule,
+    trace_of_program,
 )
 from red_sim.mapping import DesignKind, build_plan
 from red_sim.tensor import (
@@ -61,7 +62,7 @@ def test_criterion_1_oracle_equivalence():
     rng = Lcg64(123)
     k = Kernel4(rng.ints((spec.kh, spec.kw, spec.channels, spec.filters)))
     t = Tensor3(rng.ints((spec.input_h, spec.input_w, spec.channels)))
-    from red_sim.dataflow import execute, lower
+    from red_sim.dataflow import execute
     got = execute(build_plan(k, "red_folded", spec),
                   lower(build_schedule(spec, "red_folded")), t)
     assert np.array_equal(got.data, deconv_oracle_zero_padding(t, k, spec).data)
@@ -147,7 +148,7 @@ def test_criterion_6_cost_model():
             dtype=np.int64))
         for design in DesignKind:
             plan = build_plan(kernel, design, entry.spec)
-            trace = trace_of_schedule(build_schedule(entry.spec, design), plan)
+            trace = trace_of_program(lower(build_schedule(entry.spec, design)), plan)
             breakdowns[design] = cost_breakdown(trace, plan, params,
                                                 layer=entry.name, spec=entry.spec)
         per_layer[entry.name] = breakdowns

@@ -14,7 +14,7 @@ from red_sim.costmodel import (
     report_to_dict,
     summary_csv_rows,
 )
-from red_sim.dataflow import ExecutionTrace, build_schedule, trace_of_schedule
+from red_sim.dataflow import ExecutionTrace, build_schedule, lower, trace_of_program
 from red_sim.mapping import DesignKind, MappingPlan, build_plan
 from red_sim.tensor import DeconvLayerSpec, Kernel4
 
@@ -39,7 +39,7 @@ def make(design, spec, params=None, mode="max"):
     k = Kernel4(RNG.integers(-8, 9, (spec.kh, spec.kw, spec.channels, spec.filters)))
     plan = build_plan(k, design, spec)
     schedule = build_schedule(spec, design)
-    trace = trace_of_schedule(schedule, plan)
+    trace = trace_of_program(lower(schedule), plan)
     return plan, trace, cost_breakdown(
         trace, plan, params or CostParams(), layer="L", spec=spec,
         critical_path_mode=mode,
@@ -51,10 +51,10 @@ def make(design, spec, params=None, mode="max"):
 def test_scaled_schedule_on_geometry_plan_costs_like_full_size(entry, design):
     # run_suite's cost path against the full-size schedule on a weighted plan
     spec = entry.spec
-    scaled = trace_of_schedule(build_schedule(scale_channels(spec, 1 / 64), design),
-                               MappingPlan(design, spec.kernel_shape))
+    scaled = trace_of_program(lower(build_schedule(scale_channels(spec, 1 / 64), design)),
+                              MappingPlan(design, spec.kernel_shape))
     zero_plan = build_plan(Kernel4(np.zeros(spec.kernel_shape, dtype=np.int64)), design, spec)
-    full = trace_of_schedule(build_schedule(spec, design), zero_plan)
+    full = trace_of_program(lower(build_schedule(spec, design)), zero_plan)
     for f in dataclasses.fields(ExecutionTrace):
         a, b = getattr(scaled, f.name), getattr(full, f.name)
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
@@ -108,7 +108,7 @@ PINNED_COSTS = {
 def test_plan_costs_are_pinned(design):
     spec = next(e.spec for e in builtin_benchmarks() if e.name == "GAN_Deconv2")
     plan = MappingPlan(design, spec.kernel_shape)
-    trace = trace_of_schedule(build_schedule(spec, design), plan)
+    trace = trace_of_program(lower(build_schedule(spec, design)), plan)
     latency_max, latency_sum, energy, area = PINNED_COSTS[design]
     for mode, latency in (("max", latency_max), ("sum", latency_sum)):
         b = cost_breakdown(trace, plan, CostParams(), "GAN_Deconv2", spec, mode)
@@ -186,7 +186,7 @@ def test_doubling_e_cell_doubles_ec_only():
     spec = DeconvLayerSpec(3, 3, 2, 3, 3, 2, 2)
     k = Kernel4(np.ones((3, 3, 2, 2), dtype=np.int64))
     plan = build_plan(k, DesignKind.RED, spec)
-    trace = trace_of_schedule(build_schedule(spec, DesignKind.RED), plan)
+    trace = trace_of_program(lower(build_schedule(spec, DesignKind.RED)), plan)
     p1 = CostParams()
     p2 = dataclasses.replace(p1, e_cell=2 * p1.e_cell)
     e1, e2 = energy_of(trace, plan, p1), energy_of(trace, plan, p2)
@@ -202,16 +202,14 @@ def test_padding_free_driver_energy_dominates_with_quadratic_term():
     k = Kernel4(np.ones((4, 4, 8, 8), dtype=np.int64))
     pf_plan = build_plan(k, DesignKind.PADDING_FREE, spec)
     red_plan = build_plan(k, DesignKind.RED, spec)
-    pf = energy_of(trace_of_schedule(build_schedule(spec, DesignKind.PADDING_FREE), pf_plan),
-                   pf_plan, CostParams())
-    red = energy_of(trace_of_schedule(build_schedule(spec, DesignKind.RED), red_plan),
-                    red_plan, CostParams())
+    pf_trace = trace_of_program(lower(build_schedule(spec, DesignKind.PADDING_FREE)), pf_plan)
+    red_trace = trace_of_program(lower(build_schedule(spec, DesignKind.RED)), red_plan)
+    pf = energy_of(pf_trace, pf_plan, CostParams())
+    red = energy_of(red_trace, red_plan, CostParams())
     assert pf.wd > red.wd
     no_quad = dataclasses.replace(CostParams(), e_wd_quadratic=0.0, e_bd_quadratic=0.0)
-    pf0 = energy_of(trace_of_schedule(build_schedule(spec, DesignKind.PADDING_FREE), pf_plan),
-                    pf_plan, no_quad)
-    red0 = energy_of(trace_of_schedule(build_schedule(spec, DesignKind.RED), red_plan),
-                     red_plan, no_quad)
+    pf0 = energy_of(pf_trace, pf_plan, no_quad)
+    red0 = energy_of(red_trace, red_plan, no_quad)
     # the quadratic column law is what blows the wide layout's share up;
     # linear-only leaves just the border zero-skipping difference
     assert pf.wd / red.wd > pf0.wd / red0.wd
@@ -257,7 +255,7 @@ def _breakdowns(spec, designs=tuple(DesignKind)):
     k = Kernel4(RNG.integers(-8, 9, (spec.kh, spec.kw, spec.channels, spec.filters)))
     for d in designs:
         plan = build_plan(k, d, spec)
-        trace = trace_of_schedule(build_schedule(spec, d), plan)
+        trace = trace_of_program(lower(build_schedule(spec, d)), plan)
         out[d] = cost_breakdown(trace, plan, CostParams(), layer="L", spec=spec)
     return out
 
@@ -309,7 +307,7 @@ def test_zero_totals_serialize_as_empty_not_infinite():
     out = {}
     for d in (DesignKind.ZERO_PADDING, DesignKind.RED):
         plan = build_plan(k, d, spec)
-        trace = trace_of_schedule(build_schedule(spec, d), plan)
+        trace = trace_of_program(lower(build_schedule(spec, d)), plan)
         out[d] = cost_breakdown(trace, plan, ZEROED, layer="L", spec=spec)
     report = compare(out)
     rows = breakdown_csv_rows([report])

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from red_sim.dataflow import (
+    ExecutionTrace,
+    PostOpCounts,
     _index_dtype,
     build_schedule,
     dump_schedule_lines,
@@ -17,7 +19,7 @@ from red_sim.dataflow import (
     schedule_padding_free,
     schedule_zero_padding,
     schedule_zero_skipping,
-    trace_of_schedule,
+    trace_of_program,
 )
 from red_sim.mapping import DesignKind, MappingPlan, build_plan
 from red_sim.tensor import (
@@ -176,6 +178,22 @@ def test_zero_skipping_groups_follow_modes(spec, design):
     assert sorted(seen) == list(range(spec.output_h * ow))
 
 
+def schedule_groups(sched):
+    """Per drive of a proved schedule, its accumulation group, output pixel
+    divmod(group, output_w), read off where the drive sits: on zero_padding
+    its cycle; on zero skipping its cycle's s x s tile plus its sub's
+    offset in the tile, sub (i, j) serving the output pixels y = pad_top -
+    i, x = pad_left - j (mod s).  Padding-free overlap-adds instead: it has
+    no groups."""
+    spec, s = sched.layer, sched.layer.stride
+    if sched.design is DesignKind.ZERO_PADDING:
+        return sched.cycle.astype(np.int64)
+    i, j = np.divmod(sched.block.astype(np.int64), spec.kw)
+    tile = sched.cycle.astype(np.int64) >> (sched.design is DesignKind.RED_FOLDED)
+    ty, tx = np.divmod(tile, -(-spec.output_w // s))
+    return (s * ty + (spec.pad_top - i) % s) * spec.output_w + s * tx + (spec.pad_left - j) % s
+
+
 def zero_skipping_rows(spec, folded):
     """Per output pixel, by definition, its zero-skipping drives keyed by
     (original sub, cycle): output (y, x) takes kernel position (i, j) when
@@ -205,13 +223,15 @@ def zero_skipping_rows(spec, folded):
 @example(spec=TOY, design=DesignKind.RED_FOLDED)
 def test_zero_skipping_rows_by_definition(spec, design):
     # the built schedule holds exactly the drives of the definition, in
-    # strictly increasing (block, cycle) order, block n being sub n
+    # strictly increasing (block, cycle) order, block n being sub n; the
+    # group its place names is the definition's output pixel
     sched = build_schedule(spec, design)
     want = sorted(zero_skipping_rows(spec, design is DesignKind.RED_FOLDED))
     keys = [key for key, _ in want]
     assert all(p < q for p, q in zip(keys, keys[1:]))
     assert sched.block.tolist() == [n for n, _ in keys]
-    columns = (sched.cycle, sched.crossbar, sched.live, sched.src_a, sched.src_b, sched.group_id)
+    columns = (sched.cycle, sched.crossbar, sched.live, sched.src_a, sched.src_b,
+               schedule_groups(sched))
     assert list(zip(*(col.tolist() for col in columns))) == [row for _, row in want]
 
 
@@ -351,19 +371,37 @@ def test_validate_schedule_rejects(design, corrupt, message, drive):
         lower(bad)
 
 
+def _aliased(sched, k):
+    # the source (a, b) moved to (a - 1, b + ceil(ow/s)) keeps a zero
+    # skipping drive's cycle a*ceil(ow/s) + b, one tile row up and a tile
+    # row's width right, past the sub's last tile column
+    dt = -(-sched.layer.output_w // sched.layer.stride)
+    moved = _with_value(sched, "src_a", k, sched.src_a[k] - 1)
+    return _with_value(moved, "src_b", k, sched.src_b[k] + dt)
+
+
 @settings(max_examples=200, deadline=None)
 @given(spec=layer_specs(max_channels=1), design=st.sampled_from(list(DesignKind)),
-       column=st.sampled_from(ASSIGNMENT_COLUMNS), step=st.sampled_from([-1, 1]),
+       move=st.sampled_from([(column, step) for column in ASSIGNMENT_COLUMNS
+                             for step in (-1, 1)] + ["alias"]),
        data=st.data())
-def test_lower_refuses_every_one_drive_mutation_property(spec, design, column, step, data):
-    # one drive's stored coordinate, live or zero, moved by one: `lower`
-    # names a drive at fault
+def test_lower_refuses_every_one_drive_mutation_property(spec, design, move, data):
+    # one drive's stored coordinate, live or zero, moved by one, or its
+    # source moved to a place that aliases its cycle (a zero drive's where
+    # the schedule has one): `lower` names a drive at fault
     sched = build_schedule(spec, design)
-    k = data.draw(st.integers(0, sched.assignment_count - 1))
-    value = getattr(sched, column)[k] + step
+    drives = np.arange(sched.assignment_count)
+    if move == "alias" and not sched.live.all():
+        drives = drives[~sched.live]
+    k = data.draw(st.sampled_from(drives.tolist()))
+    if move == "alias":
+        bad = _aliased(sched, k)
+    else:
+        column, step = move
+        bad = _with_value(sched, column, k, getattr(sched, column)[k] + step)
     with pytest.raises(ValueError, match=r"\bdrive -?\d+,-?\d+,(window|pixel|zero)(_lo|_hi)?,"
                                          r"-?\d+,-?\d+\b"):
-        lower(_with_value(sched, column, k, value))
+        lower(bad)
 
 
 @pytest.mark.parametrize("spec,dtype,value", [
@@ -389,18 +427,6 @@ def test_lower_refuses_a_source_that_wraps_onto_its_cycle(spec, dtype, value):
         lower(bad)
 
 
-@pytest.mark.parametrize("design", [DesignKind.ZERO_PADDING, DesignKind.RED,
-                                    DesignKind.RED_FOLDED])
-def test_group_id_names_a_drive_outside_the_cycles(design):
-    # TOY's groups index its tiles by cycle: a cycle past them is refused
-    # by its dump line, not by numpy's IndexError
-    sched = build_schedule(TOY, design)
-    bad = dataclasses.replace(sched, cycle=sched.cycle + 100)
-    with pytest.raises(ValueError, match=rf"outside the schedule's {sched.cycle_count} cycles: "
-                                         rf"drive {_line(bad, 0)}$"):
-        bad.group_id
-
-
 def test_zero_padding_schedule_structure():
     sched = schedule_zero_padding(TOY)
     oh, ow, _ = output_shape(TOY)
@@ -414,7 +440,6 @@ def test_padding_free_schedule_structure():
     sched = schedule_padding_free(TOY)
     assert sched.cycle_count == 16
     assert sched.has_post_ops and sched.group_count == 0
-    assert (sched.group_id == -1).all()
 
 
 def test_folded_phases():
@@ -456,9 +481,10 @@ def test_execute_matches_oracle(design, name, spec):
     want = deconv_oracle_zero_padding(t, k, spec)
     plan = build_plan(k, design, spec)
     sched = build_schedule(spec, design)
-    got = execute(plan, lower(sched), t)
+    program = lower(sched)
+    got = execute(plan, program, t)
     assert np.array_equal(got.data, want.data)
-    assert trace_of_schedule(sched, plan).cycle_count == sched.cycle_count
+    assert trace_of_program(program, plan).cycle_count == sched.cycle_count
 
 
 def test_impulse_through_red_schedule():
@@ -483,12 +509,12 @@ def test_folded_equals_unfolded_with_double_cycles():
     t, k = rand_pair(spec, seed=11)
     plain_plan = build_plan(k, DesignKind.RED, spec)
     fold_plan = build_plan(k, DesignKind.RED_FOLDED, spec)
-    plain_sched = schedule_zero_skipping(spec)
-    fold_sched = schedule_zero_skipping(spec, folded=True)
-    a = execute(plain_plan, lower(plain_sched), t)
-    b = execute(fold_plan, lower(fold_sched), t)
-    tr_a = trace_of_schedule(plain_sched, plain_plan)
-    tr_b = trace_of_schedule(fold_sched, fold_plan)
+    plain = lower(schedule_zero_skipping(spec))
+    fold = lower(schedule_zero_skipping(spec, folded=True))
+    a = execute(plain_plan, plain, t)
+    b = execute(fold_plan, fold, t)
+    tr_a = trace_of_program(plain, plain_plan)
+    tr_b = trace_of_program(fold, fold_plan)
     assert np.array_equal(a.data, b.data)
     assert tr_b.cycle_count == 2 * tr_a.cycle_count
     assert tr_b.vmm_activations == tr_a.vmm_activations
@@ -650,15 +676,16 @@ def test_zero_padding_program_size_matches_redundancy_property(spec):
 
 
 def test_trace_checks_design_and_kernel_extent_only():
-    # the trace takes C and M from the plan, so a schedule of any channel
+    # the trace takes C and M from the plan, so a program of any channel
     # count traces a plan of the same design and kernel extent
     sched = schedule_zero_skipping(TOY)
-    trace = trace_of_schedule(sched, MappingPlan(DesignKind.RED, (3, 3, 5, 7)))
+    program = lower(sched)
+    trace = trace_of_program(program, MappingPlan(DesignKind.RED, (3, 3, 5, 7)))
     assert trace.cell_activations == int(sched.live.sum()) * 5 * 7
     with pytest.raises(ValueError, match="design"):
-        trace_of_schedule(sched, MappingPlan(DesignKind.RED_FOLDED, (3, 3, 2, 2)))
+        trace_of_program(program, MappingPlan(DesignKind.RED_FOLDED, (3, 3, 2, 2)))
     with pytest.raises(ValueError, match="kernel dims"):
-        trace_of_schedule(sched, MappingPlan(DesignKind.RED, (3, 2, 2, 2)))
+        trace_of_program(program, MappingPlan(DesignKind.RED, (3, 2, 2, 2)))
     # execution still needs the layer's exact kernel and real weights
     t, _ = rand_pair(TOY, seed=3)
     wide = build_plan(Kernel4(np.zeros((3, 3, 5, 7), dtype=np.int64)), DesignKind.RED)
@@ -747,11 +774,63 @@ def test_float_input_within_tolerance(design):
 # ---------------------------------------------------------------------------
 
 
+def walk_trace(sched, plan):
+    """The activity counts of a schedule on a plan, walked drive by drive:
+    a live drive drives a window's every row or a pixel's C rows and reads
+    the plan's columns; every live member of a group but its first adds M
+    values; a cycle with a live drive is active."""
+    kh, kw, c, m = plan.kernel_dims
+    rows, cols = plan.shape
+    spec, live = sched.layer, sched.live
+    n_live = int(np.count_nonzero(live))
+    driven = n_live * (rows if sched.design is DesignKind.ZERO_PADDING else c)
+    adds, post = 0, PostOpCounts()
+    if sched.group_count:
+        served = np.zeros(sched.group_count, dtype=bool)
+        served[schedule_groups(sched)[live]] = True
+        adds = (n_live - int(np.count_nonzero(served))) * m
+    if sched.has_post_ops:
+        post = PostOpCounts(spec.input_h * spec.input_w * kh * kw * m,
+                            (spec.full_h * spec.full_w - spec.output_h * spec.output_w) * m)
+    active = np.zeros(sched.cycle_count, dtype=bool)
+    active[sched.cycle[live]] = True
+    return ExecutionTrace(
+        cycle_count=sched.cycle_count,
+        vmm_activations_per_crossbar=np.bincount(sched.crossbar[live], minlength=plan.count),
+        input_bits_driven=driven,
+        output_values_read=n_live * cols,
+        adds_performed=adds,
+        cell_activations=driven * cols,
+        active_cycle_count=int(np.count_nonzero(active)),
+        post_ops=post,
+    )
+
+
+def assert_same_trace(got, want):
+    """Field-equal traces, the per-crossbar array included."""
+    for f in dataclasses.fields(ExecutionTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=layer_specs())
+@example(spec=TOY)
+@example(spec=DeconvLayerSpec(70, 70, 1, 16, 16, 1, 8))  # FCN_Deconv2 at C = M = 1
+def test_trace_of_program_matches_the_schedule_walk_property(spec):
+    # the counts read off a program's rectangles are those of walking the
+    # schedule it was lowered from, on every design
+    for design in DesignKind:
+        sched = build_schedule(spec, design)
+        plan = MappingPlan(design, spec.kernel_shape)
+        assert_same_trace(trace_of_program(lower(sched), plan), walk_trace(sched, plan))
+
+
 def test_trace_zero_padding_counts():
     spec = DeconvLayerSpec(2, 2, 3, 2, 2, 4, 2)
     k = Kernel4(np.ones((2, 2, 3, 4), dtype=np.int64))
     plan = build_plan(k, DesignKind.ZERO_PADDING, spec)
-    trace = trace_of_schedule(schedule_zero_padding(spec), plan)
+    trace = trace_of_program(lower(schedule_zero_padding(spec)), plan)
     oh_ow = 16
     assert trace.cycle_count == oh_ow
     assert trace.vmm_activations == oh_ow
@@ -766,7 +845,7 @@ def test_trace_padding_free_post_ops():
     spec = DeconvLayerSpec(2, 2, 3, 2, 2, 4, 2)
     k = Kernel4(np.ones((2, 2, 3, 4), dtype=np.int64))
     plan = build_plan(k, DesignKind.PADDING_FREE, spec)
-    trace = trace_of_schedule(schedule_padding_free(spec), plan)
+    trace = trace_of_program(lower(schedule_padding_free(spec)), plan)
     assert trace.cycle_count == 4
     assert trace.input_bits_driven == 4 * 3
     assert trace.output_values_read == 4 * 16  # kh*kw*M wide readout
@@ -779,7 +858,7 @@ def test_trace_red_zero_skipping_sparsity():
     k = Kernel4(np.ones((4, 4, 2, 3), dtype=np.int64))
     plan = build_plan(k, DesignKind.RED, spec)
     sched = schedule_zero_skipping(spec)
-    trace = trace_of_schedule(sched, plan)
+    trace = trace_of_program(lower(sched), plan)
     kk = 16
     assert trace.vmm_activations <= kk * trace.cycle_count
     zero_assignments = int((~sched.live).sum())
@@ -794,7 +873,7 @@ def test_trace_interior_only_layer_saturates():
     # stride-1 full-crop layer where no zeros exist at all
     spec = DeconvLayerSpec(4, 4, 2, 2, 2, 2, 1, 1, 1, 1, 1)
     k = Kernel4(np.ones((2, 2, 2, 2), dtype=np.int64))
-    trace = trace_of_schedule(schedule_zero_skipping(spec), build_plan(k, DesignKind.RED, spec))
+    trace = trace_of_program(lower(schedule_zero_skipping(spec)), build_plan(k, DesignKind.RED, spec))
     assert trace.vmm_activations == 4 * trace.cycle_count  # kh*kw per cycle
 
 
@@ -802,7 +881,7 @@ def test_trace_interior_only_layer_saturates():
 def test_stages_accept_int64_columns(design):
     # the builders emit TOY's columns in int16, the narrowest dtype that
     # holds its few cycles, blocks and sources; a schedule with int64
-    # columns lowers and traces to the same program and counts
+    # columns lowers to the same program, which traces to the same counts
     sched = build_schedule(TOY, design)
     assert {getattr(sched, k).dtype for k in ASSIGNMENT_COLUMNS} == {np.dtype(np.int16)}
     wide = dataclasses.replace(sched, **{k: getattr(sched, k).astype(np.int64)
@@ -810,10 +889,7 @@ def test_stages_accept_int64_columns(design):
     want, got = lower(sched), lower(wide)
     assert np.array_equal(got.blocks, want.blocks)
     plan = MappingPlan(design, TOY.kernel_shape)
-    want, got = trace_of_schedule(sched, plan), trace_of_schedule(wide, plan)
-    assert np.array_equal(got.vmm_activations_per_crossbar, want.vmm_activations_per_crossbar)
-    assert dataclasses.replace(got, vmm_activations_per_crossbar=None) == dataclasses.replace(
-        want, vmm_activations_per_crossbar=None)
+    assert_same_trace(trace_of_program(got, plan), trace_of_program(want, plan))
 
 
 def test_index_dtype_widens_past_2_31():
@@ -853,8 +929,7 @@ def test_fcn_deconv2_columns_take_the_narrowest_dtype(design, dtype):
     assert {getattr(sched, k).dtype for k in ASSIGNMENT_COLUMNS} == {np.dtype(dtype)}
     # group ids reach 568 * 568 - 1, past int16: derived wide, they name
     # every output pixel
-    group = sched.group_id
-    assert np.array_equal(np.unique(group), np.arange(568 * 568))
+    assert np.array_equal(np.unique(schedule_groups(sched)), np.arange(568 * 568))
 
 
 def _entries(program):
@@ -884,16 +959,17 @@ def test_schedule_stages_stay_within_a_column_of_scratch(design):
     # four int16 columns, and nothing derived from them
     held = sum(getattr(sched, k).nbytes for k in ASSIGNMENT_COLUMNS)
     assert held <= 8 * n
-    # the trace allocates at most 16 bytes per assignment on top of
-    # what it returns; `lower` reads a chunk of assignments at a time, so
-    # its scratch does not grow with the schedule (under 2 bytes per
-    # assignment here), and its program holds ten integers per weight
-    # block, whatever the schedule's length
+    # `lower` reads a chunk of assignments at a time, so its scratch does
+    # not grow with the schedule (under 2 bytes per assignment here), and
+    # its program holds ten integers per weight block, whatever the
+    # schedule's length
     peak, program = _scratch(lambda: lower(sched))
     assert program.blocks.shape == (256, 10) and program.blocks.nbytes == 256 * 10 * 8
     assert peak <= 2 * n
-    peak, _ = _scratch(lambda: trace_of_schedule(sched, MappingPlan(design, FCN2.kernel_shape)))
-    assert peak <= 16 * n
+    # the trace reads the program: a boolean mark per output pixel and per
+    # cycle, and the blocks as a list, under 200 bytes each
+    peak, _ = _scratch(lambda: trace_of_program(program, MappingPlan(design, FCN2.kernel_shape)))
+    assert peak <= 568 * 568 + sched.cycle_count + 256 * 200
 
 
 def test_padding_free_execute_holds_no_product_matrix():
