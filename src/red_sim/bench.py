@@ -312,11 +312,17 @@ def scale_channels(spec: DeconvLayerSpec, factor: float) -> DeconvLayerSpec:
                    filters=max(1, math.ceil(spec.filters * factor)))
 
 
-def _diff_summary(got: np.ndarray, want: np.ndarray, limit: int = 3) -> str:
+def _diff_summary(got: np.ndarray, want: np.ndarray, program: Program, limit: int = 3) -> str:
+    """The differing elements, the first `limit` with both values, and the
+    program's kernel positions and input pixels summed into the first."""
     bad = np.argwhere(got != want)
     parts = [f"{len(bad)} of {want.size} elements differ"]
     for y, x, m in bad[:limit]:
         parts.append(f"at ({y},{x},{m}): got {got[y, x, m]}, oracle {want[y, x, m]}")
+    y, x, _ = bad[0].tolist()
+    causes = ", ".join(f"kernel position ({i}, {j}) from input pixel ({a}, {b})"
+                       for (i, j), (a, b) in program.sources(y, x))
+    parts.append(f"output pixel ({y},{x}) sums {causes or 'no kernel position'}")
     return "; ".join(parts)
 
 
@@ -395,4 +401,5 @@ def _verify(where: str, plan: MappingPlan, program: Program, inputs: list[Tensor
     for t, (tensor, want) in enumerate(zip(inputs, oracles)):
         got = execute(plan, program, tensor)
         if not np.array_equal(got.data, want.data):
-            raise EquivalenceError(f"{where} / trial {t}: " + _diff_summary(got.data, want.data))
+            raise EquivalenceError(f"{where} / trial {t}: "
+                                   f"{_diff_summary(got.data, want.data, program)}")

@@ -16,32 +16,27 @@ large layers stay cheap to generate, execute and dump:
   they keep the accumulation-group structure uniform but are skipped in
   activation counts.
 
-A schedule stores its drives only, each a cycle, a crossbar and a source,
-in (weight block, cycle) order, the order `lower` reads; only the dump
-sorts, by cycle.  What follows from where a drive sits is derived: it is
-live exactly when its source lies on its grid, the design names a live
-drive's kind (a window on zero-padding, a pixel elsewhere), and its
-accumulation group is its output pixel, which its block and cycle fix;
-a group's members are the sub-crossbars of its computation mode.
+A schedule stores its drives only (`CycleSchedule`); whether a drive is
+live, its kind and its accumulation group (its output pixel, served by
+the sub-crossbars of its computation mode) follow from where it sits.
 Folding doubles the cycle count, even phases driving rows 0..C-1 of each
 folded sub with the even original sub's input and odd phases rows
-C..2C-1 with the odd one's, so the cycle's parity names the half and
-the weight block.
+C..2C-1 with the odd one's, so the cycle's parity names the half.
 
 A design is its weight layout (mapping) plus its schedule.  A schedule
 depends on the spatial geometry only, never on C, M or data: `lower`
-derives one strided rectangle per weight block from the layer's closed
-form and proves, once, that the schedule drives exactly those; it is the
-one check of a schedule.  `execute` runs each input through that
-`Program`, a basic-slice read, a product and a basic-slice add per block.
-Zero drives, window rows on all-zero image rows and cropped padding-free
-products add nothing and are left out; the hardware does that work, and
-`trace_of_program` counts it from the program's rectangles, which the
-proved schedule drives exactly.  Schedule columns take the narrowest
-dtype that holds what they store (`_index_dtype`: int16 on FCN_Deconv2's
-zero-skipping schedules), each stage widens what it computes from them so
-that nothing wraps, and each allocates at most about one column of
-scratch on top of what it returns.
+proves it, once, against the layer's closed form; it is the one check of
+a schedule.  Every design lowers to the same `Program`, one strided
+rectangle per kernel position (`_rectangles`), which `execute` runs on
+the unpadded input: a basic-slice read, a product and a basic-slice add
+per block.  Zero drives, the inserted and border zeros of a zero-padding
+window and cropped padding-free products add nothing and are left out;
+the hardware does that work, and `trace_of_program` counts it from the
+design's grid and the program's rectangles.  Schedule columns take the
+narrowest dtype that holds what they store (`_index_dtype`: int16 on
+FCN_Deconv2's zero-skipping schedules), each stage widens what it
+computes from them so that nothing wraps, and each allocates at most
+about one column of scratch on top of what it returns.
 """
 
 from __future__ import annotations
@@ -50,11 +45,9 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .mapping import DesignKind, MappingPlan
-from .tensor import (_CACHE_BUDGET, DeconvLayerSpec, Tensor3, _check_input, compute_dtype,
-                     dilate_and_pad, output_shape)
+from .tensor import DeconvLayerSpec, Tensor3, _check_input, compute_dtype, output_shape
 
 __all__ = [
     "InputKind",
@@ -147,14 +140,11 @@ class CycleSchedule:
     order `lower` reads; a crossbar and a cycle fix the block, so each
     crossbar appears at most once per cycle.  Only the dump sorts by cycle.
     The builders store them in the narrowest `_index_dtype` that holds what
-    they store: int16 (8 bytes per assignment) on FCN_Deconv2's
-    zero-skipping schedules, int32 on its zero-padding one; the stages that
-    read a schedule accept any integer dtype and widen what they compute.
-    A drive's source (`src_a`, `src_b`) is a window origin on zero-padding
-    and an input pixel elsewhere.  A folded assignment drives the low C-row
-    half of its array on an even cycle, the high half on an odd one.
-    `block` and `live` are views, so neither can disagree with the
-    drives.
+    they store, 8 bytes per assignment on FCN_Deconv2's zero-skipping
+    schedules; the stages that read them widen what they compute.  A
+    drive's source (`src_a`, `src_b`) is a window origin on zero-padding
+    and an input pixel elsewhere.  `block` and `live` are views, so
+    neither can disagree with the drives.
     """
 
     design: DesignKind
@@ -217,6 +207,7 @@ class CycleSchedule:
         return replace(self, **{c: getattr(self, c)[part] for c in _COLUMNS})
 
 
+_CACHE_BUDGET = 65536  # drives in one chunk, so that a chunk stays in a core's cache
 _COLUMNS = ("cycle", "crossbar", "src_a", "src_b")
 _PIXELWISE = (DesignKind.RED, DesignKind.RED_FOLDED)
 
@@ -428,14 +419,22 @@ class Program:
 
     Row n of `blocks`, (P, Q, source row, column, row step, column step,
     destination row, column, row step, column step), has block n multiply
-    source element (row + p*row step, column + q*column step) into output
+    input pixel (row + p*row step, column + q*column step) into output
     pixel (p, q) of the destination rectangle, p < P, q < Q; steps are >= 1.
-    A source element is an input pixel's C values; on zero_padding, whose
-    block i is kernel row i, it is the kw*C values of a window's row i."""
+    Every design has the same blocks, block n being kernel position
+    (n // kw, n % kw); only where its C x M weights sit differs."""
 
     design: DesignKind
     layer: DeconvLayerSpec
     blocks: np.ndarray
+
+    def sources(self, y: int, x: int):
+        """Yield the kernel positions (i, j) whose block adds into output
+        pixel (y, x), each with the input pixel (a, b) it multiplies there."""
+        for n, (p, q, a, b, da, db, y0, x0, dy, dx) in enumerate(self.blocks.tolist()):
+            (u, ru), (v, rv) = divmod(y - y0, dy), divmod(x - x0, dx)
+            if ru == rv == 0 and 0 <= u < p and 0 <= v < q:
+                yield divmod(n, self.layer.kw), (a + u * da, b + v * db)
 
 
 def _span(k, pad: int, n_in: int, n_out: int, s: int):
@@ -444,21 +443,17 @@ def _span(k, pad: int, n_in: int, n_out: int, s: int):
     return first, np.maximum(np.minimum(n_in, -((pad - k - n_out) // s)) - first, 0)
 
 
-def _rectangles(spec: DeconvLayerSpec, design: DesignKind) -> np.ndarray:
-    """`Program.blocks`: output pixel (y, x) takes kernel position (i, j)
-    from padded pixel (y + i, x + j) (Dumoulin & Visin, arXiv:1603.07285),
-    input pixel (a, b) being padded pixel (pad_top + s*a, pad_left + s*b)."""
-    s, kh, kw, ow = spec.stride, spec.kh, spec.kw, spec.output_w
+def _rectangles(spec: DeconvLayerSpec) -> np.ndarray:
+    """`Program.blocks`, one per kernel position n = (i, j): output pixel
+    (y, x) takes kernel position (i, j) from padded pixel (y + i, x + j)
+    (Dumoulin & Visin, arXiv:1603.07285), and input pixel (a, b) is padded
+    pixel (pad_top + s*a, pad_left + s*b), so it adds into output pixel
+    (pad_top - i + s*a, pad_left - j + s*b) where that lies inside."""
+    s, kh, kw = spec.stride, spec.kh, spec.kw
     i, j = np.divmod(np.arange(kh * kw), kw)
-    if design is DesignKind.ZERO_PADDING:
-        i = np.arange(kh)
-    elif design is DesignKind.PADDING_FREE:
-        i, j = kh - 1 - i, kw - 1 - j  # the wide array holds the rotated kernel
     a0, p = _span(i, spec.pad_top, spec.input_h, spec.output_h, s)
-    y0 = spec.pad_top - i + s * a0
-    b0, q = _span(j, spec.pad_left, spec.input_w, ow, s)
-    fields = ((p, ow, y0 + i, 0, s, 1, y0, 0, s, 1) if design is DesignKind.ZERO_PADDING
-              else (p, q, a0, b0, 1, 1, y0, spec.pad_left - j + s * b0, s, s))
+    b0, q = _span(j, spec.pad_left, spec.input_w, spec.output_w, s)
+    fields = (p, q, a0, b0, 1, 1, spec.pad_top - i + s * a0, spec.pad_left - j + s * b0, s, s)
     return np.column_stack([np.full_like(i, values) for values in fields])
 
 
@@ -515,26 +510,23 @@ def _checked_blocks(schedule: CycleSchedule, cycles: int) -> np.ndarray:
 
 def lower(schedule: CycleSchedule) -> Program:
     """Prove a schedule, the one check of it, and lower it once into the
-    `Program` that `execute` runs; the descriptors come from the layer's
-    closed form (`_rectangles`).  It reads the drives a chunk at a time:
-    each lies in a cycle and names a block the design has, in strictly
-    increasing (block, cycle) order, only zero skipping has zero drives,
-    and no source lies more than a kernel off its grid, which bounds every
-    value the proof computes, so its scratch takes the narrowest
-    `_index_dtype` that cannot wrap.  Block n's affine map takes a drive's
-    source to its tile (window (y, x) and padding_free's pixel (a, b) are
-    their own, sub n's pixel the tile of its output pixel on zero
-    skipping), which must lie among the block's tiles inside the output
-    and name the drive's cycle (row*ow + column, row*input_w + column, or
-    row*ceil(ow/s) + column).  On those tiles the cycle is one-to-one, so
-    a block's drives are distinct tiles, and as many drives as it has
-    tiles make them the closed form's, zero drives included; its live ones
-    are then the entries of its rectangle.  A ValueError names the first
-    drive at fault by its `dump_schedule_lines` line.  Zero drives, window
-    rows on all-zero image rows and cropped products add nothing."""
+    `Program` that `execute` runs, the layer's closed form (`_rectangles`).
+    Read a chunk at a time, each drive lies in a cycle and names a block
+    the design has, in strictly increasing (block, cycle) order; only zero
+    skipping has zero drives; and no source lies more than a kernel off its
+    grid, which bounds every value the proof computes, so its scratch
+    takes the narrowest `_index_dtype` that cannot wrap.  Block n's affine
+    map takes a drive's source to its tile (a window or padding_free's
+    pixel is its own, sub n's pixel the tile of its output pixel), which
+    must lie among the block's tiles inside the output and name the
+    drive's cycle.  That is one-to-one, so as many drives as a block has
+    tiles are the closed form's, zero drives included, and its live ones
+    the entries of its rectangle: red's proof checks the table every design
+    runs entry by entry.  A ValueError names the first drive at fault by
+    its `dump_schedule_lines` line."""
     spec, design = schedule.layer, schedule.design
     cycles, (h, w), (oh, ow, _) = schedule.cycle_count, _grid(spec, design), output_shape(spec)
-    blocks = _rectangles(spec, design)
+    blocks = _rectangles(spec)
     pixelwise = design in _PIXELWISE
     n_blocks = spec.kh * spec.kw if pixelwise else 1
     # per schedule block: the offsets from a drive's source (a, b) to its
@@ -597,51 +589,45 @@ def lower(schedule: CycleSchedule) -> Program:
 def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
     """Run one input through a lowered schedule's VMMs and sum the groups.
 
-    Per weight block, a chunk of rows at a time: a basic-slice read of the
-    source rectangle (the unpadded input; on zero_padding the padded image,
-    in the compute dtype), a product with the block's weight rows and a
-    basic-slice add into the destination.  `compute_dtype` makes integer
-    sums exact in any order: the int64 result equals the oracle exactly.
-    `trace_of_program` counts the activity of a run from the same program."""
+    Every design runs the same blocks on the unpadded input, in the
+    `compute_dtype` of the input and the plan's `weight_bound`: per block a
+    basic-slice read of the source rectangle, a product with the block's
+    C x M weights, wherever the design's arrays hold them, and a
+    basic-slice add into the destination.  Integer sums are exact in any
+    order: the int64 result equals the oracle exactly.  `trace_of_program`
+    counts the activity of a run from the same program."""
     _check_pair(plan, program, dims=4)
     spec = program.layer
     if plan.crossbars is None:
         raise ValueError("a geometry-only plan holds no weights to execute")
     _check_input(input, spec)
-    dtype = compute_dtype(input.data, plan.crossbars, spec.kh * spec.kw * spec.channels)
-    c, m, arrays = spec.channels, spec.filters, plan.crossbars
-    segment = spec.kw * c if program.design is DesignKind.ZERO_PADDING else c
-    # weight block n's rows of the plan's arrays, as `Program` numbers them
+    c, m, arrays, last = spec.channels, spec.filters, plan.crossbars, spec.kh * spec.kw - 1
+    dtype = compute_dtype(input.data, plan.weight_bound, (last + 1) * c)
+    # kernel position n's weights: rows n*C on of the tall array, the wide
+    # array's columns of the rotated kernel, sub n, or folded sub n // 2's half
     weights = {
-        DesignKind.ZERO_PADDING: lambda n: arrays[0][n * segment : (n + 1) * segment],
-        DesignKind.PADDING_FREE: lambda n: arrays[0][:, n * m : (n + 1) * m],
+        DesignKind.ZERO_PADDING: lambda n: arrays[0][n * c : n * c + c],
+        DesignKind.PADDING_FREE: lambda n: arrays[0][:, (last - n) * m : (last - n) * m + m],
         DesignKind.RED: lambda n: arrays[n],
         DesignKind.RED_FOLDED: lambda n: arrays[n // 2][n % 2 * c : n % 2 * c + c],
     }[program.design]
-    # the unpadded input, or on zero_padding window rows of the padded image:
-    # (row, column) holds padded pixels (row, column + j) as (j, C)
-    source = (sliding_window_view(dilate_and_pad(input, spec, dtype).data, spec.kw, axis=1)
-              .transpose(0, 1, 3, 2) if program.design is DesignKind.ZERO_PADDING
-              else input.data.astype(dtype, copy=False))
-    multiply = np.multiply if segment == 1 else np.matmul  # far faster at C = 1
-    budget = max(_CACHE_BUDGET, segment * m)  # a chunk at least as large as the weights
+    source = input.data.astype(dtype, copy=False)
+    multiply = np.multiply if c == 1 else np.matmul  # far faster at C = 1
     # in the result dtype: integer-valued products below 2^53 convert exactly
     acc = np.zeros(output_shape(spec), dtype=np.result_type(input.data, arrays[0]))
     for n, descriptor in enumerate(program.blocks):
         p, q, sa, sb, sda, sdb, da, db, dda, ddb = descriptor.tolist()
         if p * q == 0:
             continue
-        weight = weights(n).astype(dtype, copy=False)
-        rows = max(1, budget // (q * max(segment, m)))
-        for p0 in range(0, p, rows):
-            p1 = min(p0 + rows, p) - 1
-            src = source[sa + p0 * sda : sa + p1 * sda + 1 : sda, sb : sb + (q - 1) * sdb + 1 : sdb]
-            dst = acc[da + p0 * dda : da + p1 * dda + 1 : dda, db : db + (q - 1) * ddb + 1 : ddb]
-            products = multiply(src.reshape(-1, segment), weight).reshape(dst.shape)
-            # added and written back: numpy buffers the reads and the writes
-            # of a strided in-place add
-            products += dst
-            dst[...] = products
+        # at most one input's and one output's worth of scratch
+        src = source[sa : sa + (p - 1) * sda + 1 : sda, sb : sb + (q - 1) * sdb + 1 : sdb]
+        dst = acc[da : da + (p - 1) * dda + 1 : dda, db : db + (q - 1) * ddb + 1 : ddb]
+        products = multiply(src.reshape(-1, c), weights(n).astype(dtype, copy=False))
+        # added and written back: numpy buffers the reads and the writes of a
+        # strided in-place add
+        products = products.reshape(dst.shape)
+        products += dst
+        dst[...] = products
     return Tensor3(acc)
 
 

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor import DeconvLayerSpec, Kernel4, _check_kernel
+from .tensor import DeconvLayerSpec, Kernel4, _check_kernel, _integer_bound
 
 __all__ = [
     "DesignKind",
@@ -58,13 +58,16 @@ class MappingPlan:
     The design and `kernel_dims` fix `count` identical arrays of `shape`
     (rows, cols), which the schedules address.  `crossbars` lists their
     2-D weight arrays, or is None in a geometry-only plan, which is all
-    the trace and the cost model read.  `periphery_inventory` maps each
-    periphery circuit to its port count over all arrays.
+    the trace and the cost model read.  `weight_bound` is max|w| over
+    integer `crossbars` (None for float ones or none), taken once when the
+    plan is built.  `periphery_inventory` maps each periphery circuit to
+    its port count over all arrays.
     """
 
     design: DesignKind
     kernel_dims: tuple[int, int, int, int]
     crossbars: list[np.ndarray] | None = None
+    weight_bound: int | None = field(init=False)
     count: int = field(init=False)
     shape: tuple[int, int] = field(init=False)
     periphery_inventory: dict[str, int] = field(init=False)
@@ -77,6 +80,7 @@ class MappingPlan:
                 or any(x.shape != self.shape for x in self.crossbars)):
             raise ValueError(f"layout arrays do not match the {self.design} shapes "
                              f"of kernel {self.kernel_dims}")
+        self.weight_bound = None if self.crossbars is None else _integer_bound(self.crossbars)
         # one instance of each periphery circuit per array: input-side ports
         # scale with rows, output-side ports with columns
         rows, cols = self.shape

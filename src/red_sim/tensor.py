@@ -21,10 +21,10 @@ Coordinate convention: (row, column) a.k.a. (y, x), row-major throughout.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor3",
@@ -256,9 +256,20 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
-def compute_dtype(data: np.ndarray, weights: list[np.ndarray], terms: int) -> np.dtype:
-    """The dtype in which sums of `terms` products of `data` and `weights`
-    entries are exact.
+def _integer_bound(weights: list[np.ndarray]) -> int | None:
+    """max|w| over integer weight arrays of one shape, or None if any holds
+    floats.  Arrays of at most 2^16 values in all, such as red's C x M subs
+    at small C and M, are joined first: one reduction, not one per array."""
+    if any(w.dtype.kind != "i" for w in weights):
+        return None
+    if len(weights) > 1 and sum(w.size for w in weights) <= 2**16:
+        weights = [np.concatenate(weights)]
+    return max(_abs_max(w) for w in weights)
+
+
+def compute_dtype(data: np.ndarray, w_bound: int | None, terms: int) -> np.dtype:
+    """The dtype in which sums of `terms` products of `data` entries and
+    weights of `_integer_bound` `w_bound` are exact.
 
     For integer operands, bound = max|x| * max|w| * terms bounds every
     partial sum.  Below 2^53 each partial sum is an integer that float64
@@ -268,9 +279,9 @@ def compute_dtype(data: np.ndarray, weights: list[np.ndarray], terms: int) -> np
     wrap could pass as agreement between two equally wrong routes.  Float
     operands are computed in float64 and compared with a tolerance.
     """
-    if data.dtype.kind != "i" or any(w.dtype.kind != "i" for w in weights):
+    if data.dtype.kind != "i" or w_bound is None:
         return np.dtype(np.float64)
-    bound = _abs_max(data) * max(_abs_max(w) for w in weights) * terms
+    bound = _abs_max(data) * w_bound * terms
     if bound < 2**53:
         return np.dtype(np.float64)
     if bound > np.iinfo(np.int64).max:
@@ -278,11 +289,6 @@ def compute_dtype(data: np.ndarray, weights: list[np.ndarray], terms: int) -> np
             f"int64 overflow possible: max|x| * max|w| * {terms} = {bound} > 2^63 - 1"
         )
     return np.dtype(np.int64)
-
-
-# values of one block of gathered windows or products, so that the block
-# stays in a core's cache (the oracle here, the runner in `dataflow`)
-_CACHE_BUDGET = 65536
 
 
 def dilate_and_pad(input: Tensor3, spec: DeconvLayerSpec, dtype=None) -> Tensor3:
@@ -305,43 +311,60 @@ def dilate_and_pad(input: Tensor3, spec: DeconvLayerSpec, dtype=None) -> Tensor3
     return Tensor3(canvas)
 
 
+def _offsets(nonzero: np.ndarray, k: int, n_out: int) -> list:
+    """Per kernel offset t < k along one axis, the basic strided slices
+    (outputs, image indices) that cover every output o < n_out whose image
+    index o + t is `nonzero`, or None if there is none.  The step is the
+    gcd of the gaps between nonzero indices, so a slice skips a dilated
+    image's inserted zeros and may read a few zero indices of another."""
+    index = np.flatnonzero(nonzero)
+    step = int(np.gcd.reduce(np.diff(index))) if len(index) > 1 else 1
+    index = index.tolist()
+    pairs = []
+    for t in range(k):
+        taken = index[bisect_left(index, t) : bisect_left(index, t + n_out)]
+        if not taken:
+            pairs.append(None)
+        else:
+            first, last = taken[0], taken[-1] + 1
+            pairs.append((slice(first - t, last - t, step), slice(first, last, step)))
+    return pairs
+
+
 def conv2d_valid(image: Tensor3, kernel: Kernel4) -> Tensor3:
     """Stride-1 valid cross-correlation (no kernel flip).
 
     out(y, x, m) = sum_{i,j,c} image(y+i, x+j, c) * kernel(i, j, c, m)
 
-    Kernel row i adds into output row y only where image row y + i holds a
-    nonzero value: an all-zero row adds nothing, so skipping it is exact
-    for any image.  `dilate_and_pad` is the caller that inserts such rows;
-    on the zero-padding route most rows of the padded image are zero.
+    Tap (i, j) adds into output pixel (y, x) only where image row y + i
+    and image column x + j hold a nonzero value: skipping an all-zero row
+    or column is exact for any image.  The nonzero rows and columns are
+    found once per call, and each tap reads them as one basic strided
+    slice per axis (`_offsets`).  `dilate_and_pad` inserts such rows and
+    columns: all but one in `stride` of the padded image's.
     """
-    if image.channels != kernel.channels:
-        raise ValueError(
-            f"channel mismatch: image has {image.channels}, kernel has {kernel.channels}"
-        )
-    if image.height < kernel.kh or image.width < kernel.kw:
-        raise ValueError(
-            f"image {image.height}x{image.width} smaller than kernel "
-            f"{kernel.kh}x{kernel.kw}"
-        )
     kh, kw, c, m = kernel.shape
-    oh = image.height - kh + 1
-    ow = image.width - kw + 1
-    dtype = compute_dtype(image.data, [kernel.data], kh * kw * c)
+    if image.channels != c:
+        raise ValueError(f"channel mismatch: image has {image.channels}, kernel has {c}")
+    if image.height < kh or image.width < kw:
+        raise ValueError(f"image {image.height}x{image.width} smaller than kernel {kh}x{kw}")
+    oh, ow = image.height - kh + 1, image.width - kw + 1
+    dtype = compute_dtype(image.data, _integer_bound([kernel.data]), kh * kw * c)
     img = image.data.astype(dtype, copy=False)
-    nonzero = img.reshape(image.height, -1).any(axis=1)
-    taps = kernel.data.astype(dtype, copy=False).reshape(kh, kw * c, m)
+    taps = kernel.data.astype(dtype, copy=False)
+    pixels = img.any(axis=2)
+    rows, cols = _offsets(pixels.any(axis=1), kh, oh), _offsets(pixels.any(axis=0), kw, ow)
     out = np.zeros((oh, ow, m), dtype=dtype)
-    # blocks of output rows, so that a block's windows stay in cache
-    step = max(1, _CACHE_BUDGET // (ow * kw * c))
-    for i in range(kh):
-        rows = np.flatnonzero(nonzero[i : i + oh])
-        for r0 in range(0, len(rows), step):
-            y = rows[r0 : r0 + step]
-            # kernel row i: each output pixel's kw image pixels, as (y, x, c, j)
-            windows = sliding_window_view(img[y + i], kw, axis=1)
-            products = windows.transpose(0, 1, 3, 2).reshape(-1, kw * c) @ taps[i]
-            out[y] += products.reshape(len(y), ow, m)
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols if row else ()):
+            if col is None:
+                continue
+            src = img[row[1], col[1]]
+            if c == 1:  # far faster than a matmul
+                products = src * taps[i, j, 0]
+            else:
+                products = (src.reshape(-1, c) @ taps[i, j]).reshape(*src.shape[:2], m)
+            out[row[0], col[0]] += products
     return Tensor3(out.astype(np.result_type(image.data, kernel.data), copy=False))
 
 
@@ -357,7 +380,8 @@ def deconv_oracle_zero_padding(
     followed by valid correlation."""
     _check_input(input, spec)
     _check_kernel(kernel, spec)
-    dtype = compute_dtype(input.data, [kernel.data], spec.kh * spec.kw * spec.channels)
+    dtype = compute_dtype(input.data, _integer_bound([kernel.data]),
+                          spec.kh * spec.kw * spec.channels)
     out = conv2d_valid(dilate_and_pad(input, spec, dtype), kernel).data
     assert out.shape == output_shape(spec)
     return Tensor3(out.astype(np.result_type(input.data, kernel.data), copy=False))
@@ -376,7 +400,8 @@ def deconv_oracle_padding_free(
     """
     _check_input(input, spec)
     _check_kernel(kernel, spec)
-    dtype = compute_dtype(input.data, [kernel.data], spec.kh * spec.kw * spec.channels)
+    dtype = compute_dtype(input.data, _integer_bound([kernel.data]),
+                          spec.kh * spec.kw * spec.channels)
     rot = rotate180(kernel).data.transpose(2, 0, 1, 3).astype(dtype, order="C")
     flat = input.data.reshape(spec.input_h * spec.input_w, spec.channels).astype(dtype, copy=False)
     products = flat @ rot.reshape(spec.channels, -1)

@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from red_sim.bench import (
     ALL_DESIGNS,
+    BenchmarkEntry,
     ConfigError,
     EquivalenceError,
     Lcg64,
@@ -14,7 +16,7 @@ from red_sim.bench import (
 )
 from red_sim.costmodel import DEFAULT_PARAMS_LABEL, CostParams
 from red_sim.mapping import DesignKind
-from red_sim.tensor import output_shape
+from red_sim.tensor import DeconvLayerSpec, Kernel4, output_shape
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -309,6 +311,33 @@ def test_run_suite_catches_broken_design(monkeypatch):
         run_suite(builtin_benchmarks()[2:3], channel_scale=1 / 128, trials=2)
     # both trials of the first design ran one program, lowered once
     assert len(programs) == 2 and programs[0] is programs[1]
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_equivalence_error_names_the_corrupted_kernel_position(monkeypatch, design):
+    # one kernel position's weights corrupted in the plan: the first
+    # differing output pixel lies in that block's destination, and the
+    # error names the kernel position with the input pixel it reads there,
+    # which by the definition lands on that output pixel
+    import red_sim.bench as bench_mod
+
+    real_build = bench_mod.build_plan
+
+    def corrupted(kernel, design, spec):
+        bad = kernel.data.copy()
+        bad[1, 2] += 1
+        return real_build(Kernel4(bad), design, spec)
+
+    monkeypatch.setattr(bench_mod, "build_plan", corrupted)
+    spec = DeconvLayerSpec(4, 5, 2, 3, 3, 2, 2, 2, 0, 1, 0)
+    entry = BenchmarkEntry("toy", "custom", "", spec)
+    with pytest.raises(EquivalenceError) as err:
+        run_suite([entry], designs=(design,), trials=1)
+    found = re.search(r"output pixel \((\d+),(\d+)\) sums (.*)$", str(err.value))
+    y, x = int(found[1]), int(found[2])
+    a, b = map(int, re.search(r"kernel position \(1, 2\) from input pixel \((\d+), (\d+)\)",
+                              found[3]).groups())
+    assert (y, x) == (spec.pad_top - 1 + spec.stride * a, spec.pad_left - 2 + spec.stride * b)
 
 
 def test_run_suite_builds_every_schedule_before_the_data(monkeypatch):

@@ -26,7 +26,7 @@ from red_sim.tensor import (
     DeconvLayerSpec,
     Kernel4,
     Tensor3,
-    _window_live_counts,
+    _integer_bound,
     compute_dtype,
     deconv_oracle_padding_free,
     deconv_oracle_zero_padding,
@@ -667,12 +667,11 @@ def test_zero_padding_origin_moved_a_row_down_disagrees():
 @settings(max_examples=100, deadline=None)
 @given(spec=layer_specs(max_channels=1))
 def test_zero_padding_program_size_matches_redundancy_property(spec):
-    # a window keeps one row segment per kernel row that reads an input
-    # row of the padded image: the row factor of the analyzer's live count
+    # a window keeps one product per kernel position that reads an input
+    # pixel of the padded image, as red drives: the analyzer's live count
     program = lower(build_schedule(spec, DesignKind.ZERO_PADDING))
-    rows = _window_live_counts(spec.input_h, spec.kh, spec.stride, spec.pad_top,
-                               spec.padded_h, spec.output_h)
-    assert _entries(program) == int(rows.sum()) * spec.output_w
+    slots = spec.output_h * spec.output_w * spec.kh * spec.kw
+    assert _entries(program) == round((1 - zero_redundancy_ratio(spec)) * slots)
 
 
 def test_trace_checks_design_and_kernel_extent_only():
@@ -715,6 +714,23 @@ def test_execute_refuses_int64_overflow(design):
         execute(plan, lower(build_schedule(spec, design)), Tensor3(np.full((1, 1, 1), 2**40)))
 
 
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_plan_weight_bound_is_the_maximum_over_its_crossbars(design):
+    # a plan takes max|w| from its arrays once, and `execute` reads it in
+    # place of the arrays
+    t, k = rand_pair(TOY, seed=8)
+    k.data[1, 2, 0, 1] = -9
+    plan = build_plan(k, design, TOY)
+    assert plan.weight_bound == max(int(np.abs(x).max()) for x in plan.crossbars) == 9
+    assert MappingPlan(design, TOY.kernel_shape).weight_bound is None
+    assert build_plan(Kernel4(k.data / 2), design).weight_bound is None
+    # 2^31 * 2^31 * 18 terms passes 2^63: the recorded bound still refuses it
+    big = build_plan(Kernel4(np.full(TOY.kernel_shape, 2**31)), design, TOY)
+    assert big.weight_bound == 2**31
+    with pytest.raises(OverflowError, match="int64"):
+        execute(big, lower(build_schedule(TOY, design)), Tensor3(np.full(t.shape, 2**31)))
+
+
 def deconv_python_ints(t, k, spec):
     """Deconvolution by definition in Python integers, which neither round
     nor wrap: input pixel (a, b) adds its product with the rotated tap
@@ -745,7 +761,7 @@ def test_exact_on_both_sides_of_2_53(fill, x_big, w_big, dtype, beyond):
     weights = np.full((2, 2, 2, 2), fill, dtype=np.int64)
     weights[0, 0, :, 0] = w_big, 1
     t, k = Tensor3(data), Kernel4(weights)
-    assert compute_dtype(t.data, [k.data], 8) == dtype
+    assert compute_dtype(t.data, _integer_bound([k.data]), 8) == dtype
     want = deconv_python_ints(t, k, EXACT)
     if beyond is not None:  # a true sum that float64 would round
         assert beyond in itertools.chain.from_iterable(itertools.chain(*want))
@@ -1065,24 +1081,15 @@ def test_live_assignments_match_redundancy_property(spec, design):
     assert _entries(programs[DesignKind.PADDING_FREE]) == _entries(programs[design]) == live
 
 
-def _closed_form_entries(spec, design):
+def _closed_form_entries(spec):
     """Every (block, source, output pixel) a program must hold, by the
     definition: output pixel (y, x) takes kernel position (i, j) from padded
     pixel (y + i, x + j), and input pixel (a, b) sits at padded pixel
     (pad_top + s*a, pad_left + s*b)."""
     s, kh, kw = spec.stride, spec.kh, spec.kw
     entries = set()
-    if design is DesignKind.ZERO_PADDING:
-        # block i: kernel row i of every window whose row i is an input row
-        for i, y, x in itertools.product(range(kh), range(spec.output_h), range(spec.output_w)):
-            a, off = divmod(y + i - spec.pad_top, s)
-            if off == 0 and 0 <= a < spec.input_h:
-                entries.add((i, (y + i, x), (y, x)))
-        return entries
     for n, a, b in itertools.product(range(kh * kw), range(spec.input_h), range(spec.input_w)):
         i, j = divmod(n, kw)
-        if design is DesignKind.PADDING_FREE:
-            i, j = kh - 1 - i, kw - 1 - j  # the wide array holds the rotated kernel
         y, x = spec.pad_top - i + s * a, spec.pad_left - j + s * b
         if 0 <= y < spec.output_h and 0 <= x < spec.output_w:
             entries.add((n, (a, b), (y, x)))
@@ -1092,25 +1099,25 @@ def _closed_form_entries(spec, design):
 @settings(max_examples=100, deadline=None)
 @given(spec=layer_specs(max_channels=1))
 def test_program_rectangles_stay_inside_property(spec):
-    # every design's every block reads inside its source, the input (the
-    # padded image on zero_padding), and adds inside the output, with
-    # steps of at least 1; and its entries are exactly the closed form's
-    zp = DesignKind.ZERO_PADDING
-    for design in DesignKind:
-        blocks = lower(build_schedule(spec, design)).blocks
-        assert len(blocks) == (spec.kh if design is zp else spec.kh * spec.kw)
-        p, q, *rects = blocks.T
-        source, dest = rects[:4], rects[4:]
-        h, w = (spec.padded_h, spec.padded_w) if design is zp else (spec.input_h, spec.input_w)
-        live = p * q > 0
-        for (row, col, drow, dcol), (rows, cols) in ((source, (h, w)),
-                                                     (dest, (spec.output_h, spec.output_w))):
-            assert (drow >= 1).all() and (dcol >= 1).all()
-            assert (row[live] >= 0).all() and (col[live] >= 0).all()
-            assert (row + (p - 1) * drow < rows)[live].all()
-            assert (col + (q - 1) * dcol < cols)[live].all()
-        entries = [(n, (sr + i * sdr, sc + j * sdc), (dr + i * ddr, dc + j * ddc))
-                   for n, (P, Q, sr, sc, sdr, sdc, dr, dc, ddr, ddc) in enumerate(blocks.tolist())
-                   for i in range(P) for j in range(Q)]
-        assert len(entries) == len(set(entries))
-        assert set(entries) == _closed_form_entries(spec, design)
+    # every design lowers to the same blocks, one per kernel position; each
+    # reads inside the input and adds inside the output, with steps of at
+    # least 1; and its entries are exactly the closed form's
+    programs = [lower(build_schedule(spec, design)) for design in DesignKind]
+    blocks = programs[0].blocks
+    for program in programs[1:]:
+        assert np.array_equal(program.blocks, blocks)
+    assert len(blocks) == spec.kh * spec.kw
+    p, q, *rects = blocks.T
+    source, dest = rects[:4], rects[4:]
+    live = p * q > 0
+    for (row, col, drow, dcol), (rows, cols) in ((source, (spec.input_h, spec.input_w)),
+                                                 (dest, (spec.output_h, spec.output_w))):
+        assert (drow >= 1).all() and (dcol >= 1).all()
+        assert (row[live] >= 0).all() and (col[live] >= 0).all()
+        assert (row + (p - 1) * drow < rows)[live].all()
+        assert (col + (q - 1) * dcol < cols)[live].all()
+    entries = [(n, (sr + i * sdr, sc + j * sdc), (dr + i * ddr, dc + j * ddc))
+               for n, (P, Q, sr, sc, sdr, sdc, dr, dc, ddr, ddc) in enumerate(blocks.tolist())
+               for i in range(P) for j in range(Q)]
+    assert len(entries) == len(set(entries))
+    assert set(entries) == _closed_form_entries(spec)

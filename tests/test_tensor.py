@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from red_sim.tensor import (
     DeconvLayerSpec,
     Kernel4,
     Tensor3,
+    _integer_bound,
     compute_dtype,
     conv2d_valid,
     deconv_oracle_padding_free,
@@ -192,6 +195,25 @@ def test_conv2d_matches_loop_oracle():
         ker = rand_kernel(3, 2, 2, 3)
         want = conv2d_loops(img.data, ker.data)
         assert np.array_equal(conv2d_valid(img, ker).data, want), zero_rows
+    # all-zero image columns are skipped too, alone and with zero rows: on
+    # dilated images, whose nonzero rows and columns are evenly spaced
+    # unless a zeroed input row or column breaks the spacing, and on
+    # irregular masks, whose slices also read some zero rows and columns
+    spec = DeconvLayerSpec(4, 5, 2, 3, 3, 3, 2)
+    w = spec.input_w
+    columns = [[], [0], [w - 1], list(range(w))]
+    columns += [np.flatnonzero(RNG.random(w) < 0.5) for _ in range(4)]
+    for zero_cols, zero_rows in itertools.product(columns, ([], [0], [1])):
+        t = rand_tensor(spec.input_h, w, 2)
+        t.data[:, zero_cols] = 0
+        t.data[zero_rows] = 0
+        images = [dilate_and_pad(t, spec), rand_tensor(7, 8, 2)]
+        images[1].data[RNG.random(7) < 0.3] = 0
+        images[1].data[:, zero_cols] = 0
+        for img in images:
+            ker = rand_kernel(3, 3, 2, 3)
+            want = conv2d_loops(img.data, ker.data)
+            assert np.array_equal(conv2d_valid(img, ker).data, want), (zero_cols, zero_rows)
 
 
 def test_conv2d_rejects_mismatch():
@@ -278,19 +300,26 @@ def test_oracles_refuse_int64_overflow():
 
 def test_int64_bound_edges():
     top = np.iinfo(np.int64).max
-    assert compute_dtype(np.array([top]), [np.array([-1])], 1) == np.int64
-    assert compute_dtype(np.array([2**31]), [np.array([2**31 - 1])], 2) == np.int64
+    assert compute_dtype(np.array([top]), _integer_bound([np.array([-1])]), 1) == np.int64
+    assert compute_dtype(np.array([2**31]), 2**31 - 1, 2) == np.int64
     with pytest.raises(OverflowError):
-        compute_dtype(np.array([2**31]), [np.array([2**31])], 2)
+        compute_dtype(np.array([2**31]), 2**31, 2)
     with pytest.raises(OverflowError):  # |int64 min| itself exceeds the bound
-        compute_dtype(np.array([np.iinfo(np.int64).min]), [np.array([1])], 1)
-    with pytest.raises(OverflowError):  # largest magnitude in any weight array
-        compute_dtype(np.array([2**40]), [np.array([1]), np.array([-2**30])], 1)
-    # floats are not bounded
-    assert compute_dtype(np.array([2.0**40]), [np.array([2.0**30])], 1) == np.float64
+        compute_dtype(np.array([np.iinfo(np.int64).min]), 1, 1)
+    # the bound is the largest magnitude in any weight array, whether the
+    # arrays are joined (2^16 values or fewer) or reduced one by one
+    assert _integer_bound([np.array([1]), np.array([-2**30])]) == 2**30
+    assert _integer_bound([np.ones(2**16, dtype=np.int64), np.array([-7])]) == 7
+    with pytest.raises(OverflowError):
+        compute_dtype(np.array([2**40]), 2**30, 1)
+    # floats are not bounded, as data or as weights
+    assert _integer_bound([np.array([1]), np.array([2.0**30])]) is None
+    assert compute_dtype(np.array([2**40]), None, 1) == np.float64
+    assert compute_dtype(np.array([2.0**40]), 2**30, 1) == np.float64
     # float64 below 2^53 (here 2^53 - 2^28), int64 from 2^53 on
-    assert compute_dtype(np.array([2**25]), [np.array([-(2**25 - 1)])], 8) == np.float64
-    assert compute_dtype(np.array([-(2**25)]), [np.array([2**25])], 8) == np.int64
+    assert compute_dtype(np.array([2**25]), _integer_bound([np.array([-(2**25 - 1)])]),
+                         8) == np.float64
+    assert compute_dtype(np.array([-(2**25)]), 2**25, 8) == np.int64
 
 
 def test_unsigned_values_above_int64_refused():
