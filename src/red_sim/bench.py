@@ -29,7 +29,7 @@ from .costmodel import (
     compare,
     cost_breakdown,
 )
-from .dataflow import Program, build_schedule, execute, lower, trace_of_program
+from .dataflow import Program, execute, lower, schedule_parts, trace_of_program
 from .mapping import DesignKind, MappingPlan, build_plan
 from .tensor import DeconvLayerSpec, Kernel4, Tensor3, _is_int, deconv_oracle_zero_padding
 
@@ -177,10 +177,17 @@ def parse_designs(names) -> tuple[DesignKind, ...]:
     if not isinstance(names, list) or not names:
         raise ConfigError("designs must be a non-empty array")
     designs = tuple(parse_design(d) for d in names)
-    for d in designs:
-        if designs.count(d) > 1:
-            raise ConfigError(f"design '{d.value}' is listed more than once")
+    repeated = _first_repeated(designs)
+    if repeated is not None:
+        raise ConfigError(f"design '{repeated.value}' is listed more than once")
     return designs
+
+
+def _first_repeated(values):
+    """The first listed value that is listed again, or None, in one pass."""
+    first = {}
+    repeats = [first[v] for k, v in enumerate(values) if first.setdefault(v, k) != k]
+    return values[min(repeats)] if repeats else None
 
 
 def parse_channel_scale(value) -> float:
@@ -266,10 +273,9 @@ def load_config(path) -> tuple[list[BenchmarkEntry], CostParams, RunOptions]:
         if not isinstance(raw["layers"], list) or not raw["layers"]:
             raise ConfigError("layers must be a non-empty array")
         entries = [_layer_from_config(i, item) for i, item in enumerate(raw["layers"])]
-        names = [entry.name for entry in entries]
-        for name in names:
-            if names.count(name) > 1:
-                raise ConfigError(f"layer '{name}' is listed more than once")
+        repeated = _first_repeated([entry.name for entry in entries])
+        if repeated is not None:
+            raise ConfigError(f"layer '{repeated}' is listed more than once")
     else:
         entries = builtin_benchmarks()
 
@@ -344,16 +350,20 @@ def run_suite(
     evaluated analytically at the full declared dimensions.  Entry i uses
     generator seed (seed + i); the kernel is drawn before the inputs.
 
-    Each (entry, design) gets one schedule, which `lower` proves and lowers
-    once into the program every trial runs, and which is freed at once.
-    The program depends on the spatial geometry only, so it is traced once
-    on a full-size geometry-only plan for the cost side.  The data-free
-    stages run first, for every design: build, lower, trace and cost, one
-    schedule held at a time.  Only then are the
-    kernel and inputs drawn and the oracles computed, and each design's
-    trials run, so no schedule is held next to the data.  A schedule that
-    `lower` refuses is therefore reported before any trial runs, even where
-    an earlier design would also have failed its oracle comparison.
+    Each (entry, design) gets one schedule, built part by part and proved
+    and lowered by `lower` as it is built, into the program every trial
+    runs, so no whole schedule is held.  The program depends on the
+    spatial geometry only, so it is traced once on a full-size
+    geometry-only plan for the cost side.  The data-free stages run first,
+    for every design: build, lower, trace and cost.  Only then is the
+    kernel drawn, and the trials run one at a time: a trial's input is
+    drawn, its oracle computed, and every design's plan built and run on
+    it, one plan at a time, before the next trial's input is drawn.  So
+    trial 0 of every design runs before trial 1 of any, and where several
+    designs fail, the first failing trial's first failing design is
+    reported.  A schedule that `lower` refuses is reported before any trial
+    runs, even where an earlier design would also have failed its oracle
+    comparison.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -366,8 +376,7 @@ def run_suite(
         scaled = scale_channels(entry.spec, channel_scale)
         programs, breakdowns = {}, {}
         for design in designs:
-            # the schedule is freed as soon as it is lowered
-            programs[design] = lower(build_schedule(scaled, design))
+            programs[design] = lower(schedule_parts(scaled, design))
             # cost side: full declared dimensions, which need no weights
             full_plan = MappingPlan(design, entry.spec.kernel_shape)
             breakdowns[design] = cost_breakdown(
@@ -377,29 +386,19 @@ def run_suite(
 
         rng = Lcg64(seed + idx)
         kernel = Kernel4(rng.ints((scaled.kh, scaled.kw, scaled.channels, scaled.filters)))
-        inputs = [
-            Tensor3(rng.ints((scaled.input_h, scaled.input_w, scaled.channels)))
-            for _ in range(trials)
-        ]
-        oracles = [deconv_oracle_zero_padding(t, kernel, scaled) for t in inputs]
-        for design in designs:
-            _verify(f"{entry.name} / {design.value}", build_plan(kernel, design, scaled),
-                    programs[design], inputs, oracles)
-        # free this layer's data before the next layer's schedules are built
-        del kernel, inputs, oracles
+        for t in range(trials):
+            # the inputs follow the kernel in the stream, one per trial
+            tensor = Tensor3(rng.ints((scaled.input_h, scaled.input_w, scaled.channels)))
+            want = deconv_oracle_zero_padding(tensor, kernel, scaled).data
+            for design in designs:
+                got = execute(build_plan(kernel, design, scaled), programs[design], tensor).data
+                if not np.array_equal(got, want):
+                    raise EquivalenceError(f"{entry.name} / {design.value} / trial {t}: "
+                                           f"{_diff_summary(got, want, programs[design])}")
+                del got  # before the next design's plan is built
+            del want  # before the next trial's oracle is computed
         reports.append(
             compare(breakdowns, baseline=baseline, params_label=params_label,
                     critical_path_mode=critical_path_mode)
         )
     return reports
-
-
-def _verify(where: str, plan: MappingPlan, program: Program, inputs: list[Tensor3],
-            oracles: list[Tensor3]):
-    """Every trial's execution must equal its oracle.  The plan is freed
-    on return, before the next design's is built."""
-    for t, (tensor, want) in enumerate(zip(inputs, oracles)):
-        got = execute(plan, program, tensor)
-        if not np.array_equal(got.data, want.data):
-            raise EquivalenceError(f"{where} / trial {t}: "
-                                   f"{_diff_summary(got.data, want.data, program)}")

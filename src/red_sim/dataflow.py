@@ -26,13 +26,17 @@ C..2C-1 with the odd one's, so the cycle's parity names the half.
 A design is its weight layout (mapping) plus its schedule.  A schedule
 depends on the spatial geometry only, never on C, M or data: `lower`
 proves it, once, against the layer's closed form; it is the one check of
-a schedule.  Every design lowers to the same `Program`, one strided
-rectangle per kernel position (`_rectangles`), which `execute` runs on
-the unpadded input: a basic-slice read, a product and a basic-slice add
-per block.  Zero drives, the inserted and border zeros of a zero-padding
-window and cropped padding-free products add nothing and are left out;
-the hardware does that work, and `trace_of_program` counts it from the
-design's grid and the program's rectangles.  Schedule columns take the
+a schedule.  A schedule is built as a sequence of (block, cycle) ordered
+parts of up to `_CACHE_BUDGET` drives (`schedule_parts`), which `lower`
+proves part by part, so a run never holds a whole schedule;
+`build_schedule` joins the parts for the dump and the tests.  Every
+design lowers to the same `Program`, one strided rectangle per kernel
+position (`_rectangles`), which `execute` runs on the unpadded input: a
+basic-slice read, a product and a basic-slice add per block.  Zero
+drives, the inserted and border zeros of a zero-padding window and
+cropped padding-free products add nothing and are left out; the hardware
+does that work, and `trace_of_program` counts it from the design's grid
+and the program's rectangles.  Schedule columns take the
 narrowest dtype that holds what they store (`_index_dtype`: int16 on
 FCN_Deconv2's zero-skipping schedules), each stage widens what it
 computes from them so that nothing wraps, and each allocates at most
@@ -41,8 +45,9 @@ about one column of scratch on top of what it returns.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -59,6 +64,7 @@ __all__ = [
     "schedule_zero_padding",
     "schedule_padding_free",
     "schedule_zero_skipping",
+    "schedule_parts",
     "build_schedule",
     "trace_of_program",
     "Program",
@@ -207,7 +213,7 @@ class CycleSchedule:
         return replace(self, **{c: getattr(self, c)[part] for c in _COLUMNS})
 
 
-_CACHE_BUDGET = 65536  # drives in one chunk, so that a chunk stays in a core's cache
+_CACHE_BUDGET = 65536  # drives in one part or chunk, so that it stays in a core's cache
 _COLUMNS = ("cycle", "crossbar", "src_a", "src_b")
 _PIXELWISE = (DesignKind.RED, DesignKind.RED_FOLDED)
 
@@ -220,21 +226,24 @@ def _grid(spec: DeconvLayerSpec, design: DesignKind) -> tuple[int, int]:
     return spec.input_h, spec.input_w
 
 
-def _row_major(spec: DeconvLayerSpec, design: DesignKind) -> CycleSchedule:
-    """One drive of the design's single array per cycle, row-major over its grid."""
+def _row_major_parts(spec: DeconvLayerSpec, design: DesignKind):
+    """One drive of the design's single array per cycle, row-major over its
+    grid, in parts of up to `_CACHE_BUDGET` cycles."""
     h, w = _grid(spec, design)
-    t = np.arange(h * w, dtype=_index_dtype(h * w))
-    return CycleSchedule(design, spec, h * w, t, np.zeros_like(t), t // w, t % w)
+    index = _index_dtype(h * w)
+    for t0 in range(0, h * w, _CACHE_BUDGET):
+        t = np.arange(t0, min(t0 + _CACHE_BUDGET, h * w), dtype=index)
+        yield CycleSchedule(design, spec, h * w, t, np.zeros_like(t), t // w, t % w)
 
 
 def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
     """One gathered window per cycle, row-major over output pixels."""
-    return _row_major(spec, DesignKind.ZERO_PADDING)
+    return build_schedule(spec, DesignKind.ZERO_PADDING)
 
 
 def schedule_padding_free(spec: DeconvLayerSpec) -> CycleSchedule:
     """One input pixel per cycle; overlap-add and crop run as post ops."""
-    return _row_major(spec, DesignKind.PADDING_FREE)
+    return build_schedule(spec, DesignKind.PADDING_FREE)
 
 
 def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> CycleSchedule:
@@ -243,6 +252,13 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
     Unfolded cycle count is ceil(output_h/s) * ceil(output_w/s); folding
     doubles it by splitting each cycle into a low-half and a high-half
     phase per the stacked sub-crossbar layout.
+    """
+    return build_schedule(spec, DesignKind.RED_FOLDED if folded else DesignKind.RED)
+
+
+def _zero_skipping_parts(spec: DeconvLayerSpec, folded: bool):
+    """`schedule_zero_skipping` in parts of whole kernel rows, each up to
+    `_CACHE_BUDGET` drives unless one kernel row alone has more.
 
     Sub (i, j) serves output pixels y = pad_top - i, x = pad_left - j
     (mod s), one per tile: from the first, (y0, x0), it drives (y0 + s*t,
@@ -265,35 +281,57 @@ def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> Cycle
     a = t + (y0 + i - spec.pad_top) // s
     b = u + (x0 + j - spec.pad_left) // s
     # the last tile row and column may overhang the output
-    inside = (y0 + s * t < oh) & (x0 + s * u < ow)
+    rows, columns = y0 + s * t < oh, x0 + s * u < ow
     # the columns hold cycles, blocks and sources, zero drives' included
     index = _index_dtype(cycles, spec.kh * spec.kw, a.min(), a.max(), b.min(), b.max())
+    grid = (spec.kh, spec.kw, n_ty, n_tx)
+    per_row = np.count_nonzero(rows, axis=(1, 2, 3)) * np.count_nonzero(columns)
+    for i0, i1 in _runs(per_row.tolist(), _CACHE_BUDGET):
+        # kernel rows i0..i1 - 1 of the grid's values, read through the
+        # mask without materialising the grid
+        inside = rows[i0:i1] & columns
+        cycle, crossbar, src_a, src_b = (
+            np.broadcast_to(values.astype(index), grid)[i0:i1][inside]
+            for values in (t * n_tx + u, i * spec.kw + j, a, b))
+        if folded:
+            # original sub n drives folded sub n // 2 on phase n % 2
+            cycle *= 2
+            cycle += crossbar % 2
+            crossbar //= 2
+        yield CycleSchedule(DesignKind.RED_FOLDED if folded else DesignKind.RED, spec, cycles,
+                            cycle, crossbar, src_a, src_b)
 
-    def column(values):
-        # the (i, j, t, u) grid's values, read through the mask without
-        # materialising the grid
-        return np.broadcast_to(values.astype(index), inside.shape)[inside]
 
-    cycle, crossbar = column(t * n_tx + u), column(i * spec.kw + j)
-    if folded:
-        # original sub n drives folded sub n // 2 on phase n % 2
-        cycle *= 2
-        cycle += crossbar % 2
-        crossbar //= 2
+def _runs(sizes: list[int], budget: int):
+    """Consecutive (start, stop) runs of `sizes`, each summing to at most
+    `budget` unless one size alone is larger; a size 0 joins the run
+    before it, or after it at the start, so that no run sums to 0."""
+    start, total = 0, 0
+    for k, size in enumerate(sizes):
+        if size and total and total + size > budget:
+            yield start, k
+            start, total = k, 0
+        total += size
+    yield start, len(sizes)
 
-    return CycleSchedule(
-        design=DesignKind.RED_FOLDED if folded else DesignKind.RED,
-        layer=spec,
-        cycle_count=cycles,
-        cycle=cycle,
-        crossbar=crossbar,
-        src_a=column(a),
-        src_b=column(b),
-    )
+
+def schedule_parts(spec: DeconvLayerSpec, design: DesignKind | str):
+    """The design's schedule as consecutive parts in (block, cycle) order,
+    each a `CycleSchedule` of the whole schedule's design, layer and cycle
+    count holding up to `_CACHE_BUDGET` drives: whole kernel rows on red
+    and red_folded (one row may hold more), whole cycle ranges elsewhere.
+    `lower` proves the sequence part by part, so no stage holds the whole."""
+    design = DesignKind(design)
+    if design in _PIXELWISE:
+        return _zero_skipping_parts(spec, folded=design is DesignKind.RED_FOLDED)
+    return _row_major_parts(spec, design)
 
 
 def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSchedule:
-    return _DESIGNS[DesignKind(design)](spec)
+    """The whole schedule: its parts concatenated."""
+    parts = list(schedule_parts(spec, design))
+    return replace(parts[0], **{c: np.concatenate([getattr(p, c) for p in parts])
+                                for c in _COLUMNS})
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +507,13 @@ def _refusal(schedule: CycleSchedule, k: int, what: str) -> ValueError:
     return ValueError(f"{what}: drive {_line(schedule, *drive)}")
 
 
-def _disagreement(schedule: CycleSchedule, n: int) -> ValueError:
-    """Block n's first drive unlike the closed form's (a built schedule's)."""
+def _disagreement(schedule: CycleSchedule, n: int, start: int) -> ValueError:
+    """Block n's first drive in a part of a schedule unlike the closed
+    form's (a built schedule's), whose drives of block n before `start`
+    the part's follow."""
     have, want = (np.stack([getattr(s, c)[s.block == n] for c in _COLUMNS], axis=1)
                   for s in (schedule, build_schedule(schedule.layer, schedule.design)))
+    want = want[start:]
     size = min(len(have), len(want))
     k = (np.flatnonzero((have[:size] != want[:size]).any(axis=1)).tolist() + [size])[0]
     got, expected = (f"drive {_line(schedule, *rows[k].tolist())}" if k < len(rows)
@@ -508,24 +549,32 @@ def _checked_blocks(schedule: CycleSchedule, cycles: int) -> np.ndarray:
     return block
 
 
-def lower(schedule: CycleSchedule) -> Program:
+def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
     """Prove a schedule, the one check of it, and lower it once into the
     `Program` that `execute` runs, the layer's closed form (`_rectangles`).
-    Read a chunk at a time, each drive lies in a cycle and names a block
-    the design has, in strictly increasing (block, cycle) order; only zero
-    skipping has zero drives; and no source lies more than a kernel off its
-    grid, which bounds every value the proof computes, so its scratch
-    takes the narrowest `_index_dtype` that cannot wrap.  Block n's affine
-    map takes a drive's source to its tile (a window or padding_free's
-    pixel is its own, sub n's pixel the tile of its output pixel), which
-    must lie among the block's tiles inside the output and name the
-    drive's cycle.  That is one-to-one, so as many drives as a block has
-    tiles are the closed form's, zero drives included, and its live ones
-    the entries of its rectangle: red's proof checks the table every design
-    runs entry by entry.  A ValueError names the first drive at fault by
-    its `dump_schedule_lines` line."""
-    spec, design = schedule.layer, schedule.design
-    cycles, (h, w), (oh, ow, _) = schedule.cycle_count, _grid(spec, design), output_shape(spec)
+    The schedule comes whole or as its `schedule_parts`, and is proved part
+    by part, a chunk of each at a time (a whole schedule is its own one
+    part), so no more is held than the caller holds: the last drive's
+    (block, cycle) and each block's drive count carry across chunks.  Each
+    drive lies in a cycle and names a block the design has, in strictly
+    increasing (block, cycle) order; only zero skipping has zero drives;
+    and no source lies more than a kernel off its grid, which bounds every
+    value the proof computes, so its scratch takes the narrowest
+    `_index_dtype` that cannot wrap.  Block n's affine map takes a drive's
+    source to its tile (a window or padding_free's pixel is its own, sub
+    n's pixel the tile of its output pixel), which must lie among the
+    block's tiles inside the output and name the drive's cycle.  That is
+    one-to-one, so a block's drives are distinct tiles in row-major order;
+    where each run of them ends on the tile the block's count so far
+    reaches, and each block has as many drives as tiles, they are the
+    closed form's, zero drives included, and its live ones the entries of
+    its rectangle: red's proof checks the table every design runs entry by
+    entry.  A ValueError names the first drive at fault by its
+    `dump_schedule_lines` line, wherever the parts split the schedule."""
+    parts = iter([schedule] if isinstance(schedule, CycleSchedule) else schedule)
+    head = next(parts)
+    spec, design, cycles = head.layer, head.design, head.cycle_count
+    (h, w), (oh, ow, _) = _grid(spec, design), output_shape(spec)
     blocks = _rectangles(spec)
     pixelwise = design in _PIXELWISE
     n_blocks = spec.kh * spec.kw if pixelwise else 1
@@ -544,45 +593,66 @@ def lower(schedule: CycleSchedule) -> Program:
     # less than a kernel, so all the map computes lies within this
     scratch = _index_dtype((h + 2 * spec.kh) * dt + w + 2 * spec.kw)
     tiles = [np.array(t, dtype=scratch) for t in tiles]
-    tiles[2:] = map(_unsigned, tiles[2:])
-    drives = np.zeros(n_blocks, dtype=np.int64)
-    for k in range(0, schedule.assignment_count, _CACHE_BUDGET):
-        # each chunk starts at the last drive of the one before, for the order
-        k0 = max(k - 1, 0)
-        part = schedule.chunk(k0, k + _CACHE_BUDGET)
-        n, cycle = _checked_blocks(part, cycles), part.cycle
-        if not pixelwise:  # only zero skipping has zero drives
-            live = part.live
-            if not live.all():
-                raise _refusal(part, int(np.argmin(live)), f"zero drive on the {design} design")
-        else:  # a zero drive's source may lie off its grid, but not far
-            for values, size, k_size in ((part.src_a, h, spec.kh), (part.src_b, w, spec.kw)):
-                _check_range(part, values, size + k_size, "drive source more than a kernel "
-                             "off its grid", low=-k_size)
-        back = (n[1:] < n[:-1]) | ((n[1:] == n[:-1]) & (cycle[1:] <= cycle[:-1]))
-        if back.any():
-            raise _refusal(part, 1 + int(np.argmax(back)), "drive out of weight-block "
-                           "order, (block, cycle) strictly increasing")
-        # the blocks are sorted: a run of drives each
-        runs = np.diff(np.searchsorted(n, np.arange(n_blocks + 1, dtype=n.dtype)))
-        drives += runs
-        drives[n[0]] -= k - k0  # the last drive of the chunk before
-        # each drive's tile (ty, tx), in the scratch dtype, lies inside the
-        # output and names its cycle
-        ty, tx, rows, columns = (np.repeat(t, runs) for t in tiles)
-        ty += part.src_a
-        tx += part.src_b
-        bad = _unsigned(ty) >= rows
-        bad |= _unsigned(tx) >= columns
-        ty *= dt
-        ty += tx
-        bad |= ty != (cycle >> 1 if design is DesignKind.RED_FOLDED else cycle)
-        if bad.any():
-            raise _disagreement(schedule, int(n[np.argmax(bad)]))
-    # each drive is a distinct tile of its block's, so where the counts
-    # differ a block lacks one or has one too many
+    drives = np.zeros(n_blocks, dtype=np.int64)  # per block, its drives read so far
+    last = (-1, -1)  # the (block, cycle) of the last drive read
+    pending = None  # a fault at the last chunk's last drive
+    for part in itertools.chain([head], parts):
+        if (part.design, part.layer, part.cycle_count) != (design, spec, cycles):
+            raise ValueError(f"a part of another schedule: {part.design} with "
+                             f"{part.cycle_count} cycles, after {design} with {cycles}")
+        for k in range(0, part.assignment_count, _CACHE_BUDGET):
+            chunk = part.chunk(k, k + _CACHE_BUDGET)
+            n, cycle = _checked_blocks(chunk, cycles), chunk.cycle
+            if not pixelwise:  # only zero skipping has zero drives
+                live = chunk.live
+                if not live.all():
+                    raise _refusal(chunk, int(np.argmin(live)), f"zero drive on the {design} design")
+            else:  # a zero drive's source may lie off its grid, but not far
+                for values, size, k_size in ((chunk.src_a, h, spec.kh), (chunk.src_b, w, spec.kw)):
+                    _check_range(chunk, values, size + k_size, "drive source more than a kernel "
+                                 "off its grid", low=-k_size)
+            # each drive after the one before it, the first after the last chunk's last
+            after = (int(n[0]), int(cycle[0])) > last
+            back = (n[1:] < n[:-1]) | ((n[1:] == n[:-1]) & (cycle[1:] <= cycle[:-1]))
+            if not after or back.any():
+                raise _refusal(chunk, 1 + int(np.argmax(back)) if after else 0,
+                               "drive out of weight-block order, (block, cycle) strictly increasing")
+            if pending is not None:
+                raise pending
+            last = (int(n[-1]), int(cycle[-1]))
+            # the blocks are sorted: a run of drives each
+            starts = np.searchsorted(n, np.arange(n_blocks + 1, dtype=n.dtype))
+            runs = np.diff(starts)
+            drives += runs
+            # each drive's tile (ty, tx), in the scratch dtype, lies inside
+            # the output and names its cycle
+            ty, tx, rows, columns = (np.repeat(t, runs) for t in tiles)
+            ty += chunk.src_a
+            tx += chunk.src_b
+            bad = _unsigned(ty) >= _unsigned(rows)
+            bad |= _unsigned(tx) >= _unsigned(columns)
+            # a block's tiles rise with its cycles, so a run's are its
+            # block's next ones when its last has, in row-major order, the
+            # rank of the block's count so far; else the run misses a tile
+            ends = starts[1:][runs > 0] - 1
+            gaps = ty[ends] * columns[ends] + tx[ends] != drives[n[ends]] - 1
+            ty *= dt
+            ty += tx
+            bad |= ty != (cycle >> 1 if design is DesignKind.RED_FOLDED else cycle)
+            bad[ends[gaps]] = True
+            if bad.any():
+                j = int(np.argmax(bad))
+                pending = _disagreement(chunk, int(n[j]), int(drives[n[j]] - runs[n[j]]))
+                # a drive of the next chunk moved before a chunk's last, as
+                # in the whole schedule, is refused as out of order first
+                if j < len(bad) - 1:
+                    raise pending
+    if pending is not None:
+        raise pending
+    # where the counts differ, a block ends before the closed form's next drive
     if (drives != slots).any():
-        raise _disagreement(schedule, int(np.flatnonzero(drives != slots)[0]))
+        block = int(np.flatnonzero(drives != slots)[0])
+        raise _disagreement(head.chunk(0, 0), block, int(drives[block]))
     return Program(design=design, layer=spec, blocks=blocks)
 
 
@@ -629,15 +699,6 @@ def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
         products += dst
         dst[...] = products
     return Tensor3(acc)
-
-
-# per design: schedule builder
-_DESIGNS = {
-    DesignKind.ZERO_PADDING: schedule_zero_padding,
-    DesignKind.PADDING_FREE: schedule_padding_free,
-    DesignKind.RED: schedule_zero_skipping,
-    DesignKind.RED_FOLDED: partial(schedule_zero_skipping, folded=True),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import re
+import tracemalloc
+from collections import defaultdict
 
 import pytest
 
@@ -206,6 +208,13 @@ def test_config_rejects_a_repeated_layer_name(tmp_path):
                             name=f"repeat_{i}.json")
         with pytest.raises(ConfigError, match="layer 'A' is listed more than once"):
             load_config(path)
+    # where several names repeat, the first listed of them is named, not
+    # the first to be seen twice
+    path = write_config(tmp_path, {"layers": [layer, {**layer, "name": "B"},
+                                              {**layer, "name": "B"}, layer]},
+                        name="repeat_two.json")
+    with pytest.raises(ConfigError, match="layer 'A' is listed more than once"):
+        load_config(path)
     path = write_config(tmp_path, {"layers": [{**layer, "name": 1}, {**layer, "name": "1"}]},
                         name="repeat_number.json")
     with pytest.raises(ConfigError, match="layer '1' is listed more than once"):
@@ -290,27 +299,28 @@ def test_run_suite_deterministic():
 
 
 def test_run_suite_catches_broken_design(monkeypatch):
-    # corrupt the second trial's executed output and expect a diff summary
-    # that names it
+    # corrupt the first design's second trial, chosen by (design, trial)
+    # rather than by call count, and expect a diff summary that names it
     import red_sim.bench as bench_mod
 
     real_execute = bench_mod.execute
-    programs = []
+    programs = defaultdict(list)  # per design, the program of each trial run
 
     def broken(plan, program, tensor):
         out = real_execute(plan, program, tensor)
-        programs.append(program)
-        if len(programs) != 2:
+        programs[program.design].append(program)
+        if (program.design, len(programs[program.design]) - 1) != (DesignKind.ZERO_PADDING, 1):
             return out
         bad = out.data.copy()
         bad[0, 0, 0] += 1
         return type(out)(bad)
 
     monkeypatch.setattr(bench_mod, "execute", broken)
-    with pytest.raises(EquivalenceError, match="trial 1: .*elements differ"):
+    with pytest.raises(EquivalenceError, match="zero_padding / trial 1: .*elements differ"):
         run_suite(builtin_benchmarks()[2:3], channel_scale=1 / 128, trials=2)
     # both trials of the first design ran one program, lowered once
-    assert len(programs) == 2 and programs[0] is programs[1]
+    mine = programs[DesignKind.ZERO_PADDING]
+    assert len(mine) == 2 and mine[0] is mine[1]
 
 
 @pytest.mark.parametrize("design", list(DesignKind))
@@ -341,29 +351,48 @@ def test_equivalence_error_names_the_corrupted_kernel_position(monkeypatch, desi
 
 
 def test_run_suite_builds_every_schedule_before_the_data(monkeypatch):
-    # per entry, every design's schedule is built before the first oracle
+    # per entry, every design's schedule is lowered before the first oracle
     # runs, so no schedule is held next to the layer's data
     import red_sim.bench as bench_mod
 
     calls = []
-    real_build, real_oracle = bench_mod.build_schedule, bench_mod.deconv_oracle_zero_padding
+    real_lower, real_oracle = bench_mod.lower, bench_mod.deconv_oracle_zero_padding
 
-    def build(spec, design):
-        calls.append(("build", spec))
-        return real_build(spec, design)
+    def lower(parts):
+        program = real_lower(parts)
+        calls.append(("lower", program.layer))
+        return program
 
     def oracle(tensor, kernel, spec):
         calls.append(("oracle", spec))
         return real_oracle(tensor, kernel, spec)
 
-    monkeypatch.setattr(bench_mod, "build_schedule", build)
+    monkeypatch.setattr(bench_mod, "lower", lower)
     monkeypatch.setattr(bench_mod, "deconv_oracle_zero_padding", oracle)
     entries = builtin_benchmarks()[4:6]
     run_suite(entries, channel_scale=1 / 64, trials=2)
     for entry in entries:
         spec = scale_channels(entry.spec, 1 / 64)
         mine = [name for name, s in calls if s == spec]
-        assert mine == ["build"] * len(ALL_DESIGNS) + ["oracle"] * 2
+        assert mine == ["lower"] * len(ALL_DESIGNS) + ["oracle"] * 2
+
+
+def test_run_suite_holds_one_trial_and_one_schedule_part_at_a_time():
+    # tracemalloc counts numpy's buffers: on FCN_Deconv2 at 1/64 the run
+    # holds neither a whole 1,290,496-drive schedule (10 MB) nor every
+    # trial's oracle output, so its peak stays bounded and does not grow
+    # with the trial count
+    entry = builtin_benchmarks()[5]
+    peaks = {}
+    for trials in (3, 20):
+        tracemalloc.start()
+        try:
+            run_suite([entry], channel_scale=1 / 64, trials=trials)
+            peaks[trials] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    assert peaks[3] < 10, peaks
+    assert peaks[20] <= peaks[3] + 1, peaks
 
 
 def test_run_suite_invalid_channel_scale():

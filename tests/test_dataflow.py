@@ -1,12 +1,15 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from red_sim import dataflow
 from red_sim.dataflow import (
     ExecutionTrace,
     PostOpCounts,
@@ -17,6 +20,7 @@ from red_sim.dataflow import (
     lower,
     partition_modes,
     schedule_padding_free,
+    schedule_parts,
     schedule_zero_padding,
     schedule_zero_skipping,
     trace_of_program,
@@ -425,6 +429,84 @@ def test_lower_refuses_a_source_that_wraps_onto_its_cycle(spec, dtype, value):
     with pytest.raises(ValueError, match=rf"drive source more than a kernel off its grid: "
                                          rf"drive 0,0,zero,{value},-1$"):
         lower(bad)
+
+
+def _joined(parts):
+    """The parts of a schedule as one schedule."""
+    return dataclasses.replace(parts[0], **{c: np.concatenate([getattr(p, c) for p in parts])
+                                            for c in ASSIGNMENT_COLUMNS})
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=layer_specs(max_channels=1), design=st.sampled_from(list(DesignKind)),
+       budget=st.integers(1, 40))
+def test_schedule_parts_property(spec, design, budget):
+    # with a budget small enough to split these layers: the parts are the
+    # built schedule, each is whole kernel rows (zero skipping) or whole
+    # cycles (elsewhere) of at most `budget` drives unless one kernel row
+    # alone has more, and lowering them, a chunk of `budget` drives at a
+    # time, gives the whole schedule's program
+    whole = build_schedule(spec, design)
+    with mock.patch.object(dataflow, "_CACHE_BUDGET", budget):
+        parts = list(schedule_parts(spec, design))
+        program = lower(iter(parts))
+    joined = _joined(parts)
+    for column in ASSIGNMENT_COLUMNS:
+        have, want = getattr(joined, column), getattr(whole, column)
+        assert have.dtype == want.dtype and np.array_equal(have, want)
+    row = whole.block // spec.kw if design in (DesignKind.RED, DesignKind.RED_FOLDED) \
+        else whole.cycle
+    stops = np.cumsum([p.assignment_count for p in parts])
+    for part, stop in zip(parts, stops):
+        assert (part.design, part.layer, part.cycle_count) == \
+            (whole.design, whole.layer, whole.cycle_count)
+        assert part.assignment_count <= budget or len(set((part.block // spec.kw).tolist())) == 1
+        # no kernel row (or cycle) runs on into the next part
+        assert stop == len(row) or row[stop - 1] != row[stop]
+    assert np.array_equal(program.blocks, lower(whole).blocks)
+
+
+def _boundary_faults(parts, p):
+    """Faults exactly at the boundary after part p: the next part's first
+    drive dropped, part p's last dropped, and the two swapped."""
+    head, tail = parts[p], parts[p + 1]
+    last, first = head.assignment_count - 1, 0
+    swapped = [dataclasses.replace(part, **{
+        c: np.concatenate([getattr(part, c)[:k], getattr(other, c)[j:j + 1],
+                           getattr(part, c)[k + 1:]]) for c in ASSIGNMENT_COLUMNS})
+               for part, k, other, j in ((head, last, tail, first), (tail, first, head, last))]
+    return {
+        "next-first-dropped": parts[:p + 1] + [tail.chunk(1, tail.assignment_count)] + parts[p + 2:],
+        "last-dropped": parts[:p] + [head.chunk(0, last)] + parts[p + 1:],
+        "swapped": parts[:p] + swapped + parts[p + 2:],
+    }
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_lower_names_a_fault_at_a_part_boundary_as_on_the_whole(design):
+    # TOY in parts of at most 12 drives: a drive dropped on either side of
+    # a boundary, or two swapped across it, is refused with the message
+    # the same fault gets in the whole schedule, read as one chunk
+    with mock.patch.object(dataflow, "_CACHE_BUDGET", 12):
+        parts = list(schedule_parts(TOY, design))
+    assert len(parts) > 1
+    for p in range(len(parts) - 1):
+        for fault, bad in _boundary_faults(parts, p).items():
+            with pytest.raises(ValueError) as whole:
+                lower(_joined(bad))
+            assert re.search(r"\bdrive -?\d+,-?\d+,(window|pixel|zero)", str(whole.value))
+            with mock.patch.object(dataflow, "_CACHE_BUDGET", 12):
+                with pytest.raises(ValueError) as in_parts:
+                    lower(iter(bad))
+            assert str(in_parts.value) == str(whole.value), (p, fault)
+
+
+def test_lower_refuses_parts_of_another_schedule():
+    with mock.patch.object(dataflow, "_CACHE_BUDGET", 12):
+        red, folded = (list(schedule_parts(TOY, d)) for d in (DesignKind.RED,
+                                                              DesignKind.RED_FOLDED))
+    with pytest.raises(ValueError, match="a part of another schedule"):
+        lower(red[:1] + folded[1:])
 
 
 def test_zero_padding_schedule_structure():
