@@ -29,10 +29,14 @@ proves it, once, against the layer's closed form; it is the one check of
 a schedule.  A schedule is built as a sequence of (block, cycle) ordered
 parts of up to `_CACHE_BUDGET` drives (`schedule_parts`), which `lower`
 proves part by part, so a run never holds a whole schedule;
-`build_schedule` joins the parts for the dump and the tests.  Every
-design lowers to the same `Program`, one strided rectangle per kernel
-position (`_rectangles`), which `execute` runs on the unpadded input: a
-basic-slice read, a product and a basic-slice add per block.  Zero
+`build_schedule` joins the parts for the dump and the tests, holding the
+whole and one part.  The dump (`dump_schedule_lines`) puts drives and
+group rows in cycle order with one argsort, formats each value a field
+can hold once, as a row of a text table, and puts its lines together
+from table rows a chunk at a time.  Every design lowers to the same
+`Program`, one strided rectangle per kernel position (`_rectangles`),
+which `execute` runs on the unpadded input: a basic-slice read, a
+product and a basic-slice add per block.  Zero
 drives, the inserted and border zeros of a zero-padding window and
 cropped padding-free products add nothing and are left out; the hardware
 does that work, and `trace_of_program` counts it from the design's grid
@@ -213,7 +217,9 @@ class CycleSchedule:
         return replace(self, **{c: getattr(self, c)[part] for c in _COLUMNS})
 
 
-_CACHE_BUDGET = 65536  # drives in one part or chunk, so that it stays in a core's cache
+# drives in one part or chunk, or bytes in a dump chunk's text grid, so
+# that it stays in a core's cache
+_CACHE_BUDGET = 65536
 _COLUMNS = ("cycle", "crossbar", "src_a", "src_b")
 _PIXELWISE = (DesignKind.RED, DesignKind.RED_FOLDED)
 
@@ -300,6 +306,7 @@ def _zero_skipping_parts(spec: DeconvLayerSpec, folded: bool):
             crossbar //= 2
         yield CycleSchedule(DesignKind.RED_FOLDED if folded else DesignKind.RED, spec, cycles,
                             cycle, crossbar, src_a, src_b)
+        del cycle, crossbar, src_a, src_b  # so that the part is freed when its reader drops it
 
 
 def _runs(sizes: list[int], budget: int):
@@ -328,10 +335,29 @@ def schedule_parts(spec: DeconvLayerSpec, design: DesignKind | str):
 
 
 def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSchedule:
-    """The whole schedule: its parts concatenated."""
-    parts = list(schedule_parts(spec, design))
-    return replace(parts[0], **{c: np.concatenate([getattr(p, c) for p in parts])
-                                for c in _COLUMNS})
+    """The whole schedule: its one part as it is, or its parts copied one
+    at a time into columns of its closed-form drive count, so that no more
+    than the columns and one part are held."""
+    design = DesignKind(design)
+    parts = schedule_parts(spec, design)
+    part = next(parts)
+    if design in _PIXELWISE:  # sub (i, j) drives its tiles inside the output
+        s = spec.stride
+        drives = (sum(-(((spec.pad_top - i) % s - spec.output_h) // s) for i in range(spec.kh))
+                  * sum(-(((spec.pad_left - j) % s - spec.output_w) // s) for j in range(spec.kw)))
+    else:  # one drive a cycle
+        drives = part.cycle_count
+    if part.assignment_count == drives:
+        return part
+    whole = replace(part, **{c: np.empty(drives, getattr(part, c).dtype) for c in _COLUMNS})
+    start = 0
+    while part is not None:
+        stop = start + part.assignment_count
+        for c in _COLUMNS:
+            getattr(whole, c)[start:stop] = getattr(part, c)
+        del part  # freed before the next part is built
+        start, part = stop, next(parts, None)
+    return whole
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +740,21 @@ def _kinds(design: DesignKind) -> tuple[str, tuple[str, str]]:
 def dump_schedule_lines(schedule: CycleSchedule):
     """Stable text dump: per cycle, assignment lines then group lines.
 
-    The one reader that wants cycle order: it sorts the (block, cycle)
-    ordered assignments stably by cycle, which lists each cycle's
-    assignments by crossbar.  A tile's group lines follow the cycle that
-    completes it: its last phase on red_folded, on zero_padding the
-    cycle, each output pixel its own tile.  A group's members are the
-    crossbars of its output pixel's computation mode, in cycle order.
+    The one reader that wants cycle order.  One stable argsort of a key,
+    2*cycle for each (block, cycle) ordered assignment and 2*cycle + 1 for
+    each group row, puts the assignments in cycle order, each cycle's by
+    crossbar, and its group rows after them.  A tile's group rows, one per
+    output pixel in row-major order, follow the cycle that completes it:
+    its last phase on red_folded, on zero_padding the cycle, each output
+    pixel its own tile.  A group's members are the crossbars of its output
+    pixel's computation mode, in cycle order.  Each field of a line is a
+    row of a text table that spells every value the field can hold once
+    (`_numbers`, `_words`); the lines are put together from table rows a
+    chunk of at most `_CACHE_BUDGET` bytes at a time (`_dump_text`), so
+    that beyond the lines it yields the dump holds its key and order, 10
+    to 16 bytes a row, its tables and one chunk.  A drive outside the
+    layer's cycles or crossbars, or more than a kernel off its grid, which
+    no built schedule has, is refused with a ValueError.
 
     Assignment: cycle,crossbar_index,input_kind,a,b
     Group:      cycle,group,output_y,output_x,member_crossbars...
@@ -733,36 +768,106 @@ def dump_schedule_lines(schedule: CycleSchedule):
     yield f"# design={schedule.design.value} cycles={schedule.cycle_count}"
     yield "# assignment: cycle,crossbar,kind,a,b  group: cycle,group,out_y,out_x,members..."
 
-    spec, design = schedule.layer, schedule.design
-    order = np.argsort(schedule.cycle, kind="stable")
-    cyc = schedule.cycle[order].tolist()
-    xb = schedule.crossbar[order].tolist()
-    drive, halves = _kinds(design)
-    kinds = [(drive if on else "zero") + halves[t % 2]
-             for on, t in zip(schedule.live[order].tolist(), cyc)]
-    sa = schedule.src_a[order].tolist()
-    sb = schedule.src_b[order].tolist()
+    spec, design, drives = schedule.layer, schedule.design, schedule.assignment_count
+    (h, w), (oh, ow, _) = _grid(spec, design), output_shape(spec)
+    cycles, groups = schedule.cycle_count, schedule.group_count
+    # the integer fields' values, zero drives' overhang included: the cycle,
+    # the crossbar or group, the source or output row and column
+    first = -max(spec.kh, spec.kw)
+    bounds = ((0, cycles), (0, max(spec.kh * spec.kw, oh * ow if groups else 0)),
+              (first, max(h, oh) - first), (first, max(w, ow) - first))
+    for column, (low, high) in zip(_COLUMNS, bounds):
+        _check_range(schedule, getattr(schedule, column), high,
+                     f"drive outside the dump's [{low}, {high}) {column} bounds", low)
 
-    # a folded group's even subs come first: they drive its first phase
-    oh, ow, _ = output_shape(spec)
     phases = 2 if design is DesignKind.RED_FOLDED else 1
-    s, members = 1, {} if design is DesignKind.PADDING_FREE else {(0, 0): "0"}
-    if design in (DesignKind.RED, DesignKind.RED_FOLDED):
-        s = spec.stride
-        members = {mode: ",".join(str(n // phases) for n in sorted(
-                       (i * spec.kw + j for i, j in positions), key=lambda n: (n % phases, n)))
-                   for mode, positions in partition_modes(spec).modes.items()}
-    n_tx = -(-ow // s)
+    s = spec.stride if design in _PIXELWISE else 1
+    key = np.empty(drives + groups, dtype=_index_dtype(2 * cycles))
+    key[:drives] = schedule.cycle
+    key[:drives] *= 2
+    if groups:  # output pixel (y, x)'s tile completes in its last phase
+        y, x = (np.arange(n, dtype=key.dtype) // s * 2 * phases for n in (oh, ow))
+        np.add.outer(y * -(-ow // s), x + 2 * phases - 1, out=key[drives:].reshape(oh, ow))
+    order = np.argsort(key, kind="stable")
 
-    n, pos = len(cyc), 0
-    for t in range(schedule.cycle_count):
-        while pos < n and cyc[pos] == t:
-            yield f"{t},{xb[pos]},{kinds[pos]},{sa[pos]},{sb[pos]}"
-            pos += 1
-        if not members or t % phases < phases - 1:
-            continue
-        ty, tx = divmod(t // phases, n_tx)
-        for y in range(s * ty, min(s * ty + s, oh)):
-            for x in range(s * tx, min(s * tx + s, ow)):
-                mode = members[(spec.pad_top - y) % s, (spec.pad_left - x) % s]
-                yield f"{t},{y * ow + x},{y},{x},{mode}"
+    # a line's fields, each a code into its table: the cycle, the crossbar
+    # or group and the source or output row, each followed by a comma; a
+    # drive's kind, zero or not, then its half, and a comma, or a group
+    # row's nothing; the source or output column; a drive row's newline, or
+    # a group's members, a folded group's even subs first as they drive its
+    # first phase, and a newline
+    live, halves = _kinds(design)
+    members = [b"\n", b",0\n"]
+    if design in _PIXELWISE:
+        members[1:] = [("," + ",".join(str(n // phases) for n in sorted(
+            (i * spec.kw + j for i, j in positions), key=lambda n: (n % phases, n))) + "\n")
+            .encode() for positions in partition_modes(spec).modes.values()]
+    numbers = _numbers(first, max(high for _, high in bounds), b",")
+    tables = (numbers, numbers, _words([f"{k}{half},".encode() for k in (live, "zero")
+                                        for half in halves] + [b""]),
+              numbers, _numbers(*bounds[3]), _words(members))
+    # a group's members by its output row's mode row and its column's
+    modes = (1 + (spec.pad_top - np.arange(oh)) % s * s, (spec.pad_left - np.arange(ow)) % s)
+    step = max(1, _CACHE_BUDGET // (8 * sum(t.shape[1] for t in tables)))
+    for k in range(0, len(order), step):
+        rows = order[k : k + step]
+        yield from _dump_text(schedule, key, rows, tables, first, modes).splitlines()
+
+
+def _dump_text(schedule: CycleSchedule, key: np.ndarray, rows: np.ndarray,
+               tables: tuple[np.ndarray, ...], first: int,
+               modes: tuple[np.ndarray, np.ndarray]) -> str:
+    """The lines of rows `rows` of `dump_schedule_lines`' key order, each
+    ending in a newline: a row below `schedule.assignment_count` is that
+    drive, any other the group of output pixel row - drives.  Each of its
+    fields is a row of its table, the integer fields' tables starting at
+    the value `first`; they are copied side by side, a word column at a
+    time, into a NUL-padded grid whose NULs are then dropped."""
+    spec, drives = schedule.layer, schedule.assignment_count
+    h, w = _grid(spec, schedule.design)
+    cell = key[rows].astype(np.int64)  # widened, as the codes add to it
+    group = (cell & 1).astype(bool)
+    cycle = cell >> 1
+    pixel = np.where(group, rows - drives, 0)  # a group row's group, y*ow + x
+    y, x = np.divmod(pixel, spec.output_w)
+    # a group row reads the last drive, and discards it
+    crossbar, src_a, src_b = (np.take(getattr(schedule, c), rows, mode="clip")
+                              for c in _COLUMNS[1:])
+    zero = _unsigned(src_a) >= h
+    zero |= _unsigned(src_b) >= w
+    codes = (cycle - first, np.where(group, pixel, crossbar) - first,
+             np.where(group, len(tables[2]) - 1, 2 * zero + (cycle & 1)),
+             np.where(group, y, src_a) - first, np.where(group, x, src_b) - first,
+             np.where(group, modes[0][y] + modes[1][x], 0))
+    grid = np.empty((len(rows), sum(t.shape[1] for t in tables)), dtype=np.uint64)
+    column = 0
+    for table, code in zip(tables, codes):
+        for words in table.T:
+            grid[:, column] = words[code]
+            column += 1
+    return grid.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _words(texts: list[bytes]) -> np.ndarray:
+    """The texts as the rows of a table of NUL-padded 8-byte words."""
+    width = max(1, -(-max(map(len, texts)) // 8))
+    return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(len(texts), width)
+
+
+def _numbers(low: int, high: int, end: bytes = b"") -> np.ndarray:
+    """`_words` of the decimal integers low..high - 1, each followed by
+    `end`: their digits by divmod by 10, right-aligned after a minus sign
+    where one is negative, NUL-padded."""
+    values = np.arange(low, high)
+    digits, sign = len(str(max(-low, high - 1))), int(low < 0)
+    text = np.zeros((len(values), -(-(sign + digits + len(end)) // 8) * 8), dtype=np.uint8)
+    text[:, sign + digits : sign + digits + len(end)] = np.frombuffer(end, dtype=np.uint8)
+    if sign:
+        text[:, 0] = np.where(values < 0, ord("-"), 0)
+    q = np.abs(values)
+    for column in range(sign + digits - 1, sign - 1, -1):
+        tens = q // 10
+        text[:, column] = np.where(q > 0, q - 10 * tens + ord("0"), 0)
+        q = tens
+    text[:, sign + digits - 1] |= ord("0")  # a zero's one digit
+    return text.view(np.uint64)

@@ -450,10 +450,12 @@ def test_schedule_parts_property(spec, design, budget):
     with mock.patch.object(dataflow, "_CACHE_BUDGET", budget):
         parts = list(schedule_parts(spec, design))
         program = lower(iter(parts))
-    joined = _joined(parts)
-    for column in ASSIGNMENT_COLUMNS:
-        have, want = getattr(joined, column), getattr(whole, column)
-        assert have.dtype == want.dtype and np.array_equal(have, want)
+        # built from these parts, copied one at a time
+        built = build_schedule(spec, design)
+    for joined in (_joined(parts), built):
+        for column in ASSIGNMENT_COLUMNS:
+            have, want = getattr(joined, column), getattr(whole, column)
+            assert have.dtype == want.dtype and np.array_equal(have, want)
     row = whole.block // spec.kw if design in (DesignKind.RED, DesignKind.RED_FOLDED) \
         else whole.cycle
     stops = np.cumsum([p.assignment_count for p in parts])
@@ -1119,6 +1121,146 @@ def test_dump_deterministic():
     a = "\n".join(dump_schedule_lines(schedule_zero_skipping(TOY, folded=True)))
     b = "\n".join(dump_schedule_lines(schedule_zero_skipping(TOY, folded=True)))
     assert a == b
+
+
+def reference_dump_lines(schedule):
+    """`dump_schedule_lines` one line at a time, walking the cycles: the
+    reference its column formatting must equal line for line."""
+    yield f"# design={schedule.design.value} cycles={schedule.cycle_count}"
+    yield "# assignment: cycle,crossbar,kind,a,b  group: cycle,group,out_y,out_x,members..."
+
+    spec, design = schedule.layer, schedule.design
+    order = np.argsort(schedule.cycle, kind="stable")
+    cyc = schedule.cycle[order].tolist()
+    xb = schedule.crossbar[order].tolist()
+    drive = "window" if design is DesignKind.ZERO_PADDING else "pixel"
+    halves = ("_lo", "_hi") if design is DesignKind.RED_FOLDED else ("", "")
+    kinds = [(drive if on else "zero") + halves[t % 2]
+             for on, t in zip(schedule.live[order].tolist(), cyc)]
+    sa = schedule.src_a[order].tolist()
+    sb = schedule.src_b[order].tolist()
+
+    # a folded group's even subs come first: they drive its first phase
+    oh, ow, _ = output_shape(spec)
+    phases = 2 if design is DesignKind.RED_FOLDED else 1
+    s, members = 1, {} if design is DesignKind.PADDING_FREE else {(0, 0): "0"}
+    if design in (DesignKind.RED, DesignKind.RED_FOLDED):
+        s = spec.stride
+        members = {mode: ",".join(str(n // phases) for n in sorted(
+                       (i * spec.kw + j for i, j in positions), key=lambda n: (n % phases, n)))
+                   for mode, positions in partition_modes(spec).modes.items()}
+    n_tx = -(-ow // s)
+
+    n, pos = len(cyc), 0
+    for t in range(schedule.cycle_count):
+        while pos < n and cyc[pos] == t:
+            yield f"{t},{xb[pos]},{kinds[pos]},{sa[pos]},{sb[pos]}"
+            pos += 1
+        if not members or t % phases < phases - 1:
+            continue
+        ty, tx = divmod(t // phases, n_tx)
+        for y in range(s * ty, min(s * ty + s, oh)):
+            for x in range(s * tx, min(s * tx + s, ow)):
+                mode = members[(spec.pad_top - y) % s, (spec.pad_left - x) % s]
+                yield f"{t},{y * ow + x},{y},{x},{mode}"
+
+
+# 66,206 dump rows, more than `_CACHE_BUDGET`: on red_folded 65 chunks,
+# whose boundaries fall between two drive lines of a cycle, between its
+# drive and group lines, and between two of its group lines; a change to
+# the chunk layout may need another geometry for all three
+MANY_ROWS = DeconvLayerSpec(65, 77, 1, 3, 3, 1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=layer_specs(), design=st.sampled_from(list(DesignKind)),
+       budget=st.just(dataflow._CACHE_BUDGET) | st.integers(1, 200))
+# GAN_Deconv2's zero drives read input row and column -1
+@example(spec=DeconvLayerSpec(4, 4, 1, 5, 5, 1, 2, 1, 2, 1, 2), design=DesignKind.RED,
+         budget=dataflow._CACHE_BUDGET)
+# an odd kh*kw: the last folded array's high half is never driven
+@example(spec=TOY, design=DesignKind.RED_FOLDED, budget=dataflow._CACHE_BUDGET)
+# cycles, groups and sources cross 10, 100 and 1000 within one chunk
+@example(spec=DeconvLayerSpec(16, 16, 1, 4, 4, 1, 2), design=DesignKind.ZERO_PADDING,
+         budget=dataflow._CACHE_BUDGET)
+@example(spec=MANY_ROWS, design=DesignKind.RED_FOLDED, budget=dataflow._CACHE_BUDGET)
+def test_dump_matches_the_per_line_reference_property(spec, design, budget):
+    # the dump puts its lines together a chunk of `budget` bytes at a time;
+    # a small budget puts chunk boundaries everywhere, one line a chunk too
+    sched = build_schedule(spec, design)
+    with mock.patch.object(dataflow, "_CACHE_BUDGET", budget):
+        got = list(dump_schedule_lines(sched))
+    assert got == list(reference_dump_lines(sched))
+
+
+def _is_group_line(line):
+    return line.split(",")[2].isdigit()  # an output row; a drive has its kind there
+
+
+def test_dump_chunks_fit_the_budget_and_split_cycles():
+    sched = build_schedule(MANY_ROWS, DesignKind.RED_FOLDED)
+    with mock.patch.object(dataflow, "_dump_text", wraps=dataflow._dump_text) as text:
+        lines = list(dump_schedule_lines(sched))[2:]
+    sizes = [len(call.args[2]) for call in text.call_args_list]
+    assert sum(sizes) == len(lines) == 66_206 and len(sizes) > 1
+    # a chunk's grid holds a row at least as wide as each of its lines
+    assert max(sizes) * (max(map(len, lines)) + 1) <= dataflow._CACHE_BUDGET
+    splits = {(_is_group_line(lines[k - 1]), _is_group_line(lines[k]))
+              for k in np.cumsum(sizes)[:-1]
+              if lines[k - 1].split(",")[0] == lines[k].split(",")[0]}
+    assert splits == {(False, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_refusals_name_a_drive_by_its_dump_line(design):
+    # `lower`'s refusals name a drive by `_line`: every drive's is its line
+    # in the dump, where the drives come in cycle order
+    sched = build_schedule(TOY, design)
+    order = np.argsort(sched.cycle, kind="stable")
+    drives = [dataflow._line(sched, *(int(getattr(sched, c)[k]) for c in ASSIGNMENT_COLUMNS))
+              for k in order]
+    lines = list(dump_schedule_lines(sched))[2:]
+    assert drives == [line for line in lines if not _is_group_line(line)]
+    assert len(lines) == sched.assignment_count + sched.group_count
+
+
+@pytest.mark.parametrize("column,value,bounds", [
+    ("cycle", 16, r"\[0, 16\) cycle"), ("cycle", -1, r"\[0, 16\) cycle"),
+    ("crossbar", 49, r"\[0, 49\) crossbar"),
+    ("src_a", -4, r"\[-3, 10\) src_a"), ("src_b", 10, r"\[-3, 10\) src_b")])
+def test_dump_refuses_a_drive_outside_the_layer(column, value, bounds):
+    # every field of a line is a row of a table as large as the layer's
+    # bounds, so a drive no built schedule has is refused, not misprinted
+    bad = _with_value(build_schedule(TOY, DesignKind.RED), column, 3, value)
+    with pytest.raises(ValueError, match=rf"drive outside the dump's {bounds} bounds: "
+                                         rf"drive {_line(bad, 3)}$"):
+        list(dump_schedule_lines(bad))
+
+
+def test_dump_holds_its_order_and_one_chunk_of_scratch():
+    # over the lines it returns, the dump holds its sort key and order, 10
+    # bytes a row (0.66 MB), its tables and one chunk: 1.0 MB; its lines
+    # put together in one grid took 14.7 MB, and one f-string a line at a
+    # time 6.3 MB
+    sched = build_schedule(MANY_ROWS, DesignKind.RED_FOLDED)
+    tracemalloc.start()
+    try:
+        lines = list(dump_schedule_lines(sched))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 2 + 66_206
+    assert peak - held <= 1.5 * 2**20
+
+
+def test_build_schedule_holds_its_columns_and_one_part():
+    # FCN_Deconv2's red schedule comes in 16 parts, one kernel row each; it
+    # is joined one part at a time into columns of its closed-form drive
+    # count, not by concatenating every part
+    peak, sched = _scratch(lambda: build_schedule(FCN2, DesignKind.RED))
+    held = sum(getattr(sched, c).nbytes for c in ASSIGNMENT_COLUMNS)
+    assert held == 8 * 256 * 71 * 71
+    assert peak <= 1.2 * held
 
 
 # ---------------------------------------------------------------------------
