@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -111,6 +112,13 @@ def builtin_benchmarks() -> list[BenchmarkEntry]:
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
+_BLOCK_LOG2 = 15  # 2^15 states a block: with their high halves, 384 KiB of L2
+_HIGH = 1 if sys.byteorder == "little" else 0  # a state's high uint32 half
+
+
+def _twice(a: int, c: int) -> tuple[int, int]:
+    """The affine step x -> a*x + c mod 2^64 composed with itself."""
+    return (a * a) & _MASK64, (a * c + c) & _MASK64
 
 
 class Lcg64:
@@ -120,9 +128,7 @@ class Lcg64:
         self.state = seed & _MASK64
 
     def _states(self, n: int) -> np.ndarray:
-        """The next n states, advancing the generator (vectorized doubling)."""
-        if n == 0:
-            return np.empty(0, dtype=np.uint64)
+        """The next n >= 1 states, advancing the generator (vectorized doubling)."""
         out = np.empty(n, dtype=np.uint64)
         out[0] = (self.state * _LCG_MULT + _LCG_INC) & _MASK64
         have = 1
@@ -131,23 +137,41 @@ class Lcg64:
         while have < n:
             take = min(have, n - have)
             step = out[have : have + take]
-            with np.errstate(over="ignore"):
-                np.multiply(out[:take], np.uint64(a), out=step)
-                step += np.uint64(c)
-            a, c = (a * a) & _MASK64, (a * c + c) & _MASK64
+            np.multiply(out[:take], np.uint64(a), out=step)
+            step += np.uint64(c)
+            a, c = _twice(a, c)
             have += take
         self.state = int(out[n - 1])
         return out
 
     def ints(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Small signed integers in [-8, 8], row-major draw order."""
-        values = self._states(int(np.prod(shape)))
-        # in place: the high 32 bits mod 17 fit int64, so view, not copy
-        values >>= np.uint64(32)
-        values %= np.uint64(17)
-        values = values.view(np.int64)
-        values -= 8
-        return values.reshape(shape)
+        """Small signed integers in [-8, 8], row-major draw order.
+
+        Drawn one L2-sized block of 2^15 states at a time: the first block
+        by doubling (`_states`), each later one as the block before it
+        advanced by one block's steps, and each block's high halves are
+        taken mod 17, less 8, into the int64 result.  Values and `state`
+        are those of stepping the generator once per value."""
+        out = np.empty(shape, dtype=np.int64)
+        flat = out.reshape(-1)  # a view: `out` is new and contiguous
+        n = flat.size
+        if n == 0:
+            return out
+        block = self._states(min(n, 1 << _BLOCK_LOG2))
+        a, c = _LCG_MULT, _LCG_INC
+        for _ in range(_BLOCK_LOG2):
+            a, c = _twice(a, c)
+        high = np.empty(len(block), dtype=np.uint32)
+        for start in range(0, n, len(high)):
+            if start:  # the block before, advanced 2^15 steps
+                block = block[: n - start]
+                block *= np.uint64(a)
+                block += np.uint64(c)
+            k = len(block)
+            np.remainder(block.view(np.uint32)[_HIGH::2], np.uint32(17), out=high[:k])
+            np.subtract(high[:k], 8, out=flat[start : start + k], dtype=np.int64)
+        self.state = int(block[-1])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +409,9 @@ def run_suite(
             )
 
         rng = Lcg64(seed + idx)
-        kernel = Kernel4(rng.ints((scaled.kh, scaled.kw, scaled.channels, scaled.filters)))
+        weights = rng.ints(scaled.kernel_shape)
+        weights.flags.writeable = False  # handed over: the kernel keeps it uncopied
+        kernel = Kernel4(weights)
         for t in range(trials):
             # the inputs follow the kernel in the stream, one per trial
             tensor = Tensor3(rng.ints((scaled.input_h, scaled.input_w, scaled.channels)))

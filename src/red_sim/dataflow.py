@@ -686,12 +686,14 @@ def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
     """Run one input through a lowered schedule's VMMs and sum the groups.
 
     Every design runs the same blocks on the unpadded input, in the
-    `compute_dtype` of the input and the plan's `weight_bound`: per block a
-    basic-slice read of the source rectangle, a product with the block's
-    C x M weights, wherever the design's arrays hold them, and a
-    basic-slice add into the destination.  Integer sums are exact in any
-    order: the int64 result equals the oracle exactly.  `trace_of_program`
-    counts the activity of a run from the same program."""
+    `compute_dtype` of the input and the plan's `weight_bound`, which is
+    its kernel's max|w|, taken once when the kernel was built, so no trial
+    reduces the weights: per block a basic-slice read of the source
+    rectangle, a product with the block's C x M weights, wherever the
+    design's arrays hold them, and a basic-slice add into the destination.
+    Integer sums are exact in any order: the int64 result equals the
+    oracle exactly.  `trace_of_program` counts the activity of a run from
+    the same program."""
     _check_pair(plan, program, dims=4)
     spec = program.layer
     if plan.crossbars is None:

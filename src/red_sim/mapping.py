@@ -19,18 +19,18 @@ encodings are left to the cost model's coefficients.
 A design's arrays, modeled at their logical size, share one shape: its
 count and shape, and so its cell count and periphery inventory, follow
 from (kh, kw, C, M) alone.  One table holds each design's count, shape and
-weight layout (a list of arrays), and a plan built without weights is all
+weight layout (a list of arrays), and a plan built without a kernel is all
 costing needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .tensor import DeconvLayerSpec, Kernel4, _check_kernel, _integer_bound
+from .tensor import DeconvLayerSpec, Kernel4, _check_kernel
 
 __all__ = [
     "DesignKind",
@@ -57,30 +57,37 @@ class MappingPlan:
 
     The design and `kernel_dims` fix `count` identical arrays of `shape`
     (rows, cols), which the schedules address.  `crossbars` lists their
-    2-D weight arrays, or is None in a geometry-only plan, which is all
-    the trace and the cost model read.  `weight_bound` is max|w| over
-    integer `crossbars` (None for float ones or none), taken once when the
-    plan is built.  `periphery_inventory` maps each periphery circuit to
-    its port count over all arrays.
+    2-D weight arrays, laid out from the `kernel` the plan is built with,
+    or is None in a geometry-only plan, built without one, which is all
+    the trace and the cost model read.  The arrays are read-only, and
+    `weight_bound` is the kernel's `Kernel4.weight_bound` (None for float
+    weights or none): max|w| over the arrays too, since a layout moves the
+    kernel's values and red_folded adds only zeros, so no plan reduces its
+    arrays.  `periphery_inventory` maps each periphery circuit to its port
+    count over all arrays.
     """
 
     design: DesignKind
     kernel_dims: tuple[int, int, int, int]
-    crossbars: list[np.ndarray] | None = None
+    kernel: InitVar[Kernel4 | None] = None
+    crossbars: list[np.ndarray] | None = field(init=False)
     weight_bound: int | None = field(init=False)
     count: int = field(init=False)
     shape: tuple[int, int] = field(init=False)
     periphery_inventory: dict[str, int] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, kernel):
         self.design = DesignKind(self.design)
         self.count, self.shape = _DESIGNS[self.design][0](*self.kernel_dims)
-        if self.crossbars is not None and (
-                len(self.crossbars) != self.count
-                or any(x.shape != self.shape for x in self.crossbars)):
-            raise ValueError(f"layout arrays do not match the {self.design} shapes "
-                             f"of kernel {self.kernel_dims}")
-        self.weight_bound = None if self.crossbars is None else _integer_bound(self.crossbars)
+        self.crossbars, self.weight_bound = None, None
+        if kernel is not None:
+            if kernel.shape != tuple(self.kernel_dims):
+                raise ValueError(f"kernel shape {kernel.shape} does not match the plan's "
+                                 f"kernel {self.kernel_dims}")
+            self.crossbars = _DESIGNS[self.design][1](kernel)
+            for x in self.crossbars:  # views of the kernel are read-only already
+                x.flags.writeable = False
+            self.weight_bound = kernel.weight_bound
         # one instance of each periphery circuit per array: input-side ports
         # scale with rows, output-side ports with columns
         rows, cols = self.shape
@@ -140,9 +147,9 @@ def build_plan(kernel: Kernel4, design: DesignKind | str,
                layer_spec: DeconvLayerSpec | None = None) -> MappingPlan:
     """Lay the kernel's weights out for any of the four design variants.
 
-    A given `layer_spec` must match the kernel's shape.  For the geometry
-    alone, build `MappingPlan(design, spec.kernel_shape)`."""
+    The plan's `weight_bound` is the kernel's, taken when the kernel was
+    built.  A given `layer_spec` must match the kernel's shape.  For the
+    geometry alone, build `MappingPlan(design, spec.kernel_shape)`."""
     if layer_spec is not None:
         _check_kernel(kernel, layer_spec)
-    design = DesignKind(design)
-    return MappingPlan(design, kernel.shape, _DESIGNS[design][1](kernel))
+    return MappingPlan(design, kernel.shape, kernel)

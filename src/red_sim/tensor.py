@@ -49,9 +49,11 @@ def _is_int(value) -> bool:
 def _canonical(data, ndim: int, what: str) -> np.ndarray:
     """Validate rank and dims >= 1; coerce to int64 (default) or float64.
 
-    Unsigned values int64 cannot hold are refused, not wrapped.  NaN and
-    infinities are refused too: 0 * inf is NaN, so skipping a zero, as red
-    and the zero-padding route do, would change the result."""
+    The result may share memory with `data`; `Kernel4` decides whether
+    to copy it, and takes its bound from it once.  Unsigned values
+    int64 cannot hold are refused, not wrapped.  NaN and infinities are
+    refused too: 0 * inf is NaN, so skipping a zero, as red and the
+    zero-padding route do, would change the result."""
     arr = np.asarray(data)
     if arr.ndim != ndim:
         raise ValueError(f"{what} must have {ndim} dimensions, got shape {arr.shape}")
@@ -66,6 +68,11 @@ def _canonical(data, ndim: int, what: str) -> np.ndarray:
             raise ValueError(f"{what} holds NaN or infinite values")
         return arr.astype(np.float64, copy=False)
     raise TypeError(f"{what} must be integer or float data, got dtype {arr.dtype}")
+
+
+def _abs_max(a: np.ndarray) -> int:
+    # max and min instead of np.abs: no array-sized temporary
+    return max(int(a.max()), -int(a.min()))
 
 
 class Tensor3:
@@ -101,12 +108,40 @@ class Tensor3:
 
 
 class Kernel4:
-    """A kh x kw x channels x filters weight tensor, laid out (i, j, c, m)."""
+    """A kh x kw x channels x filters weight tensor, laid out (i, j, c, m).
 
-    __slots__ = ("data",)
+    `weight_bound`, max|w| over integer weights (None for float ones), is
+    taken once, when the kernel is built; the oracles and
+    `mapping.build_plan` read it instead of reducing the weights again.
+    So that the bound cannot go stale, a kernel owns its weights and
+    freezes them: `data` is read-only, so a write through it raises.
+    Data converted from another dtype or from a list is the kernel's own.
+    Data that shares memory with the array given is copied, so a caller
+    writing that array leaves the kernel as it was, unless the array is
+    read-only and owns its memory: then it is kept uncopied, and its
+    owner promises that no view taken before it was frozen writes to it,
+    as `bench.run_suite` does for its draws.  A copy of a 5x5x512x256
+    int64 kernel takes 4-9 ms, the higher when its pages fault in.
+    """
+
+    __slots__ = ("_data", "_bound")
 
     def __init__(self, data):
-        self.data = _canonical(data, 4, "Kernel4")
+        weights = _canonical(data, 4, "Kernel4")
+        if np.may_share_memory(weights, data) and (
+                weights.flags.writeable or weights.base is not None):
+            weights = weights.copy()
+        weights.flags.writeable = False
+        self._data = weights
+        self._bound = _abs_max(weights) if weights.dtype.kind == "i" else None
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @property
+    def weight_bound(self) -> int | None:
+        return self._bound
 
     @property
     def kh(self) -> int:
@@ -251,25 +286,11 @@ def _check_kernel(kernel: Kernel4, spec: DeconvLayerSpec):
         raise ValueError(f"kernel shape {kernel.shape} does not match layer {spec.kernel_shape}")
 
 
-def _abs_max(a: np.ndarray) -> int:
-    # max and min instead of np.abs: no array-sized temporary
-    return max(int(a.max()), -int(a.min()))
-
-
-def _integer_bound(weights: list[np.ndarray]) -> int | None:
-    """max|w| over integer weight arrays of one shape, or None if any holds
-    floats.  Arrays of at most 2^16 values in all, such as red's C x M subs
-    at small C and M, are joined first: one reduction, not one per array."""
-    if any(w.dtype.kind != "i" for w in weights):
-        return None
-    if len(weights) > 1 and sum(w.size for w in weights) <= 2**16:
-        weights = [np.concatenate(weights)]
-    return max(_abs_max(w) for w in weights)
-
-
 def compute_dtype(data: np.ndarray, w_bound: int | None, terms: int) -> np.dtype:
     """The dtype in which sums of `terms` products of `data` entries and
-    weights of `_integer_bound` `w_bound` are exact.
+    weights of max|w| `w_bound` are exact.  `w_bound` is a kernel's
+    `Kernel4.weight_bound`, or a plan's, which is its kernel's: an int, or
+    None for float weights.
 
     For integer operands, bound = max|x| * max|w| * terms bounds every
     partial sum.  Below 2^53 each partial sum is an integer that float64
@@ -349,7 +370,7 @@ def conv2d_valid(image: Tensor3, kernel: Kernel4) -> Tensor3:
     if image.height < kh or image.width < kw:
         raise ValueError(f"image {image.height}x{image.width} smaller than kernel {kh}x{kw}")
     oh, ow = image.height - kh + 1, image.width - kw + 1
-    dtype = compute_dtype(image.data, _integer_bound([kernel.data]), kh * kw * c)
+    dtype = compute_dtype(image.data, kernel.weight_bound, kh * kw * c)
     img = image.data.astype(dtype, copy=False)
     taps = kernel.data.astype(dtype, copy=False)
     pixels = img.any(axis=2)
@@ -370,7 +391,7 @@ def conv2d_valid(image: Tensor3, kernel: Kernel4) -> Tensor3:
 
 def rotate180(kernel: Kernel4) -> Kernel4:
     """Spatially rotated kernel: out(i, j) = in(kh-1-i, kw-1-j), channels kept."""
-    return Kernel4(kernel.data[::-1, ::-1, :, :].copy())
+    return Kernel4(kernel.data[::-1, ::-1, :, :])
 
 
 def deconv_oracle_zero_padding(
@@ -380,7 +401,7 @@ def deconv_oracle_zero_padding(
     followed by valid correlation."""
     _check_input(input, spec)
     _check_kernel(kernel, spec)
-    dtype = compute_dtype(input.data, _integer_bound([kernel.data]),
+    dtype = compute_dtype(input.data, kernel.weight_bound,
                           spec.kh * spec.kw * spec.channels)
     out = conv2d_valid(dilate_and_pad(input, spec, dtype), kernel).data
     assert out.shape == output_shape(spec)
@@ -400,9 +421,10 @@ def deconv_oracle_padding_free(
     """
     _check_input(input, spec)
     _check_kernel(kernel, spec)
-    dtype = compute_dtype(input.data, _integer_bound([kernel.data]),
+    dtype = compute_dtype(input.data, kernel.weight_bound,
                           spec.kh * spec.kw * spec.channels)
-    rot = rotate180(kernel).data.transpose(2, 0, 1, 3).astype(dtype, order="C")
+    # the rotation as a reversed view: the cast makes its one copy
+    rot = kernel.data[::-1, ::-1].transpose(2, 0, 1, 3).astype(dtype, order="C")
     flat = input.data.reshape(spec.input_h * spec.input_w, spec.channels).astype(dtype, copy=False)
     products = flat @ rot.reshape(spec.channels, -1)
     # overlap-add each kernel position's products onto the canvas, then crop

@@ -3,8 +3,10 @@ import re
 import tracemalloc
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
+import red_sim.bench as bench_mod
 from red_sim.bench import (
     ALL_DESIGNS,
     BenchmarkEntry,
@@ -73,21 +75,59 @@ def test_fcn_deconv1_zero_crops():
 # ---------------------------------------------------------------------------
 
 
-def test_lcg_matches_scalar_reference():
-    def scalar_draws(seed, n):
-        state = seed
-        out = []
-        for _ in range(n):
-            state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
-            out.append((state >> 32) % 17 - 8)
-        return out
+def scalar_lcg(seed, n):
+    """n draws stepping the generator once per value, and the final state."""
+    state = seed
+    out = []
+    for _ in range(n):
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        out.append((state >> 32) % 17 - 8)
+    return out, state
 
+
+def test_lcg_matches_scalar_reference():
     rng = Lcg64(42)
     got = rng.ints((7, 11)).ravel().tolist()
-    assert got == scalar_draws(42, 77)
+    assert got == scalar_lcg(42, 77)[0]
     # the stream continues across calls
     more = rng.ints((5,)).tolist()
-    assert more == scalar_draws(42, 82)[77:]
+    assert more == scalar_lcg(42, 82)[0][77:]
+
+
+BLOCK = 1 << bench_mod._BLOCK_LOG2
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_lcg_blocked_draw_matches_scalar_reference(n):
+    # blocks after the first are the block before advanced by one block's
+    # steps; the last block may be partial
+    seed = 2**64 - 3
+    rng = Lcg64(seed)
+    want, state = scalar_lcg(seed, n)
+    got = rng.ints((n,))
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert got.tolist() == want
+    assert rng.state == state
+
+
+def test_lcg_blocked_draws_continue_across_calls():
+    # consecutive calls that straddle a block boundary, each leaving the
+    # generator where n scalar steps would
+    sizes = [BLOCK - 5, 10, BLOCK + 7, 3, 1]
+    want, _ = scalar_lcg(7, sum(sizes))
+    rng, start = Lcg64(7), 0
+    for n in sizes:
+        assert rng.ints((n,)).tolist() == want[start : start + n]
+        start += n
+        assert rng.state == scalar_lcg(7, start)[1]
+
+
+def test_lcg_empty_draw_neither_draws_nor_advances():
+    rng = Lcg64(42)
+    assert rng.ints((0,)).shape == (0,)
+    assert rng.ints((3, 0, 2)).shape == (3, 0, 2)
+    assert rng.state == 42
+    assert rng.ints((4,)).tolist() == scalar_lcg(42, 4)[0]
 
 
 def test_lcg_value_range():
@@ -301,8 +341,6 @@ def test_run_suite_deterministic():
 def test_run_suite_catches_broken_design(monkeypatch):
     # corrupt the first design's second trial, chosen by (design, trial)
     # rather than by call count, and expect a diff summary that names it
-    import red_sim.bench as bench_mod
-
     real_execute = bench_mod.execute
     programs = defaultdict(list)  # per design, the program of each trial run
 
@@ -329,8 +367,6 @@ def test_equivalence_error_names_the_corrupted_kernel_position(monkeypatch, desi
     # differing output pixel lies in that block's destination, and the
     # error names the kernel position with the input pixel it reads there,
     # which by the definition lands on that output pixel
-    import red_sim.bench as bench_mod
-
     real_build = bench_mod.build_plan
 
     def corrupted(kernel, design, spec):
@@ -353,8 +389,6 @@ def test_equivalence_error_names_the_corrupted_kernel_position(monkeypatch, desi
 def test_run_suite_builds_every_schedule_before_the_data(monkeypatch):
     # per entry, every design's schedule is lowered before the first oracle
     # runs, so no schedule is held next to the layer's data
-    import red_sim.bench as bench_mod
-
     calls = []
     real_lower, real_oracle = bench_mod.lower, bench_mod.deconv_oracle_zero_padding
 
@@ -393,6 +427,29 @@ def test_run_suite_holds_one_trial_and_one_schedule_part_at_a_time():
             tracemalloc.stop()
     assert peaks[3] < 10, peaks
     assert peaks[20] <= peaks[3] + 1, peaks
+
+
+def test_run_suite_takes_each_kernel_bound_once(monkeypatch):
+    # one layer x 4 designs x 2 trials: the kernel's max|w| is reduced
+    # once, when it is built; the oracle and the four plans read it
+    import red_sim.tensor as tensor_mod
+
+    sizes = []
+    real = tensor_mod._abs_max
+
+    def counting(a):
+        sizes.append(a.size)
+        return real(a)
+
+    monkeypatch.setattr(tensor_mod, "_abs_max", counting)
+    # a 90-value kernel, a 36-value input and a 192-value padded image
+    spec = DeconvLayerSpec(3, 4, 3, 3, 2, 5, 2, 1, 0, 1, 0)
+    run_suite([BenchmarkEntry("toy", "custom", "", spec)], trials=2)
+    kernel_size = spec.kh * spec.kw * spec.channels * spec.filters
+    assert kernel_size not in (spec.input_h * spec.input_w * spec.channels,
+                               spec.padded_h * spec.padded_w * spec.channels)
+    assert sizes.count(kernel_size) == 1
+    assert len(sizes) > 1  # the inputs are still bounded per call
 
 
 def test_run_suite_invalid_channel_scale():

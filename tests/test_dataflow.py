@@ -30,7 +30,6 @@ from red_sim.tensor import (
     DeconvLayerSpec,
     Kernel4,
     Tensor3,
-    _integer_bound,
     compute_dtype,
     deconv_oracle_padding_free,
     deconv_oracle_zero_padding,
@@ -622,6 +621,8 @@ def test_folded_idle_half_is_not_multiplied(spec):
     t = Tensor3(RNG.normal(size=(spec.input_h, spec.input_w, spec.channels)))
     k = Kernel4(RNG.normal(size=spec.kernel_shape))
     plan = build_plan(k, DesignKind.RED_FOLDED, spec)
+    # a plan's arrays are read-only; the folded pair is the plan's own copy
+    plan.crossbars[-1].flags.writeable = True
     plan.crossbars[-1][spec.channels:] = np.nan
     got = execute(plan, lower(build_schedule(spec, DesignKind.RED_FOLDED)), t).data
     want = deconv_oracle_zero_padding(t, k, spec).data
@@ -800,12 +801,14 @@ def test_execute_refuses_int64_overflow(design):
 
 @pytest.mark.parametrize("design", list(DesignKind))
 def test_plan_weight_bound_is_the_maximum_over_its_crossbars(design):
-    # a plan takes max|w| from its arrays once, and `execute` reads it in
-    # place of the arrays
+    # a plan takes max|w| from its kernel, which took it once, and
+    # `execute` reads it in place of the arrays
     t, k = rand_pair(TOY, seed=8)
-    k.data[1, 2, 0, 1] = -9
-    plan = build_plan(k, design, TOY)
+    weights = k.data.copy()
+    weights[1, 2, 0, 1] = -9
+    plan = build_plan(Kernel4(weights), design, TOY)
     assert plan.weight_bound == max(int(np.abs(x).max()) for x in plan.crossbars) == 9
+    assert not any(x.flags.writeable for x in plan.crossbars)  # so it cannot go stale
     assert MappingPlan(design, TOY.kernel_shape).weight_bound is None
     assert build_plan(Kernel4(k.data / 2), design).weight_bound is None
     # 2^31 * 2^31 * 18 terms passes 2^63: the recorded bound still refuses it
@@ -845,7 +848,7 @@ def test_exact_on_both_sides_of_2_53(fill, x_big, w_big, dtype, beyond):
     weights = np.full((2, 2, 2, 2), fill, dtype=np.int64)
     weights[0, 0, :, 0] = w_big, 1
     t, k = Tensor3(data), Kernel4(weights)
-    assert compute_dtype(t.data, _integer_bound([k.data]), 8) == dtype
+    assert compute_dtype(t.data, k.weight_bound, 8) == dtype
     want = deconv_python_ints(t, k, EXACT)
     if beyond is not None:  # a true sum that float64 would round
         assert beyond in itertools.chain.from_iterable(itertools.chain(*want))

@@ -220,12 +220,14 @@ def test_geometry_plan_matches_weighted_plan(design):
     assert geometry.cell_count == sum(x.size for x in weighted.crossbars)
 
 
-def test_plan_rejects_layout_off_its_shapes():
-    subs = build_plan(rand_kernel(2, 2, 3, 4), DesignKind.RED).crossbars
-    with pytest.raises(ValueError, match="layout arrays"):
-        MappingPlan(DesignKind.RED_FOLDED, (2, 2, 3, 4), subs)
-    with pytest.raises(ValueError, match="layout arrays"):
-        MappingPlan(DesignKind.RED, (2, 2, 3, 4), subs[:-1])
+def test_plan_rejects_a_kernel_off_its_dims():
+    # a plan lays its arrays out from its kernel, so they fit its shapes
+    # whenever the kernel fits its dims
+    k = rand_kernel(2, 2, 3, 4)
+    for dims in ((2, 2, 4, 3), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="kernel shape"):
+            MappingPlan(DesignKind.RED_FOLDED, dims, k)
+    assert MappingPlan(DesignKind.RED, (2, 2, 3, 4), k).crossbars[3].shape == (3, 4)
 
 
 def test_build_plan_checks_kernel_against_layer():

@@ -8,7 +8,6 @@ from red_sim.tensor import (
     DeconvLayerSpec,
     Kernel4,
     Tensor3,
-    _integer_bound,
     compute_dtype,
     conv2d_valid,
     deconv_oracle_padding_free,
@@ -224,6 +223,42 @@ def test_conv2d_rejects_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# kernel ownership
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_cannot_change_after_it_is_built():
+    given = RNG.integers(-8, 9, (2, 3, 2, 4))
+    given[1, 2, 0, 3] = -9
+    want = given.copy()
+    kernels = [Kernel4(given), Kernel4(given[::-1]), Kernel4(given.astype(np.int32))]
+    view = given[:]  # read-only itself, but its base is still writable
+    view.flags.writeable = False
+    kernels.append(Kernel4(view))
+    for k in kernels:
+        assert k.weight_bound == 9
+        with pytest.raises(ValueError, match="read-only"):
+            k.data[0, 0, 0, 0] = 100
+        with pytest.raises(AttributeError):
+            k.data = want
+        with pytest.raises(AttributeError):
+            k.weight_bound = 1
+    # the caller keeps writing the array it passed in
+    given[...] = 100
+    for k, values in zip(kernels, (want, want[::-1], want, want)):
+        assert np.array_equal(k.data, values) and k.weight_bound == 9
+    # a read-only array that owns its memory is handed over uncopied
+    frozen = want.copy()
+    frozen.flags.writeable = False
+    assert Kernel4(frozen).data is frozen
+    # float weights are frozen too, and have no integer bound
+    floats = RNG.normal(size=(1, 2, 2, 1))
+    k = Kernel4(floats)
+    floats[...] = 0
+    assert k.weight_bound is None and np.all(k.data != 0)
+
+
+# ---------------------------------------------------------------------------
 # rotate180
 # ---------------------------------------------------------------------------
 
@@ -299,26 +334,27 @@ def test_oracles_refuse_int64_overflow():
 
 
 def test_int64_bound_edges():
+    def bound(*values):
+        return Kernel4(np.array(values).reshape(-1, 1, 1, 1)).weight_bound
+
     top = np.iinfo(np.int64).max
-    assert compute_dtype(np.array([top]), _integer_bound([np.array([-1])]), 1) == np.int64
+    assert compute_dtype(np.array([top]), bound(-1), 1) == np.int64
     assert compute_dtype(np.array([2**31]), 2**31 - 1, 2) == np.int64
     with pytest.raises(OverflowError):
         compute_dtype(np.array([2**31]), 2**31, 2)
     with pytest.raises(OverflowError):  # |int64 min| itself exceeds the bound
         compute_dtype(np.array([np.iinfo(np.int64).min]), 1, 1)
-    # the bound is the largest magnitude in any weight array, whether the
-    # arrays are joined (2^16 values or fewer) or reduced one by one
-    assert _integer_bound([np.array([1]), np.array([-2**30])]) == 2**30
-    assert _integer_bound([np.ones(2**16, dtype=np.int64), np.array([-7])]) == 7
+    # a kernel's bound is its largest magnitude, of either sign
+    assert bound(1, -2**30) == 2**30
+    assert bound(*[1] * 2**16, -7) == 7
     with pytest.raises(OverflowError):
         compute_dtype(np.array([2**40]), 2**30, 1)
     # floats are not bounded, as data or as weights
-    assert _integer_bound([np.array([1]), np.array([2.0**30])]) is None
+    assert bound(1, 2.0**30) is None
     assert compute_dtype(np.array([2**40]), None, 1) == np.float64
     assert compute_dtype(np.array([2.0**40]), 2**30, 1) == np.float64
     # float64 below 2^53 (here 2^53 - 2^28), int64 from 2^53 on
-    assert compute_dtype(np.array([2**25]), _integer_bound([np.array([-(2**25 - 1)])]),
-                         8) == np.float64
+    assert compute_dtype(np.array([2**25]), bound(-(2**25 - 1)), 8) == np.float64
     assert compute_dtype(np.array([-(2**25)]), 2**25, 8) == np.int64
 
 
