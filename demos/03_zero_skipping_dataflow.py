@@ -13,14 +13,15 @@ import numpy as np
 
 from red_sim import (
     DeconvLayerSpec,
+    DesignKind,
     Kernel4,
     Tensor3,
     build_plan,
+    build_schedule,
     deconv_oracle_zero_padding,
     execute,
     lower,
     partition_modes,
-    schedule_zero_skipping,
     trace_of_program,
 )
 
@@ -35,7 +36,7 @@ for (ry, rx), positions in part.modes.items():
     labels = [i * 3 + j + 1 for i, j in positions]
     print(f"  mode {ry},{rx}: weights {labels}")
 
-sched = schedule_zero_skipping(spec)
+sched = build_schedule(spec, DesignKind.RED)
 print(f"\n{sched.cycle_count} cycles for the {spec.output_h}x{spec.output_w} output")
 
 for cycle in (0, 1):

@@ -32,9 +32,6 @@ from .dataflow import (
     CycleSchedule,
     ExecutionTrace,
     partition_modes,
-    schedule_zero_padding,
-    schedule_padding_free,
-    schedule_zero_skipping,
     build_schedule,
     Program,
     lower,

@@ -116,51 +116,35 @@ _BLOCK_LOG2 = 15  # 2^15 states a block: with their high halves, 384 KiB of L2
 _HIGH = 1 if sys.byteorder == "little" else 0  # a state's high uint32 half
 
 
-def _twice(a: int, c: int) -> tuple[int, int]:
-    """The affine step x -> a*x + c mod 2^64 composed with itself."""
-    return (a * a) & _MASK64, (a * c + c) & _MASK64
-
-
 class Lcg64:
     """64-bit LCG; draws are the high 32 bits of each successive state."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def _states(self, n: int) -> np.ndarray:
-        """The next n >= 1 states, advancing the generator (vectorized doubling)."""
-        out = np.empty(n, dtype=np.uint64)
-        out[0] = (self.state * _LCG_MULT + _LCG_INC) & _MASK64
-        have = 1
-        # affine composition of `have` generator steps, written in place
-        a, c = _LCG_MULT, _LCG_INC
-        while have < n:
-            take = min(have, n - have)
-            step = out[have : have + take]
-            np.multiply(out[:take], np.uint64(a), out=step)
-            step += np.uint64(c)
-            a, c = _twice(a, c)
-            have += take
-        self.state = int(out[n - 1])
-        return out
-
     def ints(self, shape: tuple[int, ...]) -> np.ndarray:
         """Small signed integers in [-8, 8], row-major draw order.
 
         Drawn one L2-sized block of 2^15 states at a time: the first block
-        by doubling (`_states`), each later one as the block before it
-        advanced by one block's steps, and each block's high halves are
-        taken mod 17, less 8, into the int64 result.  Values and `state`
-        are those of stepping the generator once per value."""
+        by doubling, each later one as the block before it advanced by one
+        block's steps, and each block's high halves are taken mod 17, less
+        8, into the int64 result.  Values and `state` are those of stepping
+        the generator once per value."""
         out = np.empty(shape, dtype=np.int64)
         flat = out.reshape(-1)  # a view: `out` is new and contiguous
         n = flat.size
         if n == 0:
             return out
-        block = self._states(min(n, 1 << _BLOCK_LOG2))
-        a, c = _LCG_MULT, _LCG_INC
-        for _ in range(_BLOCK_LOG2):
-            a, c = _twice(a, c)
+        block = np.empty(min(n, 1 << _BLOCK_LOG2), dtype=np.uint64)
+        block[0] = (self.state * _LCG_MULT + _LCG_INC) & _MASK64
+        # x -> a*x + c mod 2^64 is `have` generator steps, composed with
+        # itself each pass, so a full first block ends on one block's steps
+        a, c, have = _LCG_MULT, _LCG_INC, 1
+        while have < len(block):
+            take = min(have, len(block) - have)
+            np.multiply(block[:take], np.uint64(a), out=block[have : have + take])
+            block[have : have + take] += np.uint64(c)
+            a, c, have = (a * a) & _MASK64, (a * c + c) & _MASK64, have + take
         high = np.empty(len(block), dtype=np.uint32)
         for start in range(0, n, len(high)):
             if start:  # the block before, advanced 2^15 steps

@@ -35,16 +35,17 @@ group rows in cycle order with one argsort, formats each value a field
 can hold once, as a row of a text table, and puts its lines together
 from table rows a chunk at a time.  Every design lowers to the same
 `Program`, one strided rectangle per kernel position (`_rectangles`),
-which `execute` runs on the unpadded input: a basic-slice read, a
-product and a basic-slice add per block.  Zero
-drives, the inserted and border zeros of a zero-padding window and
-cropped padding-free products add nothing and are left out; the hardware
-does that work, and `trace_of_program` counts it from the design's grid
-and the program's rectangles.  Schedule columns take the
-narrowest dtype that holds what they store (`_index_dtype`: int16 on
-FCN_Deconv2's zero-skipping schedules), each stage widens what it
-computes from them so that nothing wraps, and each allocates at most
-about one column of scratch on top of what it returns.
+grouped once by the computation mode it adds into, which `execute` runs
+on the unpadded input mode by mode: a mode's one block is written
+straight into its output sub-lattice, several are summed in a dense
+buffer written there once.  Zero drives, the inserted and border zeros
+of a zero-padding window and cropped padding-free products add nothing
+and are left out; the hardware does that work, and `trace_of_program`
+counts it from the design's grid and the program's rectangles.  Schedule
+columns take the narrowest dtype that holds what they store
+(`_index_dtype`: int16 on FCN_Deconv2's zero-skipping schedules), each
+stage widens what it computes from them so that nothing wraps, and each
+allocates at most about one column of scratch on top of what it returns.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .mapping import DesignKind, MappingPlan
-from .tensor import DeconvLayerSpec, Tensor3, _check_input, compute_dtype, output_shape
+from .tensor import (DeconvLayerSpec, Tensor3, _add_modes, _check_input, _modes, compute_dtype,
+                     output_shape)
 
 __all__ = [
     "InputKind",
@@ -65,9 +67,6 @@ __all__ = [
     "PostOpCounts",
     "ExecutionTrace",
     "partition_modes",
-    "schedule_zero_padding",
-    "schedule_padding_free",
-    "schedule_zero_skipping",
     "schedule_parts",
     "build_schedule",
     "trace_of_program",
@@ -242,29 +241,10 @@ def _row_major_parts(spec: DeconvLayerSpec, design: DesignKind):
         yield CycleSchedule(design, spec, h * w, t, np.zeros_like(t), t // w, t % w)
 
 
-def schedule_zero_padding(spec: DeconvLayerSpec) -> CycleSchedule:
-    """One gathered window per cycle, row-major over output pixels."""
-    return build_schedule(spec, DesignKind.ZERO_PADDING)
-
-
-def schedule_padding_free(spec: DeconvLayerSpec) -> CycleSchedule:
-    """One input pixel per cycle; overlap-add and crop run as post ops."""
-    return build_schedule(spec, DesignKind.PADDING_FREE)
-
-
-def schedule_zero_skipping(spec: DeconvLayerSpec, folded: bool = False) -> CycleSchedule:
-    """RED's schedule: one s x s output tile per cycle, zeros skipped.
-
-    Unfolded cycle count is ceil(output_h/s) * ceil(output_w/s); folding
-    doubles it by splitting each cycle into a low-half and a high-half
-    phase per the stacked sub-crossbar layout.
-    """
-    return build_schedule(spec, DesignKind.RED_FOLDED if folded else DesignKind.RED)
-
-
 def _zero_skipping_parts(spec: DeconvLayerSpec, folded: bool):
-    """`schedule_zero_skipping` in parts of whole kernel rows, each up to
-    `_CACHE_BUDGET` drives unless one kernel row alone has more.
+    """RED's schedule, one s x s output tile per cycle (a low-half and a
+    high-half phase each, folded), in parts of whole kernel rows, each up
+    to `_CACHE_BUDGET` drives unless one kernel row alone has more.
 
     Sub (i, j) serves output pixels y = pad_top - i, x = pad_left - j
     (mod s), one per tile: from the first, (y0, x0), it drives (y0 + s*t,
@@ -486,11 +466,14 @@ class Program:
     input pixel (row + p*row step, column + q*column step) into output
     pixel (p, q) of the destination rectangle, p < P, q < Q; steps are >= 1.
     Every design has the same blocks, block n being kernel position
-    (n // kw, n % kw); only where its C x M weights sit differs."""
+    (n // kw, n % kw); only where its C x M weights sit differs
+    (`MappingPlan.block`).  `modes` are the blocks with entries grouped by
+    their output residue mod s, as `tensor._add_modes` reads them."""
 
     design: DesignKind
     layer: DeconvLayerSpec
     blocks: np.ndarray
+    modes: tuple
 
     def sources(self, y: int, x: int):
         """Yield the kernel positions (i, j) whose block adds into output
@@ -679,53 +662,34 @@ def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
     if (drives != slots).any():
         block = int(np.flatnonzero(drives != slots)[0])
         raise _disagreement(head.chunk(0, 0), block, int(drives[block]))
-    return Program(design=design, layer=spec, blocks=blocks)
+    # block n = i*kw + j's rows are kernel row i's, its columns column j's
+    s, kw = spec.stride, spec.kw
+    rows = [(y % s, p, a, y // s) if p else None for p, a, y in blocks[::kw, [0, 2, 6]].tolist()]
+    cols = [(x % s, q, b, x // s) if q else None for q, b, x in blocks[:kw, [1, 3, 7]].tolist()]
+    return Program(design=design, layer=spec, blocks=blocks, modes=_modes(rows, cols))
 
 
 def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
     """Run one input through a lowered schedule's VMMs and sum the groups.
 
     Every design runs the same blocks on the unpadded input, in the
-    `compute_dtype` of the input and the plan's `weight_bound`, which is
-    its kernel's max|w|, taken once when the kernel was built, so no trial
-    reduces the weights: per block a basic-slice read of the source
-    rectangle, a product with the block's C x M weights, wherever the
-    design's arrays hold them, and a basic-slice add into the destination.
-    Integer sums are exact in any order: the int64 result equals the
-    oracle exactly.  `trace_of_program` counts the activity of a run from
-    the same program."""
+    `compute_dtype` of the input and the plan's `weight_bound`, its
+    kernel's max|w|, so no trial reduces the weights; mode by mode
+    (`Program.modes`, `tensor._add_modes`), each block's source rectangle
+    times its C x M weights, wherever the design holds them
+    (`MappingPlan.block`).  A mode with no block (kh < s) leaves its pixels
+    zero.  Integer sums are exact in any order: the int64 result equals
+    the oracle exactly.  `trace_of_program` counts the activity of a run."""
     _check_pair(plan, program, dims=4)
     spec = program.layer
     if plan.crossbars is None:
         raise ValueError("a geometry-only plan holds no weights to execute")
     _check_input(input, spec)
-    c, m, arrays, last = spec.channels, spec.filters, plan.crossbars, spec.kh * spec.kw - 1
-    dtype = compute_dtype(input.data, plan.weight_bound, (last + 1) * c)
-    # kernel position n's weights: rows n*C on of the tall array, the wide
-    # array's columns of the rotated kernel, sub n, or folded sub n // 2's half
-    weights = {
-        DesignKind.ZERO_PADDING: lambda n: arrays[0][n * c : n * c + c],
-        DesignKind.PADDING_FREE: lambda n: arrays[0][:, (last - n) * m : (last - n) * m + m],
-        DesignKind.RED: lambda n: arrays[n],
-        DesignKind.RED_FOLDED: lambda n: arrays[n // 2][n % 2 * c : n % 2 * c + c],
-    }[program.design]
-    source = input.data.astype(dtype, copy=False)
-    multiply = np.multiply if c == 1 else np.matmul  # far faster at C = 1
+    dtype = compute_dtype(input.data, plan.weight_bound, spec.kh * spec.kw * spec.channels)
     # in the result dtype: integer-valued products below 2^53 convert exactly
-    acc = np.zeros(output_shape(spec), dtype=np.result_type(input.data, arrays[0]))
-    for n, descriptor in enumerate(program.blocks):
-        p, q, sa, sb, sda, sdb, da, db, dda, ddb = descriptor.tolist()
-        if p * q == 0:
-            continue
-        # at most one input's and one output's worth of scratch
-        src = source[sa : sa + (p - 1) * sda + 1 : sda, sb : sb + (q - 1) * sdb + 1 : sdb]
-        dst = acc[da : da + (p - 1) * dda + 1 : dda, db : db + (q - 1) * ddb + 1 : ddb]
-        products = multiply(src.reshape(-1, c), weights(n).astype(dtype, copy=False))
-        # added and written back: numpy buffers the reads and the writes of a
-        # strided in-place add
-        products = products.reshape(dst.shape)
-        products += dst
-        dst[...] = products
+    acc = np.zeros(output_shape(spec), dtype=np.result_type(input.data, plan.crossbars[0]))
+    _add_modes(acc, input.data, dtype, program.modes, (spec.stride, spec.stride),
+               lambda i, j: plan.block(i * spec.kw + j))
     return Tensor3(acc)
 
 

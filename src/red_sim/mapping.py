@@ -18,9 +18,9 @@ encodings are left to the cost model's coefficients.
 
 A design's arrays, modeled at their logical size, share one shape: its
 count and shape, and so its cell count and periphery inventory, follow
-from (kh, kw, C, M) alone.  One table holds each design's count, shape and
-weight layout (a list of arrays), and a plan built without a kernel is all
-costing needs.
+from (kh, kw, C, M) alone.  One table holds each design's count, shape,
+weight layout (a list of arrays) and where in it each kernel position's
+weights sit, and a plan built without a kernel is all costing needs.
 """
 
 from __future__ import annotations
@@ -98,6 +98,10 @@ class MappingPlan:
     def cell_count(self) -> int:
         return self.count * self.shape[0] * self.shape[1]
 
+    def block(self, n: int) -> np.ndarray:
+        """Kernel position n = i*kw + j's weights, `kernel[i, j]`, a view."""
+        return _DESIGNS[self.design][2](self.crossbars, n, *self.kernel_dims)
+
 
 def _zero_padding_layout(kernel: Kernel4) -> list[np.ndarray]:
     """Each filter spread into one column: (kh*kw*C) rows x M columns, row
@@ -133,13 +137,18 @@ def fold_area_efficient(subs: list[np.ndarray]) -> list[np.ndarray]:
     return [np.vstack(pair) for pair in zip(subs[::2], subs[1::2])]
 
 
-# per design: (array count, logical array shape) from (kh, kw, C, M), weight layout
+# per design: (array count, logical array shape) from (kh, kw, C, M); weight
+# layout; kernel position n's C x M weights in it, a view (rotated: ~n = -1 - n)
 _DESIGNS = {
-    DesignKind.ZERO_PADDING: (lambda kh, kw, c, m: (1, (kh * kw * c, m)), _zero_padding_layout),
-    DesignKind.PADDING_FREE: (lambda kh, kw, c, m: (1, (c, kh * kw * m)), _padding_free_layout),
-    DesignKind.RED: (lambda kh, kw, c, m: (kh * kw, (c, m)), map_pixel_wise),
+    DesignKind.ZERO_PADDING: (lambda kh, kw, c, m: (1, (kh * kw * c, m)), _zero_padding_layout,
+                              lambda arrays, n, kh, kw, c, m: arrays[0][n * c : n * c + c]),
+    DesignKind.PADDING_FREE: (lambda kh, kw, c, m: (1, (c, kh * kw * m)), _padding_free_layout,
+                              lambda arrays, n, kh, kw, c, m: arrays[0].reshape(c, -1, m)[:, ~n]),
+    DesignKind.RED: (lambda kh, kw, c, m: (kh * kw, (c, m)), map_pixel_wise,
+                     lambda arrays, n, kh, kw, c, m: arrays[n]),
     DesignKind.RED_FOLDED: (lambda kh, kw, c, m: ((kh * kw + 1) // 2, (2 * c, m)),
-                            lambda kernel: fold_area_efficient(map_pixel_wise(kernel))),
+                            lambda kernel: fold_area_efficient(map_pixel_wise(kernel)),
+                            lambda arrays, n, kh, kw, c, m: arrays[n // 2].reshape(2, c, m)[n % 2]),
 }
 
 

@@ -21,7 +21,6 @@ Coordinate convention: (row, column) a.k.a. (y, x), row-major throughout.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,44 +311,92 @@ def compute_dtype(data: np.ndarray, w_bound: int | None, terms: int) -> np.dtype
     return np.dtype(np.int64)
 
 
-def dilate_and_pad(input: Tensor3, spec: DeconvLayerSpec, dtype=None) -> Tensor3:
+def dilate_and_pad(input: Tensor3, spec: DeconvLayerSpec) -> Tensor3:
     """Insert stride-1 zeros between pixels and add the zero border.
 
     Original pixel (a, b, c) lands at (pad_top + a*stride, pad_left + b*stride, c).
     Sliding a kh x kw window with stride 1 over the result visits exactly
-    output_h x output_w positions.  The canvas is in `dtype`, by default
-    the input's, so that a caller computing in another holds no copy.
+    output_h x output_w positions.
     """
     _check_input(input, spec)
+    return Tensor3(_dilate_and_pad(input.data, spec, input.data.dtype))
+
+
+def _dilate_and_pad(data: np.ndarray, spec: DeconvLayerSpec, dtype) -> np.ndarray:
     s = spec.stride
-    canvas = np.zeros((spec.padded_h, spec.padded_w, spec.channels),
-                      dtype=input.data.dtype if dtype is None else dtype)
-    canvas[
-        spec.pad_top : spec.pad_top + spec.dilated_h : s,
-        spec.pad_left : spec.pad_left + spec.dilated_w : s,
-        :,
-    ] = input.data
-    return Tensor3(canvas)
+    canvas = np.zeros((spec.padded_h, spec.padded_w, spec.channels), dtype=dtype)
+    canvas[spec.pad_top : spec.pad_top + spec.dilated_h : s,
+           spec.pad_left : spec.pad_left + spec.dilated_w : s] = data
+    return canvas
 
 
-def _offsets(nonzero: np.ndarray, k: int, n_out: int) -> list:
-    """Per kernel offset t < k along one axis, the basic strided slices
-    (outputs, image indices) that cover every output o < n_out whose image
-    index o + t is `nonzero`, or None if there is none.  The step is the
-    gcd of the gaps between nonzero indices, so a slice skips a dilated
-    image's inserted zeros and may read a few zero indices of another."""
-    index = np.flatnonzero(nonzero)
+def _lattice(nonzero: np.ndarray, k: int, n_out: int):
+    """The evenly spaced indices that hold every `nonzero` one of an axis,
+    (first, count, step), the step the gcd of their gaps, so that it may
+    hold a few zero indices; and per kernel offset t < k its `_modes` tap,
+    where outputs o < n_out with o + t on the lattice lie, or None."""
+    index = np.flatnonzero(nonzero).tolist()
+    if not index:
+        return (0, 0, 1), [None] * k
     step = int(np.gcd.reduce(np.diff(index))) if len(index) > 1 else 1
-    index = index.tolist()
-    pairs = []
-    for t in range(k):
-        taken = index[bisect_left(index, t) : bisect_left(index, t + n_out)]
-        if not taken:
-            pairs.append(None)
-        else:
-            first, last = taken[0], taken[-1] + 1
-            pairs.append((slice(first - t, last - t, step), slice(first, last, step)))
-    return pairs
+    first, count = index[0], (index[-1] - index[0]) // step + 1
+    taps = []
+    for t in range(k):  # output r + step*v reads lattice index v - d
+        d, r = divmod(first - t, step)
+        v0, v1 = max(0, d), min(-(-(n_out - r) // step), count + d)
+        taps.append((r, v1 - v0, v0 - d, v0) if v0 < v1 else None)
+    return (first, count, step), taps
+
+
+def _modes(rows: list, cols: list) -> tuple:
+    """Kernel taps grouped into computation modes: `rows[i]`, row i's
+    (residue r_y, count P, source start, start on the sub-lattice of
+    outputs of that residue) or None, and `cols[j]` put taps (i, j) in
+    mode ((r_y, r_x), rows (i, P, source slice, destination slice), cols)."""
+    axes = ({}, {})
+    for groups, taps in zip(axes, (rows, cols)):
+        for k, tap in enumerate(taps):
+            if tap:
+                r, size, a, t = tap
+                groups.setdefault(r, []).append((k, size, slice(a, a + size), slice(t, t + size)))
+    return tuple(((ry, rx), row, col) for ry, row in axes[0].items() for rx, col in axes[1].items())
+
+
+def _add_modes(out: np.ndarray, source: np.ndarray, dtype, modes: tuple,
+               steps: tuple[int, int], weights):
+    """Add the `_modes` taps' products into `out`, computed in `dtype`.
+
+    Mode ((r_y, r_x), rows, cols) owns out[r_y::step_y, r_x::step_x]; its
+    tap (i, j) adds source[a, b] times `weights(i, j)`, C x M, into [t, u]
+    of it.  Modes are disjoint: a mode of one tap writes its product
+    straight into its sub-lattice, one of more sums them in a dense buffer
+    and writes that once.  At C = 1, with no matmul for BLAS to speed up,
+    integer data stays in `out`'s int64, exact as `compute_dtype` admits."""
+    (sy, sx), (oh, ow, m), (h, w, c) = steps, out.shape, source.shape
+    dtype = out.dtype if c == 1 and out.dtype.kind == source.dtype.kind == "i" else dtype
+    source = source.astype(dtype, copy=False)
+    products = np.empty(h * w * m, dtype=dtype)
+    scratch = np.empty(-(-oh // sy) * -(-ow // sx) * m, dtype=dtype)  # mode (0, 0)'s, the largest
+    for (ry, rx), rows, cols in modes:
+        lattice = out[ry::sy, rx::sx]
+        dst, add = lattice, False
+        if len(rows) * len(cols) > 1:
+            dst = scratch[: lattice.size].reshape(lattice.shape)
+            dst.fill(0)
+        for i, p, a, t in rows:
+            for j, q, b, u in cols:
+                block = products[: p * q * m].reshape(p, q, m)
+                if c == 1:  # far faster than a matmul
+                    np.multiply(source[a, b], weights(i, j).astype(dtype, copy=False), out=block)
+                else:  # a block's cast weights are freed before the next block's
+                    np.matmul(source[a, b].reshape(-1, c), weights(i, j).astype(dtype, copy=False),
+                              out=block.reshape(-1, m))
+                if add:  # into the product: numpy copies a small strided in-place operand twice
+                    block += dst[t, u]
+                dst[t, u] = block
+                add = dst is not lattice  # the first product is written
+        if dst is not lattice:
+            lattice[...] = dst
 
 
 def conv2d_valid(image: Tensor3, kernel: Kernel4) -> Tensor3:
@@ -360,33 +407,31 @@ def conv2d_valid(image: Tensor3, kernel: Kernel4) -> Tensor3:
     Tap (i, j) adds into output pixel (y, x) only where image row y + i
     and image column x + j hold a nonzero value: skipping an all-zero row
     or column is exact for any image.  The nonzero rows and columns are
-    found once per call, and each tap reads them as one basic strided
-    slice per axis (`_offsets`).  `dilate_and_pad` inserts such rows and
-    columns: all but one in `stride` of the padded image's.
+    found once per call, from the data (`_lattice`), and the values on
+    their lattice copied into a compact array, whose contiguous rectangles
+    the taps sum mode by mode (`_add_modes`).  `dilate_and_pad` inserts
+    all-zero rows and columns: all but one in `stride` of its image's.
     """
     kh, kw, c, m = kernel.shape
     if image.channels != c:
         raise ValueError(f"channel mismatch: image has {image.channels}, kernel has {c}")
     if image.height < kh or image.width < kw:
         raise ValueError(f"image {image.height}x{image.width} smaller than kernel {kh}x{kw}")
-    oh, ow = image.height - kh + 1, image.width - kw + 1
     dtype = compute_dtype(image.data, kernel.weight_bound, kh * kw * c)
-    img = image.data.astype(dtype, copy=False)
-    taps = kernel.data.astype(dtype, copy=False)
+    return Tensor3(_correlate(image.data, kernel, dtype, np.result_type(image.data, kernel.data)))
+
+
+def _correlate(img: np.ndarray, kernel: Kernel4, dtype, out_dtype) -> np.ndarray:
+    """`conv2d_valid` on arrays, computed in `dtype`, into `out_dtype`."""
+    kh, kw, c, m = kernel.shape
+    oh, ow = img.shape[0] - kh + 1, img.shape[1] - kw + 1
     pixels = img.any(axis=2)
-    rows, cols = _offsets(pixels.any(axis=1), kh, oh), _offsets(pixels.any(axis=0), kw, ow)
-    out = np.zeros((oh, ow, m), dtype=dtype)
-    for i, row in enumerate(rows):
-        for j, col in enumerate(cols if row else ()):
-            if col is None:
-                continue
-            src = img[row[1], col[1]]
-            if c == 1:  # far faster than a matmul
-                products = src * taps[i, j, 0]
-            else:
-                products = (src.reshape(-1, c) @ taps[i, j]).reshape(*src.shape[:2], m)
-            out[row[0], col[0]] += products
-    return Tensor3(out.astype(np.result_type(image.data, kernel.data), copy=False))
+    (r0, nr, gr), rows = _lattice(pixels.any(axis=1), kh, oh)
+    (c0, nc, gc), cols = _lattice(pixels.any(axis=0), kw, ow)
+    compact = img[r0 : r0 + gr * nr : gr, c0 : c0 + gc * nc : gc].copy()
+    out, taps = np.zeros((oh, ow, m), dtype=out_dtype), kernel.data.astype(dtype, copy=False)
+    _add_modes(out, compact, dtype, _modes(rows, cols), (gr, gc), lambda i, j: taps[i, j])
+    return out
 
 
 def rotate180(kernel: Kernel4) -> Kernel4:
@@ -398,14 +443,15 @@ def deconv_oracle_zero_padding(
     input: Tensor3, kernel: Kernel4, spec: DeconvLayerSpec
 ) -> Tensor3:
     """Deconvolution as zero insertion, on a canvas in the compute dtype,
-    followed by valid correlation."""
+    followed by valid correlation, both on arrays that nothing re-checks."""
     _check_input(input, spec)
     _check_kernel(kernel, spec)
     dtype = compute_dtype(input.data, kernel.weight_bound,
                           spec.kh * spec.kw * spec.channels)
-    out = conv2d_valid(dilate_and_pad(input, spec, dtype), kernel).data
+    out = _correlate(_dilate_and_pad(input.data, spec, dtype), kernel, dtype,
+                     np.result_type(input.data, kernel.data))
     assert out.shape == output_shape(spec)
-    return Tensor3(out.astype(np.result_type(input.data, kernel.data), copy=False))
+    return Tensor3(out)
 
 
 def deconv_oracle_padding_free(

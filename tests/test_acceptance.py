@@ -15,9 +15,6 @@ from red_sim.dataflow import (
     build_schedule,
     lower,
     partition_modes,
-    schedule_padding_free,
-    schedule_zero_padding,
-    schedule_zero_skipping,
     trace_of_program,
 )
 from red_sim.mapping import DesignKind, build_plan
@@ -76,20 +73,21 @@ def test_criterion_2_cycle_counts():
         oh, ow, _ = output_shape(spec)
         s = spec.stride
         tiles = (-(-oh // s)) * (-(-ow // s))
-        assert schedule_zero_padding(spec).cycle_count == oh * ow
-        assert schedule_padding_free(spec).cycle_count == spec.input_h * spec.input_w
-        assert schedule_zero_skipping(spec).cycle_count == tiles
-        assert schedule_zero_skipping(spec, folded=True).cycle_count == 2 * tiles
+        assert build_schedule(spec, DesignKind.ZERO_PADDING).cycle_count == oh * ow
+        pixels = spec.input_h * spec.input_w
+        assert build_schedule(spec, DesignKind.PADDING_FREE).cycle_count == pixels
+        assert build_schedule(spec, DesignKind.RED).cycle_count == tiles
+        assert build_schedule(spec, DesignKind.RED_FOLDED).cycle_count == 2 * tiles
     by_name = {e.name: e.spec for e in builtin_benchmarks()}
     gan1 = by_name["GAN_Deconv1"]
-    assert schedule_zero_padding(gan1).cycle_count == 256
-    assert schedule_padding_free(gan1).cycle_count == 64
-    assert schedule_zero_skipping(gan1).cycle_count == 64
+    assert build_schedule(gan1, DesignKind.ZERO_PADDING).cycle_count == 256
+    assert build_schedule(gan1, DesignKind.PADDING_FREE).cycle_count == 64
+    assert build_schedule(gan1, DesignKind.RED).cycle_count == 64
     fcn2 = by_name["FCN_Deconv2"]
-    assert schedule_zero_padding(fcn2).cycle_count == 322624
-    assert schedule_padding_free(fcn2).cycle_count == 4900
-    assert schedule_zero_skipping(fcn2).cycle_count == 5041
-    assert schedule_zero_skipping(fcn2, folded=True).cycle_count == 10082
+    assert build_schedule(fcn2, DesignKind.ZERO_PADDING).cycle_count == 322624
+    assert build_schedule(fcn2, DesignKind.PADDING_FREE).cycle_count == 4900
+    assert build_schedule(fcn2, DesignKind.RED).cycle_count == 5041
+    assert build_schedule(fcn2, DesignKind.RED_FOLDED).cycle_count == 10082
 
 
 @criterion(3, "mode decomposition sizes")
@@ -109,7 +107,7 @@ def test_criterion_4_first_cycle_pattern():
     # original pixel, so cycle 1 is the interior sharing pattern.  Coordinates
     # are (row, col) into the input feature map; sub-crossbar n = i*kw + j.
     toy = DeconvLayerSpec(4, 4, 2, 3, 3, 2, 2, 2, 0, 2, 0)
-    sched = schedule_zero_skipping(toy)
+    sched = build_schedule(toy, DesignKind.RED)
     first = sched.cycle == 0
     assert int(first.sum()) == 9
     assert sched.live[first].all()

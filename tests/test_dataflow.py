@@ -19,10 +19,7 @@ from red_sim.dataflow import (
     execute,
     lower,
     partition_modes,
-    schedule_padding_free,
     schedule_parts,
-    schedule_zero_padding,
-    schedule_zero_skipping,
     trace_of_program,
 )
 from red_sim.mapping import DesignKind, MappingPlan, build_plan
@@ -50,11 +47,14 @@ FCN2 = DeconvLayerSpec(70, 70, 21, 16, 16, 21, 8)
 
 @st.composite
 def layer_specs(draw, max_channels=3):
-    """Valid layers over the whole crop space, strides up to 7."""
-    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    """Valid layers over the whole crop space: strides up to 7, kernels up
+    to 3s + 1, so that a computation mode holds up to four taps per axis,
+    and inputs up to 12."""
+    s = draw(st.integers(1, 7))
+    kh, kw = draw(st.integers(1, 3 * s + 1)), draw(st.integers(1, 3 * s + 1))
     crops = [draw(st.integers(0, k - 1)) for k in (kh, kh, kw, kw)]
     c, m = draw(st.integers(1, max_channels)), draw(st.integers(1, max_channels))
-    ih, iw, s = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    ih, iw = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     try:
         return DeconvLayerSpec(ih, iw, c, kh, kw, m, s, *crops)
     except ValueError:
@@ -112,28 +112,28 @@ def test_modes_partition_property(kh, kw, s):
 
 
 def test_cycle_counts_gan_deconv1():
-    assert schedule_zero_padding(GAN1).cycle_count == 256
-    assert schedule_padding_free(GAN1).cycle_count == 64
-    assert schedule_zero_skipping(GAN1).cycle_count == 64
+    assert build_schedule(GAN1, DesignKind.ZERO_PADDING).cycle_count == 256
+    assert build_schedule(GAN1, DesignKind.PADDING_FREE).cycle_count == 64
+    assert build_schedule(GAN1, DesignKind.RED).cycle_count == 64
 
 
 def test_cycle_counts_fcn_deconv2():
-    assert schedule_zero_padding(FCN2).cycle_count == 322624
-    assert schedule_padding_free(FCN2).cycle_count == 4900
-    assert schedule_zero_skipping(FCN2).cycle_count == 5041
-    assert schedule_zero_skipping(FCN2, folded=True).cycle_count == 10082
+    assert build_schedule(FCN2, DesignKind.ZERO_PADDING).cycle_count == 322624
+    assert build_schedule(FCN2, DesignKind.PADDING_FREE).cycle_count == 4900
+    assert build_schedule(FCN2, DesignKind.RED).cycle_count == 5041
+    assert build_schedule(FCN2, DesignKind.RED_FOLDED).cycle_count == 10082
 
 
 def test_cycle_counts_1x1():
     spec = DeconvLayerSpec(1, 1, 2, 1, 1, 3, 1)
-    assert schedule_zero_padding(spec).cycle_count == 1
-    assert schedule_padding_free(spec).cycle_count == 1
-    assert schedule_zero_skipping(spec).cycle_count == 1
+    assert build_schedule(spec, DesignKind.ZERO_PADDING).cycle_count == 1
+    assert build_schedule(spec, DesignKind.PADDING_FREE).cycle_count == 1
+    assert build_schedule(spec, DesignKind.RED).cycle_count == 1
 
 
 def test_red_cycles_partial_tiles():
     # output 7x7 at stride 2 needs ceil(7/2)^2 = 16 tiles
-    assert schedule_zero_skipping(TOY).cycle_count == 16
+    assert build_schedule(TOY, DesignKind.RED).cycle_count == 16
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_red_cycles_partial_tiles():
 
 
 def test_zero_skipping_first_cycle_pattern():
-    sched = schedule_zero_skipping(TOY)
+    sched = build_schedule(TOY, DesignKind.RED)
     first = sched.cycle == 0
     assert int(first.sum()) == 9
     assert sched.live[first].all()
@@ -511,7 +511,7 @@ def test_lower_refuses_parts_of_another_schedule():
 
 
 def test_zero_padding_schedule_structure():
-    sched = schedule_zero_padding(TOY)
+    sched = build_schedule(TOY, DesignKind.ZERO_PADDING)
     oh, ow, _ = output_shape(TOY)
     assert sched.cycle_count == oh * ow
     assert sched.live.all()
@@ -520,7 +520,7 @@ def test_zero_padding_schedule_structure():
 
 
 def test_padding_free_schedule_structure():
-    sched = schedule_padding_free(TOY)
+    sched = build_schedule(TOY, DesignKind.PADDING_FREE)
     assert sched.cycle_count == 16
     assert sched.has_post_ops and sched.group_count == 0
 
@@ -528,7 +528,7 @@ def test_padding_free_schedule_structure():
 def test_folded_phases():
     # even cycles drive the low halves and odd cycles the high halves; the
     # dump names each assignment's half from its cycle
-    sched = schedule_zero_skipping(TOY, folded=True)
+    sched = build_schedule(TOY, DesignKind.RED_FOLDED)
     kinds = {}
     for line in dump_schedule_lines(sched):
         fields = line.split(",")
@@ -570,6 +570,56 @@ def test_execute_matches_oracle(design, name, spec):
     assert trace_of_program(program, plan).cycle_count == sched.cycle_count
 
 
+# the edges of the computation modes: kh, kw < s leaves modes with no
+# kernel position, whose pixels stay zero; kh = kw = s gives every mode
+# exactly one block, written straight into its output sub-lattice; crops
+# can leave a block no entry (P*Q = 0), here kernel rows 1 to 3 of 4
+MODE_EDGES = {
+    "empty modes": DeconvLayerSpec(3, 4, 2, 2, 3, 3, 4),
+    "one block a mode": DeconvLayerSpec(4, 3, 2, 3, 3, 2, 3, 1, 0, 0, 2),
+    "empty blocks": DeconvLayerSpec(1, 2, 2, 4, 3, 2, 2, 3, 0, 2, 1),
+}
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+@pytest.mark.parametrize("case", list(MODE_EDGES))
+def test_execute_mode_edges(design, case):
+    spec = MODE_EDGES[case]
+    program = lower(build_schedule(spec, design))
+    taps = [len(rows) * len(cols) for _, rows, cols in program.modes]
+    live = int(np.count_nonzero(program.blocks[:, 0] * program.blocks[:, 1]))
+    assert sum(taps) == live
+    if case == "empty modes":
+        assert len(taps) < spec.stride**2
+    elif case == "one block a mode":
+        assert taps == [1] * spec.stride**2 == [1] * live
+    else:
+        assert live < spec.kh * spec.kw
+    for seed in range(3):
+        t, k = rand_pair(spec, seed=seed)
+        want = deconv_oracle_padding_free(t, k, spec).data
+        assert np.array_equal(deconv_oracle_zero_padding(t, k, spec).data, want)
+        assert np.array_equal(execute(build_plan(k, design, spec), program, t).data, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=layer_specs(max_channels=1))
+def test_program_modes_hold_every_live_block_once_property(spec):
+    # grouped by output residue, each block with entries appears once, its
+    # rectangle unchanged, and starts on its mode's sub-lattice where its
+    # destination does
+    program = lower(build_schedule(spec, DesignKind.RED))
+    s, seen = spec.stride, []
+    for (ry, rx), rows, cols in program.modes:
+        for (i, p, a, t), (j, q, b, u) in itertools.product(rows, cols):
+            seen.append(i * spec.kw + j)
+            rect = [p, q, a.start, b.start, 1, 1, ry + s * t.start, rx + s * u.start, s, s]
+            assert program.blocks[seen[-1]].tolist() == rect
+            assert (a.stop - a.start, b.stop - b.start, t.stop - t.start, u.stop - u.start) == (
+                p, q, p, q)
+    assert sorted(seen) == np.flatnonzero(program.blocks[:, 0] * program.blocks[:, 1]).tolist()
+
+
 def test_impulse_through_red_schedule():
     spec = DeconvLayerSpec(3, 3, 2, 3, 3, 2, 2)
     data = np.zeros((3, 3, 2), dtype=np.int64)
@@ -577,7 +627,7 @@ def test_impulse_through_red_schedule():
     t = Tensor3(data)
     _, k = rand_pair(spec, seed=5)
     plan = build_plan(k, DesignKind.RED, spec)
-    got = execute(plan, lower(schedule_zero_skipping(spec)), t)
+    got = execute(plan, lower(build_schedule(spec, DesignKind.RED)), t)
     want = deconv_oracle_zero_padding(t, k, spec)
     assert np.array_equal(got.data, want.data)
     # placement: rotated slice for channel 0 at offset (2, 2) on the canvas
@@ -592,8 +642,8 @@ def test_folded_equals_unfolded_with_double_cycles():
     t, k = rand_pair(spec, seed=11)
     plain_plan = build_plan(k, DesignKind.RED, spec)
     fold_plan = build_plan(k, DesignKind.RED_FOLDED, spec)
-    plain = lower(schedule_zero_skipping(spec))
-    fold = lower(schedule_zero_skipping(spec, folded=True))
+    plain = lower(build_schedule(spec, DesignKind.RED))
+    fold = lower(build_schedule(spec, DesignKind.RED_FOLDED))
     a = execute(plain_plan, plain, t)
     b = execute(fold_plan, fold, t)
     tr_a = trace_of_program(plain, plain_plan)
@@ -610,7 +660,7 @@ def test_execute_stride1_folded():
     t, k = rand_pair(spec, seed=21)
     want = deconv_oracle_zero_padding(t, k, spec)
     plan = build_plan(k, DesignKind.RED_FOLDED, spec)
-    got = execute(plan, lower(schedule_zero_skipping(spec, folded=True)), t)
+    got = execute(plan, lower(build_schedule(spec, DesignKind.RED_FOLDED)), t)
     assert np.array_equal(got.data, want.data)
 
 
@@ -762,7 +812,7 @@ def test_zero_padding_program_size_matches_redundancy_property(spec):
 def test_trace_checks_design_and_kernel_extent_only():
     # the trace takes C and M from the plan, so a program of any channel
     # count traces a plan of the same design and kernel extent
-    sched = schedule_zero_skipping(TOY)
+    sched = build_schedule(TOY, DesignKind.RED)
     program = lower(sched)
     trace = trace_of_program(program, MappingPlan(DesignKind.RED, (3, 3, 5, 7)))
     assert trace.cell_activations == int(sched.live.sum()) * 5 * 7
@@ -782,10 +832,10 @@ def test_trace_checks_design_and_kernel_extent_only():
 def test_execute_rejects_mismatches():
     t, k = rand_pair(TOY, seed=1)
     plan = build_plan(k, DesignKind.RED, TOY)
-    sched = schedule_zero_padding(TOY)
+    sched = build_schedule(TOY, DesignKind.ZERO_PADDING)
     with pytest.raises(ValueError, match="design"):
         execute(plan, lower(sched), t)
-    good_sched = schedule_zero_skipping(TOY)
+    good_sched = build_schedule(TOY, DesignKind.RED)
     with pytest.raises(ValueError, match="input shape"):
         execute(plan, lower(good_sched), Tensor3(np.zeros((4, 4, 3))))
 
@@ -933,7 +983,7 @@ def test_trace_zero_padding_counts():
     spec = DeconvLayerSpec(2, 2, 3, 2, 2, 4, 2)
     k = Kernel4(np.ones((2, 2, 3, 4), dtype=np.int64))
     plan = build_plan(k, DesignKind.ZERO_PADDING, spec)
-    trace = trace_of_program(lower(schedule_zero_padding(spec)), plan)
+    trace = trace_of_program(lower(build_schedule(spec, DesignKind.ZERO_PADDING)), plan)
     oh_ow = 16
     assert trace.cycle_count == oh_ow
     assert trace.vmm_activations == oh_ow
@@ -948,7 +998,7 @@ def test_trace_padding_free_post_ops():
     spec = DeconvLayerSpec(2, 2, 3, 2, 2, 4, 2)
     k = Kernel4(np.ones((2, 2, 3, 4), dtype=np.int64))
     plan = build_plan(k, DesignKind.PADDING_FREE, spec)
-    trace = trace_of_program(lower(schedule_padding_free(spec)), plan)
+    trace = trace_of_program(lower(build_schedule(spec, DesignKind.PADDING_FREE)), plan)
     assert trace.cycle_count == 4
     assert trace.input_bits_driven == 4 * 3
     assert trace.output_values_read == 4 * 16  # kh*kw*M wide readout
@@ -960,7 +1010,7 @@ def test_trace_red_zero_skipping_sparsity():
     spec = DeconvLayerSpec(4, 4, 2, 4, 4, 3, 2, 1, 1, 1, 1)
     k = Kernel4(np.ones((4, 4, 2, 3), dtype=np.int64))
     plan = build_plan(k, DesignKind.RED, spec)
-    sched = schedule_zero_skipping(spec)
+    sched = build_schedule(spec, DesignKind.RED)
     trace = trace_of_program(lower(sched), plan)
     kk = 16
     assert trace.vmm_activations <= kk * trace.cycle_count
@@ -976,7 +1026,8 @@ def test_trace_interior_only_layer_saturates():
     # stride-1 full-crop layer where no zeros exist at all
     spec = DeconvLayerSpec(4, 4, 2, 2, 2, 2, 1, 1, 1, 1, 1)
     k = Kernel4(np.ones((2, 2, 2, 2), dtype=np.int64))
-    trace = trace_of_program(lower(schedule_zero_skipping(spec)), build_plan(k, DesignKind.RED, spec))
+    program = lower(build_schedule(spec, DesignKind.RED))
+    trace = trace_of_program(program, build_plan(k, DesignKind.RED, spec))
     assert trace.vmm_activations == 4 * trace.cycle_count  # kh*kw per cycle
 
 
@@ -1098,7 +1149,7 @@ def test_padding_free_execute_holds_no_product_matrix():
 
 
 def test_dump_first_cycle_lines():
-    lines = list(dump_schedule_lines(schedule_zero_skipping(TOY)))
+    lines = list(dump_schedule_lines(build_schedule(TOY, DesignKind.RED)))
     body = [l for l in lines if not l.startswith("#")]
     cycle0 = [l for l in body if l.startswith("0,")]
     assigns = [l for l in cycle0 if l.split(",")[2] in ("pixel", "zero")]
@@ -1113,7 +1164,8 @@ def test_dump_first_cycle_lines():
 
 def test_dump_zero_padding_line_counts():
     spec = DeconvLayerSpec(2, 2, 1, 2, 2, 1, 2)
-    lines = [l for l in dump_schedule_lines(schedule_zero_padding(spec)) if not l.startswith("#")]
+    sched = build_schedule(spec, DesignKind.ZERO_PADDING)
+    lines = [l for l in dump_schedule_lines(sched) if not l.startswith("#")]
     oh_ow = 16
     assert len(lines) == 2 * oh_ow  # one assignment + one group line per cycle
     assert lines[0] == "0,0,window,0,0"
@@ -1121,8 +1173,8 @@ def test_dump_zero_padding_line_counts():
 
 
 def test_dump_deterministic():
-    a = "\n".join(dump_schedule_lines(schedule_zero_skipping(TOY, folded=True)))
-    b = "\n".join(dump_schedule_lines(schedule_zero_skipping(TOY, folded=True)))
+    a = "\n".join(dump_schedule_lines(build_schedule(TOY, DesignKind.RED_FOLDED)))
+    b = "\n".join(dump_schedule_lines(build_schedule(TOY, DesignKind.RED_FOLDED)))
     assert a == b
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from red_sim.mapping import (
     DesignKind,
@@ -171,6 +172,31 @@ def test_weight_value_conservation(design):
         assert not stored[-4 * 5 :].any()
         stored = stored[: -4 * 5]
     assert np.array_equal(np.sort(stored), np.sort(k.data.ravel()))
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (3, 3, 2, 5), (4, 2, 3, 1), (5, 5, 4, 3)])
+def test_block_n_holds_kernel_position_n(design, dims):
+    # every weight distinct, so a block read from any other place of any
+    # layout differs; odd kh*kw leaves red_folded's last high half as fill
+    k = Kernel4(np.arange(np.prod(dims)).reshape(dims))
+    plan = build_plan(k, design)
+    for n in range(dims[0] * dims[1]):
+        block = plan.block(n)
+        assert np.array_equal(block, k.data[divmod(n, dims[1])])
+        # a view into the plan's read-only arrays
+        assert any(np.shares_memory(block, x) for x in plan.crossbars)
+        assert not block.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 6)] * 4), design=st.sampled_from(list(DesignKind)),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_n_holds_kernel_position_n_property(dims, design, seed):
+    k = Kernel4(np.random.default_rng(seed).integers(-8, 9, dims))
+    plan = build_plan(k, design)
+    for n in range(dims[0] * dims[1]):
+        assert np.array_equal(plan.block(n), k.data[divmod(n, dims[1])])
 
 
 def test_cell_count_conservation_even_kernel():
