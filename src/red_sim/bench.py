@@ -51,12 +51,7 @@ __all__ = [
     "ALL_DESIGNS",
 ]
 
-ALL_DESIGNS = (
-    DesignKind.ZERO_PADDING,
-    DesignKind.PADDING_FREE,
-    DesignKind.RED,
-    DesignKind.RED_FOLDED,
-)
+ALL_DESIGNS = tuple(DesignKind)  # in the order the reports list them
 
 
 class ConfigError(ValueError):
@@ -114,6 +109,20 @@ _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 _BLOCK_LOG2 = 15  # 2^15 states a block: with their high halves, 384 KiB of L2
 _HIGH = 1 if sys.byteorder == "little" else 0  # a state's high uint32 half
+_MOD17 = -(-(1 << 36) // 17)  # M = ceil(2^36 / 17): 17*M = 2^36 + 1
+
+
+def _draws(high: np.ndarray, out: np.ndarray):
+    """Into int64 `out`, each uint32 x of `high` mod 17, less 8: x // 17 is
+    (x*M) >> 36 with M = `_MOD17`, as x*M / 2^36 = x/17 + x/(17*2^36), whose
+    second term, below 1/272, cannot lift x/17's fraction, at most 16/17,
+    to 1; and x*M < 2^64."""
+    q = out.view(np.uint64)
+    np.multiply(high, np.uint64(_MOD17), out=q)
+    q >>= np.uint64(36)
+    q *= np.uint64(17)
+    np.subtract(high, q, out=q)
+    out -= 8
 
 
 class Lcg64:
@@ -127,9 +136,10 @@ class Lcg64:
 
         Drawn one L2-sized block of 2^15 states at a time: the first block
         by doubling, each later one as the block before it advanced by one
-        block's steps, and each block's high halves are taken mod 17, less
-        8, into the int64 result.  Values and `state` are those of stepping
-        the generator once per value."""
+        block's steps, and each block's high halves are taken mod 17 by a
+        multiply and a shift (`_draws`), less 8, into the int64 result.
+        Values and `state` are those of stepping the generator once per
+        value."""
         out = np.empty(shape, dtype=np.int64)
         flat = out.reshape(-1)  # a view: `out` is new and contiguous
         n = flat.size
@@ -145,15 +155,12 @@ class Lcg64:
             np.multiply(block[:take], np.uint64(a), out=block[have : have + take])
             block[have : have + take] += np.uint64(c)
             a, c, have = (a * a) & _MASK64, (a * c + c) & _MASK64, have + take
-        high = np.empty(len(block), dtype=np.uint32)
-        for start in range(0, n, len(high)):
+        for start in range(0, n, len(block)):
             if start:  # the block before, advanced 2^15 steps
                 block = block[: n - start]
                 block *= np.uint64(a)
                 block += np.uint64(c)
-            k = len(block)
-            np.remainder(block.view(np.uint32)[_HIGH::2], np.uint32(17), out=high[:k])
-            np.subtract(high[:k], 8, out=flat[start : start + k], dtype=np.int64)
+            _draws(block.view(np.uint32)[_HIGH::2], flat[start : start + len(block)])
         self.state = int(block[-1])
         return out
 

@@ -22,6 +22,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from .bench import (
     ALL_DESIGNS,
@@ -43,7 +44,7 @@ from .costmodel import (
     report_to_dict,
     summary_csv_rows,
 )
-from .dataflow import build_schedule, dump_schedule_lines
+from .dataflow import build_schedule, dump_schedule_text
 from .tensor import DeconvLayerSpec, output_shape, zero_redundancy_ratio
 
 ENV_CONFIG = "RED_SIM_CONFIG"
@@ -65,12 +66,13 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
 
 
-def _write_text(path: str | None, text: str):
+def _write_text(path: str | None, text: str | Iterable[str]):
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with _writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -248,11 +250,11 @@ def _find_layer(name: str, entries) -> DeconvLayerSpec:
 
 
 def cmd_dump_schedule(args) -> int:
+    """Write one layer's schedule dump a chunk at a time, as formatted."""
     entries, _, _ = _resolve_config(args)
     spec = _find_layer(args.layer, entries)
     schedule = build_schedule(spec, parse_design(args.design))
-    text = "\n".join(dump_schedule_lines(schedule)) + "\n"
-    _write_text(args.out, text)
+    _write_text(args.out, dump_schedule_text(schedule))
     return EXIT_OK
 
 

@@ -23,25 +23,20 @@ Folding doubles the cycle count, even phases driving rows 0..C-1 of each
 folded sub with the even original sub's input and odd phases rows
 C..2C-1 with the odd one's, so the cycle's parity names the half.
 
-A design is its weight layout (mapping) plus its schedule.  A schedule
-depends on the spatial geometry only, never on C, M or data: `lower`
-proves it, once, against the layer's closed form; it is the one check of
-a schedule.  A schedule is built as a sequence of (block, cycle) ordered
-parts of up to `_CACHE_BUDGET` drives (`schedule_parts`), which `lower`
-proves part by part, so a run never holds a whole schedule;
-`build_schedule` joins the parts for the dump and the tests, holding the
-whole and one part.  The dump (`dump_schedule_lines`) puts drives and
-group rows in cycle order with one argsort, formats each value a field
-can hold once, as a row of a text table, and puts its lines together
-from table rows a chunk at a time.  Every design lowers to the same
-`Program`, one strided rectangle per kernel position (`_rectangles`),
-grouped once by the computation mode it adds into, which `execute` runs
-on the unpadded input mode by mode: a mode's one block is written
-straight into its output sub-lattice, several are summed in a dense
-buffer written there once.  Zero drives, the inserted and border zeros
+A design is its weight layout (mapping) plus its schedule, which depends
+on the spatial geometry only.  It is built in (block, cycle) ordered parts
+of up to `_CACHE_BUDGET` drives (`schedule_parts`), each column copied
+from small per-axis arrays; `lower`, its one check, proves the parts
+against the layer's closed form a chunk at a time, so a run never holds
+a whole schedule (`build_schedule` joins the parts for the dump and the
+tests).  Every design lowers to the same `Program`, one strided
+rectangle per kernel position, grouped by the computation mode it adds
+into (`_rectangles`, built once per layer), which `execute` runs on the
+unpadded input mode by mode.  Zero drives, the inserted and border zeros
 of a zero-padding window and cropped padding-free products add nothing
 and are left out; the hardware does that work, and `trace_of_program`
-counts it from the design's grid and the program's rectangles.  Schedule
+counts it from the program.  The dump (`dump_schedule_text`) formats
+drives and group rows in cycle order a chunk of text at a time.  Schedule
 columns take the narrowest dtype that holds what they store
 (`_index_dtype`: int16 on FCN_Deconv2's zero-skipping schedules), each
 stage widens what it computes from them so that nothing wraps, and each
@@ -50,6 +45,7 @@ allocates at most about one column of scratch on top of what it returns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
@@ -74,6 +70,7 @@ __all__ = [
     "lower",
     "execute",
     "dump_schedule_lines",
+    "dump_schedule_text",
 ]
 
 
@@ -233,60 +230,63 @@ def _grid(spec: DeconvLayerSpec, design: DesignKind) -> tuple[int, int]:
 
 def _row_major_parts(spec: DeconvLayerSpec, design: DesignKind):
     """One drive of the design's single array per cycle, row-major over its
-    grid, in parts of up to `_CACHE_BUDGET` cycles."""
+    grid, in parts of up to `_CACHE_BUDGET` cycles: cycle t drives source
+    (t // w, t % w), copied from the grid rows the part touches."""
     h, w = _grid(spec, design)
     index = _index_dtype(h * w)
+    axis = np.arange(max(h, w), dtype=index)
     for t0 in range(0, h * w, _CACHE_BUDGET):
         t = np.arange(t0, min(t0 + _CACHE_BUDGET, h * w), dtype=index)
-        yield CycleSchedule(design, spec, h * w, t, np.zeros_like(t), t // w, t % w)
+        r0, r1 = t0 // w, -(-(t0 + len(t)) // w)
+        src = np.empty((2, r1 - r0, w), dtype=index)
+        src[0], src[1] = axis[r0:r1, None], axis[:w]
+        src_a, src_b = src.reshape(2, -1)[:, t0 - r0 * w :][:, : len(t)]
+        yield CycleSchedule(design, spec, h * w, t, np.zeros_like(t), src_a, src_b)
 
 
-def _zero_skipping_parts(spec: DeconvLayerSpec, folded: bool):
+def _zero_skipping_parts(spec: DeconvLayerSpec, folded: int):
     """RED's schedule, one s x s output tile per cycle (a low-half and a
     high-half phase each, folded), in parts of whole kernel rows, each up
     to `_CACHE_BUDGET` drives unless one kernel row alone has more.
 
     Sub (i, j) serves output pixels y = pad_top - i, x = pad_left - j
     (mod s), one per tile: from the first, (y0, x0), it drives (y0 + s*t,
-    x0 + s*u) in cycle t*n_tx + u.  Laid out row-major over (i, j, t, u),
-    that is (sub, cycle) order, which is (block, cycle) order folded or not.
-    """
+    x0 + s*u) in cycle t*n_tx + u, for a prefix of the tile rows times one
+    of the columns.  Laid out row-major over (i, j, t, u), that is (block,
+    cycle) order, folded (sub n drives n >> 1 in phase n & 1) or not.  A
+    part's columns are copies of small per-axis arrays, folded there, read
+    through a mask only where a crop leaves its subs' prefixes ragged."""
     s = spec.stride
     oh, ow, _ = output_shape(spec)
     n_ty, n_tx = -(-oh // s), -(-ow // s)
-    cycles = n_ty * n_tx * (2 if folded else 1)
-
-    # the grid's axes, and the values read off them, are small int64 arrays
-    i = np.arange(spec.kh).reshape(-1, 1, 1, 1)
-    j = np.arange(spec.kw).reshape(1, -1, 1, 1)
-    t = np.arange(n_ty).reshape(1, 1, -1, 1)
-    u = np.arange(n_tx).reshape(1, 1, 1, -1)
-    y0, x0 = (spec.pad_top - i) % s, (spec.pad_left - j) % s
-    # the input pixel whose dilated coordinate lines up; off the input it
-    # is a zero drive
-    a = t + (y0 + i - spec.pad_top) // s
-    b = u + (x0 + j - spec.pad_left) // s
-    # the last tile row and column may overhang the output
-    rows, columns = y0 + s * t < oh, x0 + s * u < ow
-    # the columns hold cycles, blocks and sources, zero drives' included
-    index = _index_dtype(cycles, spec.kh * spec.kw, a.min(), a.max(), b.min(), b.max())
-    grid = (spec.kh, spec.kw, n_ty, n_tx)
-    per_row = np.count_nonzero(rows, axis=(1, 2, 3)) * np.count_nonzero(columns)
-    for i0, i1 in _runs(per_row.tolist(), _CACHE_BUDGET):
-        # kernel rows i0..i1 - 1 of the grid's values, read through the
-        # mask without materialising the grid
-        inside = rows[i0:i1] & columns
-        cycle, crossbar, src_a, src_b = (
-            np.broadcast_to(values.astype(index), grid)[i0:i1][inside]
-            for values in (t * n_tx + u, i * spec.kw + j, a, b))
-        if folded:
-            # original sub n drives folded sub n // 2 on phase n % 2
-            cycle *= 2
-            cycle += crossbar % 2
-            crossbar //= 2
+    cycles = n_ty * n_tx << folded
+    # per kernel row (column) r, serving outputs pad - r mod s: its tiles
+    # inside, and its first source, where the dilated input lines up
+    d_row, d_col = spec.pad_top - np.arange(spec.kh), spec.pad_left - np.arange(spec.kw)
+    heights, widths = -((d_row % s - oh) // s), -((d_col % s - ow) // s)
+    a0, b0 = -(d_row // s), -(d_col // s)
+    # what the columns hold, zero drives' sources included (a0, b0 rise)
+    index = _index_dtype(cycles, spec.kh * spec.kw, a0[0], a0[-1] + n_ty - 1,
+                         b0[0], b0[-1] + n_tx - 1)
+    t, u = np.arange(n_ty, dtype=index), np.arange(n_tx, dtype=index)
+    a, b = a0.astype(index)[:, None, None, None] + t[:, None], b0.astype(index)[:, None, None] + u
+    tiles = np.arange(n_ty * n_tx, dtype=index).reshape(n_ty, n_tx) << folded
+    subs = np.arange(spec.kh * spec.kw, dtype=index).reshape(spec.kh, spec.kw, 1, 1)
+    below, left = (t < heights[:, None])[:, None, :, None], u < widths[:, None, None]
+    heights, widths = heights.tolist(), widths.tolist()
+    for i0, i1 in _runs([height * sum(widths) for height in heights], _CACHE_BUDGET):
+        sub, height, width = subs[i0:i1], max(heights[i0:i1]), max(widths)
+        part = np.empty((4, i1 - i0, spec.kw, height, width), dtype=index)
+        np.add(tiles[:height, :width], sub & folded, out=part[0])
+        part[1], part[2], part[3] = sub >> folded, a[i0:i1, :, :height], b[:, :, :width]
+        if min(heights[i0:i1]) < height or min(widths) < width:  # a crop makes it ragged
+            inside = below[i0:i1, :, :height] & left[:, :, :width]
+            cycle, crossbar, src_a, src_b = (column[inside] for column in part)
+        else:
+            cycle, crossbar, src_a, src_b = part.reshape(4, -1)
         yield CycleSchedule(DesignKind.RED_FOLDED if folded else DesignKind.RED, spec, cycles,
                             cycle, crossbar, src_a, src_b)
-        del cycle, crossbar, src_a, src_b  # so that the part is freed when its reader drops it
+        del part, cycle, crossbar, src_a, src_b  # so that its reader frees the part it drops
 
 
 def _runs(sizes: list[int], budget: int):
@@ -310,7 +310,7 @@ def schedule_parts(spec: DeconvLayerSpec, design: DesignKind | str):
     `lower` proves the sequence part by part, so no stage holds the whole."""
     design = DesignKind(design)
     if design in _PIXELWISE:
-        return _zero_skipping_parts(spec, folded=design is DesignKind.RED_FOLDED)
+        return _zero_skipping_parts(spec, folded=int(design is DesignKind.RED_FOLDED))
     return _row_major_parts(spec, design)
 
 
@@ -490,18 +490,26 @@ def _span(k, pad: int, n_in: int, n_out: int, s: int):
     return first, np.maximum(np.minimum(n_in, -((pad - k - n_out) // s)) - first, 0)
 
 
-def _rectangles(spec: DeconvLayerSpec) -> np.ndarray:
-    """`Program.blocks`, one per kernel position n = (i, j): output pixel
-    (y, x) takes kernel position (i, j) from padded pixel (y + i, x + j)
-    (Dumoulin & Visin, arXiv:1603.07285), and input pixel (a, b) is padded
-    pixel (pad_top + s*a, pad_left + s*b), so it adds into output pixel
-    (pad_top - i + s*a, pad_left - j + s*b) where that lies inside."""
+@functools.lru_cache(maxsize=1)
+def _rectangles(spec: DeconvLayerSpec) -> tuple[np.ndarray, tuple]:
+    """`Program.blocks`, read-only, one per kernel position n = (i, j), and
+    their `tensor._modes`, as tuples: built once and shared by the four
+    designs a layer lowers.  Output pixel (y, x) takes kernel position
+    (i, j) from padded pixel (y + i, x + j) (Dumoulin & Visin,
+    arXiv:1603.07285), and input pixel (a, b) is padded pixel (pad_top +
+    s*a, pad_left + s*b), so it adds into output pixel (pad_top - i + s*a,
+    pad_left - j + s*b) where inside."""
     s, kh, kw = spec.stride, spec.kh, spec.kw
     i, j = np.divmod(np.arange(kh * kw), kw)
     a0, p = _span(i, spec.pad_top, spec.input_h, spec.output_h, s)
     b0, q = _span(j, spec.pad_left, spec.input_w, spec.output_w, s)
     fields = (p, q, a0, b0, 1, 1, spec.pad_top - i + s * a0, spec.pad_left - j + s * b0, s, s)
-    return np.column_stack([np.full_like(i, values) for values in fields])
+    blocks = np.column_stack([np.full_like(i, values) for values in fields])
+    blocks.flags.writeable = False
+    # block n = i*kw + j's rows are kernel row i's, its columns column j's
+    rows = [(y % s, p, a, y // s) if p else None for p, a, y in blocks[::kw, [0, 2, 6]].tolist()]
+    cols = [(x % s, q, b, x // s) if q else None for q, b, x in blocks[:kw, [1, 3, 7]].tolist()]
+    return blocks, tuple((mode, tuple(r), tuple(c)) for mode, r, c in _modes(rows, cols))
 
 
 def _line(schedule: CycleSchedule, cycle, crossbar, a, b) -> str:
@@ -543,50 +551,37 @@ def _check_range(schedule: CycleSchedule, values: np.ndarray, high: int, what: s
         raise _refusal(schedule, int(np.argmax((values < low) | (values >= high))), what)
 
 
-def _checked_blocks(schedule: CycleSchedule, cycles: int) -> np.ndarray:
-    """`schedule.block`, once every drive lies in the first `cycles` cycles
-    and names a weight block its design has; the crossbar is checked before
-    folding doubles it."""
-    spec, folded = schedule.layer, schedule.design is DesignKind.RED_FOLDED
-    n_blocks = spec.kh * spec.kw if schedule.design in _PIXELWISE else 1
-    _check_range(schedule, schedule.cycle, cycles, f"drive outside the schedule's {cycles} cycles")
-    what = f"drive names a weight block the plan does not have ({n_blocks})"
-    _check_range(schedule, schedule.crossbar, -(-n_blocks // 2) if folded else n_blocks, what)
-    block = schedule.block
-    if folded:  # an odd count's last array holds zero fill in its high half
-        _check_range(schedule, block, n_blocks, what)
-    return block
-
-
 def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
     """Prove a schedule, the one check of it, and lower it once into the
     `Program` that `execute` runs, the layer's closed form (`_rectangles`).
     The schedule comes whole or as its `schedule_parts`, and is proved part
-    by part, a chunk of each at a time (a whole schedule is its own one
-    part), so no more is held than the caller holds: the last drive's
-    (block, cycle) and each block's drive count carry across chunks.  Each
-    drive lies in a cycle and names a block the design has, in strictly
-    increasing (block, cycle) order; only zero skipping has zero drives;
-    and no source lies more than a kernel off its grid, which bounds every
-    value the proof computes, so its scratch takes the narrowest
-    `_index_dtype` that cannot wrap.  Block n's affine map takes a drive's
-    source to its tile (a window or padding_free's pixel is its own, sub
-    n's pixel the tile of its output pixel), which must lie among the
-    block's tiles inside the output and name the drive's cycle.  That is
-    one-to-one, so a block's drives are distinct tiles in row-major order;
-    where each run of them ends on the tile the block's count so far
-    reaches, and each block has as many drives as tiles, they are the
-    closed form's, zero drives included, and its live ones the entries of
-    its rectangle: red's proof checks the table every design runs entry by
-    entry.  A ValueError names the first drive at fault by its
-    `dump_schedule_lines` line, wherever the parts split the schedule."""
+    by part, a chunk of each at a time in scratch every chunk reuses (a
+    whole schedule is its own one part), so no more is held than the
+    caller holds: the last drive's (block, cycle) and each block's drive
+    count carry across chunks.  Each drive lies in a cycle and names a
+    block the design has, in strictly increasing (block, cycle) order;
+    only zero skipping has zero drives; and no source lies more than a
+    kernel off its grid, which bounds every value the proof computes, so
+    its scratch takes the narrowest `_index_dtype` that cannot wrap.  Block
+    n's affine map takes a drive's source to its tile (a window or
+    padding_free's pixel is its own, sub n's pixel the tile of its output
+    pixel), which must name the drive's cycle and lie among the block's
+    tiles inside: one-to-one, so a block's drives are distinct tiles in
+    row-major order, inside where a run's columns and last row are.  Where
+    each run ends on the tile the block's count so far reaches, and each
+    block has as many drives as tiles, they are the closed form's, zero
+    drives included, and its live ones its rectangle's entries: red's
+    proof checks the table every design runs entry by entry.  A ValueError
+    names the first drive at fault by its `dump_schedule_lines` line,
+    wherever the parts split the schedule."""
     parts = iter([schedule] if isinstance(schedule, CycleSchedule) else schedule)
     head = next(parts)
     spec, design, cycles = head.layer, head.design, head.cycle_count
     (h, w), (oh, ow, _) = _grid(spec, design), output_shape(spec)
-    blocks = _rectangles(spec)
-    pixelwise = design in _PIXELWISE
+    blocks, modes = _rectangles(spec)
+    pixelwise, folded = design in _PIXELWISE, design is DesignKind.RED_FOLDED
     n_blocks = spec.kh * spec.kw if pixelwise else 1
+    what = f"drive names a weight block the plan does not have ({n_blocks})"
     # per schedule block: the offsets from a drive's source (a, b) to its
     # tile (a + da, b + db), in cycle (a + da)*dt + b + db, and its tiles
     # inside the output, rows x columns
@@ -597,11 +592,14 @@ def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
         tiles = (y0 // s - a0, x0 // s - b0, -((y0 % s - oh) // s), -((x0 % s - ow) // s))
     else:  # window or pixel (a, b), its own tile, at cycle a*w + b
         tiles, dt = ([0], [0], [h], [w]), w
-    slots = np.multiply(*tiles[2:])
-    # a checked source lies within a kernel of its grid, and an offset is
-    # less than a kernel, so all the map computes lies within this
+    tiles = np.array(tiles, dtype=np.int64)
+    slots = tiles[2] * tiles[3]
+    # per block: what a drive's cycle exceeds a*dt + b by, then the above
+    table = np.array([tiles[0] * dt + tiles[1], *tiles]).T
+    # a checked source lies within a kernel of its grid and a checked cycle
+    # within the schedule's, so all the map computes lies within this
     scratch = _index_dtype((h + 2 * spec.kh) * dt + w + 2 * spec.kw)
-    tiles = [np.array(t, dtype=scratch) for t in tiles]
+    excess, flags = np.empty(_CACHE_BUDGET, dtype=scratch), np.empty(_CACHE_BUDGET, dtype=bool)
     drives = np.zeros(n_blocks, dtype=np.int64)  # per block, its drives read so far
     last = (-1, -1)  # the (block, cycle) of the last drive read
     pending = None  # a fault at the last chunk's last drive
@@ -610,46 +608,60 @@ def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
             raise ValueError(f"a part of another schedule: {part.design} with "
                              f"{part.cycle_count} cycles, after {design} with {cycles}")
         for k in range(0, part.assignment_count, _CACHE_BUDGET):
-            chunk = part.chunk(k, k + _CACHE_BUDGET)
-            n, cycle = _checked_blocks(chunk, cycles), chunk.cycle
+            chunk = part.chunk(k, k + _CACHE_BUDGET) if len(part.cycle) > _CACHE_BUDGET else part
+            cycle, crossbar, src_a, src_b = (getattr(chunk, c) for c in _COLUMNS)
+            # every drive in a cycle, naming a block the design has: its
+            # crossbar before folding doubles it, then, where kh*kw is odd,
+            # its block, not the last folded array's idle high half
+            _check_range(chunk, cycle, cycles, f"drive outside the schedule's {cycles} cycles")
+            _check_range(chunk, crossbar, -(-n_blocks // 2) if folded else n_blocks, what)
+            n = chunk.block
+            if folded and n_blocks % 2:
+                _check_range(chunk, n, n_blocks, what)
             if not pixelwise:  # only zero skipping has zero drives
                 live = chunk.live
                 if not live.all():
                     raise _refusal(chunk, int(np.argmin(live)), f"zero drive on the {design} design")
             else:  # a zero drive's source may lie off its grid, but not far
-                for values, size, k_size in ((chunk.src_a, h, spec.kh), (chunk.src_b, w, spec.kw)):
+                for values, size, k_size in ((src_a, h, spec.kh), (src_b, w, spec.kw)):
                     _check_range(chunk, values, size + k_size, "drive source more than a kernel "
                                  "off its grid", low=-k_size)
-            # each drive after the one before it, the first after the last chunk's last
-            after = (int(n[0]), int(cycle[0])) > last
-            back = (n[1:] < n[:-1]) | ((n[1:] == n[:-1]) & (cycle[1:] <= cycle[:-1]))
+            # each drive after the one before it, the first after the last
+            # chunk's last: the blocks never fall, and cycles rise in a block
+            after, back = (int(n[0]), int(cycle[0])) > last, flags[: len(n) - 1]
+            if after and not np.less(n[1:], n[:-1], out=back).any():
+                starts = np.searchsorted(n, np.arange(n_blocks + 1, dtype=n.dtype))
+                runs = starts[1:] - starts[:-1]
+                m = np.flatnonzero(runs)
+                first, end = starts[m], starts[m + 1] - 1
+                np.less_equal(cycle[1:], cycle[:-1], out=back)[first[1:] - 1] = False
             if not after or back.any():
+                back = (n[1:] < n[:-1]) | ((n[1:] == n[:-1]) & (cycle[1:] <= cycle[:-1]))
                 raise _refusal(chunk, 1 + int(np.argmax(back)) if after else 0,
                                "drive out of weight-block order, (block, cycle) strictly increasing")
             if pending is not None:
                 raise pending
             last = (int(n[-1]), int(cycle[-1]))
-            # the blocks are sorted: a run of drives each
-            starts = np.searchsorted(n, np.arange(n_blocks + 1, dtype=n.dtype))
-            runs = np.diff(starts)
             drives += runs
-            # each drive's tile (ty, tx), in the scratch dtype, lies inside
-            # the output and names its cycle
-            ty, tx, rows, columns = (np.repeat(t, runs) for t in tiles)
-            ty += chunk.src_a
-            tx += chunk.src_b
-            bad = _unsigned(ty) >= _unsigned(rows)
-            bad |= _unsigned(tx) >= _unsigned(columns)
-            # a block's tiles rise with its cycles, so a run's are its
-            # block's next ones when its last has, in row-major order, the
-            # rank of the block's count so far; else the run misses a tile
-            ends = starts[1:][runs > 0] - 1
-            gaps = ty[ends] * columns[ends] + tx[ends] != drives[n[ends]] - 1
-            ty *= dt
-            ty += tx
-            bad |= ty != (cycle >> 1 if design is DesignKind.RED_FOLDED else cycle)
-            bad[ends[gaps]] = True
-            if bad.any():
+            # a drive names its tile's cycle where its excess e over a*dt + b
+            # is its block's; a run's tiles, in columns inside, rise from row
+            # 0, and follow its block's earlier ones where its last's rank is
+            # its block's count so far
+            e = np.multiply(src_a, dt, out=excess[: len(n)], dtype=scratch)
+            e += src_b
+            np.subtract(cycle >> 1 if folded else cycle, e, out=e)
+            offset, da, db, rows, columns = table[m].T
+            ty = src_a[end] + da
+            gaps = ty * columns + src_b[end] + db != drives[m] - 1
+            (e_low, b_low), (e_high, b_high) = ([f.reduceat(v, first) for v in (e, src_b)]
+                                                for f in (np.minimum, np.maximum))
+            ok = (e_low == offset) & (e_high == offset) & (b_low >= -db) & (b_high < columns - db)
+            if not (ok & (ty < rows) & ~gaps).all():
+                # the first drive at fault, reading the table drive by drive
+                offset, da, db, rows, columns = (np.repeat(t, runs) for t in table.T)
+                bad = (e != offset) | (_unsigned(src_a + da) >= _unsigned(rows))
+                bad |= _unsigned(src_b + db) >= _unsigned(columns)
+                bad[end[gaps]] = True
                 j = int(np.argmax(bad))
                 pending = _disagreement(chunk, int(n[j]), int(drives[n[j]] - runs[n[j]]))
                 # a drive of the next chunk moved before a chunk's last, as
@@ -662,11 +674,7 @@ def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
     if (drives != slots).any():
         block = int(np.flatnonzero(drives != slots)[0])
         raise _disagreement(head.chunk(0, 0), block, int(drives[block]))
-    # block n = i*kw + j's rows are kernel row i's, its columns column j's
-    s, kw = spec.stride, spec.kw
-    rows = [(y % s, p, a, y // s) if p else None for p, a, y in blocks[::kw, [0, 2, 6]].tolist()]
-    cols = [(x % s, q, b, x // s) if q else None for q, b, x in blocks[:kw, [1, 3, 7]].tolist()]
-    return Program(design=design, layer=spec, blocks=blocks, modes=_modes(rows, cols))
+    return Program(design=design, layer=spec, blocks=blocks, modes=modes)
 
 
 def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:
@@ -704,7 +712,13 @@ def _kinds(design: DesignKind) -> tuple[str, tuple[str, str]]:
 
 
 def dump_schedule_lines(schedule: CycleSchedule):
-    """Stable text dump: per cycle, assignment lines then group lines.
+    """The lines of `dump_schedule_text`, for a reader that wants lines."""
+    return (line for text in dump_schedule_text(schedule) for line in text.splitlines())
+
+
+def dump_schedule_text(schedule: CycleSchedule):
+    """Stable text dump: per cycle, assignment lines then group lines, each
+    ending in a newline, yielded a chunk of whole lines at a time.
 
     The one reader that wants cycle order.  One stable argsort of a key,
     2*cycle for each (block, cycle) ordered assignment and 2*cycle + 1 for
@@ -716,11 +730,12 @@ def dump_schedule_lines(schedule: CycleSchedule):
     pixel's computation mode, in cycle order.  Each field of a line is a
     row of a text table that spells every value the field can hold once
     (`_numbers`, `_words`); the lines are put together from table rows a
-    chunk of at most `_CACHE_BUDGET` bytes at a time (`_dump_text`), so
-    that beyond the lines it yields the dump holds its key and order, 10
-    to 16 bytes a row, its tables and one chunk.  A drive outside the
-    layer's cycles or crossbars, or more than a kernel off its grid, which
-    no built schedule has, is refused with a ValueError.
+    chunk of at most `_CACHE_BUDGET` bytes at a time (`_dump_text`), each
+    yielded as it is after the two header lines, so beyond the text it
+    yields the dump holds its key and order, 10 to 16 bytes a row, its
+    tables and one chunk.  A drive outside the layer's cycles or crossbars,
+    or more than a kernel off its grid, which no built schedule has, is
+    refused with a ValueError before any text.
 
     Assignment: cycle,crossbar_index,input_kind,a,b
     Group:      cycle,group,output_y,output_x,member_crossbars...
@@ -731,9 +746,6 @@ def dump_schedule_lines(schedule: CycleSchedule):
     `pixel` elsewhere.  On red_folded the kind carries the driven half:
     `_lo` on even cycles, `_hi` on odd ones.
     """
-    yield f"# design={schedule.design.value} cycles={schedule.cycle_count}"
-    yield "# assignment: cycle,crossbar,kind,a,b  group: cycle,group,out_y,out_x,members..."
-
     spec, design, drives = schedule.layer, schedule.design, schedule.assignment_count
     (h, w), (oh, ow, _) = _grid(spec, design), output_shape(spec)
     cycles, groups = schedule.cycle_count, schedule.group_count
@@ -745,6 +757,8 @@ def dump_schedule_lines(schedule: CycleSchedule):
     for column, (low, high) in zip(_COLUMNS, bounds):
         _check_range(schedule, getattr(schedule, column), high,
                      f"drive outside the dump's [{low}, {high}) {column} bounds", low)
+    yield (f"# design={design.value} cycles={cycles}\n# assignment: cycle,crossbar,kind,a,b  "
+           "group: cycle,group,out_y,out_x,members...\n")
 
     phases = 2 if design is DesignKind.RED_FOLDED else 1
     s = spec.stride if design in _PIXELWISE else 1
@@ -776,8 +790,7 @@ def dump_schedule_lines(schedule: CycleSchedule):
     modes = (1 + (spec.pad_top - np.arange(oh)) % s * s, (spec.pad_left - np.arange(ow)) % s)
     step = max(1, _CACHE_BUDGET // (8 * sum(t.shape[1] for t in tables)))
     for k in range(0, len(order), step):
-        rows = order[k : k + step]
-        yield from _dump_text(schedule, key, rows, tables, first, modes).splitlines()
+        yield _dump_text(schedule, key, order[k : k + step], tables, first, modes)
 
 
 def _dump_text(schedule: CycleSchedule, key: np.ndarray, rows: np.ndarray,

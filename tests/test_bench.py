@@ -130,6 +130,23 @@ def test_lcg_empty_draw_neither_draws_nor_advances():
     assert rng.ints((4,)).tolist() == scalar_lcg(42, 4)[0]
 
 
+def test_lcg_mod17_by_multiply_and_shift_is_exact_at_the_edges():
+    # (x*M) >> 36 with M = ceil(2^36 / 17) is x // 17 for every uint32 x:
+    # checked on both ends of the range and either side of multiples of 17
+    # across it, where a quotient one off would first show
+    assert 17 * bench_mod._MOD17 == 2**36 + 1
+    multiples = 17 * np.arange(0, 2**32 // 17 + 1, 4099, dtype=np.int64)
+    x = np.concatenate([np.arange(2**20), np.arange(2**32 - 2**20, 2**32),
+                        (multiples[:, None] + [-1, 0, 1]).ravel()])
+    x = x[(0 <= x) & (x < 2**32)].astype(np.uint32)
+    # as the draws read them: every other uint32, a state's high halves
+    states = np.zeros(2 * len(x), dtype=np.uint32)
+    states[1::2] = x
+    out = np.empty(len(x), dtype=np.int64)
+    bench_mod._draws(states[1::2], out)
+    assert np.array_equal(out, x.astype(np.int64) % 17 - 8)
+
+
 def test_lcg_value_range():
     vals = Lcg64(7).ints((1000,))
     assert vals.min() >= -8 and vals.max() <= 8

@@ -2,7 +2,7 @@ import dataclasses
 import itertools
 import re
 import tracemalloc
-from collections import defaultdict
+from collections import defaultdict, deque
 from unittest import mock
 
 import numpy as np
@@ -11,11 +11,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from red_sim import dataflow
 from red_sim.dataflow import (
+    CycleSchedule,
     ExecutionTrace,
     PostOpCounts,
     _index_dtype,
     build_schedule,
     dump_schedule_lines,
+    dump_schedule_text,
     execute,
     lower,
     partition_modes,
@@ -510,6 +512,106 @@ def test_lower_refuses_parts_of_another_schedule():
         lower(red[:1] + folded[1:])
 
 
+def reference_row_major_parts(spec, design):
+    """Row-major parts with each cycle's source by divmod by the grid
+    width: the reference the generator's copied grid rows must equal."""
+    h, w = dataflow._grid(spec, design)
+    index = _index_dtype(h * w)
+    for t0 in range(0, h * w, dataflow._CACHE_BUDGET):
+        t = np.arange(t0, min(t0 + dataflow._CACHE_BUDGET, h * w), dtype=index)
+        yield CycleSchedule(design, spec, h * w, t, np.zeros_like(t), t // w, t % w)
+
+
+def reference_zero_skipping_parts(spec, folded):
+    """Zero-skipping parts with each column gathered from a broadcast view
+    of the whole (i, j, t, u) grid through the mask of tiles inside the
+    output, then folded with *, % and //: the reference the generator's
+    copies of per-axis arrays must equal."""
+    s = spec.stride
+    oh, ow, _ = output_shape(spec)
+    n_ty, n_tx = -(-oh // s), -(-ow // s)
+    cycles = n_ty * n_tx * (2 if folded else 1)
+    i = np.arange(spec.kh).reshape(-1, 1, 1, 1)
+    j = np.arange(spec.kw).reshape(1, -1, 1, 1)
+    t = np.arange(n_ty).reshape(1, 1, -1, 1)
+    u = np.arange(n_tx).reshape(1, 1, 1, -1)
+    y0, x0 = (spec.pad_top - i) % s, (spec.pad_left - j) % s
+    a = t + (y0 + i - spec.pad_top) // s
+    b = u + (x0 + j - spec.pad_left) // s
+    rows, columns = y0 + s * t < oh, x0 + s * u < ow
+    index = _index_dtype(cycles, spec.kh * spec.kw, a.min(), a.max(), b.min(), b.max())
+    grid = (spec.kh, spec.kw, n_ty, n_tx)
+    per_row = np.count_nonzero(rows, axis=(1, 2, 3)) * np.count_nonzero(columns)
+    for i0, i1 in dataflow._runs(per_row.tolist(), dataflow._CACHE_BUDGET):
+        inside = rows[i0:i1] & columns
+        cycle, crossbar, src_a, src_b = (
+            np.broadcast_to(values.astype(index), grid)[i0:i1][inside]
+            for values in (t * n_tx + u, i * spec.kw + j, a, b))
+        if folded:
+            cycle *= 2
+            cycle += crossbar % 2
+            crossbar //= 2
+        yield CycleSchedule(DesignKind.RED_FOLDED if folded else DesignKind.RED, spec, cycles,
+                            cycle, crossbar, src_a, src_b)
+
+
+def reference_parts(spec, design):
+    if design in (DesignKind.RED, DesignKind.RED_FOLDED):
+        return reference_zero_skipping_parts(spec, folded=design is DesignKind.RED_FOLDED)
+    return reference_row_major_parts(spec, design)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=layer_specs(max_channels=1), design=st.sampled_from(list(DesignKind)),
+       budget=st.just(dataflow._CACHE_BUDGET) | st.integers(1, 40))
+# every sub has all its tiles inside: one mask-free part per kernel row
+@example(spec=DeconvLayerSpec(6, 6, 1, 16, 16, 1, 8), design=DesignKind.RED_FOLDED, budget=40)
+# crops make the tile rows ragged, then the tile columns, then both
+@example(spec=DeconvLayerSpec(5, 6, 1, 5, 4, 1, 2, 1, 2, 0, 0), design=DesignKind.RED, budget=30)
+@example(spec=DeconvLayerSpec(6, 5, 1, 4, 5, 1, 2, 0, 0, 1, 2), design=DesignKind.RED_FOLDED,
+         budget=30)
+@example(spec=DeconvLayerSpec(8, 8, 1, 5, 5, 1, 2, 1, 2, 1, 2), design=DesignKind.RED_FOLDED,
+         budget=dataflow._CACHE_BUDGET)
+# kh, kw < s with crops: some subs have no tile inside the output
+@example(spec=DeconvLayerSpec(1, 1, 1, 3, 3, 1, 5, 2, 0, 2, 0), design=DesignKind.RED, budget=1)
+# a row-major part that starts and ends inside a grid row
+@example(spec=DeconvLayerSpec(3, 4, 1, 3, 3, 1, 2), design=DesignKind.ZERO_PADDING, budget=13)
+def test_schedule_parts_match_the_reference_generators_property(spec, design, budget):
+    # the parts, part by part: the same boundaries, dtypes and values
+    with mock.patch.object(dataflow, "_CACHE_BUDGET", budget):
+        got, want = list(schedule_parts(spec, design)), list(reference_parts(spec, design))
+    assert len(got) == len(want)
+    for have, ref in zip(got, want):
+        assert (have.design, have.layer, have.cycle_count) == \
+            (ref.design, ref.layer, ref.cycle_count)
+        for column in ASSIGNMENT_COLUMNS:
+            a, b = getattr(have, column), getattr(ref, column)
+            assert a.dtype == b.dtype and np.array_equal(a, b), column
+
+
+def test_schedule_parts_hold_one_part_at_a_time():
+    # FCN_Deconv2's red_folded schedule comes in 16 parts of one kernel row,
+    # 16 subs x 71 x 71 tiles of four int16 columns, 645,248 bytes each;
+    # drained part by part, its generator holds one part and its small
+    # per-axis arrays, so no dense buffer grows past a part
+    part = 8 * 16 * 71 * 71
+    peak, _ = _scratch(lambda: deque(schedule_parts(FCN2, DesignKind.RED_FOLDED), maxlen=0))
+    assert peak < 2 * part
+
+
+def test_program_table_is_built_once_per_layer_and_read_only():
+    # the four designs of a layer share one table, built once, which no
+    # program can write
+    dataflow._rectangles.cache_clear()
+    programs = [lower(schedule_parts(TOY, design)) for design in DesignKind]
+    assert dataflow._rectangles.cache_info().misses == 1
+    assert all(p.blocks is programs[0].blocks and p.modes is programs[0].modes
+               for p in programs)
+    assert all(type(group) is tuple for mode in programs[0].modes for group in mode)
+    with pytest.raises(ValueError, match="read-only"):
+        programs[0].blocks[0, 0] = 1
+
+
 def test_zero_padding_schedule_structure():
     sched = build_schedule(TOY, DesignKind.ZERO_PADDING)
     oh, ow, _ = output_shape(TOY)
@@ -761,6 +863,33 @@ def test_lower_refuses_a_moved_or_dropped_zero_drive(design):
     with pytest.raises(ValueError, match=rf"weight block {sched.block[k]} has .*"
                                          rf"the closed form has drive {_line(sched, k)}$"):
         lower(dropped)
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+def test_lower_refuses_a_repeated_drive_as_out_of_order(design):
+    # a drive twice in a row: the same block and cycle, which strictly
+    # increasing (block, cycle) order refuses before any tile check
+    sched = build_schedule(TOY, design)
+    k = sched.assignment_count // 2
+    bad = _reordered(sched, np.insert(np.arange(sched.assignment_count), k, k))
+    with pytest.raises(ValueError, match=rf"drive out of weight-block order, \(block, cycle\) "
+                                         rf"strictly increasing: drive {_line(sched, k)}$"):
+        lower(bad)
+
+
+def test_lower_refuses_a_drive_past_its_blocks_last_tile_row():
+    # TOY's kernel row 1 serves output rows 1, 3 and 5 of 7, three tile
+    # rows of four; a drive of block 3 = (1, 0) in tile (3, 0), cycle 12,
+    # still names its cycle, but lies past the output, where the block has
+    # no tile: refused at that drive, not when the counts are compared
+    sched = build_schedule(TOY, DesignKind.RED)
+    k = int(np.flatnonzero(sched.block == 3)[-1]) + 1
+    extra = {"cycle": 12, "crossbar": 3, "src_a": 4, "src_b": 0}
+    bad = dataclasses.replace(sched, **{c: np.insert(getattr(sched, c), k, extra[c])
+                                        for c in ASSIGNMENT_COLUMNS})
+    with pytest.raises(ValueError, match=r"weight block 3 has drive 12,3,zero,4,0; "
+                                         r"the closed form has no drive$"):
+        lower(bad)
 
 
 @pytest.mark.parametrize("design", list(DesignKind))
@@ -1246,6 +1375,15 @@ def test_dump_matches_the_per_line_reference_property(spec, design, budget):
     with mock.patch.object(dataflow, "_CACHE_BUDGET", budget):
         got = list(dump_schedule_lines(sched))
     assert got == list(reference_dump_lines(sched))
+
+
+def test_dump_text_comes_in_chunks_of_whole_lines():
+    # the header, then each chunk as it is formatted: every chunk ends a
+    # line, and the chunks joined are the lines
+    sched = build_schedule(MANY_ROWS, DesignKind.RED_FOLDED)
+    chunks = list(dump_schedule_text(sched))
+    assert len(chunks) == 1 + 65 and all(chunk.endswith("\n") for chunk in chunks)
+    assert "".join(chunks) == "\n".join(dump_schedule_lines(sched)) + "\n"
 
 
 def _is_group_line(line):
