@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--input-size", dest="input_size", type=int, default=16)
     p_red.add_argument("--crop-mode", dest="crop_mode",
                        choices=("zero", "full"), default="zero",
-                       help="full: crop kernel-1 on top/left (no border there)")
+                       help="full: crop kernel-1 on all four sides (no border)")
     p_red.add_argument("--format", choices=("csv", "json"), default="csv")
     p_red.add_argument("--out", default=None)
     p_red.set_defaults(func=cmd_redundancy)

@@ -24,23 +24,24 @@ folded sub with the even original sub's input and odd phases rows
 C..2C-1 with the odd one's, so the cycle's parity names the half.
 
 A design is its weight layout (mapping) plus its schedule, which depends
-on the spatial geometry only.  It is built in (block, cycle) ordered parts
-of up to `_CACHE_BUDGET` drives (`schedule_parts`), each column copied
-from small per-axis arrays; `lower`, its one check, proves the parts
-against the layer's closed form a chunk at a time, so a run never holds
-a whole schedule (`build_schedule` joins the parts for the dump and the
-tests).  Every design lowers to the same `Program`, one strided
+on the spatial geometry only.  It is built in (block, cycle) ordered
+parts of up to `_CACHE_BUDGET` drives (`schedule_parts`), each column
+copied from small per-axis arrays; `lower`, its one check, proves the
+parts against the layer's closed form a chunk at a time, so a run never
+holds a whole schedule (`build_schedule` joins the parts for the dump
+and the tests).  Every design lowers to the same `Program`, one strided
 rectangle per kernel position, grouped by the computation mode it adds
-into (`_rectangles`, built once per layer), which `execute` runs on the
-unpadded input mode by mode.  Zero drives, the inserted and border zeros
-of a zero-padding window and cropped padding-free products add nothing
-and are left out; the hardware does that work, and `trace_of_program`
-counts it from the program.  The dump (`dump_schedule_text`) formats
-drives and group rows in cycle order a chunk of text at a time.  Schedule
-columns take the narrowest dtype that holds what they store
-(`_index_dtype`: int16 on FCN_Deconv2's zero-skipping schedules), each
-stage widens what it computes from them so that nothing wraps, and each
-allocates at most about one column of scratch on top of what it returns.
+into (`_rectangles`, clipped once per layer from the parts' tile
+geometry, `_tiles`), which `execute` runs on the unpadded input mode by
+mode.  Zero drives, the inserted and border zeros of a zero-padding
+window and cropped padding-free products add nothing and are left out;
+the hardware does that work, and `trace_of_program` counts it from the
+program.  The dump (`dump_schedule_text`) formats drives and group rows
+in cycle order a chunk of text at a time.  Schedule columns take the
+narrowest dtype that holds what they store (`_index_dtype`: int16 on
+FCN_Deconv2's zero-skipping schedules), each stage widens what it
+computes from them so that nothing wraps, and each allocates at most
+about one column of scratch on top of what it returns.
 """
 
 from __future__ import annotations
@@ -249,22 +250,17 @@ def _zero_skipping_parts(spec: DeconvLayerSpec, folded: int):
     high-half phase each, folded), in parts of whole kernel rows, each up
     to `_CACHE_BUDGET` drives unless one kernel row alone has more.
 
-    Sub (i, j) serves output pixels y = pad_top - i, x = pad_left - j
-    (mod s), one per tile: from the first, (y0, x0), it drives (y0 + s*t,
-    x0 + s*u) in cycle t*n_tx + u, for a prefix of the tile rows times one
-    of the columns.  Laid out row-major over (i, j, t, u), that is (block,
-    cycle) order, folded (sub n drives n >> 1 in phase n & 1) or not.  A
-    part's columns are copies of small per-axis arrays, folded there, read
-    through a mask only where a crop leaves its subs' prefixes ragged."""
+    Sub (i, j) drives source (a0 + t, b0 + u) in cycle t*n_tx + u for its
+    tiles (t, u) inside the output, rows times columns (`_tiles`).  Laid
+    out row-major over (i, j, t, u), that is (block, cycle) order, folded
+    (sub n drives n >> 1 in phase n & 1) or not.  A part's columns are
+    copies of small per-axis arrays, folded there, read through a mask
+    only where a crop leaves its subs' prefixes ragged."""
     s = spec.stride
     oh, ow, _ = output_shape(spec)
     n_ty, n_tx = -(-oh // s), -(-ow // s)
     cycles = n_ty * n_tx << folded
-    # per kernel row (column) r, serving outputs pad - r mod s: its tiles
-    # inside, and its first source, where the dilated input lines up
-    d_row, d_col = spec.pad_top - np.arange(spec.kh), spec.pad_left - np.arange(spec.kw)
-    heights, widths = -((d_row % s - oh) // s), -((d_col % s - ow) // s)
-    a0, b0 = -(d_row // s), -(d_col // s)
+    (_, a0, heights), (_, b0, widths) = _tiles(spec)
     # what the columns hold, zero drives' sources included (a0, b0 rise)
     index = _index_dtype(cycles, spec.kh * spec.kw, a0[0], a0[-1] + n_ty - 1,
                          b0[0], b0[-1] + n_tx - 1)
@@ -287,6 +283,20 @@ def _zero_skipping_parts(spec: DeconvLayerSpec, folded: int):
         yield CycleSchedule(DesignKind.RED_FOLDED if folded else DesignKind.RED, spec, cycles,
                             cycle, crossbar, src_a, src_b)
         del part, cycle, crossbar, src_a, src_b  # so that its reader frees the part it drops
+
+
+def _tiles(spec: DeconvLayerSpec) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Zero skipping's tile geometry per axis (rows, then columns) and per
+    kernel offset k on it, sub (i, j)'s being row i's times column j's.
+    Output y takes k from padded y + k (Dumoulin & Visin, arXiv:1603.07285)
+    and input a is padded pad + s*a.  Per k: the outputs' residue r = (pad
+    - k) mod s, one per s-wide tile; tile 0's source a0 = -floor((pad - k)
+    / s), tile t's a0 + t, below 0 off the input; and its tiles inside the
+    output, ceil((n_out - r) / s)."""
+    s = spec.stride
+    return tuple((d % s, -(d // s), -((d % s - n_out) // s)) for d, n_out in (
+        (spec.pad_top - np.arange(spec.kh), spec.output_h),
+        (spec.pad_left - np.arange(spec.kw), spec.output_w)))
 
 
 def _runs(sizes: list[int], budget: int):
@@ -322,9 +332,8 @@ def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSche
     parts = schedule_parts(spec, design)
     part = next(parts)
     if design in _PIXELWISE:  # sub (i, j) drives its tiles inside the output
-        s = spec.stride
-        drives = (sum(-(((spec.pad_top - i) % s - spec.output_h) // s) for i in range(spec.kh))
-                  * sum(-(((spec.pad_left - j) % s - spec.output_w) // s) for j in range(spec.kw)))
+        (_, _, heights), (_, _, widths) = _tiles(spec)
+        drives = int(heights.sum() * widths.sum())
     else:  # one drive a cycle
         drives = part.cycle_count
     if part.assignment_count == drives:
@@ -388,9 +397,9 @@ def trace_of_program(program: Program, plan: MappingPlan) -> ExecutionTrace:
     full-size plan exactly like one at full channels; a geometry-only plan
     suffices.  Zero-padding and padding-free drive their one array once a
     cycle.  On zero skipping, block n's P*Q entries are sub n's live drives,
-    on crossbar n (n // 2 folded, in phase n % 2): its tiles are its active
-    cycles and its destination rectangle the groups it serves.  Its scratch
-    is a boolean mark per group and per cycle.
+    on crossbar n (n // 2 folded, in phase n % 2): its destination tiles
+    are its active cycles and their pixels in its mode the groups it
+    serves.  Its scratch is a boolean mark per group and per cycle.
     """
     _check_pair(plan, program, dims=2)
     spec, design = program.layer, program.design
@@ -403,12 +412,12 @@ def trace_of_program(program: Program, plan: MappingPlan) -> ExecutionTrace:
         per_xbar = np.zeros(plan.count, dtype=np.int64)
         active = np.zeros((1 + folded, -(-oh // s), -(-ow // s)), dtype=bool)
         served = np.zeros((oh, ow), dtype=bool)
-        # block n's entry (p, q) drives tile (y // s + p, x // s + q) into
-        # output pixel (y + s*p, x + s*q)
-        for n, (p, q, _, _, _, _, y, x, _, _) in enumerate(program.blocks.tolist()):
-            per_xbar[n >> folded] += p * q
-            active[n & folded, y // s : y // s + p, x // s : x // s + q] = True
-            served[y : y + s * p : s, x : x + s * q : s] = True
+        for (ry, rx), row_taps, col_taps in program.modes:
+            for (i, p, _, t), (j, q, _, u) in itertools.product(row_taps, col_taps):
+                n = i * kw + j
+                per_xbar[n >> folded] += p * q
+                active[n & folded, t, u] = True
+                served[ry::s, rx::s][t, u] = True
         cycles, active_cycles = active.size, int(np.count_nonzero(active))
         n_live = int(per_xbar.sum())
         # every live member of a group but its first adds M values
@@ -459,57 +468,44 @@ def _check_pair(plan: MappingPlan, program: Program, dims: int):
 
 @dataclass(frozen=True)
 class Program:
-    """A schedule lowered for the runner: one strided rectangle per weight block.
+    """A schedule lowered for the runner: per computation mode, one strided
+    rectangle per kernel position with entries (`_rectangles`).
 
-    Row n of `blocks`, (P, Q, source row, column, row step, column step,
-    destination row, column, row step, column step), has block n multiply
-    input pixel (row + p*row step, column + q*column step) into output
-    pixel (p, q) of the destination rectangle, p < P, q < Q; steps are >= 1.
-    Every design has the same blocks, block n being kernel position
-    (n // kw, n % kw); only where its C x M weights sit differs
-    (`MappingPlan.block`).  `modes` are the blocks with entries grouped by
-    their output residue mod s, as `tensor._add_modes` reads them."""
+    Mode ((r_y, r_x), rows, cols) owns output pixels (r_y + s*t, r_x + s*u),
+    its tiles (t, u).  Row tap (i, P, source slice, destination slice) and
+    column tap (j, Q, ...) have block n = i*kw + j multiply the input pixels
+    of the source slices into the tiles of the destination ones, as
+    `tensor._add_modes` reads them.  Every design has the same modes; only
+    where block n's C x M weights sit differs (`MappingPlan.block`)."""
 
     design: DesignKind
     layer: DeconvLayerSpec
-    blocks: np.ndarray
     modes: tuple
 
     def sources(self, y: int, x: int):
-        """Yield the kernel positions (i, j) whose block adds into output
-        pixel (y, x), each with the input pixel (a, b) it multiplies there."""
-        for n, (p, q, a, b, da, db, y0, x0, dy, dx) in enumerate(self.blocks.tolist()):
-            (u, ru), (v, rv) = divmod(y - y0, dy), divmod(x - x0, dx)
-            if ru == rv == 0 and 0 <= u < p and 0 <= v < q:
-                yield divmod(n, self.layer.kw), (a + u * da, b + v * db)
-
-
-def _span(k, pad: int, n_in: int, n_out: int, s: int):
-    """Per k: the first a in [0, n_in) with pad - k + s*a in [0, n_out), and the count."""
-    first = np.maximum(0, -((pad - k) // s))
-    return first, np.maximum(np.minimum(n_in, -((pad - k - n_out) // s)) - first, 0)
+        """Yield the kernel positions (i, j) whose rectangle adds into output
+        pixel (y, x), in the order of n, each with the input pixel (a, b) it
+        multiplies there.  The pixel lies only in mode (y mod s, x mod s)."""
+        (t, ry), (u, rx) = divmod(y, self.layer.stride), divmod(x, self.layer.stride)
+        for mode, rows, cols in self.modes:
+            for (i, _, a, ti), (j, _, b, uj) in itertools.product(rows, cols):
+                if mode == (ry, rx) and ti.start <= t < ti.stop and uj.start <= u < uj.stop:
+                    yield (i, j), (a.start + t - ti.start, b.start + u - uj.start)
 
 
 @functools.lru_cache(maxsize=1)
-def _rectangles(spec: DeconvLayerSpec) -> tuple[np.ndarray, tuple]:
-    """`Program.blocks`, read-only, one per kernel position n = (i, j), and
-    their `tensor._modes`, as tuples: built once and shared by the four
-    designs a layer lowers.  Output pixel (y, x) takes kernel position
-    (i, j) from padded pixel (y + i, x + j) (Dumoulin & Visin,
-    arXiv:1603.07285), and input pixel (a, b) is padded pixel (pad_top +
-    s*a, pad_left + s*b), so it adds into output pixel (pad_top - i + s*a,
-    pad_left - j + s*b) where inside."""
-    s, kh, kw = spec.stride, spec.kh, spec.kw
-    i, j = np.divmod(np.arange(kh * kw), kw)
-    a0, p = _span(i, spec.pad_top, spec.input_h, spec.output_h, s)
-    b0, q = _span(j, spec.pad_left, spec.input_w, spec.output_w, s)
-    fields = (p, q, a0, b0, 1, 1, spec.pad_top - i + s * a0, spec.pad_left - j + s * b0, s, s)
-    blocks = np.column_stack([np.full_like(i, values) for values in fields])
-    blocks.flags.writeable = False
-    # block n = i*kw + j's rows are kernel row i's, its columns column j's
-    rows = [(y % s, p, a, y // s) if p else None for p, a, y in blocks[::kw, [0, 2, 6]].tolist()]
-    cols = [(x % s, q, b, x // s) if q else None for q, b, x in blocks[:kw, [1, 3, 7]].tolist()]
-    return blocks, tuple((mode, tuple(r), tuple(c)) for mode, r, c in _modes(rows, cols))
+def _rectangles(spec: DeconvLayerSpec) -> tuple:
+    """`Program.modes`, as tuples: built once and shared by the four designs
+    a layer lowers.  Per axis (`_tiles`), offset k's live span is the tiles
+    whose source lies on the input: first = max(a0, 0), count =
+    clip(min(a0 + tiles, n_in) - first, 0), starting at tile first - a0."""
+    axes = []
+    for (r, a0, tiles), n_in in zip(_tiles(spec), (spec.input_h, spec.input_w)):
+        first = np.maximum(a0, 0)
+        count = np.maximum(np.minimum(a0 + tiles, n_in) - first, 0)
+        axes.append([(r_k, n, a, a - a0_k) if n else None
+                     for r_k, n, a, a0_k in zip(*(v.tolist() for v in (r, count, first, a0)))])
+    return tuple((mode, tuple(rows), tuple(cols)) for mode, rows, cols in _modes(*axes))
 
 
 def _line(schedule: CycleSchedule, cycle, crossbar, a, b) -> str:
@@ -556,9 +552,9 @@ def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
     `Program` that `execute` runs, the layer's closed form (`_rectangles`).
     The schedule comes whole or as its `schedule_parts`, and is proved part
     by part, a chunk of each at a time in scratch every chunk reuses (a
-    whole schedule is its own one part), so no more is held than the
-    caller holds: the last drive's (block, cycle) and each block's drive
-    count carry across chunks.  Each drive lies in a cycle and names a
+    whole schedule is its own one part), holding no part past its proof:
+    the last drive's (block, cycle) and each block's drive count carry
+    across chunks.  Each drive lies in a cycle and names a
     block the design has, in strictly increasing (block, cycle) order;
     only zero skipping has zero drives; and no source lies more than a
     kernel off its grid, which bounds every value the proof computes, so
@@ -570,26 +566,25 @@ def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
     row-major order, inside where a run's columns and last row are.  Where
     each run ends on the tile the block's count so far reaches, and each
     block has as many drives as tiles, they are the closed form's, zero
-    drives included, and its live ones its rectangle's entries: red's
-    proof checks the table every design runs entry by entry.  A ValueError
+    drives included.  On zero skipping the tiles are `_tiles`', so the
+    proof checks the per-axis values `_rectangles` clips the program's
+    rectangles from, not the clipping.  A ValueError
     names the first drive at fault by its `dump_schedule_lines` line,
     wherever the parts split the schedule."""
     parts = iter([schedule] if isinstance(schedule, CycleSchedule) else schedule)
-    head = next(parts)
-    spec, design, cycles = head.layer, head.design, head.cycle_count
-    (h, w), (oh, ow, _) = _grid(spec, design), output_shape(spec)
-    blocks, modes = _rectangles(spec)
+    part = next(parts)
+    spec, design, cycles = part.layer, part.design, part.cycle_count
+    h, w = _grid(spec, design)
     pixelwise, folded = design in _PIXELWISE, design is DesignKind.RED_FOLDED
     n_blocks = spec.kh * spec.kw if pixelwise else 1
     what = f"drive names a weight block the plan does not have ({n_blocks})"
     # per schedule block: the offsets from a drive's source (a, b) to its
     # tile (a + da, b + db), in cycle (a + da)*dt + b + db, and its tiles
     # inside the output, rows x columns
-    if pixelwise:  # the program's: sub n's entry (p, q) adds into output
-        # pixel (y0 + s*p, x0 + s*q), of tile (y0 // s + p, x0 // s + q)
-        s, dt = spec.stride, -(-ow // spec.stride)
-        a0, b0, y0, x0 = blocks[:, [2, 3, 6, 7]].T
-        tiles = (y0 // s - a0, x0 // s - b0, -((y0 % s - oh) // s), -((x0 % s - ow) // s))
+    if pixelwise:  # sub (i, j)'s source a0 + t of row i is tile row t
+        (_, a0, heights), (_, b0, widths) = _tiles(spec)
+        dt, kh, kw = -(-spec.output_w // spec.stride), spec.kh, spec.kw
+        tiles = (np.repeat(-a0, kw), np.tile(-b0, kh), np.repeat(heights, kw), np.tile(widths, kh))
     else:  # window or pixel (a, b), its own tile, at cycle a*w + b
         tiles, dt = ([0], [0], [h], [w]), w
     tiles = np.array(tiles, dtype=np.int64)
@@ -603,7 +598,7 @@ def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
     drives = np.zeros(n_blocks, dtype=np.int64)  # per block, its drives read so far
     last = (-1, -1)  # the (block, cycle) of the last drive read
     pending = None  # a fault at the last chunk's last drive
-    for part in itertools.chain([head], parts):
+    while part is not None:
         if (part.design, part.layer, part.cycle_count) != (design, spec, cycles):
             raise ValueError(f"a part of another schedule: {part.design} with "
                              f"{part.cycle_count} cycles, after {design} with {cycles}")
@@ -668,13 +663,17 @@ def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
                 # in the whole schedule, is refused as out of order first
                 if j < len(bad) - 1:
                     raise pending
+        # no view of this part outlives it while the next is built
+        part = chunk = cycle = crossbar = src_a = src_b = n = values = None
+        part = next(parts, None)
     if pending is not None:
         raise pending
     # where the counts differ, a block ends before the closed form's next drive
     if (drives != slots).any():
         block = int(np.flatnonzero(drives != slots)[0])
-        raise _disagreement(head.chunk(0, 0), block, int(drives[block]))
-    return Program(design=design, layer=spec, blocks=blocks, modes=modes)
+        empty = CycleSchedule(design, spec, cycles, *np.zeros((4, 0), dtype=np.int64))
+        raise _disagreement(empty, block, int(drives[block]))
+    return Program(design=design, layer=spec, modes=_rectangles(spec))
 
 
 def execute(plan: MappingPlan, program: Program, input: Tensor3) -> Tensor3:

@@ -143,27 +143,12 @@ class Kernel4:
         return self._bound
 
     @property
-    def kh(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def kw(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def filters(self) -> int:
-        return self.data.shape[3]
-
-    @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
 
     def __repr__(self):
-        return f"Kernel4(kh={self.kh}, kw={self.kw}, c={self.channels}, m={self.filters})"
+        kh, kw, c, m = self.shape
+        return f"Kernel4(kh={kh}, kw={kw}, c={c}, m={m})"
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,45 @@ def test_config_validates_options(tmp_path):
                                      name=f"bad_cost_params_{i}.json"))
 
 
+def test_config_rejects_malformed_layers(tmp_path):
+    layer = {"name": "x", "input": [2, 2, 1], "kernel": [2, 2, 1, 1], "stride": 2}
+    cases = [
+        ([layer, [2, 2, 1]], r"layers\[1\] must be an object"),
+        ([{k: v for k, v in layer.items() if k != "kernel"}],
+         r"layers\[0\] is missing required key 'kernel'"),
+        ([{**layer, "input": [2, 2]}], r"layers\[0\]\.input must be \[h, w, c\]"),
+        ([{**layer, "input": "2,2,1"}], r"layers\[0\]\.input must be \[h, w, c\]"),
+        ([{**layer, "kernel": [2, 2, 1]}], r"layers\[0\]\.kernel must be \[kh, kw, c, m\]"),
+        ([{**layer, "crop": [0, 0, 0]}], r"layers\[0\]\.crop must be \[top, bottom, left, right\]"),
+        ([{**layer, "crop": 0}], r"layers\[0\]\.crop must be \[top, bottom, left, right\]"),
+        ([], "layers must be a non-empty array"),
+        ({"name": "x"}, "layers must be a non-empty array"),
+    ]
+    for i, (layers, message) in enumerate(cases):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, {"layers": layers}, name=f"bad_{i}.json"))
+
+
+def test_config_rejects_an_unreadable_path_and_a_non_object_root(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config: .*missing.json"):
+        load_config(str(tmp_path / "missing.json"))
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(str(tmp_path))  # a directory
+    for i, root in enumerate([[], "layers", 3, None]):
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
+            load_config(write_config(tmp_path, root, name=f"root_{i}.json"))
+
+
+def test_config_critical_path_mode(tmp_path):
+    _, _, opts = load_config(write_config(tmp_path, {"critical_path_mode": "sum"}))
+    assert opts.critical_path_mode == "sum"
+    _, _, opts = load_config(write_config(tmp_path, {}, name="default.json"))
+    assert opts.critical_path_mode == "max"
+    for i, mode in enumerate(["min", "", None, ["max"]]):
+        with pytest.raises(ConfigError, match="critical_path_mode must be 'max' or 'sum'"):
+            load_config(write_config(tmp_path, {"critical_path_mode": mode}, name=f"m{i}.json"))
+
+
 def test_config_rejects_a_repeated_layer_name(tmp_path):
     # two rows named A per design in the reports, and `dump-schedule --layer A`
     # could pick either; names compare as the reports print them
@@ -405,9 +444,12 @@ def test_equivalence_error_names_the_corrupted_kernel_position(monkeypatch, desi
 
 def test_run_suite_builds_every_schedule_before_the_data(monkeypatch):
     # per entry, every design's schedule is lowered before the first oracle
-    # runs, so no schedule is held next to the layer's data
+    # runs, so no schedule is held next to the layer's data; then each
+    # trial's oracle, and every design's plan and run, all called through
+    # `bench`'s globals, where the benchmark's tracer wraps them
     calls = []
     real_lower, real_oracle = bench_mod.lower, bench_mod.deconv_oracle_zero_padding
+    real_plan, real_execute = bench_mod.build_plan, bench_mod.execute
 
     def lower(parts):
         program = real_lower(parts)
@@ -418,14 +460,43 @@ def test_run_suite_builds_every_schedule_before_the_data(monkeypatch):
         calls.append(("oracle", spec))
         return real_oracle(tensor, kernel, spec)
 
-    monkeypatch.setattr(bench_mod, "lower", lower)
-    monkeypatch.setattr(bench_mod, "deconv_oracle_zero_padding", oracle)
+    def build_plan(kernel, design, spec):
+        calls.append(("plan", spec))
+        return real_plan(kernel, design, spec)
+
+    def execute(plan, program, tensor):
+        calls.append(("execute", program.layer))
+        return real_execute(plan, program, tensor)
+
+    for name, fake in [("lower", lower), ("deconv_oracle_zero_padding", oracle),
+                       ("build_plan", build_plan), ("execute", execute)]:
+        monkeypatch.setattr(bench_mod, name, fake)
     entries = builtin_benchmarks()[4:6]
     run_suite(entries, channel_scale=1 / 64, trials=2)
     for entry in entries:
         spec = scale_channels(entry.spec, 1 / 64)
         mine = [name for name, s in calls if s == spec]
-        assert mine == ["lower"] * len(ALL_DESIGNS) + ["oracle"] * 2
+        trial = ["oracle"] + ["plan", "execute"] * len(ALL_DESIGNS)
+        assert mine == ["lower"] * len(ALL_DESIGNS) + trial * 2
+
+
+def test_names_the_benchmark_wraps_exist():
+    # the benchmark times stages by replacing these names where the suite
+    # and the CLI look them up, and skips a name that is gone, so a rename
+    # would read its stage's metrics as zero; its own tests import the last
+    import red_sim.cli as cli_mod
+    from red_sim import dataflow
+
+    wrapped = {bench_mod: ["build_plan", "execute", "deconv_oracle_zero_padding",
+                           "cost_breakdown", "compare"],
+               cli_mod: ["run_suite", "breakdown_csv_rows", "summary_csv_rows", "report_to_dict"],
+               dataflow: ["build_schedule", "dump_schedule_lines"]}
+    for module, names in wrapped.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    assert callable(bench_mod.Lcg64.ints)
+    assert dataflow.InputKind.ZERO != dataflow.InputKind.PIXEL
+    assert isinstance(dataflow.CycleSchedule.kind, property)
 
 
 def test_run_suite_holds_one_trial_and_one_schedule_part_at_a_time():

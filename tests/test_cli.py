@@ -188,6 +188,22 @@ def test_run_rejects_bad_cost_param_exit_2(tmp_path, field, value, capsys):
     assert "all checks passed" not in captured.out
 
 
+def test_run_config_critical_path_mode(tmp_path, capsys):
+    # a config's "sum" reaches the report; any other value is a config error
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps({**TOY_CONFIG, "critical_path_mode": "sum"}), encoding="utf-8")
+    out = tmp_path / "reports"
+    assert main(["run", "--config", str(path), "--out", str(out), "--format", "json",
+                 "--trials", "1"]) == 0
+    assert json.loads(read(out / "report.json"))["reports"][0]["critical_path_mode"] == "sum"
+    path.write_text(json.dumps({**TOY_CONFIG, "critical_path_mode": "min"}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "critical_path_mode must be 'max' or 'sum'" in captured.err
+    assert "all checks passed" not in captured.out
+
+
 @pytest.mark.parametrize("value", [[], "", 0, False, None])
 def test_run_rejects_non_object_cost_params_exit_2(tmp_path, value, capsys):
     path = tmp_path / "bad.json"
@@ -284,10 +300,23 @@ def test_redundancy_hand_case(capsys):
 
 
 def test_redundancy_stride1_full_crop(capsys):
+    # a full crop takes kernel - 1 off all four sides: at stride 1 a plain
+    # valid convolution, with no zero to skip, as its help says
     assert main(["redundancy", "--strides", "1", "--kernel-rule", "fixed",
                  "--kernel-size", "3", "--input-size", "8",
                  "--crop-mode", "full"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "1,3,0.0"
+    with pytest.raises(SystemExit):
+        main(["redundancy", "--help"])
+    assert "full: crop kernel-1 on all four sides" in capsys.readouterr().out
+
+
+def test_redundancy_json(capsys):
+    assert main(["redundancy", "--strides", "2,4", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["stride"], r["kernel"]) for r in rows] == [(2, 4), (4, 8)]
+    assert all(type(r["zero_redundancy_ratio"]) is float for r in rows)
+    assert rows[0]["zero_redundancy_ratio"] < rows[1]["zero_redundancy_ratio"]
 
 
 def test_redundancy_rejects_bad_rule(capsys):
@@ -304,6 +333,14 @@ def test_redundancy_rejects_bad_rule(capsys):
 def test_redundancy_rejects_bad_strides(capsys):
     assert main(["redundancy", "--strides", "2,x"]) == 2
     assert main(["redundancy", "--strides", "0"]) == 2
+    assert main(["redundancy", "--strides", ","]) == 2
+    assert "--strides must be non-empty" in capsys.readouterr().err
+    # a stride whose layer has no output: a 3x3 kernel cropped by 2 on
+    # every side of a one-pixel input
+    assert main(["redundancy", "--strides", "2,1", "--kernel-rule", "fixed", "--kernel-size",
+                 "3", "--input-size", "1", "--crop-mode", "full"]) == 2
+    captured = capsys.readouterr()
+    assert "stride 2: computed output size" in captured.err and not captured.out
 
 
 # ---------------------------------------------------------------------------

@@ -466,7 +466,7 @@ def test_schedule_parts_property(spec, design, budget):
         assert part.assignment_count <= budget or len(set((part.block // spec.kw).tolist())) == 1
         # no kernel row (or cycle) runs on into the next part
         assert stop == len(row) or row[stop - 1] != row[stop]
-    assert np.array_equal(program.blocks, lower(whole).blocks)
+    assert program == lower(whole)
 
 
 def _boundary_faults(parts, p):
@@ -599,17 +599,42 @@ def test_schedule_parts_hold_one_part_at_a_time():
     assert peak < 2 * part
 
 
+@pytest.mark.parametrize("design,parts", [(DesignKind.RED_FOLDED, 3),
+                                          (DesignKind.ZERO_PADDING, 2)])
+def test_lower_holds_one_schedule_part_at_a_time(design, parts):
+    # FCN_Deconv2's parts hold 630 KiB of columns on red_folded and 1 MiB on
+    # zero_padding; lowered as they are built, neither the first part nor
+    # any part before the one proved stays alive while the next is built
+    part = next(schedule_parts(FCN2, design))
+    size = sum(getattr(part, c).nbytes for c in ASSIGNMENT_COLUMNS)
+    del part
+    peak, _ = _scratch(lambda: lower(schedule_parts(FCN2, design)))
+    assert peak < parts * size
+
+
+def test_lower_reads_past_a_part_with_no_drives():
+    # an empty part adds nothing; a schedule of none lacks every drive
+    sched = build_schedule(TOY, DesignKind.RED_FOLDED)
+    empty = sched.chunk(0, 0)
+    assert lower([empty, sched.chunk(0, 5), empty, sched.chunk(5, None), empty]) == lower(sched)
+    with pytest.raises(ValueError, match=r"weight block 0 has no drive; the closed form has "
+                                         r"drive 0,0,pixel_lo,0,0$"):
+        lower([empty])
+
+
 def test_program_table_is_built_once_per_layer_and_read_only():
     # the four designs of a layer share one table, built once, which no
-    # program can write
+    # program can write: tuples of integers and slices, in a frozen program
     dataflow._rectangles.cache_clear()
     programs = [lower(schedule_parts(TOY, design)) for design in DesignKind]
     assert dataflow._rectangles.cache_info().misses == 1
-    assert all(p.blocks is programs[0].blocks and p.modes is programs[0].modes
-               for p in programs)
+    assert all(p.modes is programs[0].modes for p in programs)
     assert all(type(group) is tuple for mode in programs[0].modes for group in mode)
-    with pytest.raises(ValueError, match="read-only"):
-        programs[0].blocks[0, 0] = 1
+    taps = [tap for _, rows, cols in programs[0].modes for tap in rows + cols]
+    assert taps and all(type(tap) is tuple and {type(v) for v in tap} == {int, slice}
+                        for tap in taps)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        programs[0].modes = ()
 
 
 def test_zero_padding_schedule_structure():
@@ -689,7 +714,7 @@ def test_execute_mode_edges(design, case):
     spec = MODE_EDGES[case]
     program = lower(build_schedule(spec, design))
     taps = [len(rows) * len(cols) for _, rows, cols in program.modes]
-    live = int(np.count_nonzero(program.blocks[:, 0] * program.blocks[:, 1]))
+    live = len({n for n, _, _ in _closed_form_entries(spec)})  # kernel positions with entries
     assert sum(taps) == live
     if case == "empty modes":
         assert len(taps) < spec.stride**2
@@ -707,19 +732,21 @@ def test_execute_mode_edges(design, case):
 @settings(max_examples=100, deadline=None)
 @given(spec=layer_specs(max_channels=1))
 def test_program_modes_hold_every_live_block_once_property(spec):
-    # grouped by output residue, each block with entries appears once, its
-    # rectangle unchanged, and starts on its mode's sub-lattice where its
-    # destination does
+    # grouped by output residue, each kernel position with entries appears
+    # once, in the mode its outputs lie in, its slices P and Q long, and
+    # its rectangle exactly the closed form's entries of it
     program = lower(build_schedule(spec, DesignKind.RED))
-    s, seen = spec.stride, []
+    want, got, seen = defaultdict(set), defaultdict(set), []
+    for entries, table in ((_closed_form_entries(spec), want), (_mode_entries(program), got)):
+        for n, source, pixel in entries:
+            table[n].add((source, pixel))
     for (ry, rx), rows, cols in program.modes:
         for (i, p, a, t), (j, q, b, u) in itertools.product(rows, cols):
             seen.append(i * spec.kw + j)
-            rect = [p, q, a.start, b.start, 1, 1, ry + s * t.start, rx + s * u.start, s, s]
-            assert program.blocks[seen[-1]].tolist() == rect
+            assert ((spec.pad_top - i) % spec.stride, (spec.pad_left - j) % spec.stride) == (ry, rx)
             assert (a.stop - a.start, b.stop - b.start, t.stop - t.start, u.stop - u.start) == (
                 p, q, p, q)
-    assert sorted(seen) == np.flatnonzero(program.blocks[:, 0] * program.blocks[:, 1]).tolist()
+    assert sorted(seen) == sorted(want) and got == want
 
 
 def test_impulse_through_red_schedule():
@@ -1170,7 +1197,7 @@ def test_stages_accept_int64_columns(design):
     wide = dataclasses.replace(sched, **{k: getattr(sched, k).astype(np.int64)
                                          for k in ASSIGNMENT_COLUMNS})
     want, got = lower(sched), lower(wide)
-    assert np.array_equal(got.blocks, want.blocks)
+    assert got == want
     plan = MappingPlan(design, TOY.kernel_shape)
     assert_same_trace(trace_of_program(got, plan), trace_of_program(want, plan))
 
@@ -1216,8 +1243,9 @@ def test_fcn_deconv2_columns_take_the_narrowest_dtype(design, dtype):
 
 
 def _entries(program):
-    """The program's entries, sum P*Q over its block descriptors."""
-    return int(program.blocks[:, 0] @ program.blocks[:, 1])
+    """The program's entries, sum P*Q over its rectangles."""
+    return sum(p * q for _, rows, cols in program.modes
+               for (_, p, _, _), (_, q, _, _) in itertools.product(rows, cols))
 
 
 def _scratch(stage):
@@ -1244,13 +1272,14 @@ def test_schedule_stages_stay_within_a_column_of_scratch(design):
     assert held <= 8 * n
     # `lower` reads a chunk of assignments at a time, so its scratch does
     # not grow with the schedule (under 2 bytes per assignment here), and
-    # its program holds ten integers per weight block, whatever the
-    # schedule's length
+    # its program holds one rectangle per weight block, each a row tap
+    # and a column tap of four values, whatever the schedule's length
     peak, program = _scratch(lambda: lower(sched))
-    assert program.blocks.shape == (256, 10) and program.blocks.nbytes == 256 * 10 * 8
+    assert sum(len(rows) * len(cols) for _, rows, cols in program.modes) == 256
+    assert all(len(tap) == 4 for _, rows, cols in program.modes for tap in rows + cols)
     assert peak <= 2 * n
     # the trace reads the program: a boolean mark per output pixel and per
-    # cycle, and the blocks as a list, under 200 bytes each
+    # cycle, and a rectangle at a time, under 200 bytes per block
     peak, _ = _scratch(lambda: trace_of_program(program, MappingPlan(design, FCN2.kernel_shape)))
     assert peak <= 568 * 568 + sched.cycle_count + 256 * 200
 
@@ -1498,6 +1527,20 @@ def test_live_assignments_match_redundancy_property(spec, design):
     assert _entries(programs[DesignKind.PADDING_FREE]) == _entries(programs[design]) == live
 
 
+def _mode_entries(program):
+    """Every (block, source, output pixel) the program holds, enumerated
+    from its modes: kernel position (i, j)'s rectangle multiplies input
+    pixel (a, b) of its source slices into tile (t, u) of its destination
+    ones, output pixel (r_y + s*t, r_x + s*u) of its mode (r_y, r_x)."""
+    s, kw = program.layer.stride, program.layer.kw
+    for (ry, rx), rows, cols in program.modes:
+        for (i, _, a, t), (j, _, b, u) in itertools.product(rows, cols):
+            ys = zip(range(a.start, a.stop), range(ry + s * t.start, ry + s * t.stop, s))
+            xs = zip(range(b.start, b.stop), range(rx + s * u.start, rx + s * u.stop, s))
+            for (sa, y), (sb, x) in itertools.product(ys, xs):
+                yield i * kw + j, (sa, sb), (y, x)
+
+
 def _closed_form_entries(spec):
     """Every (block, source, output pixel) a program must hold, by the
     definition: output pixel (y, x) takes kernel position (i, j) from padded
@@ -1516,25 +1559,38 @@ def _closed_form_entries(spec):
 @settings(max_examples=100, deadline=None)
 @given(spec=layer_specs(max_channels=1))
 def test_program_rectangles_stay_inside_property(spec):
-    # every design lowers to the same blocks, one per kernel position; each
-    # reads inside the input and adds inside the output, with steps of at
-    # least 1; and its entries are exactly the closed form's
+    # every design lowers to the same modes; each rectangle reads inside
+    # the input and adds inside its mode's sub-lattice of the output, with
+    # unit steps; and its entries are exactly the closed form's
     programs = [lower(build_schedule(spec, design)) for design in DesignKind]
-    blocks = programs[0].blocks
     for program in programs[1:]:
-        assert np.array_equal(program.blocks, blocks)
-    assert len(blocks) == spec.kh * spec.kw
-    p, q, *rects = blocks.T
-    source, dest = rects[:4], rects[4:]
-    live = p * q > 0
-    for (row, col, drow, dcol), (rows, cols) in ((source, (spec.input_h, spec.input_w)),
-                                                 (dest, (spec.output_h, spec.output_w))):
-        assert (drow >= 1).all() and (dcol >= 1).all()
-        assert (row[live] >= 0).all() and (col[live] >= 0).all()
-        assert (row + (p - 1) * drow < rows)[live].all()
-        assert (col + (q - 1) * dcol < cols)[live].all()
-    entries = [(n, (sr + i * sdr, sc + j * sdc), (dr + i * ddr, dc + j * ddc))
-               for n, (P, Q, sr, sc, sdr, sdc, dr, dc, ddr, ddc) in enumerate(blocks.tolist())
-               for i in range(P) for j in range(Q)]
+        assert program.modes == programs[0].modes
+    s = spec.stride
+    for (ry, rx), rows, cols in programs[0].modes:
+        for taps, n_in, n_out, r in ((rows, spec.input_h, spec.output_h, ry),
+                                     (cols, spec.input_w, spec.output_w, rx)):
+            for _, size, src, dst in taps:
+                assert size > 0 and src.step is None and dst.step is None
+                assert 0 <= src.start and src.stop <= n_in
+                assert 0 <= dst.start and r + s * (dst.stop - 1) < n_out
+    entries = list(_mode_entries(programs[0]))
     assert len(entries) == len(set(entries))
     assert set(entries) == _closed_form_entries(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=layer_specs(max_channels=1))
+def test_red_drives_on_the_grid_are_the_program_entries_property(spec):
+    # on red, sub n's drives whose source lies on the input are exactly
+    # block n's entries: drive (cycle, n, a, b) adds into the pixel of
+    # sub n's mode in tile cycle = t*n_tx + u
+    sched = build_schedule(spec, DesignKind.RED)
+    s, n_tx = spec.stride, -(-spec.output_w // spec.stride)
+    live = sched.live
+    drives = set()
+    for cycle, n, a, b in zip(*(getattr(sched, c)[live].tolist() for c in ASSIGNMENT_COLUMNS)):
+        (i, j), (t, u) = divmod(n, spec.kw), divmod(cycle, n_tx)
+        y, x = (spec.pad_top - i) % s + s * t, (spec.pad_left - j) % s + s * u
+        drives.add((n, (a, b), (y, x)))
+    assert len(drives) == int(live.sum())
+    assert drives == set(_mode_entries(lower(sched)))

@@ -258,6 +258,10 @@ def test_kernel_cannot_change_after_it_is_built():
     assert k.weight_bound is None and np.all(k.data != 0)
 
 
+def test_kernel_repr_names_its_shape():
+    assert repr(Kernel4(np.zeros((2, 3, 4, 5), dtype=np.int64))) == "Kernel4(kh=2, kw=3, c=4, m=5)"
+
+
 # ---------------------------------------------------------------------------
 # rotate180
 # ---------------------------------------------------------------------------
