@@ -24,24 +24,25 @@ folded sub with the even original sub's input and odd phases rows
 C..2C-1 with the odd one's, so the cycle's parity names the half.
 
 A design is its weight layout (mapping) plus its schedule, which depends
-on the spatial geometry only.  It is built in (block, cycle) ordered
-parts of up to `_CACHE_BUDGET` drives (`schedule_parts`), each column
-copied from small per-axis arrays; `lower`, its one check, proves the
-parts against the layer's closed form a chunk at a time, so a run never
-holds a whole schedule (`build_schedule` joins the parts for the dump
-and the tests).  Every design lowers to the same `Program`, one strided
-rectangle per kernel position, grouped by the computation mode it adds
-into (`_rectangles`, clipped once per layer from the parts' tile
-geometry, `_tiles`), which `execute` runs on the unpadded input mode by
-mode.  Zero drives, the inserted and border zeros of a zero-padding
-window and cropped padding-free products add nothing and are left out;
-the hardware does that work, and `trace_of_program` counts it from the
-program.  The dump (`dump_schedule_text`) formats drives and group rows
-in cycle order a chunk of text at a time.  Schedule columns take the
-narrowest dtype that holds what they store (`_index_dtype`: int16 on
-FCN_Deconv2's zero-skipping schedules), each stage widens what it
-computes from them so that nothing wraps, and each allocates at most
-about one column of scratch on top of what it returns.
+on the spatial geometry only: each block drives one tile a cycle, the
+baselines being the one-block case with s = 1 (`_tiles`).  It is built in
+(block, cycle) ordered parts of up to `_CACHE_BUDGET` drives
+(`schedule_parts`), each column copied from small per-axis arrays;
+`lower`, its one check, proves the parts against the layer's closed form
+a chunk at a time, so a run never holds a whole schedule
+(`build_schedule` joins the parts for the dump and the tests).  Every
+design lowers to the same `Program`, one strided rectangle per kernel
+position, grouped by the computation mode it adds into (`_rectangles`,
+clipped once per layer from red's tiles), which `execute` runs on the
+unpadded input mode by mode.  Zero drives, the inserted and border zeros
+of a zero-padding window and cropped padding-free products add nothing
+and are left out; the hardware does that work, and `trace_of_program`
+counts it from the program.  The dump (`dump_schedule_text`) formats
+drives and group rows in cycle order a chunk of text at a time.  Schedule
+columns take the narrowest dtype that holds what they store
+(`_index_dtype`: int16 on FCN_Deconv2's zero-skipping schedules), each
+stage widens what it computes from them so that nothing wraps, and each
+allocates at most about one column of scratch on top of what it returns.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class CycleSchedule:
     The four columns are parallel arrays sorted by (`block`, cycle), the
     order `lower` reads; a crossbar and a cycle fix the block, so each
     crossbar appears at most once per cycle.  Only the dump sorts by cycle.
-    The builders store them in the narrowest `_index_dtype` that holds what
+    The builder stores them in the narrowest `_index_dtype` that holds what
     they store, 8 bytes per assignment on FCN_Deconv2's zero-skipping
     schedules; the stages that read them widen what they compute.  A
     drive's source (`src_a`, `src_b`) is a window origin on zero-padding
@@ -229,26 +230,11 @@ def _grid(spec: DeconvLayerSpec, design: DesignKind) -> tuple[int, int]:
     return spec.input_h, spec.input_w
 
 
-def _row_major_parts(spec: DeconvLayerSpec, design: DesignKind):
-    """One drive of the design's single array per cycle, row-major over its
-    grid, in parts of up to `_CACHE_BUDGET` cycles: cycle t drives source
-    (t // w, t % w), copied from the grid rows the part touches."""
-    h, w = _grid(spec, design)
-    index = _index_dtype(h * w)
-    axis = np.arange(max(h, w), dtype=index)
-    for t0 in range(0, h * w, _CACHE_BUDGET):
-        t = np.arange(t0, min(t0 + _CACHE_BUDGET, h * w), dtype=index)
-        r0, r1 = t0 // w, -(-(t0 + len(t)) // w)
-        src = np.empty((2, r1 - r0, w), dtype=index)
-        src[0], src[1] = axis[r0:r1, None], axis[:w]
-        src_a, src_b = src.reshape(2, -1)[:, t0 - r0 * w :][:, : len(t)]
-        yield CycleSchedule(design, spec, h * w, t, np.zeros_like(t), src_a, src_b)
-
-
-def _zero_skipping_parts(spec: DeconvLayerSpec, folded: int):
-    """RED's schedule, one s x s output tile per cycle (a low-half and a
-    high-half phase each, folded), in parts of whole kernel rows, each up
-    to `_CACHE_BUDGET` drives unless one kernel row alone has more.
+def _zero_skipping_parts(spec: DeconvLayerSpec, design: DesignKind):
+    """Every design's schedule, one tile of each block's per cycle (a
+    low-half and a high-half phase each, folded), in parts of whole kernel
+    rows, a kernel row one block wide cut into whole tile rows, each up to
+    `_CACHE_BUDGET` drives unless one row alone has more.
 
     Sub (i, j) drives source (a0 + t, b0 + u) in cycle t*n_tx + u for its
     tiles (t, u) inside the output, rows times columns (`_tiles`).  Laid
@@ -256,45 +242,52 @@ def _zero_skipping_parts(spec: DeconvLayerSpec, folded: int):
     (sub n drives n >> 1 in phase n & 1) or not.  A part's columns are
     copies of small per-axis arrays, folded there, read through a mask
     only where a crop leaves its subs' prefixes ragged."""
-    s = spec.stride
-    oh, ow, _ = output_shape(spec)
-    n_ty, n_tx = -(-oh // s), -(-ow // s)
+    folded = int(design is DesignKind.RED_FOLDED)
+    (_, a0, heights, n_ty), (_, b0, widths, n_tx) = _tiles(spec, design)
+    kh, kw = len(a0), len(b0)
     cycles = n_ty * n_tx << folded
-    (_, a0, heights), (_, b0, widths) = _tiles(spec)
     # what the columns hold, zero drives' sources included (a0, b0 rise)
-    index = _index_dtype(cycles, spec.kh * spec.kw, a0[0], a0[-1] + n_ty - 1,
-                         b0[0], b0[-1] + n_tx - 1)
+    index = _index_dtype(cycles, kh * kw, a0[0], a0[-1] + n_ty - 1, b0[0], b0[-1] + n_tx - 1)
     t, u = np.arange(n_ty, dtype=index), np.arange(n_tx, dtype=index)
     a, b = a0.astype(index)[:, None, None, None] + t[:, None], b0.astype(index)[:, None, None] + u
-    tiles = np.arange(n_ty * n_tx, dtype=index).reshape(n_ty, n_tx) << folded
-    subs = np.arange(spec.kh * spec.kw, dtype=index).reshape(spec.kh, spec.kw, 1, 1)
+    subs = np.arange(kh * kw, dtype=index).reshape(kh, kw, 1, 1)
+    row_cycles, column_cycles = t * n_tx << folded, u << folded
     below, left = (t < heights[:, None])[:, None, :, None], u < widths[:, None, None]
     heights, widths = heights.tolist(), widths.tolist()
     for i0, i1 in _runs([height * sum(widths) for height in heights], _CACHE_BUDGET):
         sub, height, width = subs[i0:i1], max(heights[i0:i1]), max(widths)
-        part = np.empty((4, i1 - i0, spec.kw, height, width), dtype=index)
-        np.add(tiles[:height, :width], sub & folded, out=part[0])
-        part[1], part[2], part[3] = sub >> folded, a[i0:i1, :, :height], b[:, :, :width]
-        if min(heights[i0:i1]) < height or min(widths) < width:  # a crop makes it ragged
-            inside = below[i0:i1, :, :height] & left[:, :, :width]
-            cycle, crossbar, src_a, src_b = (column[inside] for column in part)
-        else:
-            cycle, crossbar, src_a, src_b = part.reshape(4, -1)
-        yield CycleSchedule(DesignKind.RED_FOLDED if folded else DesignKind.RED, spec, cycles,
-                            cycle, crossbar, src_a, src_b)
-        del part, cycle, crossbar, src_a, src_b  # so that its reader frees the part it drops
+        step = max(1, _CACHE_BUDGET // width) if kw == 1 else height  # tile rows a part
+        for t0 in range(0, height, step):
+            rows = slice(t0, min(t0 + step, height))
+            part = np.empty((4, i1 - i0, kw, rows.stop - t0, width), dtype=index)
+            # the tiles' cycles, staged in the crossbar column: a grid of
+            # every tile would be a whole column on the baselines
+            np.add.outer(row_cycles[rows], column_cycles[:width], out=part[1, 0, 0])
+            np.add(part[1, 0, 0], sub & folded, out=part[0])
+            part[1], part[2], part[3] = sub >> folded, a[i0:i1, :, rows], b[:, :, :width]
+            if min(heights[i0:i1]) < rows.stop or min(widths) < width:  # a crop makes it ragged
+                inside = below[i0:i1, :, rows] & left[:, :, :width]
+                cycle, crossbar, src_a, src_b = (column[inside] for column in part)
+            else:
+                cycle, crossbar, src_a, src_b = part.reshape(4, -1)
+            yield CycleSchedule(design, spec, cycles, cycle, crossbar, src_a, src_b)
+            del part, cycle, crossbar, src_a, src_b  # so that its reader frees the part it drops
 
 
-def _tiles(spec: DeconvLayerSpec) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Zero skipping's tile geometry per axis (rows, then columns) and per
-    kernel offset k on it, sub (i, j)'s being row i's times column j's.
-    Output y takes k from padded y + k (Dumoulin & Visin, arXiv:1603.07285)
-    and input a is padded pad + s*a.  Per k: the outputs' residue r = (pad
-    - k) mod s, one per s-wide tile; tile 0's source a0 = -floor((pad - k)
-    / s), tile t's a0 + t, below 0 off the input; and its tiles inside the
-    output, ceil((n_out - r) / s)."""
+def _tiles(spec: DeconvLayerSpec, design: DesignKind) -> tuple[tuple, ...]:
+    """The design's tile geometry per axis (rows, then columns): per kernel
+    offset k, sub (i, j)'s being row i's times column j's, then the axis's
+    tile count n = ceil(n_out / s).  Output y takes k from padded y + k
+    (Dumoulin & Visin, arXiv:1603.07285) and input a is padded pad + s*a.
+    Per k: the outputs' residue r = (pad - k) mod s, one per s-wide tile;
+    tile 0's source a0 = -floor((pad - k) / s), tile t's a0 + t, below 0
+    off the input; and its tiles inside the output, ceil((n_out - r) / s).
+    The baselines are the one-block case: s = 1, pad - k = 0, on `_grid`."""
+    if design not in _PIXELWISE:  # one offset, r = a0 = 0: each source its own tile
+        return tuple((np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.full(1, n), n)
+                     for n in _grid(spec, design))
     s = spec.stride
-    return tuple((d % s, -(d // s), -((d % s - n_out) // s)) for d, n_out in (
+    return tuple((d % s, -(d // s), -((d % s - n_out) // s), -(-n_out // s)) for d, n_out in (
         (spec.pad_top - np.arange(spec.kh), spec.output_h),
         (spec.pad_left - np.arange(spec.kw), spec.output_w)))
 
@@ -315,13 +308,11 @@ def _runs(sizes: list[int], budget: int):
 def schedule_parts(spec: DeconvLayerSpec, design: DesignKind | str):
     """The design's schedule as consecutive parts in (block, cycle) order,
     each a `CycleSchedule` of the whole schedule's design, layer and cycle
-    count holding up to `_CACHE_BUDGET` drives: whole kernel rows on red
-    and red_folded (one row may hold more), whole cycle ranges elsewhere.
+    count holding up to `_CACHE_BUDGET` drives: whole kernel rows, or
+    whole tile rows of a kernel row one block wide, which is every row of
+    zero_padding's and padding_free's one block (one row may hold more).
     `lower` proves the sequence part by part, so no stage holds the whole."""
-    design = DesignKind(design)
-    if design in _PIXELWISE:
-        return _zero_skipping_parts(spec, folded=int(design is DesignKind.RED_FOLDED))
-    return _row_major_parts(spec, design)
+    return _zero_skipping_parts(spec, DesignKind(design))
 
 
 def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSchedule:
@@ -331,11 +322,9 @@ def build_schedule(spec: DeconvLayerSpec, design: DesignKind | str) -> CycleSche
     design = DesignKind(design)
     parts = schedule_parts(spec, design)
     part = next(parts)
-    if design in _PIXELWISE:  # sub (i, j) drives its tiles inside the output
-        (_, _, heights), (_, _, widths) = _tiles(spec)
-        drives = int(heights.sum() * widths.sum())
-    else:  # one drive a cycle
-        drives = part.cycle_count
+    # sub (i, j) drives its tiles inside the output
+    (_, _, heights, _), (_, _, widths, _) = _tiles(spec, design)
+    drives = int(heights.sum() * widths.sum())
     if part.assignment_count == drives:
         return part
     whole = replace(part, **{c: np.empty(drives, getattr(part, c).dtype) for c in _COLUMNS})
@@ -500,7 +489,7 @@ def _rectangles(spec: DeconvLayerSpec) -> tuple:
     whose source lies on the input: first = max(a0, 0), count =
     clip(min(a0 + tiles, n_in) - first, 0), starting at tile first - a0."""
     axes = []
-    for (r, a0, tiles), n_in in zip(_tiles(spec), (spec.input_h, spec.input_w)):
+    for (r, a0, tiles, _), n_in in zip(_tiles(spec, DesignKind.RED), (spec.input_h, spec.input_w)):
         first = np.maximum(a0, 0)
         count = np.maximum(np.minimum(a0 + tiles, n_in) - first, 0)
         axes.append([(r_k, n, a, a - a0_k) if n else None
@@ -566,9 +555,9 @@ def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
     row-major order, inside where a run's columns and last row are.  Where
     each run ends on the tile the block's count so far reaches, and each
     block has as many drives as tiles, they are the closed form's, zero
-    drives included.  On zero skipping the tiles are `_tiles`', so the
-    proof checks the per-axis values `_rectangles` clips the program's
-    rectangles from, not the clipping.  A ValueError
+    drives included.  Every design's tiles are `_tiles`', on zero skipping
+    the per-axis values `_rectangles` clips the program's rectangles from,
+    so the proof checks those, not the clipping.  A ValueError
     names the first drive at fault by its `dump_schedule_lines` line,
     wherever the parts split the schedule."""
     parts = iter([schedule] if isinstance(schedule, CycleSchedule) else schedule)
@@ -576,18 +565,16 @@ def lower(schedule: CycleSchedule | Iterable[CycleSchedule]) -> Program:
     spec, design, cycles = part.layer, part.design, part.cycle_count
     h, w = _grid(spec, design)
     pixelwise, folded = design in _PIXELWISE, design is DesignKind.RED_FOLDED
-    n_blocks = spec.kh * spec.kw if pixelwise else 1
-    what = f"drive names a weight block the plan does not have ({n_blocks})"
     # per schedule block: the offsets from a drive's source (a, b) to its
     # tile (a + da, b + db), in cycle (a + da)*dt + b + db, and its tiles
-    # inside the output, rows x columns
-    if pixelwise:  # sub (i, j)'s source a0 + t of row i is tile row t
-        (_, a0, heights), (_, b0, widths) = _tiles(spec)
-        dt, kh, kw = -(-spec.output_w // spec.stride), spec.kh, spec.kw
-        tiles = (np.repeat(-a0, kw), np.tile(-b0, kh), np.repeat(heights, kw), np.tile(widths, kh))
-    else:  # window or pixel (a, b), its own tile, at cycle a*w + b
-        tiles, dt = ([0], [0], [h], [w]), w
-    tiles = np.array(tiles, dtype=np.int64)
+    # inside the output, rows x columns; sub (i, j)'s source a0 + t of row
+    # i is tile row t (a window or padding_free's pixel its own, a0 = 0)
+    (_, a0, heights, _), (_, b0, widths, dt) = _tiles(spec, design)
+    tiles = np.empty((4, len(a0), len(b0)), dtype=np.int64)  # block i*kw + j: row i's, column j's
+    tiles[0], tiles[1], tiles[2], tiles[3] = -a0[:, None], -b0, heights[:, None], widths
+    tiles = tiles.reshape(4, -1)
+    n_blocks = tiles.shape[1]
+    what = f"drive names a weight block the plan does not have ({n_blocks})"
     slots = tiles[2] * tiles[3]
     # per block: what a drive's cycle exceeds a*dt + b by, then the above
     table = np.array([tiles[0] * dt + tiles[1], *tiles]).T

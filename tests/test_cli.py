@@ -233,18 +233,23 @@ def test_unwritable_out_exit_2(toy_config, tmp_path, monkeypatch, argv, out, cap
     assert "all checks passed" not in captured.out
 
 
-@pytest.mark.parametrize("out", [[], ["--out", "/dev/stdout"]])
-def test_closed_pipe_exits_0(out):
-    # BrokenPipeError is an OSError, but a reader that stops early does not
-    # make the output unwritable; the 100 kB dump overfills the pipe buffer
+@pytest.mark.parametrize("layer,out,head", [("FCN_Deconv1", [], b"# design=r"),
+                                             ("FCN_Deconv1", ["--out", "/dev/stdout"], b"# design=r"),
+                                             ("FCN_Deconv2", [], b"")],
+                         ids=["out0", "out1", "closed-before-reading"])
+def test_closed_pipe_exits_0(layer, out, head):
+    # BrokenPipeError is an OSError, but a reader that stops early, after
+    # its first bytes or before any, does not make the output unwritable;
+    # the 100 kB FCN_Deconv1 dump overfills the pipe buffer
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     proc = subprocess.Popen([sys.executable, "-m", "red_sim.cli", "dump-schedule",
-                             "--layer", "FCN_Deconv1", "--design", "red", *out],
+                             "--layer", layer, "--design", "red", *out],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(10) == b"# design=r"
+    assert proc.stdout.read(len(head)) == head
     proc.stdout.close()
-    assert proc.wait(timeout=60) == 0, proc.stderr.read().decode()
+    code, err = proc.wait(timeout=60), proc.stderr.read().decode()
     proc.stderr.close()
+    assert code == 0 and "Traceback" not in err, err
 
 
 def test_run_accepts_largest_seed(toy_config, capsys):

@@ -149,6 +149,10 @@ def test_additivity_exact():
         assert en.array_part == en.c + en.wd + en.bd
         assert en.periphery_part == en.dec + en.mux + en.rc + en.sa
         assert ar.total == ar.array_part + ar.periphery_part
+        # a component a metric does not have is not an attribute of it
+        assert not hasattr(lat, "c") and hasattr(en, "c")
+        with pytest.raises(AttributeError, match="^c$"):
+            lat.c
 
 
 def test_monotone_in_coefficients():
@@ -233,6 +237,8 @@ def test_critical_path_sum_mode_not_smaller():
     _, _, bmax = make(DesignKind.RED, spec, mode="max")
     _, _, bsum = make(DesignKind.RED, spec, mode="sum")
     assert bsum.latency.total >= bmax.latency.total
+    with pytest.raises(ValueError, match="critical_path_mode must be 'max' or 'sum', got 'min'"):
+        make(DesignKind.RED, spec, mode="min")
 
 
 def test_bit_serial_multiplier():
@@ -299,6 +305,11 @@ def test_compare_rejects_mixed_layers():
     bad[DesignKind.RED] = dataclasses.replace(b[DesignKind.RED], layer="other")
     with pytest.raises(ValueError, match="multiple layers"):
         compare(bad)
+
+
+def test_compare_rejects_no_breakdowns():
+    with pytest.raises(ValueError, match="no breakdowns to compare"):
+        compare({})
 
 
 def test_zero_totals_serialize_as_empty_not_infinite():

@@ -443,10 +443,11 @@ def _joined(parts):
        budget=st.integers(1, 40))
 def test_schedule_parts_property(spec, design, budget):
     # with a budget small enough to split these layers: the parts are the
-    # built schedule, each is whole kernel rows (zero skipping) or whole
-    # cycles (elsewhere) of at most `budget` drives unless one kernel row
-    # alone has more, and lowering them, a chunk of `budget` drives at a
-    # time, gives the whole schedule's program
+    # built schedule, each is whole rows of at most `budget` drives unless
+    # one row alone has more, a row being a kernel row, or a tile row of a
+    # kernel row one block wide (every row of zero_padding's and
+    # padding_free's one block), and lowering them, a chunk of `budget`
+    # drives at a time, gives the whole schedule's program
     whole = build_schedule(spec, design)
     with mock.patch.object(dataflow, "_CACHE_BUDGET", budget):
         parts = list(schedule_parts(spec, design))
@@ -457,14 +458,19 @@ def test_schedule_parts_property(spec, design, budget):
         for column in ASSIGNMENT_COLUMNS:
             have, want = getattr(joined, column), getattr(whole, column)
             assert have.dtype == want.dtype and np.array_equal(have, want)
-    row = whole.block // spec.kw if design in (DesignKind.RED, DesignKind.RED_FOLDED) \
-        else whole.cycle
+    pixelwise = design in (DesignKind.RED, DesignKind.RED_FOLDED)
+    kw = spec.kw if pixelwise else 1  # blocks a kernel row
+    n_tx = -(-spec.output_w // spec.stride) if pixelwise else dataflow._grid(spec, design)[1]
+    tile_row = (whole.cycle.astype(np.int64) >> (design is DesignKind.RED_FOLDED)) // n_tx
+    block = whole.block.astype(np.int64)
+    row = block * whole.cycle_count + tile_row if kw == 1 else block // kw
     stops = np.cumsum([p.assignment_count for p in parts])
     for part, stop in zip(parts, stops):
         assert (part.design, part.layer, part.cycle_count) == \
             (whole.design, whole.layer, whole.cycle_count)
-        assert part.assignment_count <= budget or len(set((part.block // spec.kw).tolist())) == 1
-        # no kernel row (or cycle) runs on into the next part
+        rows = set(row[stop - part.assignment_count : stop].tolist())
+        assert part.assignment_count <= budget or len(rows) == 1
+        # no row runs on into the next part
         assert stop == len(row) or row[stop - 1] != row[stop]
     assert program == lower(whole)
 
@@ -513,12 +519,14 @@ def test_lower_refuses_parts_of_another_schedule():
 
 
 def reference_row_major_parts(spec, design):
-    """Row-major parts with each cycle's source by divmod by the grid
-    width: the reference the generator's copied grid rows must equal."""
+    """Row-major parts of whole grid rows, as many as the budget holds or
+    one, with each cycle's source by divmod by the grid width: the
+    reference the generator's copied tile rows must equal."""
     h, w = dataflow._grid(spec, design)
     index = _index_dtype(h * w)
-    for t0 in range(0, h * w, dataflow._CACHE_BUDGET):
-        t = np.arange(t0, min(t0 + dataflow._CACHE_BUDGET, h * w), dtype=index)
+    step = max(1, dataflow._CACHE_BUDGET // w)
+    for y0 in range(0, h, step):
+        t = np.arange(y0 * w, min(y0 + step, h) * w, dtype=index)
         yield CycleSchedule(design, spec, h * w, t, np.zeros_like(t), t // w, t % w)
 
 
@@ -526,7 +534,9 @@ def reference_zero_skipping_parts(spec, folded):
     """Zero-skipping parts with each column gathered from a broadcast view
     of the whole (i, j, t, u) grid through the mask of tiles inside the
     output, then folded with *, % and //: the reference the generator's
-    copies of per-axis arrays must equal."""
+    copies of per-axis arrays must equal.  A kw = 1 kernel row over the
+    budget is cut into whole tile rows, as many as the budget holds or
+    one."""
     s = spec.stride
     oh, ow, _ = output_shape(spec)
     n_ty, n_tx = -(-oh // s), -(-ow // s)
@@ -542,17 +552,21 @@ def reference_zero_skipping_parts(spec, folded):
     index = _index_dtype(cycles, spec.kh * spec.kw, a.min(), a.max(), b.min(), b.max())
     grid = (spec.kh, spec.kw, n_ty, n_tx)
     per_row = np.count_nonzero(rows, axis=(1, 2, 3)) * np.count_nonzero(columns)
+    step = max(1, dataflow._CACHE_BUDGET // np.count_nonzero(columns)) if spec.kw == 1 else n_ty
     for i0, i1 in dataflow._runs(per_row.tolist(), dataflow._CACHE_BUDGET):
-        inside = rows[i0:i1] & columns
-        cycle, crossbar, src_a, src_b = (
-            np.broadcast_to(values.astype(index), grid)[i0:i1][inside]
-            for values in (t * n_tx + u, i * spec.kw + j, a, b))
-        if folded:
-            cycle *= 2
-            cycle += crossbar % 2
-            crossbar //= 2
-        yield CycleSchedule(DesignKind.RED_FOLDED if folded else DesignKind.RED, spec, cycles,
-                            cycle, crossbar, src_a, src_b)
+        for t0 in range(0, n_ty, step):
+            inside = rows[i0:i1] & columns & (t0 <= t) & (t < t0 + step)
+            if t0 and not inside.any():
+                continue  # past the run's last tile row
+            cycle, crossbar, src_a, src_b = (
+                np.broadcast_to(values.astype(index), grid)[i0:i1][inside]
+                for values in (t * n_tx + u, i * spec.kw + j, a, b))
+            if folded:
+                cycle *= 2
+                cycle += crossbar % 2
+                crossbar //= 2
+            yield CycleSchedule(DesignKind.RED_FOLDED if folded else DesignKind.RED, spec, cycles,
+                                cycle, crossbar, src_a, src_b)
 
 
 def reference_parts(spec, design):
@@ -574,8 +588,13 @@ def reference_parts(spec, design):
          budget=dataflow._CACHE_BUDGET)
 # kh, kw < s with crops: some subs have no tile inside the output
 @example(spec=DeconvLayerSpec(1, 1, 1, 3, 3, 1, 5, 2, 0, 2, 0), design=DesignKind.RED, budget=1)
-# a row-major part that starts and ends inside a grid row
-@example(spec=DeconvLayerSpec(3, 4, 1, 3, 3, 1, 2), design=DesignKind.ZERO_PADDING, budget=13)
+# a grid row wider than the budget: one row a part
+@example(spec=DeconvLayerSpec(3, 4, 1, 3, 3, 1, 2), design=DesignKind.ZERO_PADDING, budget=5)
+# a k x 1 kernel whose kernel rows exceed the budget: two tile rows a part
+@example(spec=DeconvLayerSpec(5, 5, 1, 3, 1, 1, 2), design=DesignKind.RED, budget=12)
+# kernel rows 0 and 2 have no tile inside: `_runs` joins them onto row 1's
+# run, one block wide and over the budget
+@example(spec=DeconvLayerSpec(1, 3, 1, 3, 1, 1, 2, 1, 1), design=DesignKind.RED_FOLDED, budget=2)
 def test_schedule_parts_match_the_reference_generators_property(spec, design, budget):
     # the parts, part by part: the same boundaries, dtypes and values
     with mock.patch.object(dataflow, "_CACHE_BUDGET", budget):
@@ -591,12 +610,17 @@ def test_schedule_parts_match_the_reference_generators_property(spec, design, bu
 
 def test_schedule_parts_hold_one_part_at_a_time():
     # FCN_Deconv2's red_folded schedule comes in 16 parts of one kernel row,
-    # 16 subs x 71 x 71 tiles of four int16 columns, 645,248 bytes each;
-    # drained part by part, its generator holds one part and its small
-    # per-axis arrays, so no dense buffer grows past a part
-    part = 8 * 16 * 71 * 71
-    peak, _ = _scratch(lambda: deque(schedule_parts(FCN2, DesignKind.RED_FOLDED), maxlen=0))
-    assert peak < 2 * part
+    # 16 subs x 71 x 71 tiles of four int16 columns, 645,248 bytes each, and
+    # its zero_padding one in parts of 115 output rows, 65,320 drives of
+    # four int32 columns; drained part by part, its generator holds one part
+    # and its small per-axis arrays, not the part it last yielded while it
+    # builds the next, so no dense buffer grows past a part
+    for design, parts in ((DesignKind.RED_FOLDED, 2), (DesignKind.ZERO_PADDING, 1.2)):
+        part = next(schedule_parts(FCN2, design))
+        size = sum(getattr(part, c).nbytes for c in ASSIGNMENT_COLUMNS)
+        del part
+        peak, _ = _scratch(lambda: deque(schedule_parts(FCN2, design), maxlen=0))
+        assert peak < parts * size, design
 
 
 @pytest.mark.parametrize("design,parts", [(DesignKind.RED_FOLDED, 3),
@@ -1189,7 +1213,7 @@ def test_trace_interior_only_layer_saturates():
 
 @pytest.mark.parametrize("design", list(DesignKind))
 def test_stages_accept_int64_columns(design):
-    # the builders emit TOY's columns in int16, the narrowest dtype that
+    # the builder emits TOY's columns in int16, the narrowest dtype that
     # holds its few cycles, blocks and sources; a schedule with int64
     # columns lowers to the same program, which traces to the same counts
     sched = build_schedule(TOY, design)

@@ -92,6 +92,10 @@ def test_spec_rejects_bad_fields():
         DeconvLayerSpec(4, 4, 1, 3, 3, 1, 0)
     with pytest.raises(ValueError, match="crop_top"):
         DeconvLayerSpec(4, 4, 1, 3, 3, 1, 2, crop_top=3)
+    with pytest.raises(ValueError, match=r"crop_left must be in \[0, kw-1\], got 2 for kw=2"):
+        DeconvLayerSpec(4, 4, 1, 3, 2, 1, 2, crop_left=2)
+    with pytest.raises(ValueError, match=r"crop_right must be in \[0, kw-1\], got -1"):
+        DeconvLayerSpec(4, 4, 1, 3, 3, 1, 2, crop_right=-1)
     with pytest.raises(ValueError, match="input_h"):
         DeconvLayerSpec(0, 4, 1, 3, 3, 1, 2)
 
@@ -107,6 +111,10 @@ def test_tensor_validation():
         Tensor3(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         Kernel4(np.zeros((2, 2, 0, 1)))
+    with pytest.raises(TypeError, match="Tensor3 must be integer or float data, got dtype <U1"):
+        Tensor3(np.full((1, 2, 3), "a"))
+    with pytest.raises(TypeError, match="Kernel4 must be integer or float data, got dtype complex"):
+        Kernel4(np.zeros((1, 1, 1, 1), dtype=complex))
     assert Tensor3(np.zeros((1, 2, 3))).shape == (1, 2, 3)
 
 
